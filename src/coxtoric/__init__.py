@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .chambers import (Chamber, GuardExceeded, SameChamberResult, chamber_of,
-                       effective_cone, same_chamber, spans_extremal_ray)
+from .chambers import (Chamber, SameChamberResult, chamber_of, effective_cone,
+                       same_chamber, spans_extremal_ray)
 from .cones import RationalCone, cone_member, double_description, \
     generators_to_hrep, primitive
 from .embedding import (CoxPresentationPair, RestrictionTable,
@@ -21,8 +21,9 @@ from .incidence import (LineWitness, PositionVerdict, ProjPoint, ProjSubspace,
                         intersect, same_subspace, subspace_from_equations,
                         subspace_from_points, witness_plane_via_line)
 from .linprog import LinearRow, LinearSystem, LPResult, lp_feasible
-from .monomials import (SquarefreeIdeal, derive_heft, irrelevant_radical,
-                        minimal_antichain, minimal_supports_of_degree,
+from .monomials import (GuardExceeded, SquarefreeIdeal, derive_heft,
+                        irrelevant_radical, minimal_antichain,
+                        minimal_subsets, minimal_supports_of_degree,
                         monomials_of_degree, radical_of_monomials)
 
 __all__ = [
@@ -40,7 +41,7 @@ __all__ = [
     "hermite_normal_form", "intersect", "invariant_factors",
     "irrelevant_radical", "is_complete", "is_projective", "is_simplicial",
     "kernel_lattice", "lp_feasible", "minimal_antichain",
-    "minimal_supports_of_degree", "monomials_of_degree",
+    "minimal_subsets", "minimal_supports_of_degree", "monomials_of_degree",
     "mori_embedding_report", "nullspace", "primitive",
     "radical_of_monomials", "rank", "rational_solve", "rref",
     "same_chamber", "same_subspace", "spans_extremal_ray",

@@ -11,19 +11,15 @@ irrelevant radicals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .cones import RationalCone, cone_member, generators_to_hrep, primitive
 from .exact import dot
 from .grading import DegreeMatrix
 from .linprog import LinearRow, LinearSystem, lp_feasible
-from .monomials import irrelevant_radical
+from .monomials import GuardExceeded  # noqa: F401  (re-exported)
+from .monomials import irrelevant_radical, minimal_subsets
 
 Vec = tuple[int, ...]
-
-
-class GuardExceeded(ValueError):
-    """A computation would exceed its configured size guard."""
 
 
 @dataclass(frozen=True)
@@ -61,34 +57,23 @@ def spans_extremal_ray(q: DegreeMatrix, i: int) -> bool:
     return not cone_member(others, col, dim=q.pic_rank)
 
 
-def _minimal_supports_of(q: DegreeMatrix, w: Vec) -> list[tuple[int, ...]]:
-    """Inclusion-minimal column subsets whose cone contains w (0-based)."""
-    n = q.num_gens
-    minimal: list[tuple[int, ...]] = []
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            sset = set(subset)
-            if any(set(m) <= sset for m in minimal):
-                continue
-            gens = [q.columns[j] for j in subset]
-            if cone_member(gens, w, dim=q.pic_rank):
-                minimal.append(subset)
-    return minimal
-
-
-def chamber_of(q: DegreeMatrix, w, max_gens: int = 16) -> Chamber:
+def chamber_of(q: DegreeMatrix, w) -> Chamber:
     """The GIT chamber containing w: the intersection of the cones on all
     minimal column subsets containing w, with irredundant constraints."""
-    if q.num_gens > max_gens:
-        raise GuardExceeded("subset enumeration too large")
     w = tuple(int(x) for x in w)
     if len(w) != q.pic_rank:
         raise ValueError("class has wrong length")
     if not cone_member(list(q.columns), w, dim=q.pic_rank):
         raise ValueError("class outside the effective cone")
 
+    def contains_w(subset: tuple[int, ...]) -> bool:
+        # the empty subset spans only 0; rejecting it keeps the chamber of
+        # the zero class cut out by the nonempty subsets
+        return bool(subset) and cone_member(
+            [q.columns[j] for j in subset], w, dim=q.pic_rank)
+
     rows: set[Vec] = set()
-    for subset in _minimal_supports_of(q, w):
+    for subset in minimal_subsets(q.num_gens, contains_w):
         eqs, ineqs = generators_to_hrep(
             q.pic_rank, [q.columns[j] for j in subset])
         for e in eqs:

@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import __version__
-from .chambers import GuardExceeded, chamber_of, same_chamber
+from .chambers import chamber_of, same_chamber
 from .delpezzo import (AMPLE_SUPPORTS, REFERENCE_RAY_ROWS, ample_ideal,
                        anticanonical_ideal, claimed_transversal,
                        presentation_pair, printed_points, restriction_table,
@@ -28,7 +28,8 @@ from .fans import fan_from_irrelevant, fan_report
 from .grading import DegreeMatrix, delpezzo4, gale_dual
 from .incidence import (SearchExhausted, find_transversal_plane,
                         general_position_on_plane, intersect)
-from .monomials import irrelevant_radical, monomials_of_degree
+from .monomials import (GuardExceeded, irrelevant_radical,
+                        monomials_of_degree)
 
 
 class UsageError(Exception):
@@ -53,6 +54,11 @@ _EXPECTED_PAIRING = (
 
 def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _load_input(args) -> tuple[DegreeMatrix, str, tuple[int, ...] | None]:
@@ -82,21 +88,30 @@ def _load_input(args) -> tuple[DegreeMatrix, str, tuple[int, ...] | None]:
             raise UsageError(f"input JSON missing field '{field}'")
     r, n = data["picRank"], data["numGens"]
     columns, labels = data["columns"], data["labels"]
-    if not (isinstance(r, int) and r >= 1):
+    if not (_is_int(r) and r >= 1):
         raise UsageError("picRank must be a positive integer")
-    if not (isinstance(n, int) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         raise UsageError("numGens must be a positive integer")
+    if not (isinstance(columns, list)
+            and all(isinstance(c, list) for c in columns)):
+        raise UsageError("columns must be a list of lists")
     if len(columns) != n:
         raise UsageError("numGens does not match the number of columns")
     if any(len(c) != r for c in columns):
         raise UsageError("every column must have picRank entries")
-    if len(labels) != n:
+    if not all(_is_int(x) for c in columns for x in c):
+        raise UsageError("column entries must be integers")
+    if not isinstance(labels, list) or len(labels) != n:
         raise UsageError("one label per column is required")
+    if not all(isinstance(label, str) for label in labels):
+        raise UsageError("labels must be strings")
     heft = data.get("heft")
     if heft is not None:
-        if len(heft) != r:
+        if not isinstance(heft, list) or len(heft) != r:
             raise UsageError("heft must have picRank entries")
-        heft = tuple(int(x) for x in heft)
+        if not all(_is_int(x) for x in heft):
+            raise UsageError("heft entries must be integers")
+        heft = tuple(heft)
     try:
         q = DegreeMatrix.make(columns, labels=tuple(labels))
     except (TypeError, ValueError) as e:
@@ -321,18 +336,27 @@ def cmd_incidence(args) -> tuple[int, list[str], dict]:
         records = _incidence_targets()
         position = general_position_on_plane(printed_points(),
                                              claimed_transversal())
-        solved = find_transversal_plane(targets, seed=args.seed,
-                                        max_tries=args.max_tries)
-        payload = {
-            "targets": records,
-            "generalPosition": {"ok": position.ok,
-                                "reason": position.reason},
-            "solver": {
+        try:
+            solved = find_transversal_plane(targets, seed=args.seed,
+                                            max_tries=args.max_tries)
+        except SearchExhausted as e:
+            solved = None
+            solver = {"found": False, "attempts": e.attempts}
+            solver_line = f"solver: no plane found in {e.attempts} attempts"
+        else:
+            solver = {
                 "plane": _plane_json(solved.plane),
                 "points": [list(p.coords) for p in solved.points],
                 "seed": solved.seed,
                 "attempts": solved.attempts,
-            },
+            }
+            solver_line = (f"solver: plane found on attempt "
+                           f"{solved.attempts} (seed {solved.seed})")
+        payload = {
+            "targets": records,
+            "generalPosition": {"ok": position.ok,
+                                "reason": position.reason},
+            "solver": solver,
             "notes": [
                 "paper-data inconsistency: the printed point for target 3 "
                 "is not on the printed plane and exact elimination gives "
@@ -351,11 +375,11 @@ def cmd_incidence(args) -> tuple[int, list[str], dict]:
                      f"inapplicable ({position.reason})"
                      if position.ok is None else
                      f"general position of printed points: {position.ok}")
-        lines.append(f"solver: plane found on attempt {solved.attempts} "
-                     f"(seed {solved.seed})")
+        lines.append(solver_line)
         lines.append("note: " + payload["notes"][0])
         hard_ok = (all(records[i]["match"] for i in (0, 1, 3))
-                   and records[2]["computedIntersection"] is None)
+                   and records[2]["computedIntersection"] is None
+                   and solved is not None)
         return (0 if hard_ok else 1), lines, payload
     try:
         solved = find_transversal_plane(targets, seed=args.seed,

@@ -178,13 +178,6 @@ class RationalCone:
         return rays
 
     @cached_property
-    def space_dim(self) -> int:
-        """Dimension of the linear span of the cone."""
-        if not self.generators:
-            return 0
-        return rank(self.generators)
-
-    @cached_property
     def is_pointed(self) -> bool:
         eqs, ineqs = self.hrep
         stacked = list(eqs) + list(ineqs)

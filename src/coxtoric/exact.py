@@ -237,30 +237,7 @@ def invariant_factors(m: IntMat) -> tuple[int, ...]:
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals of a matrix given as rows (ints or Fractions)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    nc = len(mat[0])
-    rk = 0
-    for c in range(nc):
-        piv = None
-        for i in range(rk, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rk], mat[piv] = mat[piv], mat[rk]
-        inv = 1 / mat[rk][c]
-        mat[rk] = [x * inv for x in mat[rk]]
-        for i in range(len(mat)):
-            if i != rk and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rk])]
-        rk += 1
-        if rk == len(mat):
-            break
-    return rk
+    return len(rref(rows)[1])
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:

@@ -19,7 +19,7 @@ from math import gcd
 from random import Random
 
 from .cones import primitive
-from .exact import nullspace, rank, rational_solve, rref
+from .exact import IntMat, det, nullspace, rank, rational_solve, rref
 
 _BOX = 10
 
@@ -162,24 +162,12 @@ class PositionVerdict:
         return self.ok is True
 
 
-def _det(rows) -> Fraction:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    n = len(mat)
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if mat[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            result = -result
-        result *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c]:
-                f = mat[i][c] * inv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return result
+def _det(rows) -> int:
+    """Determinant of the rational rows after scaling each to primitive
+    integers. The scales are positive, so the zero test and the sign agree
+    with the rational determinant, and two determinants that differ in one
+    row that is already primitive keep their ratio."""
+    return det(IntMat.from_rows([primitive(r) for r in rows]))
 
 
 def general_position_on_plane(pts, plane: ProjSubspace) -> PositionVerdict:
@@ -264,6 +252,8 @@ def find_transversal_plane(targets, seed: int = 1,
     if len(targets) != 4 or any(t.ambient_dim != 5 or t.projective_dim != 2
                                 for t in targets):
         raise ValueError("expected four 2-planes in P^5")
+    if max_tries < 0:
+        raise ValueError("max_tries must be nonnegative")
     for a, b in combinations(targets, 2):
         meet = intersect(a, b)
         if meet is not None and meet.projective_dim > 0:

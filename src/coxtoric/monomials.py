@@ -4,8 +4,12 @@ monomials_of_degree lists every exponent vector of a fixed multidegree. The
 search runs over generators in order, bounding each exponent by an exact
 heft budget and pruning any residual degree that falls outside the cone
 spanned by the remaining generator degrees. Both tests are integer
-arithmetic on precomputed constraint normals, so the hot loop never touches
-Fractions.
+arithmetic on cached constraint normals, so the hot loop never touches
+Fractions. The same enumerator, stopped at its first solution, decides
+whether a support is achievable.
+
+minimal_subsets is the one subset-lattice search of the package, shared by
+the minimal supports here and the GIT chambers; it carries the size guard.
 """
 
 from __future__ import annotations
@@ -22,6 +26,13 @@ from .linprog import LinearRow, LinearSystem, lp_feasible
 
 Exponent = tuple[int, ...]
 Support = tuple[int, ...]
+
+# largest generator count for which a subset-lattice search runs
+MAX_SEARCH_GENS = 16
+
+
+class GuardExceeded(ValueError):
+    """A computation would exceed its configured size guard."""
 
 
 @dataclass(frozen=True)
@@ -100,42 +111,7 @@ def monomials_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Exponent, .
     if len(d) != q.pic_rank:
         raise ValueError("degree has wrong length")
     h = _checked_heft(q, heft)
-    n = q.num_gens
-    cols = q.columns
-    budgets = [dot(h, c) for c in cols]
-
-    # hrep of the cone spanned by the degree columns from position i on;
-    # membership of the residual degree prunes dead branches exactly
-    suffix = [generators_to_hrep(q.pic_rank, cols[i:]) for i in range(n + 1)]
-
-    def member(i: int, v: list[int]) -> bool:
-        eqs, ineqs = suffix[i]
-        return all(dot(e, v) == 0 for e in eqs) and \
-            all(dot(a, v) >= 0 for a in ineqs)
-
-    if not member(0, list(d)):
-        return ()
-
-    out: list[Exponent] = []
-    prefix = [0] * n
-
-    def rec(i: int, residual: list[int], hbudget: int) -> None:
-        if i == n:
-            out.append(tuple(prefix))
-            return
-        col = cols[i]
-        v = list(residual)
-        for e in range(hbudget // budgets[i] + 1):
-            if e:
-                for j in range(len(v)):
-                    v[j] -= col[j]
-            if member(i + 1, v):
-                prefix[i] = e
-                rec(i + 1, v, hbudget - e * budgets[i])
-        prefix[i] = 0
-
-    rec(0, list(d), dot(h, d))
-    return tuple(out)
+    return tuple(_exponents(q, d, h, tuple(range(q.num_gens))))
 
 
 @lru_cache(maxsize=None)
@@ -143,43 +119,72 @@ def _subset_hrep(q: DegreeMatrix, subset: tuple[int, ...]):
     return generators_to_hrep(q.pic_rank, [q.columns[j] for j in subset])
 
 
-def _support_achievable(q: DegreeMatrix, d, h, subset: tuple[int, ...]) -> bool:
-    """Whether some monomial of degree d has support exactly subset
-    (0-based). Backtracking search over the mandatory-one exponents,
-    stopping at the first solution."""
-    cols = q.columns
-    res = list(d)
-    for j in subset:
-        for k in range(len(res)):
-            res[k] -= cols[j][k]
-    hbudget = dot(h, res)
-    if hbudget < 0:
-        return False
-    m = len(subset)
-    budgets = [dot(h, cols[j]) for j in subset]
+def _exponents(q: DegreeMatrix, d, h, idx: tuple[int, ...]):
+    """Lazily yield, in lexicographic order, every exponent vector e over
+    the columns idx (0-based) with sum(e_k * column idx[k]) == d.
+
+    Backtracks over the columns in order, bounding each exponent by the heft
+    budget and pruning a residual degree outside the cone of the remaining
+    columns. The hrep of each suffix cone is fetched the first time its
+    depth is reached, so a degree outside cone(idx) costs one hrep."""
+    total = dot(h, d)
+    if total < 0:
+        return
+    cols = [q.columns[j] for j in idx]
+    m = len(idx)
+    budgets = [dot(h, c) for c in cols]
+    hreps: list = [None] * (m + 1)
 
     def member(i: int, v: list[int]) -> bool:
-        eqs, ineqs = _subset_hrep(q, subset[i:])
+        if hreps[i] is None:
+            hreps[i] = _subset_hrep(q, idx[i:])
+        eqs, ineqs = hreps[i]
         return all(dot(e, v) == 0 for e in eqs) and \
             all(dot(a, v) >= 0 for a in ineqs)
 
-    if not member(0, res):
-        return False
+    if not member(0, d):
+        return
+    prefix = [0] * m
 
-    def rec(i: int, v: list[int], left: int) -> bool:
+    def rec(i: int, residual: list[int], left: int):
         if i == m:
-            return True
-        col = cols[subset[i]]
-        vv = list(v)
+            yield tuple(prefix)
+            return
+        col = cols[i]
+        v = list(residual)
         for e in range(left // budgets[i] + 1):
             if e:
-                for k in range(len(vv)):
-                    vv[k] -= col[k]
-            if member(i + 1, vv) and rec(i + 1, vv, left - e * budgets[i]):
-                return True
-        return False
+                for k in range(len(v)):
+                    v[k] -= col[k]
+            if member(i + 1, v):
+                prefix[i] = e
+                yield from rec(i + 1, v, left - e * budgets[i])
+        prefix[i] = 0
 
-    return rec(0, res, hbudget)
+    yield from rec(0, list(d), total)
+
+
+def minimal_subsets(n: int, accept) -> list[tuple[int, ...]]:
+    """Inclusion-minimal subsets of range(n) accepted by the predicate, in
+    size-then-lex order.
+
+    Supersets of a subset already found are never tested. This is exact
+    for any predicate: an accepted subset that is not minimal contains a
+    smaller minimal one, which was found first. More than MAX_SEARCH_GENS
+    elements raises GuardExceeded."""
+    if n > MAX_SEARCH_GENS:
+        raise GuardExceeded("subset enumeration too large")
+    found: list[tuple[int, ...]] = []
+    found_sets: list[frozenset] = []
+    for size in range(n + 1):
+        for subset in combinations(range(n), size):
+            sset = frozenset(subset)
+            if any(f <= sset for f in found_sets):
+                continue
+            if accept(subset):
+                found.append(subset)
+                found_sets.append(sset)
+    return found
 
 
 def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Support, ...]:
@@ -190,15 +195,19 @@ def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Supp
     if len(d) != q.pic_rank:
         raise ValueError("degree has wrong length")
     h = _checked_heft(q, heft)
-    minimal: list[tuple[int, ...]] = []
-    for size in range(q.num_gens + 1):
-        for subset in combinations(range(q.num_gens), size):
-            sset = set(subset)
-            if any(set(mn) <= sset for mn in minimal):
-                continue
-            if _support_achievable(q, d, h, subset):
-                minimal.append(subset)
-    return tuple(tuple(j + 1 for j in s) for s in minimal)
+    cols = q.columns
+
+    def achievable(subset: tuple[int, ...]) -> bool:
+        # some monomial of degree d has support exactly subset: every
+        # generator in it appears at least once
+        residual = list(d)
+        for j in subset:
+            for k, x in enumerate(cols[j]):
+                residual[k] -= x
+        return next(_exponents(q, residual, h, subset), None) is not None
+
+    return tuple(tuple(j + 1 for j in s)
+                 for s in minimal_subsets(q.num_gens, achievable))
 
 
 def radical_of_monomials(monomials) -> SquarefreeIdeal:

@@ -115,6 +115,20 @@ def test_chamber_inside_effective_cone():
         assert not lp_feasible(system).feasible
 
 
+def test_chamber_of_zero_class():
+    # the zero class lies in every nonempty column cone, so its chamber is
+    # cut out by the single columns
+    ch = chamber_of(delpezzo4().degrees, (0, 0, 0, 0, 0))
+    assert ch.hrep == (
+        (-1, 0, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, -1, 0, 0),
+        (0, 0, 0, -1, 0), (0, 0, 0, 0, -1), (1, 0, 0, 0, 1),
+        (1, 0, 0, 1, 0), (1, 0, 1, 0, 0), (1, 1, 0, 0, 0))
+    assert ch.full_dimensional is False
+    ch = chamber_of(DegreeMatrix.make([(1,), (1,), (1,)]), (0,))
+    assert ch.hrep == ((1,),)
+    assert ch.full_dimensional is True
+
+
 def test_chamber_errors():
     q = DegreeMatrix.make([(1,), (1,), (1,)])
     with pytest.raises(ValueError, match="outside the effective cone"):

@@ -132,7 +132,28 @@ def test_incidence_verify_paper(capsys):
     assert targets[2]["printedPoint"] == [1, 0, 0, 0, 0, -1]
     assert payload["generalPosition"]["ok"] is None
     assert payload["solver"]["attempts"] >= 1
+    assert sorted(payload["solver"]) == ["attempts", "plane", "points",
+                                         "seed"]
     assert any("paper-data inconsistency" in n for n in payload["notes"])
+
+
+def test_incidence_verify_paper_exhausted(capsys):
+    code, payload, _ = run_json(
+        capsys, ["incidence", "verify-paper", "--max-tries", "0"])
+    assert code == 1
+    assert payload["solver"] == {"found": False, "attempts": 0}
+    code, out, _ = run(capsys, ["incidence", "verify-paper",
+                                "--max-tries", "0"])
+    assert code == 1
+    assert "solver: no plane found in 0 attempts" in out
+
+
+@pytest.mark.parametrize("mode", ["search", "verify-paper"])
+def test_incidence_negative_budget(capsys, mode):
+    code, out, err = run(capsys, ["incidence", mode, "--max-tries", "-5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "max_tries" in err
 
 
 def test_incidence_search_deterministic(capsys):
@@ -235,6 +256,29 @@ def test_guard_exceeded_exit_code(tmp_path, capsys):
         "picRank": 1, "numGens": n,
         "columns": [[1]] * n,
         "labels": [f"x{i}" for i in range(n)]}))
-    code, _, err = run(capsys, ["chamber", str(wide), "--degree", "1"])
-    assert code == 3
-    assert "too large" in err
+    for command in ("chamber", "irrelevant", "fan"):
+        code, _, err = run(capsys, [command, str(wide), "--degree", "1"])
+        assert code == 3, command
+        assert "too large" in err
+
+
+P2_INPUT = {"picRank": 1, "numGens": 3, "columns": [[1], [1], [1]],
+            "labels": ["x", "y", "z"]}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("columns", [[1.7], [1], [1]], "column entries must be integers"),
+    ("columns", [[True], [1], [1]], "column entries must be integers"),
+    ("columns", [1, 1, 1], "columns must be a list of lists"),
+    ("labels", [1, 2, 3], "labels must be strings"),
+    ("heft", [True], "heft entries must be integers"),
+    ("heft", [1.5], "heft entries must be integers"),
+    ("picRank", True, "picRank must be a positive integer"),
+])
+def test_malformed_input_rejected(tmp_path, capsys, field, value, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**P2_INPUT, field: value}))
+    code, out, err = run(capsys, ["basis", str(bad), "--degree", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err

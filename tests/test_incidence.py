@@ -174,6 +174,8 @@ def test_find_transversal_plane_guards():
     with pytest.raises(SearchExhausted) as err:
         find_transversal_plane(targets, seed=1, max_tries=0)
     assert err.value.attempts == 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        find_transversal_plane(targets, seed=1, max_tries=-1)
 
 
 def test_witness_plane_via_line():
