@@ -149,9 +149,12 @@ def _load_reference(args, width: int):
             raise UsageError(f"reference file is not valid JSON: {e}") from e
         if isinstance(data, dict):
             data = data.get("rows")
-        if not isinstance(data, list) or not data:
+        if not isinstance(data, list) or not data \
+                or not all(isinstance(r, list) for r in data):
             raise UsageError("reference must be a JSON array of rows")
-        rows, provenance = [tuple(int(x) for x in r) for r in data], None
+        if not all(_is_int(x) for r in data for x in r):
+            raise UsageError("reference entries must be integers")
+        rows, provenance = [tuple(r) for r in data], None
     if any(len(r) != width for r in rows):
         raise UsageError("reference row length does not match the kernel")
     return IntMat.from_rows(rows, cols=width), provenance
@@ -360,8 +363,9 @@ def cmd_incidence(args) -> tuple[int, list[str], dict]:
             "notes": [
                 "paper-data inconsistency: the printed point for target 3 "
                 "is not on the printed plane and exact elimination gives "
-                "an empty intersection there; the solver plane above meets "
-                "all four targets",
+                "an empty intersection there"
+                + ("" if solved is None else
+                   "; the solver plane above meets all four targets"),
             ],
         }
         lines = []

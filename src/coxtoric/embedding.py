@@ -62,14 +62,11 @@ class CoxPresentationPair:
 
 @dataclass(frozen=True)
 class RestrictionTable:
-    """The ten ambient divisor classes after restriction, keyed by divisor
-    label."""
+    """Ambient divisor classes after restriction, keyed by divisor label."""
 
     entries: tuple[tuple[str, Multidegree], ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != 10:
-            raise ValueError("restriction table must have exactly 10 entries")
         labels = [lab for lab, _ in self.entries]
         if len(set(labels)) != len(labels):
             raise ValueError("table labels not distinct")

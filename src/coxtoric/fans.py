@@ -1,11 +1,12 @@
 """Fans assembled from irrelevant-ideal data, with exact certification.
 
 The maximal cones attached to a squarefree irrelevant ideal are spanned by
-the ray sets complementary to its minimal supports. Validity (pairwise
-intersections are common faces), simpliciality, completeness, and
-projectivity are certified by exact integer and rational computation;
-projectivity returns a strictly convex piecewise-linear support function,
-replayed against every wall before it is reported.
+the ray sets complementary to its minimal supports. Validity (strongly
+convex cones meeting pairwise in common faces, each pair separated by a
+replayed linear functional), simpliciality, completeness, and projectivity
+are certified by exact integer and rational computation; projectivity
+returns a strictly convex piecewise-linear support function, replayed
+against every wall before it is reported.
 """
 
 from __future__ import annotations
@@ -13,14 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import lcm
 
-from .cones import (
-    RationalCone,
-    cone_member,
-    double_description,
-    primitive,
-)
+from .cones import RationalCone, cone_member, primitive
 from .exact import dot, nullspace, rank
 from .grading import GaleDual
 from .linprog import LinearRow, LinearSystem, lp_feasible
@@ -136,43 +133,40 @@ def fan_from_irrelevant(gale: GaleDual, ideal: SquarefreeIdeal) -> Fan:
 
 
 def validate_fan(fan: Fan) -> Verdict:
-    """Certify that every pairwise intersection of maximal cones is exactly
-    the cone on their common rays and is a face of both."""
+    """Certify that every maximal cone is strongly convex and that any two
+    meet in the cone on their common rays, which is a face of both.
+
+    Each pair (A, B) is certified by one separating functional h
+    (Cox-Little-Schenck, Lemma 1.2.13) that lp_feasible finds and replays:
+    h = 0 on the common rays, h > 0 on the rays of A \\ B and h < 0 on the
+    rays of B \\ A. A ray inside the cone on the common rays is exempt from
+    strictness; exempt rays are looked up only when the strict system fails.
+    """
     d = fan.ambient_dim
-    cones = fan.maximal_cones
-    for a in range(len(cones)):
-        for b in range(a + 1, len(cones)):
-            ca, cb = cones[a], cones[b]
-            eqa, ina = ca.geometry.hrep
-            eqb, inb = cb.geometry.hrep
-            lin, meet = double_description(
-                d, list(eqa) + list(eqb), list(ina) + list(inb))
-            if lin:
-                return Verdict(False,
-                               f"cones {a + 1} and {b + 1} meet in a cone "
-                               f"with lineality")
-            if not meet:
-                continue
-            shared = sorted(set(ca.ray_indices) & set(cb.ray_indices))
-            common = [fan.rays[i - 1] for i in shared]
-            for w in meet:
-                if not cone_member(common, w, dim=d):
-                    return Verdict(False,
-                                   f"intersection of cones {a + 1} and "
-                                   f"{b + 1} is not spanned by their common "
-                                   f"rays")
-            for label, cone in ((a + 1, ca), (b + 1, cb)):
-                eqs, ineqs = cone.geometry.hrep
-                active = [nrm for nrm in ineqs
-                          if all(dot(nrm, w) == 0 for w in meet)]
-                _flin, face = double_description(
-                    d, list(eqs) + active, list(ineqs))
-                for w in face:
-                    if not cone_member(common, w, dim=d):
-                        return Verdict(False,
-                                       f"intersection of cones {a + 1} and "
-                                       f"{b + 1} is not a face of cone "
-                                       f"{label}")
+    for pos, cone in enumerate(fan.maximal_cones, start=1):
+        if not cone.geometry.is_pointed:
+            return Verdict(False, f"cone {pos} is not strongly convex")
+
+    def separated(common: list[Vec], sides: list[tuple[Vec, int]]) -> bool:
+        system = LinearSystem(
+            d, tuple(LinearRow.make(r) for r in common),
+            tuple(LinearRow.make([s * x for x in r], strict=True)
+                  for r, s in sides))
+        return lp_feasible(system).feasible
+
+    for (a, ca), (b, cb) in combinations(
+            enumerate(fan.maximal_cones, start=1), 2):
+        sa, sb = set(ca.ray_indices), set(cb.ray_indices)
+        common = [fan.rays[i - 1] for i in sorted(sa & sb)]
+        sides = [(fan.rays[i - 1], 1) for i in sorted(sa - sb)] + \
+            [(fan.rays[i - 1], -1) for i in sorted(sb - sa)]
+        if separated(common, sides):
+            continue
+        strict = [(r, s) for r, s in sides
+                  if not cone_member(common, r, dim=d)]
+        if len(strict) == len(sides) or not separated(common, strict):
+            return Verdict(False, f"intersection of cones {a} and {b} is "
+                                  f"not a face of both")
     return Verdict(True)
 
 

@@ -14,6 +14,15 @@ from .exact import IntMat, invariant_factors, kernel_lattice, rank
 Vec = tuple[int, ...]
 
 
+def int_vector(values, what: str) -> Vec:
+    """The entries as a tuple, each checked to be an int and not a bool, so
+    that 1.7 or True is rejected with ValueError instead of truncated."""
+    vec = tuple(values)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in vec):
+        raise ValueError(f"{what} entries must be integers")
+    return vec
+
+
 @dataclass(frozen=True)
 class DegreeMatrix:
     """Degree matrix of a graded polynomial ring: one column per generator."""
@@ -36,7 +45,7 @@ class DegreeMatrix:
 
     @classmethod
     def make(cls, columns, labels=None) -> "DegreeMatrix":
-        cols = tuple(tuple(int(x) for x in c) for c in columns)
+        cols = tuple(int_vector(c, "degree column") for c in columns)
         if labels is None:
             labels = tuple(f"x{i + 1}" for i in range(len(cols)))
         return cls(cols, tuple(labels))

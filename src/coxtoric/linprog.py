@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import rational_solve
-
 
 @dataclass(frozen=True)
 class LinearRow:
@@ -142,12 +140,10 @@ def simplex_nonneg(rows: Sequence[Sequence], rhs: Sequence, cost: Sequence):
             sign[i] = -1
         T.append(r)
         b.append(bi)
-    a_norm = [list(r) for r in T]
 
     for i in range(m):
         T[i] = T[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
     basis = list(range(n, n + m))
-    rowmap = list(range(m))
 
     phase1 = [Fraction(0)] * n + [Fraction(1)] * m
     _optimize(T, b, basis, phase1, n + m)
@@ -163,7 +159,7 @@ def simplex_nonneg(rows: Sequence[Sequence], rhs: Sequence, cost: Sequence):
                     _pivot(T, b, basis, i, j)
                     break
             else:
-                del T[i], b[i], basis[i], rowmap[i]
+                del T[i], b[i], basis[i]
 
     phase2 = cost + [Fraction(0)] * m
     status = _optimize(T, b, basis, phase2, n)
@@ -174,18 +170,11 @@ def simplex_nonneg(rows: Sequence[Sequence], rhs: Sequence, cost: Sequence):
     for i, bs in enumerate(basis):
         y[bs] = b[i]
 
-    k = len(basis)
-    if k:
-        solve_rows = [[a_norm[rowmap[i]][j] for i in range(k)] for j in basis]
-        solve_rhs = [cost[j] for j in basis]
-        pin = rational_solve(solve_rows, solve_rhs)
-        if pin is None:
-            raise RuntimeError("singular basis in multiplier recovery")
-    else:
-        pin = []
-    pi = [Fraction(0)] * m
-    for i in range(k):
-        pi[rowmap[i]] = sign[rowmap[i]] * pin[i]
+    # the artificial block of each tableau row records which combination
+    # of the (sign-normalized) input rows it is, so cost_B times that block
+    # gives the multipliers, also after dependent rows were dropped
+    pi = [sign[r] * sum(cost[bs] * T[i][n + r] for i, bs in enumerate(basis))
+          for r in range(m)]
     return "optimal", y, pi
 
 

@@ -21,7 +21,7 @@ from math import lcm
 
 from .cones import generators_to_hrep
 from .exact import dot
-from .grading import DegreeMatrix
+from .grading import DegreeMatrix, int_vector
 from .linprog import LinearRow, LinearSystem, lp_feasible
 
 Exponent = tuple[int, ...]
@@ -95,7 +95,7 @@ def derive_heft(q: DegreeMatrix) -> tuple[int, ...]:
 def _checked_heft(q: DegreeMatrix, heft) -> tuple[int, ...]:
     if heft is None:
         return derive_heft(q)
-    h = tuple(int(x) for x in heft)
+    h = int_vector(heft, "heft")
     if len(h) != q.pic_rank:
         raise ValueError("heft has wrong length")
     if any(dot(h, col) < 1 for col in q.columns):
@@ -107,7 +107,7 @@ def monomials_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Exponent, .
     """All exponent vectors e with sum(e_i * column_i) == degree, in
     lexicographic order. The grading must be positive (a heft is derived
     when not supplied), which makes every graded piece finite."""
-    d = tuple(int(x) for x in degree)
+    d = int_vector(degree, "degree")
     if len(d) != q.pic_rank:
         raise ValueError("degree has wrong length")
     h = _checked_heft(q, heft)
@@ -191,7 +191,7 @@ def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Supp
     """Inclusion-minimal supports among all monomials of the given degree
     (1-based, canonical order). Searches the support lattice directly, so
     large graded pieces never get enumerated."""
-    d = tuple(int(x) for x in degree)
+    d = int_vector(degree, "degree")
     if len(d) != q.pic_rank:
         raise ValueError("degree has wrong length")
     h = _checked_heft(q, heft)
@@ -228,7 +228,7 @@ def irrelevant_radical(q: DegreeMatrix, degree, depth: int = 1, heft=None,
     """
     if depth < 1:
         raise ValueError("saturation depth must be at least 1")
-    d = tuple(int(x) for x in degree)
+    d = int_vector(degree, "degree")
     h = _checked_heft(q, heft)
     layers: list[Support] = []
     for j in range(1, depth + 1):

@@ -30,6 +30,17 @@ def test_gale_reference_match(capsys):
     assert len(payload["hermite"]) == 5
 
 
+@pytest.mark.parametrize("row", [[1.7] + [0] * 9, [True] + [0] * 9])
+def test_gale_reference_rejects_non_integer_rows(tmp_path, capsys, row):
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps([row]))
+    code, out, err = run(capsys, ["gale", "--dataset", "delpezzo4",
+                                  "--reference", str(ref)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be integers" in err
+
+
 def test_gale_rank_deficient_input(tmp_path, capsys):
     bad = tmp_path / "rankdef.json"
     bad.write_text(json.dumps({
@@ -134,7 +145,10 @@ def test_incidence_verify_paper(capsys):
     assert payload["solver"]["attempts"] >= 1
     assert sorted(payload["solver"]) == ["attempts", "plane", "points",
                                          "seed"]
-    assert any("paper-data inconsistency" in n for n in payload["notes"])
+    assert payload["notes"] == [
+        "paper-data inconsistency: the printed point for target 3 is not on "
+        "the printed plane and exact elimination gives an empty intersection "
+        "there; the solver plane above meets all four targets"]
 
 
 def test_incidence_verify_paper_exhausted(capsys):
@@ -142,10 +156,15 @@ def test_incidence_verify_paper_exhausted(capsys):
         capsys, ["incidence", "verify-paper", "--max-tries", "0"])
     assert code == 1
     assert payload["solver"] == {"found": False, "attempts": 0}
+    assert payload["notes"] == [
+        "paper-data inconsistency: the printed point for target 3 is not on "
+        "the printed plane and exact elimination gives an empty intersection "
+        "there"]
     code, out, _ = run(capsys, ["incidence", "verify-paper",
                                 "--max-tries", "0"])
     assert code == 1
     assert "solver: no plane found in 0 attempts" in out
+    assert "solver plane" not in out
 
 
 @pytest.mark.parametrize("mode", ["search", "verify-paper"])

@@ -142,9 +142,11 @@ def test_restriction_table_multiset_failure():
 
 
 def test_restriction_table_validation():
-    with pytest.raises(ValueError, match="exactly 10"):
-        RestrictionTable.make([(f"D{i}", (1, 0, 0, 0, 0))
-                               for i in range(9)])
+    short = RestrictionTable.make(restriction_table().entries[:9])
+    report = verify_restriction_table(short, presentation_pair())
+    assert not report.ok and report.matching == ()
+    assert report.mismatch == ("generator degree [0, 0, 0, 0, 1] occurs 1 "
+                               "times but only 0 times in the table")
     with pytest.raises(ValueError, match="labels not distinct"):
         RestrictionTable.make([("D", (i, 0, 0, 0, 0)) for i in range(10)])
 

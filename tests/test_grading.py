@@ -22,6 +22,13 @@ def test_degree_matrix_validation():
         DegreeMatrix.make([(1,), (1,)], labels=("a", "a"))
 
 
+@pytest.mark.parametrize("columns", [[(1.7,), (1,), (1,)],
+                                     [(1,), (1,), (True,)]])
+def test_degree_matrix_rejects_non_integer_entries(columns):
+    with pytest.raises(ValueError, match="must be integers"):
+        DegreeMatrix.make(columns)
+
+
 def test_gale_p2():
     q = DegreeMatrix.make([(1,), (1,), (1,)])
     g = gale_dual(q)

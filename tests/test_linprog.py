@@ -148,6 +148,14 @@ def test_simplex_nonneg_optimum_and_multipliers():
     assert pi == [Fraction(-1)]
 
 
+def test_strict_system_with_dependent_dual_rows():
+    # the dual tableau has two dependent rows, and the artificial variable
+    # left basic in the redundant tableau row belongs to another input row
+    res = lp_feasible(LinearSystem.make(
+        3, (), [([-2, -1, 2], 0, True), ([1, 0, 0], 0, True)]))
+    assert res.feasible and res.margin > 0
+
+
 def test_random_cross_check_against_fourier_motzkin():
     rng = random.Random(918273)
     agree = 0

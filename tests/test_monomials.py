@@ -64,6 +64,17 @@ def test_heft_errors():
         monomials_of_degree(q2, (1,), heft=(0,))
 
 
+@pytest.mark.parametrize("search", [monomials_of_degree,
+                                    minimal_supports_of_degree,
+                                    irrelevant_radical])
+@pytest.mark.parametrize("degree, heft", [((2.9,), None), ((2,), (1.5,)),
+                                          ((True,), None), ((2,), (True,))])
+def test_non_integer_degree_or_heft_rejected(search, degree, heft):
+    q = DegreeMatrix.make([(1,), (1,), (1,)])
+    with pytest.raises(ValueError, match="must be integers"):
+        search(q, degree, heft=heft)
+
+
 def test_derive_heft_positive():
     dp = delpezzo4()
     h = derive_heft(dp.degrees)

@@ -1,6 +1,8 @@
 """Property tests of the core routines against independent oracles: brute
-force for the minimal-subset search, sympy for rank and determinants."""
+force for the minimal-subset search, sympy for rank and determinants, and
+double description for fan validity."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,10 +11,12 @@ import pytest
 pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from coxtoric.exact import IntMat, det, rank  # noqa: E402
+from coxtoric.cones import cone_member, double_description  # noqa: E402
+from coxtoric.exact import IntMat, det, dot, rank  # noqa: E402
+from coxtoric.fans import Fan, validate_fan  # noqa: E402
 from coxtoric.incidence import _det  # noqa: E402
 from coxtoric.monomials import minimal_antichain, minimal_subsets  # noqa: E402
 
@@ -75,3 +79,71 @@ def test_incidence_det_zero_test_and_sign_against_sympy(rows):
     got = _det(rows)
     assert (got == 0) == (expected == 0)
     assert (got > 0) == (expected > 0)
+
+
+def dd_fan_oracle(fan) -> bool:
+    """Fan validity from double descriptions: for every pair of maximal
+    cones, each extreme ray of the intersection lies in the cone on the
+    common rays, and that cone is a face of both."""
+    d = fan.ambient_dim
+    cones = fan.maximal_cones
+    for a, ca in enumerate(cones):
+        for cb in cones[a + 1:]:
+            common = [fan.rays[i - 1]
+                      for i in set(ca.ray_indices) & set(cb.ray_indices)]
+            eqa, ina = ca.geometry.hrep
+            eqb, inb = cb.geometry.hrep
+            _lin, meet = double_description(d, eqa + eqb, ina + inb)
+            if not all(cone_member(common, w, dim=d) for w in meet):
+                return False
+            for cone in (ca, cb):
+                eqs, ineqs = cone.geometry.hrep
+                tight = [n for n in ineqs
+                         if all(dot(n, r) == 0 for r in common)]
+                _lin, face = double_description(d, list(eqs) + tight, ineqs)
+                if not all(cone_member(common, w, dim=d) for w in face):
+                    return False
+    return True
+
+
+@st.composite
+def small_fans(draw):
+    """Two to four cones on up to six distinct primitive rays in dimension
+    two or three."""
+    d = draw(st.integers(2, 3))
+    vectors = st.lists(st.integers(-2, 2), min_size=d, max_size=d) \
+        .map(tuple).filter(lambda v: math.gcd(*v) == 1)
+    rays = draw(st.lists(vectors, min_size=2, max_size=6, unique=True))
+    index_sets = draw(st.lists(
+        st.sets(st.integers(1, len(rays)), min_size=1, max_size=d + 1),
+        min_size=2, max_size=4))
+    return Fan.from_index_sets(rays, index_sets)
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_fans())
+@example(Fan.from_index_sets(((-1, 1, 0), (-1, 0, 0), (-2, -1, 2),
+                              (-1, 1, -2)), ((3,), (1, 4), (2,))))
+def test_validate_fan_against_double_description(fan):
+    verdict = validate_fan(fan)
+    if all(c.geometry.is_pointed for c in fan.maximal_cones):
+        assert verdict.ok == dd_fan_oracle(fan)
+        if not verdict.ok:
+            assert "is not a face of both" in verdict.reason
+    else:
+        assert not verdict.ok and "not strongly convex" in verdict.reason
+
+
+def test_validate_fan_exempts_rays_inside_the_common_cone():
+    # ray 3 lies in the cone on the common rays 1 and 2, so no functional
+    # is positive on it, yet the two cones meet in a common face
+    fan = Fan.from_index_sets(((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)),
+                              ((1, 2, 3), (1, 2, 4)))
+    assert validate_fan(fan).ok and dd_fan_oracle(fan)
+
+
+def test_validate_fan_rejects_a_cone_that_is_not_strongly_convex():
+    fan = Fan.from_index_sets(((1, 0), (-1, 0), (0, 1)), ((1, 2, 3),))
+    verdict = validate_fan(fan)
+    assert not verdict.ok
+    assert "not strongly convex" in verdict.reason
