@@ -7,7 +7,12 @@ del Pezzo dataset and folds the per-check verdicts into a single run
 report.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or input error,
-3 computational guard exceeded.
+3 computational guard exceeded, 4 internal error (a witness or certificate
+failed its own replay; an exhausted incidence search is a check failure).
+Input is read strictly: an integer field given as a float or a boolean is
+an input error, and the library constructors behind the stages
+(`Fan.from_index_sets`, `CoxPresentationPair.make`,
+`RestrictionTable.make`) raise ValueError on such entries too.
 """
 
 from __future__ import annotations
@@ -675,6 +680,11 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RuntimeError as e:
+        # a witness or certificate failed its own replay: a fault in the
+        # program, not a failed check
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
     if args.as_json:
         sys.stdout.write(_dumps(payload))
     else:

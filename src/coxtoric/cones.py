@@ -7,6 +7,10 @@ of already-processed inequality indices it satisfies with equality, which
 powers the combinatorial adjacency test of Fukuda and Prodon. Lineality is
 handled by pivoting: while some lineality vector meets the new constraint,
 the constraint cuts the lineality space instead of the ray list.
+
+Integer vectors never become Fractions: `primitive` divides an all-int
+vector by its gcd directly, so the double description runs in machine
+integers and only rational input pays for `fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ Vec = tuple[int, ...]
 
 def primitive(vec: Sequence) -> Vec:
     """Scale a rational vector to primitive integer form, keeping direction."""
+    if all(type(x) is int for x in vec):
+        g = gcd(*vec)
+        return tuple(v // g for v in vec) if g > 1 else tuple(vec)
     fr = [Fraction(x) for x in vec]
     den = 1
     for f in fr:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .chambers import spans_extremal_ray
 from .exact import IntMat, det, dot
-from .grading import DegreeMatrix
+from .grading import DegreeMatrix, int_vector
 
 Multidegree = tuple[int, ...]
 
@@ -47,7 +47,7 @@ class CoxPresentationPair:
     @classmethod
     def make(cls, ambient: DegreeMatrix, target,
              correspondence=None) -> "CoxPresentationPair":
-        tgt = tuple((str(lab), tuple(int(x) for x in deg))
+        tgt = tuple((str(lab), int_vector(deg, "target degree"))
                     for lab, deg in target)
         if correspondence is None:
             if len(tgt) != ambient.num_gens:
@@ -73,7 +73,7 @@ class RestrictionTable:
 
     @classmethod
     def make(cls, entries) -> "RestrictionTable":
-        return cls(tuple((str(lab), tuple(int(x) for x in deg))
+        return cls(tuple((str(lab), int_vector(deg, "table class"))
                          for lab, deg in entries))
 
     def classes(self) -> tuple[Multidegree, ...]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -79,7 +80,7 @@ def dot(u: Sequence, v: Sequence):
     """Exact dot product of two equal-length vectors."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _sub_scaled(target: list[int], source: Sequence[int], q: int) -> None:

@@ -19,7 +19,7 @@ from math import lcm
 
 from .cones import RationalCone, cone_member, primitive
 from .exact import dot, nullspace, rank
-from .grading import GaleDual
+from .grading import GaleDual, int_vector
 from .linprog import LinearRow, LinearSystem, lp_feasible
 from .monomials import SquarefreeIdeal
 
@@ -74,10 +74,10 @@ class Fan:
 
     @classmethod
     def from_index_sets(cls, rays, index_sets) -> "Fan":
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
+        rays = tuple(int_vector(r, "ray") for r in rays)
         cones = []
         for s in index_sets:
-            idx = tuple(sorted(set(int(i) for i in s)))
+            idx = tuple(sorted(set(int_vector(s, "cone index"))))
             if not all(1 <= i <= len(rays) for i in idx):
                 raise ValueError("ray index out of range")
             cones.append(Cone(idx, tuple(rays[i - 1] for i in idx)))

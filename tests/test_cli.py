@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coxtoric import __version__
+from coxtoric import __version__, cli, fans
 from coxtoric.cli import main, reproduce_paper_report
 from coxtoric.delpezzo import ANTICANONICAL_SUPPORTS
 from coxtoric.grading import DegreeMatrix, delpezzo4
@@ -301,3 +301,24 @@ def test_malformed_input_rejected(tmp_path, capsys, field, value, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+def _raise_replay_failure(message):
+    def stage(*args, **kwargs):
+        raise RuntimeError(message)
+    return stage
+
+
+@pytest.mark.parametrize("module, name, argv, message", [
+    (cli, "gale_dual", ["gale", "--dataset", "p2"],
+     "kernel verification failed"),
+    (fans, "is_projective", ["fan", "--dataset", "p2", "--degree", "1"],
+     "support function fails wall agreement"),
+], ids=["gale", "fan"])
+def test_internal_error_exit_code(monkeypatch, capsys, module, name, argv,
+                                  message):
+    monkeypatch.setattr(module, name, _raise_replay_failure(message))
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err == f"internal error: {message}\n"

@@ -183,3 +183,16 @@ def test_mori_embedding_report_catches_corruption():
                                    restriction_table())
     assert not report["degreeBijection"]["ok"]
     assert not report["overall"]
+
+
+@pytest.mark.parametrize("degree", [(1.5, 1), (1, True)])
+def test_restriction_table_rejects_non_integer_classes(degree):
+    with pytest.raises(ValueError, match="must be integers"):
+        RestrictionTable.make([("D0", degree)])
+
+
+@pytest.mark.parametrize("degree", [(1.5,), (True,)])
+def test_presentation_pair_rejects_non_integer_target_degrees(degree):
+    q = DegreeMatrix.make([(1,)])
+    with pytest.raises(ValueError, match="must be integers"):
+        CoxPresentationPair.make(q, (("g", degree),))

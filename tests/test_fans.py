@@ -200,3 +200,14 @@ def test_fan_report_incomplete():
     report = fan_report(fan)
     assert report["valid"] is True and report["complete"] is False
     assert report["projective"] is None
+
+
+@pytest.mark.parametrize("rays, index_sets", [
+    (((1.7, 0), (0, 1)), ((1, 2),)),
+    (((1, 0), (0, True)), ((1, 2),)),
+    (((1, 0), (0, 1)), ((1, 2.9),)),
+    (((1, 0), (0, 1)), ((True, 2),)),
+])
+def test_from_index_sets_rejects_non_integer_entries(rays, index_sets):
+    with pytest.raises(ValueError, match="must be integers"):
+        Fan.from_index_sets(rays, index_sets)

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -181,3 +181,37 @@ def test_bundled_degrees_stable_at_depth_one():
         ideal, stable = irrelevant_radical(dp.degrees, d, heft=dp.heft,
                                            check_stable=True)
         assert stable
+
+
+# minimal supports of the degree-four del Pezzo's anticanonical radical on
+# its sixteen lines, in the column order of dp4_columns()
+DP4_ANTICANONICAL_SUPPORTS = (
+    (1, 2, 6, 16), (1, 3, 7, 16), (1, 4, 8, 16), (1, 5, 9, 16),
+    (1, 6, 7, 15), (1, 6, 8, 14), (1, 6, 9, 13), (1, 7, 8, 12),
+    (1, 7, 9, 11), (1, 8, 9, 10), (2, 3, 10, 16), (2, 4, 11, 16),
+    (2, 5, 12, 16), (2, 6, 10, 15), (2, 6, 11, 14), (2, 6, 12, 13),
+    (2, 7, 11, 12), (2, 8, 10, 12), (2, 9, 10, 11), (3, 4, 13, 16),
+    (3, 5, 14, 16), (3, 6, 13, 14), (3, 7, 10, 15), (3, 7, 11, 14),
+    (3, 7, 12, 13), (3, 8, 10, 14), (3, 9, 10, 13), (4, 5, 15, 16),
+    (4, 6, 13, 15), (4, 7, 11, 15), (4, 8, 10, 15), (4, 8, 11, 14),
+    (4, 8, 12, 13), (4, 9, 11, 13), (5, 6, 14, 15), (5, 7, 12, 15),
+    (5, 8, 12, 14), (5, 9, 10, 15), (5, 9, 11, 14), (5, 9, 12, 13),
+)
+
+
+def dp4_columns():
+    """The sixteen lines of the degree-four del Pezzo surface on Pic = Z^6
+    in the basis (H, E_1..E_5): E_i, then H - E_i - E_j, then 2H - sum E."""
+    def cls(h, minus):
+        return tuple([h] + [-1 if i in minus else 0 for i in range(1, 6)])
+    return ([tuple(int(j == i) for j in range(6)) for i in range(1, 6)]
+            + [cls(1, p) for p in combinations(range(1, 6), 2)]
+            + [cls(2, range(1, 6))])
+
+
+def test_dp4_anticanonical_radical_on_sixteen_lines():
+    # sixteen generators sit at the subset-search guard
+    q = DegreeMatrix.make(dp4_columns())
+    ideal = irrelevant_radical(q, (3, -1, -1, -1, -1, -1), depth=1,
+                               heft=(3, 1, 1, 1, 1, 1))
+    assert ideal.generators == DP4_ANTICANONICAL_SUPPORTS

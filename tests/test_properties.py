@@ -1,6 +1,7 @@
 """Property tests of the core routines against independent oracles: brute
-force for the minimal-subset search, sympy for rank and determinants, and
-double description for fan validity."""
+force for the minimal-subset search, sympy for rank and determinants,
+double description for fan validity, and the Fraction path for the integer
+fast paths of primitive, dot and generators_to_hrep."""
 
 import math
 from fractions import Fraction
@@ -14,7 +15,8 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from coxtoric.cones import cone_member, double_description  # noqa: E402
+from coxtoric.cones import (cone_member, double_description,  # noqa: E402
+                            generators_to_hrep, primitive)
 from coxtoric.exact import IntMat, det, dot, rank  # noqa: E402
 from coxtoric.fans import Fan, validate_fan  # noqa: E402
 from coxtoric.incidence import _det  # noqa: E402
@@ -147,3 +149,44 @@ def test_validate_fan_rejects_a_cone_that_is_not_strongly_convex():
     verdict = validate_fan(fan)
     assert not verdict.ok
     assert "not strongly convex" in verdict.reason
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-60, 60), max_size=6))
+def test_primitive_int_path_matches_fraction_path(v):
+    p = primitive(v)
+    assert p == primitive([Fraction(x) for x in v])
+    assert all(type(x) is int for x in p)
+    assert math.gcd(*p) == (1 if any(v) else 0)
+    # a positive multiple of v
+    k = next((i for i, x in enumerate(v) if x), None)
+    if k is not None:
+        c = Fraction(p[k], v[k])
+        assert c > 0 and all(x == c * y for x, y in zip(p, v))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(-60, 60), rationals), min_size=n,
+             max_size=n), min_size=2, max_size=2)))
+def test_dot_against_fraction_sum(rows):
+    u, v = rows
+    assert dot(u, v) == sum((Fraction(a) * b for a, b in zip(u, v)),
+                            Fraction(0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dot(u + [1], v)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=d,
+                                max_size=d),
+                       st.integers(1, 4)),
+             max_size=6))))
+def test_generators_to_hrep_int_matches_fraction(case):
+    d, scaled = case
+    gens = [g for g, _ in scaled]
+    # the same rays given as positive rational multiples
+    fracs = [[Fraction(x, k) for x in g] for g, k in scaled]
+    assert generators_to_hrep(d, gens) == generators_to_hrep(d, fracs)
