@@ -28,10 +28,15 @@ Vec = tuple[int, ...]
 
 
 def primitive(vec: Sequence) -> Vec:
-    """Scale a rational vector to primitive integer form, keeping direction."""
+    """Scale a rational vector to primitive integer form, keeping direction.
+    Entries must be ints or Fractions; a float or a bool is rejected with
+    ValueError instead of being read as its binary expansion."""
     if all(type(x) is int for x in vec):
         g = gcd(*vec)
         return tuple(v // g for v in vec) if g > 1 else tuple(vec)
+    if not all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+               for x in vec):
+        raise ValueError("vector entries must be integers or Fractions")
     fr = [Fraction(x) for x in vec]
     den = 1
     for f in fr:

@@ -14,10 +14,18 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .chambers import spans_extremal_ray
-from .exact import IntMat, det, dot
-from .grading import DegreeMatrix, int_vector
+from .exact import IntMat, det, dot, int_vector
+from .grading import DegreeMatrix
 
 Multidegree = tuple[int, ...]
+
+
+def _label(value, what: str) -> str:
+    """The label itself, checked to be a string, so that a label 7 is
+    rejected with ValueError instead of becoming "7"."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} labels must be strings")
+    return value
 
 
 @dataclass(frozen=True)
@@ -47,14 +55,15 @@ class CoxPresentationPair:
     @classmethod
     def make(cls, ambient: DegreeMatrix, target,
              correspondence=None) -> "CoxPresentationPair":
-        tgt = tuple((str(lab), int_vector(deg, "target degree"))
+        tgt = tuple((_label(lab, "target"), int_vector(deg, "target degree"))
                     for lab, deg in target)
         if correspondence is None:
             if len(tgt) != ambient.num_gens:
                 raise ValueError(
                     "correspondence required when generator counts differ")
             correspondence = tuple(lab for lab, _ in tgt)
-        return cls(ambient, tgt, tuple(str(c) for c in correspondence))
+        return cls(ambient, tgt, tuple(_label(c, "correspondence")
+                                       for c in correspondence))
 
     def target_degrees(self) -> dict[str, Multidegree]:
         return dict(self.target)
@@ -73,7 +82,8 @@ class RestrictionTable:
 
     @classmethod
     def make(cls, entries) -> "RestrictionTable":
-        return cls(tuple((str(lab), int_vector(deg, "table class"))
+        return cls(tuple((_label(lab, "table"),
+                          int_vector(deg, "table class"))
                          for lab, deg in entries))
 
     def classes(self) -> tuple[Multidegree, ...]:

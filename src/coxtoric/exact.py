@@ -2,7 +2,8 @@
 
 All arithmetic is arbitrary precision: matrix entries are Python ints,
 vector arithmetic uses fractions.Fraction. There is no floating point
-anywhere in this package.
+anywhere in this package. `pivot` is the one Gauss-Jordan step over Q:
+`rref` is built from it, and so is the simplex tableau of `linprog`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
+
+
+def int_vector(values, what: str) -> tuple[int, ...]:
+    """The entries as a tuple, each checked to be an int and not a bool, so
+    that 1.7 or True is rejected with ValueError instead of truncated."""
+    vec = tuple(values)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in vec):
+        raise ValueError(f"{what} entries must be integers")
+    return vec
 
 
 @dataclass(frozen=True)
@@ -29,7 +39,7 @@ class IntMat:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMat":
-        rs = [tuple(int(x) for x in row) for row in rows]
+        rs = [int_vector(row, "matrix") for row in rows]
         if rs:
             width = len(rs[0])
             if any(len(r) != width for r in rs):
@@ -241,34 +251,36 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
 
 
+def pivot(mat: list[list[Fraction]], r: int, c: int) -> None:
+    """One Gauss-Jordan step in place: scale row r so that mat[r][c] == 1,
+    then clear column c from every other row. Only the nonzero columns of
+    the pivot row are updated; mat[r][c] must be a nonzero Fraction."""
+    row = mat[r]
+    if row[c] != 1:
+        inv = 1 / row[c]
+        row = mat[r] = [x * inv for x in row]
+    nonzero = [j for j, x in enumerate(row) if x]
+    for i, other in enumerate(mat):
+        f = other[c]
+        if f and i != r:
+            for j in nonzero:
+                other[j] -= f * row[j]
+
+
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q. Returns (matrix, pivot column list)."""
     mat = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
-    if not mat:
-        return mat, pivots
-    nc = len(mat[0])
-    rk = 0
-    for c in range(nc):
-        piv = None
-        for i in range(rk, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rk], mat[piv] = mat[piv], mat[rk]
-        inv = 1 / mat[rk][c]
-        mat[rk] = [x * inv for x in mat[rk]]
-        for i in range(len(mat)):
-            if i != rk and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rk])]
-        pivots.append(c)
-        rk += 1
+    for c in range(len(mat[0]) if mat else 0):
+        rk = len(pivots)
         if rk == len(mat):
             break
-    return mat[:rk], pivots
+        piv = next((i for i in range(rk, len(mat)) if mat[i][c]), None)
+        if piv is not None:
+            mat[rk], mat[piv] = mat[piv], mat[rk]
+            pivot(mat, rk, c)
+            pivots.append(c)
+    return mat[:len(pivots)], pivots
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:

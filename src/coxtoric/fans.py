@@ -18,8 +18,8 @@ from itertools import combinations
 from math import lcm
 
 from .cones import RationalCone, cone_member, primitive
-from .exact import dot, nullspace, rank
-from .grading import GaleDual, int_vector
+from .exact import dot, int_vector, nullspace, rank
+from .grading import GaleDual
 from .linprog import LinearRow, LinearSystem, lp_feasible
 from .monomials import SquarefreeIdeal
 

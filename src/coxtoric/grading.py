@@ -9,18 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import IntMat, invariant_factors, kernel_lattice, rank
+from .exact import (IntMat, int_vector, invariant_factors, kernel_lattice,
+                    rank)
 
 Vec = tuple[int, ...]
-
-
-def int_vector(values, what: str) -> Vec:
-    """The entries as a tuple, each checked to be an int and not a bool, so
-    that 1.7 or True is rejected with ValueError instead of truncated."""
-    vec = tuple(values)
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in vec):
-        raise ValueError(f"{what} entries must be integers")
-    return vec
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Exact rational linear programming.
 
 Strict and non-strict linear systems over Q are decided exactly, with no
-floating point. Equalities are eliminated first by sparse substitution; the
-remaining inequality system is decided through its LP dual, which keeps the
-simplex tableau at (free dimension + 1) rows no matter how many inequality
-rows there are. All strict rows share one margin variable eps, capped at 1
+floating point. The equalities are solved first with `exact.rref`, which
+writes each pivot variable in terms of the free ones; the remaining
+inequality system is decided through its LP dual, which keeps the simplex
+tableau at (free dimension + 1) rows no matter how many inequality rows
+there are. Both the reduction and the simplex pivots are `exact.pivot`
+steps. All strict rows share one margin variable eps, capped at 1
 and maximized; the strict system is feasible iff the optimum margin is
 positive. (Normalizing to eps >= 1 instead would misclassify affine strict
 systems whose margin is forced below 1, e.g. interior-point tests.)
@@ -15,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .exact import pivot, rref
 
 
 @dataclass(frozen=True)
@@ -70,24 +74,11 @@ class LPResult:
     margin: Fraction | None = None
 
 
-def _pivot(T: list[list[Fraction]], b: list[Fraction], basis: list[int],
-           r: int, c: int) -> None:
-    inv = 1 / T[r][c]
-    T[r] = [x * inv for x in T[r]]
-    b[r] *= inv
-    for i in range(len(T)):
-        if i != r and T[i][c]:
-            f = T[i][c]
-            Ti, Tr = T[i], T[r]
-            T[i] = [x - f * y for x, y in zip(Ti, Tr)]
-            b[i] -= f * b[r]
-    basis[r] = c
-
-
-def _optimize(T: list[list[Fraction]], b: list[Fraction], basis: list[int],
+def _optimize(T: list[list[Fraction]], basis: list[int],
               cost: list[Fraction], nenter: int) -> str:
-    """Minimize cost.y on the current tableau, Bland's rule, columns < nenter
-    may enter. Returns "optimal" or "unbounded"."""
+    """Minimize cost.y on the current tableau (right-hand side in the last
+    column), Bland's rule, columns < nenter may enter. Returns "optimal" or
+    "unbounded"."""
     m = len(T)
     while True:
         cb = [cost[basis[i]] for i in range(m)]
@@ -103,14 +94,15 @@ def _optimize(T: list[list[Fraction]], b: list[Fraction], basis: list[int],
         best = None
         for i in range(m):
             if T[i][entering] > 0:
-                ratio = b[i] / T[i][entering]
+                ratio = T[i][-1] / T[i][entering]
                 if best is None or ratio < best or \
                         (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave < 0:
             return "unbounded"
-        _pivot(T, b, basis, leave, entering)
+        pivot(T, leave, entering)
+        basis[leave] = entering
 
 
 def simplex_nonneg(rows: Sequence[Sequence], rhs: Sequence, cost: Sequence):
@@ -128,9 +120,10 @@ def simplex_nonneg(rows: Sequence[Sequence], rhs: Sequence, cost: Sequence):
             return "unbounded", None, None
         return "optimal", [Fraction(0)] * n, []
 
+    # tableau row i: input row i, the artificial block and rhs_i, with the
+    # input row and rhs_i negated when rhs_i < 0
     sign = [1] * m
     T: list[list[Fraction]] = []
-    b: list[Fraction] = []
     for i in range(m):
         r = [Fraction(x) for x in rows[i]]
         bi = Fraction(rhs[i])
@@ -138,16 +131,13 @@ def simplex_nonneg(rows: Sequence[Sequence], rhs: Sequence, cost: Sequence):
             r = [-x for x in r]
             bi = -bi
             sign[i] = -1
-        T.append(r)
-        b.append(bi)
-
-    for i in range(m):
-        T[i] = T[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+        T.append(r + [Fraction(1) if k == i else Fraction(0)
+                      for k in range(m)] + [bi])
     basis = list(range(n, n + m))
 
     phase1 = [Fraction(0)] * n + [Fraction(1)] * m
-    _optimize(T, b, basis, phase1, n + m)
-    if sum(phase1[basis[i]] * b[i] for i in range(len(T))) > 0:
+    _optimize(T, basis, phase1, n + m)
+    if sum(phase1[basis[i]] * T[i][-1] for i in range(len(T))) > 0:
         return "infeasible", None, None
 
     # pivot remaining artificial basics out; a row that cannot release its
@@ -156,19 +146,20 @@ def simplex_nonneg(rows: Sequence[Sequence], rhs: Sequence, cost: Sequence):
         if basis[i] >= n:
             for j in range(n):
                 if T[i][j]:
-                    _pivot(T, b, basis, i, j)
+                    pivot(T, i, j)
+                    basis[i] = j
                     break
             else:
-                del T[i], b[i], basis[i]
+                del T[i], basis[i]
 
     phase2 = cost + [Fraction(0)] * m
-    status = _optimize(T, b, basis, phase2, n)
+    status = _optimize(T, basis, phase2, n)
     if status == "unbounded":
         return "unbounded", None, None
 
     y = [Fraction(0)] * n
     for i, bs in enumerate(basis):
-        y[bs] = b[i]
+        y[bs] = T[i][-1]
 
     # the artificial block of each tableau row records which combination
     # of the (sign-normalized) input rows it is, so cost_B times that block
@@ -178,78 +169,6 @@ def simplex_nonneg(rows: Sequence[Sequence], rhs: Sequence, cost: Sequence):
     return "optimal", y, pi
 
 
-def _eliminate_equalities(system: LinearSystem):
-    """Gauss elimination of the equalities in sparse dict form.
-
-    Returns (x0, free, resolved) where eliminated variable v satisfies
-    x_v = resolved[v][0] + sum over free u of resolved[v][1][u] * x_u,
-    or None if the equalities are inconsistent.
-    """
-    subs: dict[int, tuple[Fraction, dict[int, Fraction]]] = {}
-    order: list[int] = []
-    for row in system.equalities:
-        expr = {j: Fraction(c) for j, c in enumerate(row.normal) if c}
-        rhs = Fraction(row.offset)
-        while True:
-            hit = [v for v in expr if v in subs]
-            if not hit:
-                break
-            for v in hit:
-                cv = expr.pop(v)
-                sc, se = subs[v]
-                rhs -= cv * sc
-                for w, cw in se.items():
-                    expr[w] = expr.get(w, Fraction(0)) + cv * cw
-            expr = {w: c for w, c in expr.items() if c}
-        if not expr:
-            if rhs != 0:
-                return None
-            continue
-        pivot = min(expr)
-        c = expr.pop(pivot)
-        subs[pivot] = (rhs / c, {w: -cw / c for w, cw in expr.items()})
-        order.append(pivot)
-
-    resolved: dict[int, tuple[Fraction, dict[int, Fraction]]] = {}
-    for v in reversed(order):
-        sc, se = subs[v]
-        const = sc
-        acc: dict[int, Fraction] = {}
-        for w, cw in se.items():
-            if w in resolved:
-                rc, re = resolved[w]
-                const += cw * rc
-                for u, cu in re.items():
-                    acc[u] = acc.get(u, Fraction(0)) + cw * cu
-            else:
-                acc[w] = acc.get(w, Fraction(0)) + cw
-        resolved[v] = (const, {u: c for u, c in acc.items() if c})
-
-    free = [j for j in range(system.dim) if j not in subs]
-    x0 = [resolved[j][0] if j in resolved else Fraction(0)
-          for j in range(system.dim)]
-    return x0, free, resolved
-
-
-def _reduce_inequality(row: LinearRow, free: list[int], resolved) \
-        -> tuple[list[Fraction], Fraction]:
-    acc: dict[int, Fraction] = {}
-    shift = Fraction(0)
-    for j, c in enumerate(row.normal):
-        if not c:
-            continue
-        c = Fraction(c)
-        if j in resolved:
-            rc, re = resolved[j]
-            shift += c * rc
-            for u, cu in re.items():
-                acc[u] = acc.get(u, Fraction(0)) + c * cu
-        else:
-            acc[j] = acc.get(j, Fraction(0)) + c
-    coeffs = [acc.get(f, Fraction(0)) for f in free]
-    return coeffs, Fraction(row.offset) - shift
-
-
 def lp_feasible(system: LinearSystem) -> LPResult:
     """Exact feasibility of a mixed strict/non-strict rational linear system.
 
@@ -257,29 +176,35 @@ def lp_feasible(system: LinearSystem) -> LPResult:
     before being reported, so a feasible verdict always carries a checked
     rational point.
     """
-    elim = _eliminate_equalities(system)
-    if elim is None:
+    dim = system.dim
+    red, pivots = rref([list(row.normal) + [row.offset]
+                        for row in system.equalities])
+    if dim in pivots:
         return LPResult(False, None, None)
-    x0, free, resolved = elim
+    free = [j for j in range(dim) if j not in pivots]
     nf = len(free)
 
-    # reduce, normalize and deduplicate the inequality rows
+    # substitute the pivot variables into the inequality rows: clearing
+    # the pivot columns leaves coeffs . x_free >= offset in the last column
+    mat = red + [[Fraction(x) for x in row.normal] + [Fraction(row.offset)]
+                 for row in system.inequalities]
+    for i, p in enumerate(pivots):
+        pivot(mat, i, p)
+
+    # normalize and deduplicate the inequality rows
     kept: dict[tuple[Fraction, ...], tuple[Fraction, bool]] = {}
-    for row in system.inequalities:
-        coeffs, off = _reduce_inequality(row, free, resolved)
+    for row, reduced in zip(system.inequalities, mat[len(red):]):
+        coeffs = [reduced[f] for f in free]
+        off = reduced[dim]
         lead = next((c for c in coeffs if c), None)
         if lead is None:
             if off > 0 or (row.strict and off >= 0):
                 return LPResult(False, None, None)
-            if row.strict:
-                # still constrains the shared margin: 0 - eps >= off
-                kept_key = (Fraction(0),) * nf
-                # handled below through a synthetic keyed row; fold in now
-                old = kept.get(kept_key)
-                cand = (off, True)
-                if old is None or cand > old:
-                    kept[kept_key] = cand
-            continue
+            if not row.strict:
+                continue
+            # 0 > off holds everywhere, but the row still caps the shared
+            # margin (-eps >= off), so it is kept as the all-zero row
+            lead = 1
         scale = abs(lead)
         key = tuple(c / scale for c in coeffs)
         cand = (off / scale, row.strict)
@@ -291,14 +216,12 @@ def lp_feasible(system: LinearSystem) -> LPResult:
     rows = [(list(k), off, strict) for k, (off, strict) in kept.items()]
     has_strict = any(strict for _, _, strict in rows)
 
-    pos_of = {f: pos for pos, f in enumerate(free)}
-
     def compose(tvals: list[Fraction]) -> list[Fraction]:
-        x = list(x0)
-        for pos, f in enumerate(free):
-            x[f] = tvals[pos]
-        for v, (const, expr) in resolved.items():
-            x[v] = const + sum(c * tvals[pos_of[u]] for u, c in expr.items())
+        x = [Fraction(0)] * dim
+        for f, t in zip(free, tvals):
+            x[f] = t
+        for r, p in zip(red, pivots):
+            x[p] = r[dim] - sum(r[f] * t for f, t in zip(free, tvals))
         return x
 
     def replay(x: list[Fraction]) -> None:

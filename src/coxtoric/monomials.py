@@ -20,8 +20,8 @@ from itertools import combinations
 from math import lcm
 
 from .cones import generators_to_hrep
-from .exact import dot
-from .grading import DegreeMatrix, int_vector
+from .exact import dot, int_vector
+from .grading import DegreeMatrix
 from .linprog import LinearRow, LinearSystem, lp_feasible
 
 Exponent = tuple[int, ...]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -232,6 +233,27 @@ def test_reproduce_paper_byte_stable(capsys):
     _, out1, _ = run(capsys, ["reproduce-paper", "--json"])
     _, out2, _ = run(capsys, ["reproduce-paper", "--json"])
     assert out1 == out2
+
+
+# sha256 of the stdout of three reports; an elimination change that moves an
+# LP vertex or a support function changes these bytes
+FROZEN_REPORTS = [
+    (["reproduce-paper", "--json"],
+     "88516bdc0ff180aec89ae73013a6d2980fa0fd3a8b1ac963d35d47889e22bbbc"),
+    (["fan", "--dataset", "delpezzo4", "--degree", "11,-5,-3,-2,-1",
+      "--json"],
+     "98ba98d395e008b03a8e7688e47e532769e01612e079e3391ae710cfd41f8371"),
+    (["fan", "--dataset", "delpezzo4", "--degree", "3,-1,-1,-1,-1",
+      "--json"],
+     "81aee91913b7f77e0cefdc812c25151419130d8198fa61f3e5f5f7d9b196562f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", FROZEN_REPORTS,
+                         ids=[" ".join(a) for a, _ in FROZEN_REPORTS])
+def test_report_bytes_are_frozen(capsys, argv, digest):
+    _, out, _ = run(capsys, argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_reproduce_corrupted_dataset_names_first_failure():

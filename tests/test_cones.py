@@ -1,4 +1,7 @@
 import random
+from fractions import Fraction
+
+import pytest
 
 from coxtoric.cones import (
     RationalCone,
@@ -13,9 +16,20 @@ from coxtoric.exact import dot, rank
 def test_primitive():
     assert primitive([2, 4, 6]) == (1, 2, 3)
     assert primitive([-3, 6]) == (-1, 2)
-    from fractions import Fraction
     assert primitive([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
     assert primitive([0, 0]) == (0, 0)
+
+
+@pytest.mark.parametrize("vec", [(0.1, 1), (True, Fraction(1, 2)),
+                                 ("1/2", 1), (Fraction(1, 3), 2.0)])
+def test_primitive_rejects_floats_bools_and_strings(vec):
+    with pytest.raises(ValueError, match="integers or Fractions"):
+        primitive(vec)
+
+
+def test_cone_from_float_generators_is_rejected():
+    with pytest.raises(ValueError, match="integers or Fractions"):
+        RationalCone.from_generators([(0.1, 1)], 2)
 
 
 def test_quadrant_hrep():

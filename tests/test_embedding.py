@@ -196,3 +196,17 @@ def test_presentation_pair_rejects_non_integer_target_degrees(degree):
     q = DegreeMatrix.make([(1,)])
     with pytest.raises(ValueError, match="must be integers"):
         CoxPresentationPair.make(q, (("g", degree),))
+
+
+def test_presentation_pair_rejects_non_string_labels():
+    q = DegreeMatrix.make([(1,)])
+    with pytest.raises(ValueError, match="target labels must be strings"):
+        CoxPresentationPair.make(q, ((7, (1,)),))
+    with pytest.raises(ValueError,
+                       match="correspondence labels must be strings"):
+        CoxPresentationPair.make(q, (("g", (1,)),), (None,))
+
+
+def test_restriction_table_rejects_non_string_labels():
+    with pytest.raises(ValueError, match="table labels must be strings"):
+        RestrictionTable.make([(7, (1, 0))])

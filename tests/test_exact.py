@@ -11,6 +11,7 @@ from coxtoric.exact import (
     invariant_factors,
     kernel_lattice,
     nullspace,
+    pivot,
     rank,
     rational_solve,
     rref,
@@ -44,6 +45,13 @@ def test_intmat_shape_validation():
         IntMat(2, 2, (1, 2, 3))
     with pytest.raises(ValueError):
         IntMat.from_rows([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("rows", [[[1.7, True]], [[1, 2], [3, 1.0]],
+                                  [[True]], [[Fraction(1)]]])
+def test_intmat_rejects_non_integer_entries(rows):
+    with pytest.raises(ValueError, match="must be integers"):
+        IntMat.from_rows(rows)
 
 
 def test_hnf_identity():
@@ -160,6 +168,17 @@ def test_rref_pivots():
     red, pivots = rref([[0, 2, 4], [1, 1, 1]])
     assert pivots == [0, 1]
     assert red[0][0] == 1 and red[1][1] == 1
+
+
+def test_pivot_is_one_gauss_jordan_step():
+    mat = [[Fraction(x) for x in row]
+           for row in ([2, 4, 0, 6], [1, 3, 5, 0], [0, 7, 1, 1])]
+    pivot(mat, 0, 0)
+    assert mat == [[1, 2, 0, 3], [0, 1, 5, -3], [0, 7, 1, 1]]
+    pivot(mat, 2, 1)
+    assert mat[2] == [0, 1, Fraction(1, 7), Fraction(1, 7)]
+    assert [row[1] for row in mat] == [0, 0, 1]
+    assert mat[0] == [1, 0, Fraction(-2, 7), Fraction(19, 7)]
 
 
 def test_rational_solve():

@@ -1,7 +1,8 @@
 """Property tests of the core routines against independent oracles: brute
-force for the minimal-subset search, sympy for rank and determinants,
-double description for fan validity, and the Fraction path for the integer
-fast paths of primitive, dot and generators_to_hrep."""
+force for the minimal-subset search, sympy for rank, rref and determinants,
+Fourier-Motzkin elimination for lp_feasible, double description for fan
+validity, and the Fraction path for the integer fast paths of primitive,
+dot and generators_to_hrep."""
 
 import math
 from fractions import Fraction
@@ -17,10 +18,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from coxtoric.cones import (cone_member, double_description,  # noqa: E402
                             generators_to_hrep, primitive)
-from coxtoric.exact import IntMat, det, dot, rank  # noqa: E402
+from coxtoric.exact import IntMat, det, dot, rank, rref  # noqa: E402
 from coxtoric.fans import Fan, validate_fan  # noqa: E402
 from coxtoric.incidence import _det  # noqa: E402
+from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible  # noqa: E402
 from coxtoric.monomials import minimal_antichain, minimal_subsets  # noqa: E402
+from test_linprog import fm_feasible  # noqa: E402
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -66,6 +69,68 @@ def test_minimal_subsets_against_brute_force(n, data):
 @given(matrices(rationals))
 def test_rank_against_sympy(rows):
     assert rank(rows) == to_sympy(rows).rank()
+
+
+@st.composite
+def matrices_with_zero_rows(draw):
+    """Wide, tall and square matrices of ints and Fractions, some of whose
+    rows are replaced by zero rows."""
+    rows = draw(matrices(st.one_of(st.integers(-5, 5), rationals),
+                         max_rows=6, max_cols=6))
+    zeroed = draw(st.sets(st.integers(0, len(rows) - 1)))
+    return [[0] * len(row) if i in zeroed else row
+            for i, row in enumerate(rows)]
+
+
+@settings(deadline=None)
+@given(matrices_with_zero_rows())
+@example([[0, 0, 0], [0, 0, 0]])
+def test_rref_against_sympy(rows):
+    red, pivots = rref(rows)
+    expected, expected_pivots = to_sympy(rows).rref()
+    assert pivots == list(expected_pivots)
+    assert red == [[Fraction(int(x.p), int(x.q)) for x in expected.row(i)]
+                   for i in range(len(pivots))]
+
+
+@st.composite
+def linear_systems(draw):
+    """(dim, equalities, inequalities) in dimension 1 to 4. Equality rows
+    are fresh, a multiple of an earlier row (its offset shifted or not) or
+    have a zero normal, so the equality block is often rank-deficient or
+    inconsistent."""
+    dim = draw(st.integers(1, 4))
+    normals = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    eqs = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("fresh", "multiple", "zero")))
+        if kind == "multiple" and eqs:
+            normal, off = draw(st.sampled_from(eqs))
+            k = draw(st.sampled_from((1, -1, 2, Fraction(1, 3))))
+            shift = draw(st.sampled_from((0, 0, 1)))
+            eqs.append(([k * c for c in normal], k * off + shift))
+        elif kind == "zero":
+            eqs.append(([0] * dim, draw(st.integers(-1, 1))))
+        else:
+            eqs.append((draw(normals), draw(st.integers(-3, 3))))
+    ineqs = draw(st.lists(st.tuples(normals, st.integers(-4, 4),
+                                    st.booleans()), max_size=3))
+    return dim, eqs, ineqs
+
+
+@settings(deadline=None, max_examples=300)
+@given(linear_systems())
+def test_lp_feasible_against_fourier_motzkin(case):
+    dim, eqs, ineqs = case
+    got = lp_feasible(LinearSystem.make(
+        dim, [LinearRow.make(c, o) for c, o in eqs],
+        [LinearRow.make(c, o, s) for c, o, s in ineqs]))
+    assert got.feasible == fm_feasible(dim, eqs, ineqs)
+    if got.feasible:
+        x = got.witness
+        assert all(dot(c, x) == o for c, o in eqs)
+        assert all(dot(c, x) > o if s else dot(c, x) >= o
+                   for c, o, s in ineqs)
 
 
 @settings(deadline=None)
