@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import RationalCone, cone_member, generators_to_hrep, primitive
-from .exact import dot
+from .exact import dot, int_vector
 from .grading import DegreeMatrix
 from .linprog import LinearRow, LinearSystem, lp_feasible
 from .monomials import GuardExceeded  # noqa: F401  (re-exported)
@@ -60,7 +60,7 @@ def spans_extremal_ray(q: DegreeMatrix, i: int) -> bool:
 def chamber_of(q: DegreeMatrix, w) -> Chamber:
     """The GIT chamber containing w: the intersection of the cones on all
     minimal column subsets containing w, with irredundant constraints."""
-    w = tuple(int(x) for x in w)
+    w = int_vector(w, "class")
     if len(w) != q.pic_rank:
         raise ValueError("class has wrong length")
     if not cone_member(list(q.columns), w, dim=q.pic_rank):
@@ -113,7 +113,7 @@ def same_chamber(q: DegreeMatrix, w1, w2, depth: int = 1, heft=None,
     saturation depth. With check_stable=True the depth+1 radicals are
     compared as well and instability is reported."""
     for w in (w1, w2):
-        if not cone_member(list(q.columns), tuple(int(x) for x in w),
+        if not cone_member(list(q.columns), int_vector(w, "class"),
                            dim=q.pic_rank):
             raise ValueError("class outside the effective cone")
     if check_stable:

@@ -27,6 +27,12 @@ from .linprog import simplex_nonneg
 Vec = tuple[int, ...]
 
 
+def _check_rational(vec: Sequence) -> None:
+    if not all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+               for x in vec):
+        raise ValueError("vector entries must be integers or Fractions")
+
+
 def primitive(vec: Sequence) -> Vec:
     """Scale a rational vector to primitive integer form, keeping direction.
     Entries must be ints or Fractions; a float or a bool is rejected with
@@ -34,9 +40,7 @@ def primitive(vec: Sequence) -> Vec:
     if all(type(x) is int for x in vec):
         g = gcd(*vec)
         return tuple(v // g for v in vec) if g > 1 else tuple(vec)
-    if not all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-               for x in vec):
-        raise ValueError("vector entries must be integers or Fractions")
+    _check_rational(vec)
     fr = [Fraction(x) for x in vec]
     den = 1
     for f in fr:
@@ -198,14 +202,18 @@ class RationalCone:
         return rank(stacked) == self.dim
 
     def contains(self, vec: Sequence) -> bool:
+        """Membership of an int or Fraction vector; a float or a bool entry
+        raises ValueError, as in primitive."""
+        v = tuple(vec)
+        _check_rational(v)
         eqs, ineqs = self.hrep
-        v = [Fraction(x) for x in vec]
         return all(dot(e, v) == 0 for e in eqs) and \
             all(dot(a, v) >= 0 for a in ineqs)
 
     def contains_interior(self, vec: Sequence) -> bool:
         """Relative interior membership: tight on no facet."""
+        v = tuple(vec)
+        _check_rational(v)
         eqs, ineqs = self.hrep
-        v = [Fraction(x) for x in vec]
         return all(dot(e, v) == 0 for e in eqs) and \
             all(dot(a, v) > 0 for a in ineqs)

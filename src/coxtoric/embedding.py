@@ -15,17 +15,9 @@ from dataclasses import dataclass
 
 from .chambers import spans_extremal_ray
 from .exact import IntMat, det, dot, int_vector
-from .grading import DegreeMatrix
+from .grading import DegreeMatrix, string_label
 
 Multidegree = tuple[int, ...]
-
-
-def _label(value, what: str) -> str:
-    """The label itself, checked to be a string, so that a label 7 is
-    rejected with ValueError instead of becoming "7"."""
-    if not isinstance(value, str):
-        raise ValueError(f"{what} labels must be strings")
-    return value
 
 
 @dataclass(frozen=True)
@@ -55,14 +47,15 @@ class CoxPresentationPair:
     @classmethod
     def make(cls, ambient: DegreeMatrix, target,
              correspondence=None) -> "CoxPresentationPair":
-        tgt = tuple((_label(lab, "target"), int_vector(deg, "target degree"))
+        tgt = tuple((string_label(lab, "target"),
+                     int_vector(deg, "target degree"))
                     for lab, deg in target)
         if correspondence is None:
             if len(tgt) != ambient.num_gens:
                 raise ValueError(
                     "correspondence required when generator counts differ")
             correspondence = tuple(lab for lab, _ in tgt)
-        return cls(ambient, tgt, tuple(_label(c, "correspondence")
+        return cls(ambient, tgt, tuple(string_label(c, "correspondence")
                                        for c in correspondence))
 
     def target_degrees(self) -> dict[str, Multidegree]:
@@ -82,7 +75,7 @@ class RestrictionTable:
 
     @classmethod
     def make(cls, entries) -> "RestrictionTable":
-        return cls(tuple((_label(lab, "table"),
+        return cls(tuple((string_label(lab, "table"),
                           int_vector(deg, "table class"))
                          for lab, deg in entries))
 

@@ -2,11 +2,20 @@
 
 The maximal cones attached to a squarefree irrelevant ideal are spanned by
 the ray sets complementary to its minimal supports. Validity (strongly
-convex cones meeting pairwise in common faces, each pair separated by a
-replayed linear functional), simpliciality, completeness, and projectivity
-are certified by exact integer and rational computation; projectivity
-returns a strictly convex piecewise-linear support function, replayed
-against every wall before it is reported.
+convex cones meeting pairwise in common faces), simpliciality,
+completeness, and projectivity are certified by exact integer and rational
+computation; projectivity returns a strictly convex piecewise-linear
+support function, replayed against every wall before it is reported.
+
+A complete fan with such a support function, one functional m_s per
+maximal cone s, is certified valid by one global integer replay: every
+ray v_i has one height h_i = <m_s, v_i> over all cones s containing it,
+and <m_t, v_i> > h_i for every cone t not containing it. Then each m_s is
+a point of the polyhedron P = {m : <m, v_i> >= h_i} tight on exactly the
+rays of s, so s is the normal cone of the face of P through m_s, and the
+normal cones of the faces of a polyhedron form a fan (Cox-Little-Schenck,
+Toric Varieties, ch. 2 on normal fans and Sec. 6.1 on support functions).
+Every other fan is certified pair by pair with separating functionals.
 """
 
 from __future__ import annotations
@@ -132,20 +141,55 @@ def fan_from_irrelevant(gale: GaleDual, ideal: SquarefreeIdeal) -> Fan:
     return fan
 
 
-def validate_fan(fan: Fan) -> Verdict:
+def _vertex_replay(fan: Fan, support) -> bool:
+    """Whether the functionals `support`, one per maximal cone, put every
+    cone at a vertex of P = {m : <m, v_i> >= h_i} tight on exactly its own
+    rays: one height h_i = <m_s, v_i> per used ray over the cones s that
+    contain it, and <m_t, v_i> > h_i for every cone t that does not."""
+    if len(support) != len(fan.maximal_cones):
+        raise ValueError("one support functional per maximal cone required")
+    height: dict[int, int] = {}
+    for cone, m in zip(fan.maximal_cones, support):
+        for i in cone.ray_indices:
+            h = dot(m, fan.rays[i - 1])
+            if height.setdefault(i, h) != h:
+                return False
+    for cone, m in zip(fan.maximal_cones, support):
+        own = set(cone.ray_indices)
+        for i, h in height.items():
+            if i not in own and not dot(m, fan.rays[i - 1]) > h:
+                return False
+    return True
+
+
+def validate_fan(fan: Fan, support_function=None) -> Verdict:
     """Certify that every maximal cone is strongly convex and that any two
     meet in the cone on their common rays, which is a face of both.
 
-    Each pair (A, B) is certified by one separating functional h
+    Given a support function (one integer functional per maximal cone, as
+    is_projective returns), the fan is first replayed against it by
+    _vertex_replay: if each functional m_s lies in P = {m : <m, v_i> >= h_i}
+    tight on exactly the rays of s, every cone is the normal cone of a face
+    of one polyhedron; such cones form a fan (Cox-Little-Schenck, ch. 2 on
+    normal fans and Sec. 6.1 on support functions), so any two meet in the
+    cone on their common rays. The replay is global: a support function
+    checked only wall by wall can exist on a fan that winds twice around
+    the origin.
+
+    Otherwise each pair (A, B) is certified by one separating functional h
     (Cox-Little-Schenck, Lemma 1.2.13) that lp_feasible finds and replays:
     h = 0 on the common rays, h > 0 on the rays of A \\ B and h < 0 on the
     rays of B \\ A. A ray inside the cone on the common rays is exempt from
     strictness; exempt rays are looked up only when the strict system fails.
+    Every invalid fan gets its reason from this pair loop.
     """
     d = fan.ambient_dim
     for pos, cone in enumerate(fan.maximal_cones, start=1):
         if not cone.geometry.is_pointed:
             return Verdict(False, f"cone {pos} is not strongly convex")
+    if support_function is not None and \
+            _vertex_replay(fan, support_function):
+        return Verdict(True)
 
     def separated(common: list[Vec], sides: list[tuple[Vec, int]]) -> bool:
         system = LinearSystem(
@@ -353,10 +397,15 @@ def is_projective(fan: Fan) -> ProjectivityCertificate:
 
 
 def fan_report(fan: Fan) -> dict:
-    """Certification summary in JSON-ready form."""
-    valid = validate_fan(fan)
-    simplicial = is_simplicial(fan)
+    """Certification summary in JSON-ready form. The support function of a
+    complete fan of pointed cones certifies validity by a vertex replay;
+    only fans it does not certify run the pair LPs."""
     complete = is_complete(fan)
+    cert = None
+    if complete.ok and all(c.geometry.is_pointed for c in fan.maximal_cones):
+        cert = is_projective(fan)
+    valid = validate_fan(fan, cert.support_function if cert else None)
+    simplicial = is_simplicial(fan)
     report = {
         "ambientDim": fan.ambient_dim,
         "numRays": len(fan.rays),
@@ -372,7 +421,6 @@ def fan_report(fan: Fan) -> dict:
     if not complete.ok:
         report["completenessViolation"] = complete.reason
     if valid.ok and complete.ok:
-        cert = is_projective(fan)
         report["projective"] = cert.projective
         if cert.projective:
             report["supportFunction"] = [list(v)

@@ -15,6 +15,14 @@ from .exact import (IntMat, int_vector, invariant_factors, kernel_lattice,
 Vec = tuple[int, ...]
 
 
+def string_label(value, what: str) -> str:
+    """The label itself, checked to be a string, so that a label 7 is
+    rejected with ValueError instead of becoming "7"."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} labels must be strings")
+    return value
+
+
 @dataclass(frozen=True)
 class DegreeMatrix:
     """Degree matrix of a graded polynomial ring: one column per generator."""
@@ -40,7 +48,8 @@ class DegreeMatrix:
         cols = tuple(int_vector(c, "degree column") for c in columns)
         if labels is None:
             labels = tuple(f"x{i + 1}" for i in range(len(cols)))
-        return cls(cols, tuple(labels))
+        return cls(cols, tuple(string_label(lab, "generator")
+                               for lab in labels))
 
     @property
     def pic_rank(self) -> int:

@@ -50,7 +50,7 @@ class ProjPoint:
 
     @classmethod
     def make(cls, coords) -> "ProjPoint":
-        v = primitive(tuple(Fraction(x) for x in coords))
+        v = primitive(tuple(coords))
         if not any(v):
             raise ValueError("zero vector is not a projective point")
         lead = next(x for x in v if x)

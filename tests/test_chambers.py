@@ -142,6 +142,17 @@ def test_chamber_errors():
         same_chamber(q, (1,), (-1,))
 
 
+@pytest.mark.parametrize("w", [(3.9, -1, -1, -1, -1), (3, -1, -1, -1, True)])
+def test_chamber_classes_are_not_truncated(w):
+    dp = delpezzo4()
+    with pytest.raises(ValueError, match="class entries must be integers"):
+        chamber_of(dp.degrees, w)
+    with pytest.raises(ValueError, match="class entries must be integers"):
+        same_chamber(dp.degrees, w, dp.anti_canonical)
+    with pytest.raises(ValueError, match="class entries must be integers"):
+        same_chamber(dp.degrees, dp.anti_canonical, w)
+
+
 def test_same_chamber_delpezzo():
     dp = delpezzo4()
     q = dp.degrees

@@ -32,6 +32,15 @@ def test_cone_from_float_generators_is_rejected():
         RationalCone.from_generators([(0.1, 1)], 2)
 
 
+@pytest.mark.parametrize("vec", [(0.1, 0.2), (True, 1), (Fraction(1, 3), 2.0)])
+def test_membership_rejects_floats_and_bools(vec):
+    c = RationalCone.from_generators([(1, 0), (1, 2)], dim=2)
+    with pytest.raises(ValueError, match="integers or Fractions"):
+        c.contains(vec)
+    with pytest.raises(ValueError, match="integers or Fractions"):
+        c.contains_interior(vec)
+
+
 def test_quadrant_hrep():
     eqs, ineqs = generators_to_hrep(2, [(1, 0), (0, 1)])
     assert eqs == ()
@@ -96,6 +105,8 @@ def test_contains_and_interior():
     assert c.contains_interior((1, 1))
     assert not c.contains_interior((1, 0))
     assert not c.contains((0, 1))
+    assert c.contains((Fraction(1, 2), Fraction(1, 3)))
+    assert not c.contains_interior((Fraction(1, 2), 1))
 
 
 def test_pointedness():

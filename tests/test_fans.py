@@ -1,11 +1,14 @@
 from collections import defaultdict
 from random import Random
+from unittest.mock import patch
 
 import pytest
 
+from coxtoric import fans
 from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
-from coxtoric.fans import (Fan, fan_from_irrelevant, fan_report, is_complete,
-                           is_projective, is_simplicial, validate_fan)
+from coxtoric.fans import (Fan, _vertex_replay, fan_from_irrelevant,
+                           fan_report, is_complete, is_projective,
+                           is_simplicial, validate_fan)
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual
 from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible
 from coxtoric.monomials import SquarefreeIdeal, irrelevant_radical
@@ -211,3 +214,89 @@ def test_fan_report_incomplete():
 def test_from_index_sets_rejects_non_integer_entries(rays, index_sets):
     with pytest.raises(ValueError, match="must be integers"):
         Fan.from_index_sets(rays, index_sets)
+
+
+# rays at 0, 100, 200, 300, 40, 140, 240 and 340 degrees as
+# (round(10 cos), round(10 sin)), cyclically consecutive pairs as cones: a
+# complete fan that winds twice around the origin
+DOUBLY_WOUND_RAYS = ((10, 0), (-2, 10), (-9, -3), (5, -9),
+                     (8, 6), (-8, 6), (-5, -9), (9, -3))
+DOUBLY_WOUND_CONES = tuple((k + 1, (k + 1) % 8 + 1) for k in range(8))
+
+
+def pair_lp_report(fan):
+    """fan_report with the support function withheld from validate_fan, so
+    that validity comes from the pair LPs alone."""
+    plain = fans.validate_fan
+    with patch.object(fans, "validate_fan",
+                      lambda f, support_function=None: plain(f)):
+        return fan_report(fan)
+
+
+def test_doubly_wound_fan_needs_the_global_replay():
+    fan = Fan.from_index_sets(DOUBLY_WOUND_RAYS, DOUBLY_WOUND_CONES)
+    assert is_complete(fan)
+    # a support function that is strictly convex across every wall exists,
+    # but no polyhedron has these cones as its normal cones
+    cert = is_projective(fan)
+    assert cert.projective is True
+    assert not _vertex_replay(fan, cert.support_function)
+    report = fan_report(fan)
+    assert report["valid"] is False
+    assert report["validityViolation"] == \
+        "intersection of cones 1 and 4 is not a face of both"
+    assert report["projective"] is None
+    assert report == pair_lp_report(fan)
+
+
+def test_complete_fan_with_a_cone_that_is_not_strongly_convex():
+    fan = Fan.from_index_sets(((1, 0), (-1, 0), (0, 1), (0, -1)),
+                              ((1, 2, 3), (1, 2, 4)))
+    report = fan_report(fan)
+    assert report["complete"] is True and report["valid"] is False
+    assert report["validityViolation"] == "cone 1 is not strongly convex"
+    assert report["projective"] is None
+    assert report == pair_lp_report(fan)
+
+
+def test_vertex_replay_on_small_fans():
+    fan = projective_space_fan(2)
+    support = is_projective(fan).support_function
+    assert _vertex_replay(fan, support)
+    assert validate_fan(fan, support)
+    # the zero functional is tight on every ray: no cone is a vertex cone
+    zero = ((0, 0),) * len(fan.maximal_cones)
+    assert not _vertex_replay(fan, zero)
+    assert validate_fan(fan, zero)
+    # one height per ray: shifting one functional breaks agreement
+    shifted = (tuple(x + 1 for x in support[0]),) + tuple(support[1:])
+    assert not _vertex_replay(fan, shifted)
+    # cone 2 lies inside cone 1; the two functionals give ray 1 the
+    # heights 2 and 0, and each is strictly above the other's heights
+    # on the rays it does not contain
+    nested = Fan.from_index_sets(((1, 0), (0, 1), (1, 1)), ((1, 2), (1, 3)))
+    assert not _vertex_replay(nested, ((2, -1), (0, 0)))
+    assert validate_fan(nested, ((2, -1), (0, 0))) == validate_fan(nested)
+    assert not validate_fan(nested)
+    with pytest.raises(ValueError, match="one support functional"):
+        validate_fan(fan, support[1:])
+    assert _vertex_replay(cube_fan(CUBE_PROJECTIVE),
+                          is_projective(cube_fan(CUBE_PROJECTIVE))
+                          .support_function)
+
+
+@pytest.mark.parametrize("ideal", [ample_ideal, anticanonical_ideal],
+                         ids=["ample", "anticanonical"])
+def test_fan_report_makes_one_lp_call(monkeypatch, ideal):
+    fan = fan_from_irrelevant(gale_dual(delpezzo4().degrees), ideal())
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return lp_feasible(system)
+
+    monkeypatch.setattr(fans, "lp_feasible", counted)
+    report = fan_report(fan)
+    assert report["valid"] is True and report["projective"] is True
+    # is_projective's LP; validity comes from the vertex replay
+    assert len(calls) == 1

@@ -22,6 +22,12 @@ def test_degree_matrix_validation():
         DegreeMatrix.make([(1,), (1,)], labels=("a", "a"))
 
 
+@pytest.mark.parametrize("labels", [(7, None), ("a", 2), (b"a", "b")])
+def test_degree_matrix_rejects_non_string_labels(labels):
+    with pytest.raises(ValueError, match="labels must be strings"):
+        DegreeMatrix.make([(1,), (1,)], labels=labels)
+
+
 @pytest.mark.parametrize("columns", [[(1.7,), (1,), (1,)],
                                      [(1,), (1,), (True,)]])
 def test_degree_matrix_rejects_non_integer_entries(columns):

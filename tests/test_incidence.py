@@ -21,6 +21,12 @@ def test_point_normalization():
     assert ProjPoint.make(p.coords) == p
 
 
+@pytest.mark.parametrize("coords", [[0.1, 1], [True, 2], ["1", 2]])
+def test_point_rejects_floats_bools_and_strings(coords):
+    with pytest.raises(ValueError, match="integers or Fractions"):
+        ProjPoint.make(coords)
+
+
 def test_point_validation():
     with pytest.raises(ValueError, match="zero vector"):
         ProjPoint.make([0, 0, 0])

@@ -2,7 +2,8 @@
 force for the minimal-subset search, sympy for rank, rref and determinants,
 Fourier-Motzkin elimination for lp_feasible, double description for fan
 validity, and the Fraction path for the integer fast paths of primitive,
-dot and generators_to_hrep."""
+dot and generators_to_hrep, and the pair LPs for the vertex replay that
+certifies complete projective fans."""
 
 import math
 from fractions import Fraction
@@ -19,10 +20,13 @@ from hypothesis import strategies as st  # noqa: E402
 from coxtoric.cones import (cone_member, double_description,  # noqa: E402
                             generators_to_hrep, primitive)
 from coxtoric.exact import IntMat, det, dot, rank, rref  # noqa: E402
-from coxtoric.fans import Fan, validate_fan  # noqa: E402
+from coxtoric.fans import (Fan, _vertex_replay, fan_report,  # noqa: E402
+                           is_complete, is_projective, validate_fan)
 from coxtoric.incidence import _det  # noqa: E402
 from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible  # noqa: E402
 from coxtoric.monomials import minimal_antichain, minimal_subsets  # noqa: E402
+from test_fans import (CUBE_FACES, CUBE_RAYS, DOUBLY_WOUND_CONES,  # noqa: E402
+                       DOUBLY_WOUND_RAYS, pair_lp_report)
 from test_linprog import fm_feasible  # noqa: E402
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -199,6 +203,71 @@ def test_validate_fan_against_double_description(fan):
             assert "is not a face of both" in verdict.reason
     else:
         assert not verdict.ok and "not strongly convex" in verdict.reason
+
+
+@st.composite
+def cyclic_plane_fans(draw):
+    """2-D fans on rays at increasing angles, multiples of 15 degrees,
+    winding once or twice around the origin, with cyclically consecutive
+    rays spanning the cones. Long gaps give cones that are not strongly
+    convex or fans that are not complete."""
+    # distinct directions; on the second sheet a direction comes after a
+    # full turn
+    residues = draw(st.sets(st.integers(0, 23), min_size=3, max_size=10))
+    twice = draw(st.booleans())
+    angles = sorted(r + 24 * (twice and draw(st.booleans()))
+                    for r in residues)
+    rays = [(round(20 * math.cos(math.radians(15 * a))),
+             round(20 * math.sin(math.radians(15 * a)))) for a in angles]
+    n = len(rays)
+    return Fan.from_index_sets(rays, [(k + 1, (k + 1) % n + 1)
+                                      for k in range(n)])
+
+
+@st.composite
+def cube_height_fans(draw):
+    """Triangulations of the cube's surface, one diagonal per square face,
+    with the cube's rays stretched along the last axis by heights 1 to 3."""
+    heights = draw(st.lists(st.integers(1, 3), min_size=8, max_size=8))
+    rays = [(x, y, z * h) for (x, y, z), h in zip(CUBE_RAYS, heights)]
+    cones = []
+    for (a, b, c, d) in CUBE_FACES:
+        if draw(st.booleans()):
+            cones += [(a, b, c), (a, c, d)]
+        else:
+            cones += [(a, b, d), (b, c, d)]
+    return Fan.from_index_sets(rays, cones)
+
+
+def _check_replay_against_pair_lps(fan):
+    assert fan_report(fan) == pair_lp_report(fan)
+    plain = validate_fan(fan)
+    zero = ((0,) * fan.ambient_dim,) * len(fan.maximal_cones)
+    pointed = all(c.geometry.is_pointed for c in fan.maximal_cones)
+    # no support function, not even the degenerate zero one, changes the
+    # verdict of the pair LPs
+    assert validate_fan(fan, zero) == plain
+    if pointed and is_complete(fan):
+        cert = is_projective(fan)
+        if cert.projective:
+            assert validate_fan(fan, cert.support_function) == plain
+            # local-to-global convexity: on a valid complete fan the
+            # wall-by-wall support function is globally strictly convex
+            if plain.ok:
+                assert _vertex_replay(fan, cert.support_function)
+
+
+@settings(deadline=None, max_examples=150)
+@given(cyclic_plane_fans())
+@example(Fan.from_index_sets(DOUBLY_WOUND_RAYS, DOUBLY_WOUND_CONES))
+def test_vertex_replay_matches_pair_lps_in_the_plane(fan):
+    _check_replay_against_pair_lps(fan)
+
+
+@settings(deadline=None, max_examples=15)
+@given(cube_height_fans())
+def test_vertex_replay_matches_pair_lps_on_cube_fans(fan):
+    _check_replay_against_pair_lps(fan)
 
 
 def test_validate_fan_exempts_rays_inside_the_common_cone():
