@@ -18,7 +18,7 @@ from .grading import DegreeMatrix, GaleDual, delpezzo4, gale_dual
 from .incidence import (LineWitness, PositionVerdict, ProjPoint, ProjSubspace,
                         SearchExhausted, TransversalPlane,
                         find_transversal_plane, general_position_on_plane,
-                        intersect, same_subspace, subspace_from_equations,
+                        intersect, subspace_from_equations,
                         subspace_from_points, witness_plane_via_line)
 from .linprog import LinearRow, LinearSystem, LPResult, lp_feasible
 from .monomials import (GuardExceeded, SquarefreeIdeal, derive_heft,
@@ -44,7 +44,7 @@ __all__ = [
     "minimal_subsets", "minimal_supports_of_degree", "monomials_of_degree",
     "mori_embedding_report", "nullspace", "primitive",
     "radical_of_monomials", "rank", "rational_solve", "rref",
-    "same_chamber", "same_subspace", "spans_extremal_ray",
+    "same_chamber", "spans_extremal_ray",
     "subspace_from_equations", "subspace_from_points", "validate_fan",
     "verify_restriction_table", "witness_plane_via_line",
 ]

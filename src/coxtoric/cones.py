@@ -180,20 +180,6 @@ class RationalCone:
         return generators_to_hrep(self.dim, self.generators)
 
     @cached_property
-    def generator_form(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        """(lineality basis, extreme rays) recovered from the H-form."""
-        eqs, ineqs = self.hrep
-        lin, rays = double_description(self.dim, eqs, ineqs)
-        return tuple(lin), tuple(rays)
-
-    @cached_property
-    def extreme_rays(self) -> tuple[Vec, ...]:
-        lin, rays = self.generator_form
-        if lin:
-            raise ValueError("extreme rays undefined for a cone with lineality")
-        return rays
-
-    @cached_property
     def is_pointed(self) -> bool:
         eqs, ineqs = self.hrep
         stacked = list(eqs) + list(ineqs)

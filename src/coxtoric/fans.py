@@ -21,7 +21,6 @@ Every other fan is certified pair by pair with separating functionals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
@@ -228,6 +227,29 @@ def _facet_pairing(fan: Fan) -> dict[tuple[int, ...], list[int]]:
     return pairing
 
 
+def _wall_tree(ncones: int, walls) -> tuple[list[int],
+                                           list[frozenset[int] | None]]:
+    """Breadth-first spanning tree from cone 0 over `walls`, pairs of cone
+    positions: the tree walls in discovery order, and per cone the set of
+    positions in that list of the tree walls on its path from cone 0, or
+    None for a cone the tree does not reach."""
+    graph: list[list[tuple[int, int]]] = [[] for _ in range(ncones)]
+    for w, (a, b) in enumerate(walls):
+        graph[a].append((b, w))
+        graph[b].append((a, w))
+    tree: list[int] = []
+    path: list[frozenset[int] | None] = [None] * ncones
+    path[0] = frozenset()
+    queue = [0]
+    for cur in queue:
+        for nxt, w in graph[cur]:
+            if path[nxt] is None:
+                path[nxt] = path[cur] | {len(tree)}
+                tree.append(w)
+                queue.append(nxt)
+    return tree, path
+
+
 def is_complete(fan: Fan) -> Verdict:
     """Support covers the whole space: all maximal cones full-dimensional,
     every facet shared by exactly two cones, adjacency connected."""
@@ -237,8 +259,6 @@ def is_complete(fan: Fan) -> Verdict:
             return Verdict(False,
                            f"cone {pos + 1} is not full-dimensional")
     pairing = _facet_pairing(fan)
-    adjacency: dict[int, set[int]] = {i: set()
-                                      for i in range(len(fan.maximal_cones))}
     for key, owners in pairing.items():
         if len(owners) == 1:
             return Verdict(False,
@@ -248,17 +268,8 @@ def is_complete(fan: Fan) -> Verdict:
             return Verdict(False,
                            f"facet with rays {key} is shared by more than "
                            f"two maximal cones")
-        adjacency[owners[0]].add(owners[1])
-        adjacency[owners[1]].add(owners[0])
-    seen = {0}
-    queue = [0]
-    while queue:
-        cur = queue.pop()
-        for nxt in adjacency[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if len(seen) != len(fan.maximal_cones):
+    _tree, path = _wall_tree(len(fan.maximal_cones), pairing.values())
+    if None in path:
         return Verdict(False, "maximal cones are not wall-connected")
     return Verdict(True)
 
@@ -288,94 +299,56 @@ def is_projective(fan: Fan) -> ProjectivityCertificate:
     per maximal cone, exact over Q.
 
     Differences across a wall are multiples of the wall normal, so the
-    functionals are parametrized by one coefficient per spanning-tree wall;
-    agreement on non-tree walls and a normalized strict jump across every
-    wall become one small linear program. A feasible solution is replayed
-    on every wall before the certificate is returned.
+    functionals are parametrized by one coefficient c_k per wall of a
+    breadth-first spanning tree from cone 0: crossing tree wall k away from
+    cone 0 adds c_k n_k, so m_0 = 0 and m_s is the sum of c_k n_k over the
+    tree walls on the path of s. The coefficient of c_k in <m_a - m_b, v>
+    is then <n_k, v> if k lies on the path of a only, -<n_k, v> if on the
+    path of b only, and 0 otherwise. Agreement on non-tree walls and a
+    strict jump of at least 1 across every wall become one small linear
+    program. Its columns are the tree walls in discovery order, with the
+    signs of the normals from _walls, and its rows come in wall order: the
+    vertex the simplex picks, and so the reported support function, can
+    depend on these orders and signs.
+    A feasible solution is scaled to integers and replayed on every wall
+    before the certificate is returned.
     """
     comp = is_complete(fan)
     if not comp.ok:
         raise ValueError(f"projectivity test requires a complete fan: "
                          f"{comp.reason}")
     cones = fan.maximal_cones
-    ncones = len(cones)
     walls = _walls(fan)
+    tree, path = _wall_tree(len(cones), [(a, b) for a, b, _k, _n in walls])
+    normals = [walls[w][3] for w in tree]
 
-    # spanning tree over the wall graph
-    tree: list[tuple[int, int, Vec]] = []
-    seen = {0}
-    queue = [0]
-    graph: dict[int, list[tuple[int, int]]] = {i: [] for i in range(ncones)}
-    for w, (ca, cb, key, normal) in enumerate(walls):
-        graph[ca].append((cb, w))
-        graph[cb].append((ca, w))
-    used_walls = set()
-    while queue:
-        cur = queue.pop(0)
-        for nxt, w in graph[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                used_walls.add(w)
-                tree.append((cur, nxt, walls[w][3]))
-                queue.append(nxt)
+    def row(a: int, b: int, ray: Vec, offset: int) -> LinearRow:
+        """<m_a - m_b, ray> as a row over the tree coefficients."""
+        coeffs = [0] * len(tree)
+        for k in path[a] ^ path[b]:
+            x = dot(normals[k], ray)
+            coeffs[k] = x if k in path[a] else -x
+        return LinearRow.make(coeffs, offset)
 
-    t = len(tree)
-    d = fan.ambient_dim
-    # symbolic functionals: m[cone] is a d x t integer matrix applied to the
-    # tree coefficient vector; crossing tree wall k adds n_k to column k
-    msym: list[list[list[int]] | None] = [None] * ncones
-    msym[0] = [[0] * t for _ in range(d)]
-    pending = [0]
-    tree_edges: dict[int, list[tuple[int, int, Vec]]] = {i: []
-                                                         for i in range(ncones)}
-    for k, (pa, pb, normal) in enumerate(tree):
-        tree_edges[pa].append((pb, k, normal))
-        tree_edges[pb].append((pa, k, normal))
-    while pending:
-        cur = pending.pop()
-        for nxt, k, normal in tree_edges[cur]:
-            if msym[nxt] is None:
-                mat = [row[:] for row in msym[cur]]
-                for i in range(d):
-                    mat[i][k] += normal[i]
-                msym[nxt] = mat
-                pending.append(nxt)
-
-    def evaluate(pos: int, v: Vec) -> list[int]:
-        mat = msym[pos]
-        return [sum(mat[i][k] * v[i] for i in range(d)) for k in range(t)]
-
+    tree_walls = set(tree)
     equalities = []
     inequalities = []
-    for w, (ca, cb, key, normal) in enumerate(walls):
-        if w not in used_walls:
-            for i in key:
-                va = evaluate(ca, fan.rays[i - 1])
-                vb = evaluate(cb, fan.rays[i - 1])
-                equalities.append(
-                    LinearRow.make([x - y for x, y in zip(va, vb)], 0))
-        keyset = set(key)
+    for w, (ca, cb, key, _normal) in enumerate(walls):
+        if w not in tree_walls:
+            equalities += [row(ca, cb, fan.rays[i - 1], 0) for i in key]
         for near, far in ((ca, cb), (cb, ca)):
-            for i in cones[far].ray_indices:
-                if i in keyset:
-                    continue
-                vn = evaluate(near, fan.rays[i - 1])
-                vf = evaluate(far, fan.rays[i - 1])
-                inequalities.append(
-                    LinearRow.make([x - y for x, y in zip(vn, vf)], 1))
+            inequalities += [row(near, far, fan.rays[i - 1], 1)
+                             for i in cones[far].ray_indices if i not in key]
 
-    res = lp_feasible(LinearSystem(t, tuple(equalities), tuple(inequalities)))
+    res = lp_feasible(LinearSystem(len(tree), tuple(equalities),
+                                   tuple(inequalities)))
     if not res.feasible:
         return ProjectivityCertificate(False, None)
 
-    coeff = list(res.witness)
-    support = []
-    for pos in range(ncones):
-        mat = msym[pos]
-        support.append(tuple(sum(Fraction(mat[i][k]) * coeff[k]
-                                 for k in range(t)) for i in range(d)))
-    denom = lcm(*(f.denominator for vec in support for f in vec)) \
-        if support else 1
+    coeff = res.witness
+    support = [tuple(sum(coeff[k] * normals[k][i] for k in p)
+                     for i in range(fan.ambient_dim)) for p in path]
+    denom = lcm(*(f.denominator for vec in support for f in vec))
     support_int = tuple(tuple(int(f * denom) for f in vec) for vec in support)
 
     # replay the integer certificate on every wall of the fan

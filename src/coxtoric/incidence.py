@@ -134,10 +134,6 @@ def subspace_from_points(points) -> ProjSubspace:
     return _canonical([[Fraction(x) for x in p.coords] for p in pts])
 
 
-def same_subspace(s1: ProjSubspace, s2: ProjSubspace) -> bool:
-    return s1 == s2
-
-
 def intersect(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace | None:
     """Exact intersection, or None when the spans meet only in the origin."""
     if s1.ambient_dim != s2.ambient_dim:

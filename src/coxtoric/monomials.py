@@ -59,9 +59,6 @@ class SquarefreeIdeal:
                        key=lambda s: (len(s), s))
         return cls(tuple(canon))
 
-    def support_sets(self) -> list[frozenset]:
-        return [frozenset(s) for s in self.generators]
-
 
 def minimal_antichain(supports) -> tuple[Support, ...]:
     """Inclusion-minimal elements of a family of index sets."""

@@ -35,7 +35,8 @@ def test_effective_cone_small():
     assert eqs == ()
     assert sorted(ineqs) == [(0, 1), (1, 0)]
     p2 = DegreeMatrix.make([(1,), (1,), (1,)])
-    assert effective_cone(p2).generator_form == ((), ((1,),))
+    eff = effective_cone(p2)
+    assert double_description(eff.dim, *eff.hrep) == ([], [(1,)])
 
 
 def test_effective_cone_delpezzo_interior():

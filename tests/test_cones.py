@@ -52,7 +52,7 @@ def test_halfplane_has_lineality():
     eqs, ineqs = c.hrep
     assert eqs == ()
     assert set(ineqs) == {(0, 1)}
-    lin, rays = c.generator_form
+    lin, rays = double_description(c.dim, *c.hrep)
     assert len(lin) == 1 and lin[0][1] == 0
     assert not c.is_pointed
 
@@ -61,8 +61,8 @@ def test_full_space_and_origin():
     full = RationalCone.from_generators(
         [(1, 0), (-1, 0), (0, 1), (0, -1)], dim=2)
     assert full.hrep == ((), ())
-    lin, rays = full.generator_form
-    assert len(lin) == 2 and rays == ()
+    lin, rays = double_description(full.dim, *full.hrep)
+    assert len(lin) == 2 and rays == []
 
     origin = RationalCone.from_generators([], dim=2)
     eqs, ineqs = origin.hrep
@@ -74,7 +74,8 @@ def test_full_space_and_origin():
 def test_interior_generator_not_extreme():
     gens = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)]
     c = RationalCone.from_generators(gens, dim=3)
-    assert set(c.extreme_rays) == set(gens[:4])
+    lin, rays = double_description(c.dim, *c.hrep)
+    assert lin == [] and set(rays) == set(gens[:4])
     eqs, ineqs = c.hrep
     assert eqs == () and len(ineqs) == 4
 
@@ -128,7 +129,7 @@ def test_random_round_trip():
             assert all(dot(e, g) == 0 for e in eqs)
             assert all(dot(a, g) >= 0 for a in ineqs)
         # the recovered generator form spans the same cone
-        lin, rays = c.generator_form
+        lin, rays = double_description(c.dim, *c.hrep)
         back = list(rays) + list(lin) + [tuple(-x for x in l) for l in lin]
         for g in c.generators:
             assert cone_member(back, g, dim=d)

@@ -6,9 +6,9 @@ import pytest
 
 from coxtoric import fans
 from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
-from coxtoric.fans import (Fan, _vertex_replay, fan_from_irrelevant,
-                           fan_report, is_complete, is_projective,
-                           is_simplicial, validate_fan)
+from coxtoric.fans import (Fan, Verdict, _vertex_replay,
+                           fan_from_irrelevant, fan_report, is_complete,
+                           is_projective, is_simplicial, validate_fan)
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual
 from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible
 from coxtoric.monomials import SquarefreeIdeal, irrelevant_radical
@@ -146,6 +146,24 @@ def test_projectivity_against_direct_oracle():
                                         for _ in range(6)]))
     for fan in fans:
         assert is_projective(fan).projective == direct_projectivity_oracle(fan)
+
+
+@pytest.mark.parametrize("rays, cones, reason", [
+    (((1, 0), (0, 1)), ((1,), (2,)), "cone 1 is not full-dimensional"),
+    (((1, 0), (0, 1)), ((1, 2),),
+     "facet with rays (2,) belongs to only one maximal cone"),
+    (((1, 0), (0, 1), (-1, 0), (0, -1), (1, -1)),
+     ((1, 2), (2, 3), (3, 4), (1, 4), (1, 5)),
+     "facet with rays (1,) is shared by more than two maximal cones"),
+    # two disjoint triangles of cones, each complete on its own
+    (((1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0), (0, -1)),
+     ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)),
+     "maximal cones are not wall-connected"),
+], ids=["not-full-dimensional", "one-owner", "three-owners",
+        "disconnected"])
+def test_is_complete_reasons(rays, cones, reason):
+    assert is_complete(Fan.from_index_sets(rays, cones)) == \
+        Verdict(False, reason)
 
 
 def test_facet_pairing_on_complete_fans():
@@ -300,3 +318,54 @@ def test_fan_report_makes_one_lp_call(monkeypatch, ideal):
     assert report["valid"] is True and report["projective"] is True
     # is_projective's LP; validity comes from the vertex replay
     assert len(calls) == 1
+
+
+# is_projective's support functions on fans outside the sha256-pinned
+# reports: the LP witness decides them, so they move if the LP's rows,
+# column order or wall-normal signs change
+CUBE_PROJECTIVE_SUPPORT = (
+    (0, 0, 0), (2, -2, 0), (0, 1, -1), (2, 1, -3), (3, -2, -1), (3, 0, -3),
+    (1, 0, 1), (2, -1, 1), (1, 2, -1), (2, 2, -2), (4, -1, -1), (4, 0, -2))
+DOUBLY_WOUND_SUPPORT = ((0, 0), (1345, 269), (624, 2432), (264, 2232),
+                        (504, 1912), (744, 2232), (384, 2432), (0, 1280))
+# the six triangulations drawn from Random(7) in
+# test_projectivity_against_direct_oracle; None: not projective
+RANDOM7_SUPPORT = (
+    ((1, 0, 1, 0, 0, 0),
+     ((0, 0, 0), (3, -3, 0), (2, 0, -2), (3, -1, -2), (0, 1, 1), (1, 1, 2),
+      (4, -3, 1), (4, -2, 2), (1, 2, 1), (2, 2, 0), (5, -2, 1), (5, -1, 0))),
+    ((1, 0, 0, 0, 0, 1), None),
+    ((1, 0, 0, 0, 1, 0),
+     ((0, 0, 0), (2, -2, 0), (3, 0, -3), (3, -2, -1), (0, 1, 1), (1, 1, 2),
+      (2, 0, 2), (1, 2, 1), (4, 1, -3), (4, 2, -2), (5, 0, -1), (5, 1, -2))),
+    ((0, 0, 0, 1, 0, 0),
+     ((0, 0, 0), (3, -3, 0), (0, 3, -3), (1, 3, -4), (4, -3, -1), (4, 0, -4),
+      (2, 0, 2), (3, -1, 2), (1, 4, -3), (2, 4, -2), (6, -1, -1),
+      (6, 0, -2))),
+    ((0, 0, 1, 1, 0, 0),
+     ((0, 0, 0), (2, -2, 0), (0, 1, -1), (1, 1, -2), (2, 0, -2), (2, 0, 2),
+      (3, -2, 1), (3, -1, 2), (1, 2, -1), (2, 2, 0), (4, -1, 1), (4, 0, 0))),
+    ((1, 0, 0, 0, 1, 0),
+     ((0, 0, 0), (2, -2, 0), (3, 0, -3), (3, -2, -1), (0, 1, 1), (1, 1, 2),
+      (2, 0, 2), (1, 2, 1), (4, 1, -3), (4, 2, -2), (5, 0, -1), (5, 1, -2))),
+)
+
+
+def test_support_functions_are_pinned():
+    q = DegreeMatrix.make([(1, 0), (1, 0), (0, 1), (0, 1)])
+    p1xp1 = fan_from_irrelevant(gale_dual(q), irrelevant_radical(q, (1, 1)))
+    pinned = [
+        (projective_space_fan(2), ((0, 0), (1, 0), (0, 1))),
+        (projective_space_fan(3),
+         ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        (p1xp1, ((0, 0), (0, 1), (1, 0), (1, 1))),
+        (cube_fan(CUBE_PROJECTIVE), CUBE_PROJECTIVE_SUPPORT),
+        (Fan.from_index_sets(DOUBLY_WOUND_RAYS, DOUBLY_WOUND_CONES),
+         DOUBLY_WOUND_SUPPORT),
+    ]
+    rng = Random(7)
+    for choices, support in RANDOM7_SUPPORT:
+        assert tuple(rng.randint(0, 1) for _ in range(6)) == choices
+        pinned.append((cube_triangulation(choices), support))
+    for fan, support in pinned:
+        assert is_projective(fan).support_function == support

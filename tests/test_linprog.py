@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,16 +12,28 @@ from coxtoric.linprog import (
 )
 
 
+def _primitive_row(coeffs, off, strict):
+    """The row coeffs.x >= off (or >) scaled by a positive factor to
+    coprime integers."""
+    entries = [Fraction(x) for x in (*coeffs, off)]
+    scale = math.lcm(*(x.denominator for x in entries))
+    ints = [int(x * scale) for x in entries]
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints[:-1]), ints[-1] // g, strict
+
+
 def fm_feasible(dim, eqs, ineqs):
     """Independent feasibility oracle: Fourier-Motzkin elimination with
     strictness tracking. rows are (coeffs, offset, strict) meaning
-    coeffs.x >= offset (or >). Only usable for small systems."""
+    coeffs.x >= offset (or >). Rows are kept primitive and deduplicated
+    after every elimination step. Only usable for small systems."""
     rows = []
     for coeffs, off in eqs:
-        rows.append(([Fraction(c) for c in coeffs], Fraction(off), False))
-        rows.append(([-Fraction(c) for c in coeffs], -Fraction(off), False))
+        rows.append(_primitive_row(coeffs, off, False))
+        rows.append(_primitive_row([-c for c in coeffs], -off, False))
     for coeffs, off, strict in ineqs:
-        rows.append(([Fraction(c) for c in coeffs], Fraction(off), strict))
+        rows.append(_primitive_row(coeffs, off, strict))
+    rows = list(dict.fromkeys(rows))
     for v in range(dim):
         pos = [r for r in rows if r[0][v] > 0]
         neg = [r for r in rows if r[0][v] < 0]
@@ -30,8 +43,8 @@ def fm_feasible(dim, eqs, ineqs):
             for ncf, no, ns in neg:
                 a, c = pc[v], ncf[v]
                 coeffs = [-c * x + a * y for x, y in zip(pc, ncf)]
-                new.append((coeffs, -c * po + a * no, ps or ns))
-        rows = new
+                new.append(_primitive_row(coeffs, -c * po + a * no, ps or ns))
+        rows = list(dict.fromkeys(new))
     for _, off, strict in rows:
         if off > 0 or (strict and off == 0):
             return False

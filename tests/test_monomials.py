@@ -158,7 +158,7 @@ def test_saturation_monotonicity():
     dp = delpezzo4()
     ideal = irrelevant_radical(dp.degrees, dp.anti_canonical, depth=2,
                                heft=dp.heft)
-    mins = ideal.support_sets()
+    mins = [frozenset(s) for s in ideal.generators]
     double = tuple(2 * x for x in dp.anti_canonical)
     for sup in minimal_supports_of_degree(dp.degrees, double, dp.heft):
         assert any(m <= frozenset(sup) for m in mins)

@@ -124,6 +124,11 @@ def linear_systems(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(linear_systems())
+# a draw whose Fourier-Motzkin elimination took seconds before the oracle
+# kept its rows primitive and deduplicated
+@example((4, [([2, 0, -3, 1], 0), ([2, 0, -3, 1], 0), ([3, 1, 1, 3], 1)],
+          [([3, 2, 1, -2], 1, True), ([-2, -3, 3, -1], -3, True),
+           ([-2, 3, -2, 1], -2, True)]))
 def test_lp_feasible_against_fourier_motzkin(case):
     dim, eqs, ineqs = case
     got = lp_feasible(LinearSystem.make(
