@@ -4,16 +4,19 @@ The effective cone is spanned by the degree columns. The chamber of a class
 w is the intersection of all cones spanned by subsets of columns containing
 w; only inclusion-minimal such subsets contribute constraints, and the
 resulting inequality list is reduced to an irredundant set by exact LP.
-Chamber equality at a fixed saturation depth is decided through the
-irrelevant radicals.
-"""
+By Caratheodory's theorem a minimal subset J is linearly independent and w
+has all its coefficients in q_J positive; conversely every such J is
+minimal. So one exact row reduction of [q_J | w] decides each subset, with
+no LP (Berchtold-Hausen, "GIT equivalence beyond the ample cone", 2006;
+Cox-Little-Schenck, Toric Varieties, ch. 14). Chamber equality at a fixed
+saturation depth is decided through the irrelevant radicals."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .cones import RationalCone, cone_member, generators_to_hrep, primitive
-from .exact import dot, int_vector
+from .exact import dot, int_vector, rref
 from .grading import DegreeMatrix
 from .linprog import LinearRow, LinearSystem, lp_feasible
 from .monomials import GuardExceeded  # noqa: F401  (re-exported)
@@ -59,21 +62,31 @@ def spans_extremal_ray(q: DegreeMatrix, i: int) -> bool:
 
 def chamber_of(q: DegreeMatrix, w) -> Chamber:
     """The GIT chamber containing w: the intersection of the cones on all
-    minimal column subsets containing w, with irredundant constraints."""
+    minimal column subsets containing w, with irredundant constraints.
+
+    The minimal subsets are the independent J in which w has positive
+    coefficients (see the module docstring); no such J exists exactly when
+    w lies outside the effective cone, which raises ValueError."""
     w = int_vector(w, "class")
     if len(w) != q.pic_rank:
         raise ValueError("class has wrong length")
-    if not cone_member(list(q.columns), w, dim=q.pic_rank):
-        raise ValueError("class outside the effective cone")
 
     def contains_w(subset: tuple[int, ...]) -> bool:
-        # the empty subset spans only 0; rejecting it keeps the chamber of
-        # the zero class cut out by the nonempty subsets
-        return bool(subset) and cone_member(
-            [q.columns[j] for j in subset], w, dim=q.pic_rank)
+        # the zero class lies in every nonempty column cone, so its minimal
+        # subsets are the single columns
+        if not any(w):
+            return len(subset) == 1
+        if len(subset) > q.pic_rank:
+            return False
+        red, pivots = rref(list(zip(*(q.columns[j] for j in subset), w)))
+        return pivots == list(range(len(subset))) and \
+            all(row[-1] > 0 for row in red)
 
+    subsets = minimal_subsets(q.num_gens, contains_w)
+    if not subsets:
+        raise ValueError("class outside the effective cone")
     rows: set[Vec] = set()
-    for subset in minimal_subsets(q.num_gens, contains_w):
+    for subset in subsets:
         eqs, ineqs = generators_to_hrep(
             q.pic_rank, [q.columns[j] for j in subset])
         for e in eqs:

@@ -21,16 +21,10 @@ from functools import cached_property
 from math import gcd
 from typing import Sequence
 
-from .exact import dot, rank
-from .linprog import simplex_nonneg
+from .exact import check_rational, dot, rank
+from .linprog import LinearSystem, lp_feasible
 
 Vec = tuple[int, ...]
-
-
-def _check_rational(vec: Sequence) -> None:
-    if not all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-               for x in vec):
-        raise ValueError("vector entries must be integers or Fractions")
 
 
 def primitive(vec: Sequence) -> Vec:
@@ -40,7 +34,7 @@ def primitive(vec: Sequence) -> Vec:
     if all(type(x) is int for x in vec):
         g = gcd(*vec)
         return tuple(v // g for v in vec) if g > 1 else tuple(vec)
-    _check_rational(vec)
+    check_rational(vec)
     fr = [Fraction(x) for x in vec]
     den = 1
     for f in fr:
@@ -147,13 +141,13 @@ def generators_to_hrep(dim: int, gens: Sequence[Sequence[int]]):
 
 
 def cone_member(gens: Sequence[Sequence[int]], target: Sequence, dim: int) -> bool:
-    """Whether target is a nonnegative rational combination of gens."""
-    gens = [tuple(g) for g in gens]
-    if not gens:
-        return all(x == 0 for x in target)
-    rows = [[g[i] for g in gens] for i in range(dim)]
-    status, _, _ = simplex_nonneg(rows, list(target), [0] * len(gens))
-    return status == "optimal"
+    """Whether target is a nonnegative rational combination of gens: one
+    lp_feasible call over lambda >= 0 with sum_j lambda_j gens_j = target,
+    so a "yes" verdict rests on a replayed witness lambda."""
+    k = len(gens)
+    return lp_feasible(LinearSystem.make(
+        k, [([g[i] for g in gens], target[i]) for i in range(dim)],
+        [([int(i == j) for i in range(k)],) for j in range(k)])).feasible
 
 
 @dataclass(frozen=True)
@@ -191,7 +185,7 @@ class RationalCone:
         """Membership of an int or Fraction vector; a float or a bool entry
         raises ValueError, as in primitive."""
         v = tuple(vec)
-        _check_rational(v)
+        check_rational(v)
         eqs, ineqs = self.hrep
         return all(dot(e, v) == 0 for e in eqs) and \
             all(dot(a, v) >= 0 for a in ineqs)
@@ -199,7 +193,7 @@ class RationalCone:
     def contains_interior(self, vec: Sequence) -> bool:
         """Relative interior membership: tight on no facet."""
         v = tuple(vec)
-        _check_rational(v)
+        check_rational(v)
         eqs, ineqs = self.hrep
         return all(dot(e, v) == 0 for e in eqs) and \
             all(dot(a, v) > 0 for a in ineqs)

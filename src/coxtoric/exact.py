@@ -23,6 +23,17 @@ def int_vector(values, what: str) -> tuple[int, ...]:
     return vec
 
 
+def check_rational(vec: Sequence) -> None:
+    """Raise ValueError unless every entry is an int (not a bool) or a
+    Fraction, so that 0.1 is rejected instead of read as its binary
+    expansion."""
+    if all(type(x) is int for x in vec):
+        return
+    if not all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+               for x in vec):
+        raise ValueError("vector entries must be integers or Fractions")
+
+
 @dataclass(frozen=True)
 class IntMat:
     """Dense integer matrix, row-major entries."""

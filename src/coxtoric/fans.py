@@ -76,6 +76,10 @@ class Fan:
     rays: tuple[Vec, ...]
     maximal_cones: tuple[Cone, ...]
 
+    def __post_init__(self) -> None:
+        if not self.rays or not self.maximal_cones:
+            raise ValueError("fan needs at least one ray and one maximal cone")
+
     @property
     def ambient_dim(self) -> int:
         return len(self.rays[0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import pivot, rref
+from .exact import check_rational, pivot, rref
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,10 @@ class LinearRow:
 
     @classmethod
     def make(cls, normal: Sequence, offset=0, strict: bool = False) -> "LinearRow":
+        """Entries and offset must be ints or Fractions; a float or a bool
+        raises ValueError, as in cones.primitive."""
+        normal = tuple(normal)
+        check_rational(normal + (offset,))
         return cls(tuple(Fraction(x) for x in normal), Fraction(offset), strict)
 
 
@@ -108,7 +112,7 @@ def _optimize(T: list[list[Fraction]], basis: list[int],
 def simplex_nonneg(rows: Sequence[Sequence], rhs: Sequence, cost: Sequence):
     """min cost.y subject to rows.y = rhs, y >= 0, all exact.
 
-    Returns (status, y, mult): status in {"optimal", "infeasible",
+    Returns (status, mult): status in {"optimal", "infeasible",
     "unbounded"}; at an optimum, mult are equality multipliers pi with
     pi.col_j <= cost_j for every column j, with equality on basic columns.
     """
@@ -117,8 +121,8 @@ def simplex_nonneg(rows: Sequence[Sequence], rhs: Sequence, cost: Sequence):
     cost = [Fraction(c) for c in cost]
     if m == 0:
         if any(c < 0 for c in cost):
-            return "unbounded", None, None
-        return "optimal", [Fraction(0)] * n, []
+            return "unbounded", None
+        return "optimal", []
 
     # tableau row i: input row i, the artificial block and rhs_i, with the
     # input row and rhs_i negated when rhs_i < 0
@@ -138,7 +142,7 @@ def simplex_nonneg(rows: Sequence[Sequence], rhs: Sequence, cost: Sequence):
     phase1 = [Fraction(0)] * n + [Fraction(1)] * m
     _optimize(T, basis, phase1, n + m)
     if sum(phase1[basis[i]] * T[i][-1] for i in range(len(T))) > 0:
-        return "infeasible", None, None
+        return "infeasible", None
 
     # pivot remaining artificial basics out; a row that cannot release its
     # artificial is a dependent equation and is dropped
@@ -155,18 +159,14 @@ def simplex_nonneg(rows: Sequence[Sequence], rhs: Sequence, cost: Sequence):
     phase2 = cost + [Fraction(0)] * m
     status = _optimize(T, basis, phase2, n)
     if status == "unbounded":
-        return "unbounded", None, None
-
-    y = [Fraction(0)] * n
-    for i, bs in enumerate(basis):
-        y[bs] = T[i][-1]
+        return "unbounded", None
 
     # the artificial block of each tableau row records which combination
     # of the (sign-normalized) input rows it is, so cost_B times that block
     # gives the multipliers, also after dependent rows were dropped
     pi = [sign[r] * sum(cost[bs] * T[i][n + r] for i, bs in enumerate(basis))
           for r in range(m)]
-    return "optimal", y, pi
+    return "optimal", pi
 
 
 def lp_feasible(system: LinearSystem) -> LPResult:
@@ -266,7 +266,7 @@ def lp_feasible(system: LinearSystem) -> LPResult:
         cvec[nf] = Fraction(1)
     dualcost = [-dvec[j] for j in range(nrows)]
 
-    status, _y, pi = simplex_nonneg(amat, cvec, dualcost)
+    status, pi = simplex_nonneg(amat, cvec, dualcost)
     if status != "optimal":
         return LPResult(False, None, None)
 

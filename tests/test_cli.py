@@ -246,6 +246,16 @@ FROZEN_REPORTS = [
     (["fan", "--dataset", "delpezzo4", "--degree", "3,-1,-1,-1,-1",
       "--json"],
      "81aee91913b7f77e0cefdc812c25151419130d8198fa61f3e5f5f7d9b196562f"),
+    # a lower-dimensional chamber
+    (["chamber", "--dataset", "delpezzo4", "--degree", "3,-1,-1,-1,-1",
+      "--compare", "6,-2,-2,-2,-2", "--json"],
+     "33d944f89c69861a0d43b24cb592b488c4171dcc7b5ae4edc270d82d3bf110d6"),
+    (["chamber", "--dataset", "delpezzo4", "--degree", "11,-5,-3,-2,-1",
+      "--compare", "3,-1,-1,-1,-1", "--json"],
+     "2ae90df96ecbc0c632839f7c099eb6ec3d1d905a73504d39855a8286464e5a9d"),
+    (["chamber", "--dataset", "delpezzo4", "--degree", "0,0,0,0,0",
+      "--json"],
+     "492d1d07548c7cbf69b8ca4111d7c39c1a89ccfea1337e6cb3637e650394cb72"),
 ]
 
 
@@ -301,6 +311,10 @@ def test_guard_exceeded_exit_code(tmp_path, capsys):
         code, _, err = run(capsys, [command, str(wide), "--degree", "1"])
         assert code == 3, command
         assert "too large" in err
+    # chamber finds the effective cone through the guarded subset search,
+    # so a class outside it also exits 3
+    code, _, err = run(capsys, ["chamber", str(wide), "--degree", "-1"])
+    assert code == 3 and "too large" in err
 
 
 P2_INPUT = {"picRank": 1, "numGens": 3, "columns": [[1], [1], [1]],

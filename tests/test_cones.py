@@ -97,6 +97,19 @@ def test_cone_member():
     assert not cone_member(gens, (-1, 0), dim=2)
     assert not cone_member([], (1, 0), dim=2)
     assert cone_member([], (0, 0), dim=2)
+    assert cone_member(gens, (Fraction(3, 2), Fraction(1, 2)), dim=2)
+
+
+@pytest.mark.parametrize("gens, target", [
+    ([(0.5,)], (1,)),
+    ([(1,)], (0.5,)),
+    ([(True,)], (1,)),
+    ([(1, 0), (0, 1)], (1, True)),
+])
+def test_cone_member_rejects_floats_and_bools(gens, target):
+    # 0.5 must not be read as Fraction(1, 2), nor True as 1
+    with pytest.raises(ValueError, match="integers or Fractions"):
+        cone_member(gens, target, dim=len(target))
 
 
 def test_contains_and_interior():

@@ -234,6 +234,14 @@ def test_from_index_sets_rejects_non_integer_entries(rays, index_sets):
         Fan.from_index_sets(rays, index_sets)
 
 
+@pytest.mark.parametrize("rays", [((1, 0), (0, 1)), ()])
+def test_fan_needs_rays_and_cones(rays):
+    # a fan with no maximal cones used to reach is_complete, which then
+    # raised IndexError
+    with pytest.raises(ValueError, match="at least one ray and one maximal"):
+        Fan.from_index_sets(rays, ())
+
+
 # rays at 0, 100, 200, 300, 40, 140, 240 and 340 degrees as
 # (round(10 cos), round(10 sin)), cyclically consecutive pairs as cones: a
 # complete fan that winds twice around the origin

@@ -143,21 +143,47 @@ def test_row_dimension_validation():
         LinearSystem(1, equalities=(LinearRow.make([1], 0, strict=True),))
 
 
+@pytest.mark.parametrize("normal, offset", [
+    ([0.1, True], 1.5),
+    ([0.1, 1], 0),
+    ([1, True], 0),
+    ([1, 1], 0.5),
+    ([Fraction(1, 2), 1], False),
+])
+def test_linear_row_rejects_floats_and_bools(normal, offset):
+    with pytest.raises(ValueError, match="integers or Fractions"):
+        LinearRow.make(normal, offset)
+
+
+def test_lp_feasible_rejects_float_rows():
+    # 0.5 x >= 1 would be read as Fraction(1, 2) and decided feasible
+    with pytest.raises(ValueError, match="integers or Fractions"):
+        lp_feasible(LinearSystem.make(1, inequalities=[([0.5], 1)]))
+    with pytest.raises(ValueError, match="integers or Fractions"):
+        lp_feasible(LinearSystem.make(1, equalities=[([1], 0.5)]))
+
+
+def test_linear_row_keeps_ints_and_fractions():
+    row = LinearRow.make([2, Fraction(1, 3)], Fraction(-1, 2), strict=True)
+    assert row == LinearRow((Fraction(2), Fraction(1, 3)), Fraction(-1, 2),
+                            True)
+    assert all(type(x) is Fraction for x in row.normal + (row.offset,))
+
+
 def test_simplex_nonneg_membership():
     # (1,1) is a nonnegative combination of (1,0),(0,1),(1,1)
-    status, y, _ = simplex_nonneg([[1, 0, 1], [0, 1, 1]], [1, 1], [0, 0, 0])
+    status, pi = simplex_nonneg([[1, 0, 1], [0, 1, 1]], [1, 1], [0, 0, 0])
     assert status == "optimal"
-    assert y[0] + y[2] == 1 and y[1] + y[2] == 1
+    assert pi == [0, 0]
     # (-1,0) is not
-    status, _, _ = simplex_nonneg([[1, 0, 1], [0, 1, 1]], [-1, 0], [0, 0, 0])
+    status, _ = simplex_nonneg([[1, 0, 1], [0, 1, 1]], [-1, 0], [0, 0, 0])
     assert status == "infeasible"
 
 
 def test_simplex_nonneg_optimum_and_multipliers():
     # min -y1 - y2 s.t. y1 + y2 = 1: optimum -1, multiplier -1
-    status, y, pi = simplex_nonneg([[1, 1]], [1], [-1, -1])
+    status, pi = simplex_nonneg([[1, 1]], [1], [-1, -1])
     assert status == "optimal"
-    assert y[0] + y[1] == 1
     assert pi == [Fraction(-1)]
 
 

@@ -1,8 +1,9 @@
 """Property tests of the core routines against independent oracles: brute
-force for the minimal-subset search, sympy for rank, rref and determinants,
-Fourier-Motzkin elimination for lp_feasible, double description for fan
-validity, and the Fraction path for the integer fast paths of primitive,
-dot and generators_to_hrep, and the pair LPs for the vertex replay that
+force for the minimal-subset search, sympy for rank, rref, determinants,
+Hermite normal forms and invariant factors, Fourier-Motzkin elimination for
+lp_feasible, double description for cone membership, chambers and fan
+validity, the Fraction path for the integer fast paths of primitive, dot
+and generators_to_hrep, and the pair LPs for the vertex replay that
 certifies complete projective fans."""
 
 import math
@@ -16,15 +17,21 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from sympy.matrices import normalforms  # noqa: E402
 
-from coxtoric.cones import (cone_member, double_description,  # noqa: E402
-                            generators_to_hrep, primitive)
-from coxtoric.exact import IntMat, det, dot, rank, rref  # noqa: E402
+from coxtoric.chambers import chamber_of, effective_cone  # noqa: E402
+from coxtoric.cones import (RationalCone, cone_member,  # noqa: E402
+                            double_description, generators_to_hrep,
+                            primitive)
+from coxtoric.exact import (IntMat, det, dot, hermite_normal_form,  # noqa: E402
+                            invariant_factors, rank, rref)
 from coxtoric.fans import (Fan, _vertex_replay, fan_report,  # noqa: E402
                            is_complete, is_projective, validate_fan)
+from coxtoric.grading import DegreeMatrix  # noqa: E402
 from coxtoric.incidence import _det  # noqa: E402
 from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible  # noqa: E402
 from coxtoric.monomials import minimal_antichain, minimal_subsets  # noqa: E402
+from test_chambers import chamber_oracle  # noqa: E402
 from test_fans import (CUBE_FACES, CUBE_RAYS, DOUBLY_WOUND_CONES,  # noqa: E402
                        DOUBLY_WOUND_RAYS, pair_lp_report)
 from test_linprog import fm_feasible  # noqa: E402
@@ -146,6 +153,117 @@ def test_lp_feasible_against_fourier_motzkin(case):
 @given(square_matrices(st.integers(-5, 5)))
 def test_det_against_sympy(rows):
     assert det(IntMat.from_rows(rows)) == to_sympy(rows).det()
+
+
+def int_matrices():
+    """Integer matrices up to 4 x 4, sparse and often rank-deficient: a
+    doubled first row is appended to some of them."""
+    return st.tuples(matrices(st.one_of(st.just(0), st.integers(-6, 6)),
+                              max_rows=4, max_cols=4),
+                     st.booleans()) \
+        .map(lambda mb: mb[0] + [[2 * x for x in mb[0][0]]] if mb[1]
+             else mb[0])
+
+
+@settings(deadline=None)
+@given(int_matrices())
+@example([[0, 0], [0, 0]])
+def test_hermite_normal_form_against_sympy(rows):
+    h, u = hermite_normal_form(IntMat.from_rows(rows))
+    assert u.mul(IntMat.from_rows(rows)) == h
+    assert abs(det(u)) == 1
+    # sympy's form (Cohen, Algorithm 2.4.5) is column-style: its columns
+    # span the column lattice, each pivot is the lowest entry of its column,
+    # pivots move down from left to right and the entries to the right of a
+    # pivot are reduced. Reversing the coordinates and the order of the
+    # nonzero rows of the row-style form of the column-reversed matrix gives
+    # exactly those columns.
+    rev, _ = hermite_normal_form(IntMat.from_rows([r[::-1] for r in rows]))
+    ours = [list(r[::-1]) for r in rev.to_rows() if any(r)][::-1]
+    expected = normalforms.hermite_normal_form(sympy.Matrix(rows).T)
+    assert ours == [[int(x) for x in expected.col(j)]
+                    for j in range(expected.cols)]
+
+
+@settings(deadline=None)
+@given(int_matrices())
+def test_invariant_factors_against_sympy(rows):
+    # sympy lists min(rows, cols) factors, zeros included, with sign
+    expected = normalforms.invariant_factors(sympy.Matrix(rows))
+    assert invariant_factors(IntMat.from_rows(rows)) == \
+        tuple(abs(int(x)) for x in expected if x)
+
+
+@st.composite
+def membership_cases(draw):
+    """(dim, gens, target): up to five generators in dimension 1 to 4, zero
+    generators and the empty list included; the target is a nonnegative
+    rational combination of the generators or a random rational vector."""
+    d = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d,
+                                  max_size=d).map(tuple), max_size=5))
+    if gens and draw(st.booleans()):
+        coeffs = draw(st.lists(st.builds(Fraction, st.integers(0, 4),
+                                         st.integers(1, 3)),
+                               min_size=len(gens), max_size=len(gens)))
+        target = tuple(sum((c * g[i] for c, g in zip(coeffs, gens)),
+                           Fraction(0)) for i in range(d))
+    else:
+        target = tuple(draw(st.lists(st.one_of(st.integers(-3, 3), rationals),
+                                     min_size=d, max_size=d)))
+    return d, gens, target
+
+
+@settings(deadline=None, max_examples=300)
+@given(membership_cases())
+@example((2, [], (0, 0)))
+@example((2, [], (1, 0)))
+@example((2, [(0, 0)], (Fraction(1, 2), 0)))
+def test_cone_member_against_double_description(case):
+    d, gens, target = case
+    assert cone_member(gens, target, dim=d) == \
+        RationalCone.from_generators(gens, d).contains(target)
+
+
+@st.composite
+def graded_classes(draw):
+    """(grading, class): r <= 3 rows, n <= 7 columns with entries in -2..2,
+    zero and negative columns included. The class is zero, a sum of columns
+    with multiplicities 0 to 2, or a random vector that may lie outside the
+    effective cone."""
+    r = draw(st.integers(1, 3))
+    columns = draw(st.lists(st.lists(st.integers(-2, 2), min_size=r,
+                                     max_size=r).map(tuple),
+                            min_size=1, max_size=7))
+    kind = draw(st.sampled_from(("zero", "sum", "random")))
+    if kind == "zero":
+        w = (0,) * r
+    elif kind == "sum":
+        mult = draw(st.lists(st.integers(0, 2), min_size=len(columns),
+                             max_size=len(columns)))
+        w = tuple(sum(m * c[i] for m, c in zip(mult, columns))
+                  for i in range(r))
+    else:
+        w = tuple(draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r)))
+    return DegreeMatrix.make(columns), w
+
+
+@settings(deadline=None, max_examples=100)
+@given(graded_classes())
+def test_chamber_of_against_oracle(case):
+    q, w = case
+    if not effective_cone(q).contains(w):
+        with pytest.raises(ValueError, match="outside the effective cone"):
+            chamber_of(q, w)
+        return
+    ch = chamber_of(q, w)
+    # every chamber lies in a pointed simplicial cone, so both generator
+    # forms have no lineality and their ray lists can be compared
+    lin, rays = double_description(q.pic_rank, (), ch.hrep)
+    lin_oracle, rays_oracle = chamber_oracle(q, w)
+    assert lin == lin_oracle == []
+    assert sorted(rays) == sorted(rays_oracle)
+    assert ch.full_dimensional == (rank(rays_oracle) == q.pic_rank)
 
 
 @settings(deadline=None)
