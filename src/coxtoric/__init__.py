@@ -9,8 +9,8 @@ from .cones import RationalCone, cone_member, double_description, \
 from .embedding import (CoxPresentationPair, RestrictionTable,
                         check_degree_bijection, check_pic_restriction,
                         mori_embedding_report, verify_restriction_table)
-from .exact import (IntMat, det, dot, hermite_normal_form, invariant_factors,
-                    kernel_lattice, nullspace, rank, rational_solve, rref)
+from .exact import (IntMat, det, dot, hermite_normal_form, kernel_lattice,
+                    nullspace, rank, rational_solve, rref)
 from .fans import (Cone, Fan, ProjectivityCertificate, Verdict,
                    fan_from_irrelevant, fan_report, is_complete,
                    is_projective, is_simplicial, validate_fan)
@@ -38,8 +38,8 @@ __all__ = [
     "double_description", "effective_cone", "fan_from_irrelevant",
     "fan_report", "find_transversal_plane", "gale_dual",
     "general_position_on_plane", "generators_to_hrep",
-    "hermite_normal_form", "intersect", "invariant_factors",
-    "irrelevant_radical", "is_complete", "is_projective", "is_simplicial",
+    "hermite_normal_form", "intersect", "irrelevant_radical",
+    "is_complete", "is_projective", "is_simplicial",
     "kernel_lattice", "lp_feasible", "minimal_antichain",
     "minimal_subsets", "minimal_supports_of_degree", "monomials_of_degree",
     "mori_embedding_report", "nullspace", "primitive",

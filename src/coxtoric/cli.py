@@ -124,17 +124,22 @@ def _load_input(args) -> tuple[DegreeMatrix, str, tuple[int, ...] | None]:
     return q, path, heft
 
 
+def _parse_class(raw: str, q: DegreeMatrix, option: str,
+                 what: str) -> tuple[int, ...]:
+    try:
+        d = tuple(int(x) for x in raw.split(","))
+    except ValueError as e:
+        raise UsageError(f"{option} must be comma-separated integers") from e
+    if len(d) != q.pic_rank:
+        raise UsageError(f"{what} length does not match picRank")
+    return d
+
+
 def _parse_degree(args, q: DegreeMatrix) -> tuple[int, ...]:
     raw = getattr(args, "degree", None)
     if raw is None:
         raise UsageError("--degree is required for this command")
-    try:
-        d = tuple(int(x) for x in raw.split(","))
-    except ValueError as e:
-        raise UsageError("--degree must be comma-separated integers") from e
-    if len(d) != q.pic_rank:
-        raise UsageError("degree length does not match picRank")
-    return d
+    return _parse_class(raw, q, "--degree", "degree")
 
 
 def _load_reference(args, width: int):
@@ -261,6 +266,8 @@ def cmd_fan(args) -> tuple[int, list[str], dict]:
 def cmd_chamber(args) -> tuple[int, list[str], dict]:
     q, dataset, heft = _load_input(args)
     degree = _parse_degree(args, q)
+    other = (None if args.compare is None else
+             _parse_class(args.compare, q, "--compare", "compare class"))
     chamber = chamber_of(q, degree)
     payload = {
         "dataset": dataset,
@@ -274,14 +281,7 @@ def cmd_chamber(args) -> tuple[int, list[str], dict]:
         f"full-dimensional: {'yes' if chamber.full_dimensional else 'no'}",
     ]
     lines += [f"  {row} . w >= 0" for row in chamber.hrep]
-    if args.compare is not None:
-        try:
-            other = tuple(int(x) for x in args.compare.split(","))
-        except ValueError as e:
-            raise UsageError(
-                "--compare must be comma-separated integers") from e
-        if len(other) != q.pic_rank:
-            raise UsageError("compare class length does not match picRank")
+    if other is not None:
         result = same_chamber(q, degree, other, depth=args.saturate,
                               heft=heft, check_stable=True)
         payload["comparison"] = {

@@ -198,65 +198,6 @@ def det(m: IntMat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def invariant_factors(m: IntMat) -> tuple[int, ...]:
-    """Nonzero Smith normal form diagonal of m, as positive integers d1 | d2 | ...."""
-    a = [list(r) for r in m.to_rows()]
-    nr, nc = m.rows, m.cols
-    factors: list[int] = []
-    t = 0
-    while True:
-        pos = [(i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
-        if not pos:
-            break
-        i0, j0 = min(pos, key=lambda p: abs(a[p[0]][p[1]]))
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        while True:
-            pivot = a[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // pivot
-                    _sub_scaled(a[i], a[t], q)
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // pivot
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot now alone in its row and column; enforce divisibility
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(len(a[offender])):
-                a[t][j] += a[offender][j]
-        factors.append(abs(a[t][t]))
-        t += 1
-        if t == nr or t == nc:
-            break
-    return tuple(factors)
-
-
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals of a matrix given as rows (ints or Fractions)."""
     return len(rref(rows)[1])

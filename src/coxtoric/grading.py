@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import (IntMat, int_vector, invariant_factors, kernel_lattice,
+from .exact import (IntMat, hermite_normal_form, int_vector, kernel_lattice,
                     rank)
 
 Vec = tuple[int, ...]
@@ -83,8 +83,11 @@ class GaleDual:
 def gale_dual(q: DegreeMatrix) -> GaleDual:
     """Gale duality: the columns of a kernel basis of the degree matrix.
 
-    The kernel basis is saturated, so the rays span the cocharacter lattice
-    and the ray matrix has the degree matrix as its own cokernel pairing.
+    The kernel basis k is saturated, so the rays span the cocharacter
+    lattice and the ray matrix has the degree matrix as its own cokernel
+    pairing. With the Hermite form u.k^T = [T; 0], k = T^T.W for rows W
+    that extend to a basis of Z^n (columns of u^-1), so span(k) has index
+    |det T| in its saturation: k is saturated iff T has unit pivots.
     """
     m = q.as_intmat()
     if rank(m.to_rows()) < q.pic_rank:
@@ -94,7 +97,8 @@ def gale_dual(q: DegreeMatrix) -> GaleDual:
         raise RuntimeError("kernel dimension mismatch")
     if not m.mul(k.transpose()).is_zero():
         raise RuntimeError("kernel verification failed")
-    if k.rows and invariant_factors(k) != (1,) * k.rows:
+    t, _ = hermite_normal_form(k.transpose())
+    if any(t.row(i)[i] != 1 for i in range(k.rows)):
         raise RuntimeError("kernel basis not saturated")
     return GaleDual(rays=tuple(k.col(j) for j in range(k.cols)))
 

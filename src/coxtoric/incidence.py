@@ -2,7 +2,10 @@
 
 Points are primitive integer vectors with the first nonzero entry positive;
 subspaces are stored by their reduced row echelon basis, so equality of
-values is equality of subspaces. On top of the primitives sits a
+values is equality of subspaces, and the coordinates of a point in a
+subspace are its entries at the pivot columns, replayed by rebuilding the
+point from the basis rows. Entries are ints or Fractions: a float or a
+bool is rejected with ValueError. On top of the primitives sits a
 deterministic solver that finds a 2-plane in P^5 meeting four given
 2-planes in four distinct, generally positioned points: incidence with
 three targets is built into the parametrization and the fourth becomes a
@@ -12,14 +15,14 @@ before the plane is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from random import Random
 
 from .cones import primitive
-from .exact import IntMat, det, nullspace, rank, rational_solve, rref
+from .exact import IntMat, check_rational, det, nullspace, rref
 
 _BOX = 10
 
@@ -66,15 +69,24 @@ class ProjPoint:
 @dataclass(frozen=True)
 class ProjSubspace:
     """Projective linear subspace, stored as the reduced row echelon basis
-    of its affine span (k rows of length m+1, Fraction entries)."""
+    of its affine span (k rows of length m+1, int or Fraction entries).
+    The constructor rejects any other basis, and keeps the pivot columns,
+    where a point's entries are its coordinates."""
 
     basis: tuple[tuple[Fraction, ...], ...]
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.basis:
             raise ValueError("empty basis")
-        if rank(self.basis) != len(self.basis):
+        for row in self.basis:
+            check_rational(row)
+        red, pivots = rref(self.basis)
+        if len(pivots) != len(self.basis):
             raise ValueError("basis rows not independent")
+        if tuple(map(tuple, red)) != self.basis:
+            raise ValueError("basis not in reduced row echelon form")
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
     def ambient_dim(self) -> int:
@@ -90,12 +102,19 @@ class ProjSubspace:
             return ()
         return tuple(sorted(primitive(f) for f in nullspace(self.basis)))
 
-    def contains_point(self, p: ProjPoint) -> bool:
+    def coordinates(self, p: ProjPoint) -> tuple[int, ...] | None:
+        """The coefficients of p in the basis rows, or None when p is off
+        the subspace: p's entries at the pivot columns, kept only if they
+        rebuild p exactly."""
         if p.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        stacked = [list(row) for row in self.basis]
-        stacked.append([Fraction(x) for x in p.coords])
-        return rank(stacked) == len(self.basis)
+        lam = tuple(p.coords[j] for j in self.pivots)
+        rebuilt = tuple(sum(c * row[j] for c, row in zip(lam, self.basis))
+                        for j in range(len(p.coords)))
+        return lam if rebuilt == p.coords else None
+
+    def contains_point(self, p: ProjPoint) -> bool:
+        return self.coordinates(p) is not None
 
     def as_point(self) -> ProjPoint:
         if self.projective_dim != 0:
@@ -111,16 +130,18 @@ def _canonical(rows) -> ProjSubspace:
 def subspace_from_equations(forms, ambient_dim: int) -> ProjSubspace:
     """Solution set of the given linear forms in P^ambient_dim."""
     ncols = ambient_dim + 1
-    rows = [tuple(Fraction(x) for x in f) for f in forms]
+    rows = [tuple(f) for f in forms]
     for f in rows:
         if len(f) != ncols:
             raise ValueError("form has wrong length")
+        check_rational(f)
     if not rows:
         return _canonical([[Fraction(i == j) for j in range(ncols)]
                            for i in range(ncols)])
-    if rank(rows) == ncols:
+    basis = nullspace(rows)
+    if not basis:
         raise ValueError("empty projective set")
-    return _canonical(nullspace(rows))
+    return _canonical(basis)
 
 
 def subspace_from_points(points) -> ProjSubspace:
@@ -138,12 +159,11 @@ def intersect(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace | None:
     """Exact intersection, or None when the spans meet only in the origin."""
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    forms = list(s1.equations()) + list(s2.equations())
+    forms = s1.equations() + s2.equations()
     if not forms:
         return s1 if s1.projective_dim <= s2.projective_dim else s2
-    if rank(forms) == s1.ambient_dim + 1:
-        return None
-    return subspace_from_equations(forms, s1.ambient_dim)
+    basis = nullspace(forms)
+    return _canonical(basis) if basis else None
 
 
 @dataclass(frozen=True)
@@ -176,14 +196,10 @@ def general_position_on_plane(pts, plane: ProjSubspace) -> PositionVerdict:
         raise ValueError("not a plane")
     coords = []
     for p in pts:
-        if not plane.contains_point(p):
+        lam = plane.coordinates(p)
+        if lam is None:
             return PositionVerdict(
                 None, f"point {list(p.coords)} is not on the plane")
-        cols = [[row[j] for row in plane.basis]
-                for j in range(plane.ambient_dim + 1)]
-        lam = rational_solve(cols, [Fraction(x) for x in p.coords])
-        if lam is None:
-            raise RuntimeError("containment check and solve disagree")
         coords.append(lam)
     for i, j, k in combinations(range(4), 3):
         if _det([coords[i], coords[j], coords[k]]) == 0:

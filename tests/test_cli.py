@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from coxtoric import __version__, cli, fans
+from coxtoric import __version__, cli, fans, grading
 from coxtoric.cli import main, reproduce_paper_report
 from coxtoric.delpezzo import ANTICANONICAL_SUPPORTS
+from coxtoric.exact import IntMat, kernel_lattice
 from coxtoric.grading import DegreeMatrix, delpezzo4
 
 
@@ -256,6 +257,13 @@ FROZEN_REPORTS = [
     (["chamber", "--dataset", "delpezzo4", "--degree", "0,0,0,0,0",
       "--json"],
      "492d1d07548c7cbf69b8ca4111d7c39c1a89ccfea1337e6cb3637e650394cb72"),
+    (["incidence", "verify-paper", "--json"],
+     "abc1d5d4af2ac386b99aded30db723fc44f0c06ff9769e65e3c5ef801d0ba833"),
+    (["incidence", "search", "--seed", "1", "--json"],
+     "1fe9ffc9fd98426975fb2556c546ab089845243256765cfbd1cf9b45eeea92f7"),
+    # found on the second attempt
+    (["incidence", "search", "--seed", "7", "--json"],
+     "8741cf5dcb17995365891a9dc7496c78ccbe5e5eb7eed8107b8fe40a7454cf87"),
 ]
 
 
@@ -317,6 +325,29 @@ def test_guard_exceeded_exit_code(tmp_path, capsys):
     assert code == 3 and "too large" in err
 
 
+@pytest.mark.parametrize("source, degree, compare, message", [
+    (None, "1", "x", "--compare must be comma-separated integers"),
+    (None, "1", "1,1", "compare class length does not match picRank"),
+    ("p2", "-1", "x", "--compare must be comma-separated integers"),
+    ("p2", "x", "x", "--degree must be comma-separated integers"),
+])
+def test_chamber_classes_parsed_before_any_computation(
+        tmp_path, capsys, source, degree, compare, message):
+    # None: a grading whose chamber search would exceed the guard
+    if source is None:
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({
+            "picRank": 1, "numGens": 17, "columns": [[1]] * 17,
+            "labels": [f"x{i}" for i in range(17)]}))
+        source_args = [str(wide)]
+    else:
+        source_args = ["--dataset", source]
+    code, out, err = run(capsys, ["chamber", *source_args, "--degree",
+                                  degree, "--compare", compare])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 P2_INPUT = {"picRank": 1, "numGens": 3, "columns": [[1], [1], [1]],
             "labels": ["x", "y", "z"]}
 
@@ -358,3 +389,16 @@ def test_internal_error_exit_code(monkeypatch, capsys, module, name, argv,
     assert code == 4
     assert out == ""
     assert err == f"internal error: {message}\n"
+
+
+def test_unsaturated_kernel_is_an_internal_error(monkeypatch, capsys):
+    def doubled_first_row(m):
+        rows = kernel_lattice(m).to_rows()
+        return IntMat.from_rows([[2 * x for x in rows[0]]] + rows[1:])
+
+    monkeypatch.setattr(grading, "kernel_lattice", doubled_first_row)
+    with pytest.raises(RuntimeError, match="kernel basis not saturated"):
+        grading.gale_dual(delpezzo4().degrees)
+    code, out, err = run(capsys, ["gale", "--dataset", "p2"])
+    assert code == 4 and out == ""
+    assert err == "internal error: kernel basis not saturated\n"

@@ -211,13 +211,41 @@ def test_witness_plane_guards():
         witness_plane_via_line([e_first, e_last, targets[2], targets[3]])
 
 
+@pytest.mark.parametrize("form", [(0.1, 1, 0), (True, 0, 0), ("1", 0, 0)])
+def test_equations_reject_floats_bools_and_strings(form):
+    with pytest.raises(ValueError, match="integers or Fractions"):
+        subspace_from_equations([(0, 0, 1), form], 2)
+
+
+@pytest.mark.parametrize("basis", [((1.0, 0.1),), ((True, 0),),
+                                   ((Fraction(1), 0.0),)])
+def test_subspace_rejects_floats_and_bools(basis):
+    with pytest.raises(ValueError, match="integers or Fractions"):
+        ProjSubspace(basis)
+
+
+def test_coordinates_are_the_pivot_entries():
+    plane = subspace_from_points([ProjPoint.make(v) for v in
+                                  ((1, 0, 2, 0), (0, 1, 3, 0))])
+    assert plane.basis == ((1, 0, 2, 0), (0, 1, 3, 0))
+    assert plane.coordinates(ProjPoint.make((2, -1, 1, 0))) == (2, -1)
+    assert plane.coordinates(ProjPoint.make((2, -1, 0, 0))) is None
+    assert plane.coordinates(ProjPoint.make((0, 0, 0, 1))) is None
+
+
 def test_subspace_validation():
     with pytest.raises(ValueError, match="empty basis"):
         ProjSubspace(())
     with pytest.raises(ValueError, match="not independent"):
         ProjSubspace(((Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))))
+    with pytest.raises(ValueError, match="reduced row echelon"):
+        ProjSubspace(((Fraction(2), Fraction(0)),))
+    with pytest.raises(ValueError, match="reduced row echelon"):
+        ProjSubspace(((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))))
     sub = subspace_from_equations([], 2)
     with pytest.raises(ValueError, match="dimension mismatch"):
         sub.contains_point(ProjPoint.make([1, 0]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sub.coordinates(ProjPoint.make([1, 0]))
     with pytest.raises(ValueError, match="dimension mismatch"):
         intersect(sub, subspace_from_equations([], 3))

@@ -1,21 +1,23 @@
 """Property tests of the core routines against independent oracles: brute
-force for the minimal-subset search, sympy for rank, rref, determinants,
-Hermite normal forms and invariant factors, Fourier-Motzkin elimination for
-lp_feasible, double description for cone membership, chambers and fan
-validity, the Fraction path for the integer fast paths of primitive, dot
-and generators_to_hrep, and the pair LPs for the vertex replay that
-certifies complete projective fans."""
+force for the minimal-subset search, sympy for rank, rref, determinants and
+Hermite normal forms, the gcd of maximal minors for the saturation check of
+gale_dual, Fourier-Motzkin elimination for lp_feasible, double description
+for cone membership, chambers and fan validity, rank and rational_solve for
+subspace membership, coordinates and intersections, the Fraction path for
+the integer fast paths of primitive, dot and generators_to_hrep, and the
+pair LPs for the vertex replay that certifies complete projective fans."""
 
 import math
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 
 pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.matrices import normalforms  # noqa: E402
 
@@ -23,15 +25,18 @@ from coxtoric.chambers import chamber_of, effective_cone  # noqa: E402
 from coxtoric.cones import (RationalCone, cone_member,  # noqa: E402
                             double_description, generators_to_hrep,
                             primitive)
+from coxtoric import grading  # noqa: E402
 from coxtoric.exact import (IntMat, det, dot, hermite_normal_form,  # noqa: E402
-                            invariant_factors, rank, rref)
+                            kernel_lattice, rank, rational_solve, rref)
 from coxtoric.fans import (Fan, _vertex_replay, fan_report,  # noqa: E402
                            is_complete, is_projective, validate_fan)
 from coxtoric.grading import DegreeMatrix  # noqa: E402
-from coxtoric.incidence import _det  # noqa: E402
+from coxtoric.incidence import (ProjPoint, _det, intersect,  # noqa: E402
+                                subspace_from_points)
 from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible  # noqa: E402
 from coxtoric.monomials import minimal_antichain, minimal_subsets  # noqa: E402
 from test_chambers import chamber_oracle  # noqa: E402
+from test_exact import maximal_minor_gcd  # noqa: E402
 from test_fans import (CUBE_FACES, CUBE_RAYS, DOUBLY_WOUND_CONES,  # noqa: E402
                        DOUBLY_WOUND_RAYS, pair_lp_report)
 from test_linprog import fm_feasible  # noqa: E402
@@ -185,13 +190,37 @@ def test_hermite_normal_form_against_sympy(rows):
                     for j in range(expected.cols)]
 
 
+@st.composite
+def rescaled_kernels(draw):
+    """(columns, a): a full-rank grading of rank 1 or 2 with up to five
+    generators, and an integer square matrix a, often singular or of
+    determinant other than +-1, to multiply its saturated kernel basis by."""
+    r = draw(st.integers(1, 2))
+    n = draw(st.integers(r + 1, 5))
+    columns = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r,
+                                     max_size=r), min_size=n, max_size=n))
+    assume(rank(columns) == r)
+    a = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n - r,
+                               max_size=n - r), min_size=n - r,
+                      max_size=n - r))
+    return columns, a
+
+
 @settings(deadline=None)
-@given(int_matrices())
-def test_invariant_factors_against_sympy(rows):
-    # sympy lists min(rows, cols) factors, zeros included, with sign
-    expected = normalforms.invariant_factors(sympy.Matrix(rows))
-    assert invariant_factors(IntMat.from_rows(rows)) == \
-        tuple(abs(int(x)) for x in expected if x)
+@given(rescaled_kernels())
+def test_gale_saturation_against_maximal_minors(case):
+    # a.k spans a sublattice of index |det a| of the kernel, so gale_dual
+    # must accept it exactly when its maximal minors are coprime
+    columns, a = case
+    q = DegreeMatrix.make(columns)
+    k = IntMat.from_rows(a).mul(kernel_lattice(q.as_intmat()))
+    with patch.object(grading, "kernel_lattice", lambda m: k):
+        if maximal_minor_gcd(k) == 1:
+            assert grading.gale_dual(q).rays == \
+                tuple(k.col(j) for j in range(k.cols))
+        else:
+            with pytest.raises(RuntimeError, match="not saturated"):
+                grading.gale_dual(q)
 
 
 @st.composite
@@ -273,6 +302,73 @@ def test_incidence_det_zero_test_and_sign_against_sympy(rows):
     got = _det(rows)
     assert (got == 0) == (expected == 0)
     assert (got > 0) == (expected > 0)
+
+
+def nonzero_vectors(length):
+    return st.lists(st.integers(-3, 3), min_size=length,
+                    max_size=length).filter(any)
+
+
+def combination(coeffs, vectors):
+    return [sum(c * v[j] for c, v in zip(coeffs, vectors))
+            for j in range(len(vectors[0]))]
+
+
+def in_span(basis, v) -> bool:
+    return rank(list(basis) + [v]) == len(basis)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_subspace_coordinates_against_rank(data):
+    m = data.draw(st.integers(2, 5))
+    pts = data.draw(st.lists(nonzero_vectors(m + 1), min_size=1,
+                             max_size=m + 1))
+    sub = subspace_from_points([ProjPoint.make(v) for v in pts])
+    on_by_construction = data.draw(st.booleans())
+    if on_by_construction:
+        v = combination(data.draw(st.lists(st.integers(-3, 3),
+                                           min_size=len(pts),
+                                           max_size=len(pts))), pts)
+        assume(any(v))
+    else:
+        v = data.draw(nonzero_vectors(m + 1))
+    p = ProjPoint.make(v)
+    on = in_span(sub.basis, p.coords)
+    assert on or not on_by_construction
+    assert sub.contains_point(p) == on
+    lam = sub.coordinates(p)
+    assert (lam is not None) == on
+    if on:
+        assert tuple(combination(lam, sub.basis)) == p.coords
+        columns = [[row[j] for row in sub.basis] for j in range(m + 1)]
+        assert tuple(rational_solve(columns, p.coords)) == lam
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_intersect_against_grassmann(data):
+    # shared points make the spans meet more often than chance would
+    m = data.draw(st.integers(2, 5))
+    shared = data.draw(st.lists(nonzero_vectors(m + 1), max_size=2))
+    subs = []
+    for _ in range(2):
+        own = data.draw(st.lists(nonzero_vectors(m + 1),
+                                 min_size=0 if shared else 1,
+                                 max_size=m + 1 - len(shared)))
+        subs.append(subspace_from_points(
+            [ProjPoint.make(v) for v in shared + own]))
+    a, b = subs
+    meet = intersect(a, b)
+    # dim(A n B) = dim A + dim B - dim(A + B) for the linear spans
+    expected = len(a.basis) + len(b.basis) - rank(list(a.basis)
+                                                  + list(b.basis))
+    if expected == 0:
+        assert meet is None
+    else:
+        assert len(meet.basis) == expected
+        for row in meet.basis:
+            assert in_span(a.basis, row) and in_span(b.basis, row)
 
 
 def dd_fan_oracle(fan) -> bool:
