@@ -66,7 +66,13 @@ def chamber_of(q: DegreeMatrix, w) -> Chamber:
 
     The minimal subsets are the independent J in which w has positive
     coefficients (see the module docstring); no such J exists exactly when
-    w lies outside the effective cone, which raises ValueError."""
+    w lies outside the effective cone, which raises ValueError.
+
+    The rows are homogeneous, so each LP asks for a point of a cone: a
+    row is redundant when no point with r.x >= 0 on the others has
+    -row.x >= 1, and the chamber is full-dimensional when some point has
+    r.x >= 1 on every kept row. By scaling these are the questions
+    -row.x > 0 and r.x > 0."""
     w = int_vector(w, "class")
     if len(w) != q.pic_rank:
         raise ValueError("class has wrong length")
@@ -103,7 +109,7 @@ def chamber_of(q: DegreeMatrix, w) -> Chamber:
         probe = LinearSystem(
             q.pic_rank,
             inequalities=tuple(LinearRow.make(r, 0) for r in others) +
-            (LinearRow.make([-x for x in row], 0, strict=True),))
+            (LinearRow.make([-x for x in row], 1),))
         if not lp_feasible(probe).feasible:
             working = others
 
@@ -113,8 +119,7 @@ def chamber_of(q: DegreeMatrix, w) -> Chamber:
 
     interior = LinearSystem(
         q.pic_rank,
-        inequalities=tuple(LinearRow.make(r, 0, strict=True)
-                           for r in working))
+        inequalities=tuple(LinearRow.make(r, 1) for r in working))
     full = lp_feasible(interior).feasible
     return Chamber(representative=w, hrep=tuple(working),
                    full_dimensional=full)

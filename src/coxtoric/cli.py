@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
@@ -66,6 +67,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def integer(text: str) -> int:
+    """An optional sign followed by ASCII digits, as an int. Python's int()
+    also accepts '1_0', surrounding spaces and non-ASCII digits such as
+    '\u0661'; those raise ValueError here. As an argparse type its name
+    appears in the message: "invalid integer value"."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _load_input(args) -> tuple[DegreeMatrix, str, tuple[int, ...] | None]:
     """Degree matrix, dataset id, and optional heft from the CLI source."""
     path = getattr(args, "input", None)
@@ -79,7 +90,11 @@ def _load_input(args) -> tuple[DegreeMatrix, str, tuple[int, ...] | None]:
     if not path:
         raise UsageError("an input file or --dataset is required")
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
     except OSError as e:
         raise UsageError(f"cannot read input: {e}") from e
     try:
@@ -127,7 +142,7 @@ def _load_input(args) -> tuple[DegreeMatrix, str, tuple[int, ...] | None]:
 def _parse_class(raw: str, q: DegreeMatrix, option: str,
                  what: str) -> tuple[int, ...]:
     try:
-        d = tuple(int(x) for x in raw.split(","))
+        d = tuple(integer(x) for x in raw.split(","))
     except ValueError as e:
         raise UsageError(f"{option} must be comma-separated integers") from e
     if len(d) != q.pic_rank:
@@ -150,7 +165,8 @@ def _load_reference(args, width: int):
         rows, provenance = _REFERENCE_TOKENS[token], "PAPER"
     else:
         try:
-            data = json.loads(open(token).read())
+            with open(token) as fh:
+                data = json.load(fh)
         except OSError as e:
             raise UsageError(
                 f"reference is neither a known token nor a readable file: "
@@ -616,13 +632,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="minimal supports of the irrelevant radical")
     _add_io_arguments(p)
     p.add_argument("--degree", help="comma-separated multidegree")
-    p.add_argument("--saturate", type=int, default=1, metavar="K",
+    p.add_argument("--saturate", type=integer, default=1, metavar="K",
                    help="saturation depth (default 1)")
 
     p = sub.add_parser("fan", help="build and certify the fan of a class")
     _add_io_arguments(p)
     p.add_argument("--degree", help="comma-separated multidegree")
-    p.add_argument("--saturate", type=int, default=1, metavar="K",
+    p.add_argument("--saturate", type=integer, default=1, metavar="K",
                    help="saturation depth (default 1)")
 
     p = sub.add_parser("chamber", help="GIT chamber of a class")
@@ -630,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", help="comma-separated multidegree")
     p.add_argument("--compare", metavar="CLASS",
                    help="second class to test for chamber equality")
-    p.add_argument("--saturate", type=int, default=1, metavar="K",
+    p.add_argument("--saturate", type=integer, default=1, metavar="K",
                    help="saturation depth for --compare (default 1)")
 
     p = sub.add_parser("embed", help="Mori-embedding report")
@@ -638,14 +654,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("incidence", help="projective incidence checks")
     p.add_argument("mode", choices=("verify-paper", "search"))
-    p.add_argument("--seed", type=int, default=1,
+    p.add_argument("--seed", type=integer, default=1,
                    help="solver seed (default 1)")
-    p.add_argument("--max-tries", type=int, default=100,
+    p.add_argument("--max-tries", type=integer, default=100,
                    help="attempt budget (default 100)")
 
     p = sub.add_parser("reproduce-paper",
                        help="run every check over the bundled dataset")
-    p.add_argument("--saturate", type=int, default=1, metavar="K",
+    p.add_argument("--saturate", type=integer, default=1, metavar="K",
                    help="saturation depth (default 1)")
 
     for name, p in sub.choices.items():

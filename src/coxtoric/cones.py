@@ -143,7 +143,10 @@ def generators_to_hrep(dim: int, gens: Sequence[Sequence[int]]):
 def cone_member(gens: Sequence[Sequence[int]], target: Sequence, dim: int) -> bool:
     """Whether target is a nonnegative rational combination of gens: one
     lp_feasible call over lambda >= 0 with sum_j lambda_j gens_j = target,
-    so a "yes" verdict rests on a replayed witness lambda."""
+    so a "yes" verdict rests on a replayed witness lambda. The target and
+    every generator must have length dim, or ValueError is raised."""
+    if len(target) != dim or any(len(g) != dim for g in gens):
+        raise ValueError("target and generators must have length dim")
     k = len(gens)
     return lp_feasible(LinearSystem.make(
         k, [([g[i] for g in gens], target[i]) for i in range(dim)],

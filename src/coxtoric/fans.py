@@ -182,8 +182,10 @@ def validate_fan(fan: Fan, support_function=None) -> Verdict:
     Otherwise each pair (A, B) is certified by one separating functional h
     (Cox-Little-Schenck, Lemma 1.2.13) that lp_feasible finds and replays:
     h = 0 on the common rays, h > 0 on the rays of A \\ B and h < 0 on the
-    rays of B \\ A. A ray inside the cone on the common rays is exempt from
-    strictness; exempt rays are looked up only when the strict system fails.
+    rays of B \\ A. The system is homogeneous in h, so the LP asks for
+    h.v >= 1 and -h.v >= 1 on the two sides, which scaling makes equivalent.
+    A ray inside the cone on the common rays is exempt from its side row;
+    exempt rays are looked up only when the full system fails.
     Every invalid fan gets its reason from this pair loop.
     """
     d = fan.ambient_dim
@@ -197,8 +199,7 @@ def validate_fan(fan: Fan, support_function=None) -> Verdict:
     def separated(common: list[Vec], sides: list[tuple[Vec, int]]) -> bool:
         system = LinearSystem(
             d, tuple(LinearRow.make(r) for r in common),
-            tuple(LinearRow.make([s * x for x in r], strict=True)
-                  for r, s in sides))
+            tuple(LinearRow.make([s * x for x in r], 1) for r, s in sides))
         return lp_feasible(system).feasible
 
     for (a, ca), (b, cb) in combinations(
@@ -209,9 +210,9 @@ def validate_fan(fan: Fan, support_function=None) -> Verdict:
             [(fan.rays[i - 1], -1) for i in sorted(sb - sa)]
         if separated(common, sides):
             continue
-        strict = [(r, s) for r, s in sides
-                  if not cone_member(common, r, dim=d)]
-        if len(strict) == len(sides) or not separated(common, strict):
+        outside = [(r, s) for r, s in sides
+                   if not cone_member(common, r, dim=d)]
+        if len(outside) == len(sides) or not separated(common, outside):
             return Verdict(False, f"intersection of cones {a} and {b} is "
                                   f"not a face of both")
     return Verdict(True)

@@ -156,14 +156,20 @@ def subspace_from_points(points) -> ProjSubspace:
 
 
 def intersect(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace | None:
-    """Exact intersection, or None when the spans meet only in the origin."""
+    """Exact intersection, or None when the spans meet only in the origin.
+
+    a.B1 = b.B2 exactly when (a, -b) lies in the left kernel of the stacked
+    bases, so one nullspace gives the kernel and the rows a.B1 span the
+    intersection. The rows of B1 are independent, so a.B1 = 0 forces a = 0
+    and these rows are independent too."""
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    forms = s1.equations() + s2.equations()
-    if not forms:
-        return s1 if s1.projective_dim <= s2.projective_dim else s2
-    basis = nullspace(forms)
-    return _canonical(basis) if basis else None
+    kernel = nullspace(list(zip(*s1.basis, *s2.basis)))
+    if not kernel:
+        return None
+    # zip pairs the first len(B1) entries of each kernel vector with B1
+    return _canonical([[sum(c * row[j] for c, row in zip(a, s1.basis))
+                        for j in range(s1.ambient_dim + 1)] for a in kernel])
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,17 @@
 """Exact rational linear programming.
 
-Strict and non-strict linear systems over Q are decided exactly, with no
+Linear systems A x = b, M x >= d over Q are decided exactly, with no
 floating point. The equalities are solved first with `exact.rref`, which
 writes each pivot variable in terms of the free ones; the remaining
 inequality system is decided through its LP dual, which keeps the simplex
-tableau at (free dimension + 1) rows no matter how many inequality rows
-there are. Both the reduction and the simplex pivots are `exact.pivot`
-steps. All strict rows share one margin variable eps, capped at 1
-and maximized; the strict system is feasible iff the optimum margin is
-positive. (Normalizing to eps >= 1 instead would misclassify affine strict
-systems whose margin is forced below 1, e.g. interior-point tests.)
+tableau at (free dimension) rows no matter how many inequality rows there
+are. Both the reduction and the simplex pivots are `exact.pivot` steps.
+
+Every row is an equality or an a.x >= d. The questions of the package
+that need some a.x > 0 are all homogeneous: the redundancy and interior
+probes of `chambers.chamber_of` and the separating functional of
+`fans.validate_fan` ask for a point of a cone. Scaling such a point makes
+a.x >= 1, so those callers state a.x >= 1 and the verdict is the same.
 """
 
 from __future__ import annotations
@@ -23,24 +25,23 @@ from .exact import check_rational, pivot, rref
 
 @dataclass(frozen=True)
 class LinearRow:
-    """One constraint  normal . x  (>=, >, or = as used)  offset."""
+    """One constraint  normal . x  (>= or = as used)  offset."""
 
     normal: tuple[Fraction, ...]
     offset: Fraction = Fraction(0)
-    strict: bool = False
 
     @classmethod
-    def make(cls, normal: Sequence, offset=0, strict: bool = False) -> "LinearRow":
+    def make(cls, normal: Sequence, offset=0) -> "LinearRow":
         """Entries and offset must be ints or Fractions; a float or a bool
         raises ValueError, as in cones.primitive."""
         normal = tuple(normal)
         check_rational(normal + (offset,))
-        return cls(tuple(Fraction(x) for x in normal), Fraction(offset), strict)
+        return cls(tuple(Fraction(x) for x in normal), Fraction(offset))
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A conjunction of linear equalities and (possibly strict) inequalities."""
+    """A conjunction of linear equalities and inequalities a.x >= d."""
 
     dim: int
     equalities: tuple[LinearRow, ...] = ()
@@ -50,8 +51,6 @@ class LinearSystem:
         for row in self.equalities:
             if len(row.normal) != self.dim:
                 raise ValueError("equality row has wrong dimension")
-            if row.strict:
-                raise ValueError("equality rows cannot be strict")
         for row in self.inequalities:
             if len(row.normal) != self.dim:
                 raise ValueError("inequality row has wrong dimension")
@@ -67,22 +66,18 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class LPResult:
-    """Feasibility verdict with an exact rational witness.
-
-    margin is the maximized shared strict slack (capped at 1) when the
-    decided system contained strict rows, None otherwise.
-    """
+    """Feasibility verdict with an exact rational witness."""
 
     feasible: bool
     witness: tuple[Fraction, ...] | None
-    margin: Fraction | None = None
 
 
 def _optimize(T: list[list[Fraction]], basis: list[int],
-              cost: list[Fraction], nenter: int) -> str:
-    """Minimize cost.y on the current tableau (right-hand side in the last
-    column), Bland's rule, columns < nenter may enter. Returns "optimal" or
-    "unbounded"."""
+              cost: list[Fraction], nenter: int) -> bool:
+    """Minimize cost.y on the current tableau by Bland's rule, columns <
+    nenter may enter. The right-hand side is zero, so every ratio is 0 and
+    the leaving row is the one of smallest basic index among the positive
+    entries of the entering column. Returns False when unbounded."""
     m = len(T)
     while True:
         cb = [cost[basis[i]] for i in range(m)]
@@ -93,56 +88,38 @@ def _optimize(T: list[list[Fraction]], basis: list[int],
                 entering = j
                 break
         if entering < 0:
-            return "optimal"
-        leave = -1
-        best = None
-        for i in range(m):
-            if T[i][entering] > 0:
-                ratio = T[i][-1] / T[i][entering]
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded"
+            return True
+        rows = [i for i in range(m) if T[i][entering] > 0]
+        if not rows:
+            return False
+        leave = min(rows, key=basis.__getitem__)
         pivot(T, leave, entering)
         basis[leave] = entering
 
 
-def simplex_nonneg(rows: Sequence[Sequence], rhs: Sequence, cost: Sequence):
-    """min cost.y subject to rows.y = rhs, y >= 0, all exact.
+def simplex_nonneg(rows: Sequence[Sequence],
+                   cost: Sequence) -> list[Fraction] | None:
+    """min cost.y subject to rows.y = 0, y >= 0, all exact, for at least
+    one row.
 
-    Returns (status, mult): status in {"optimal", "infeasible",
-    "unbounded"}; at an optimum, mult are equality multipliers pi with
-    pi.col_j <= cost_j for every column j, with equality on basic columns.
+    The feasible set is a cone, so the optimum is 0 or the problem is
+    unbounded; None means unbounded. At the optimum the result is the
+    equality multipliers pi with pi.col_j <= cost_j for every column j,
+    with equality on basic columns.
     """
     m = len(rows)
     n = len(cost)
     cost = [Fraction(c) for c in cost]
-    if m == 0:
-        if any(c < 0 for c in cost):
-            return "unbounded", None
-        return "optimal", []
 
-    # tableau row i: input row i, the artificial block and rhs_i, with the
-    # input row and rhs_i negated when rhs_i < 0
-    sign = [1] * m
-    T: list[list[Fraction]] = []
-    for i in range(m):
-        r = [Fraction(x) for x in rows[i]]
-        bi = Fraction(rhs[i])
-        if bi < 0:
-            r = [-x for x in r]
-            bi = -bi
-            sign[i] = -1
-        T.append(r + [Fraction(1) if k == i else Fraction(0)
-                      for k in range(m)] + [bi])
+    # tableau row i: input row i followed by the artificial block
+    T = [[Fraction(x) for x in rows[i]] +
+         [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+         for i in range(m)]
     basis = list(range(n, n + m))
 
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
-    _optimize(T, basis, phase1, n + m)
-    if sum(phase1[basis[i]] * T[i][-1] for i in range(len(T))) > 0:
-        return "infeasible", None
+    # phase 1 starts at its optimum 0, but its degenerate pivots choose the
+    # starting basis and so the vertex that phase 2 reports
+    _optimize(T, basis, [Fraction(0)] * n + [Fraction(1)] * m, n + m)
 
     # pivot remaining artificial basics out; a row that cannot release its
     # artificial is a dependent equation and is dropped
@@ -156,21 +133,18 @@ def simplex_nonneg(rows: Sequence[Sequence], rhs: Sequence, cost: Sequence):
             else:
                 del T[i], basis[i]
 
-    phase2 = cost + [Fraction(0)] * m
-    status = _optimize(T, basis, phase2, n)
-    if status == "unbounded":
-        return "unbounded", None
+    if not _optimize(T, basis, cost + [Fraction(0)] * m, n):
+        return None
 
     # the artificial block of each tableau row records which combination
-    # of the (sign-normalized) input rows it is, so cost_B times that block
-    # gives the multipliers, also after dependent rows were dropped
-    pi = [sign[r] * sum(cost[bs] * T[i][n + r] for i, bs in enumerate(basis))
-          for r in range(m)]
-    return "optimal", pi
+    # of the input rows it is, so cost_B times that block gives the
+    # multipliers, also after dependent rows were dropped
+    return [sum(cost[bs] * T[i][n + r] for i, bs in enumerate(basis))
+            for r in range(m)]
 
 
 def lp_feasible(system: LinearSystem) -> LPResult:
-    """Exact feasibility of a mixed strict/non-strict rational linear system.
+    """Exact feasibility of A x = b, M x >= d over Q.
 
     The returned witness is replayed against every row of the input system
     before being reported, so a feasible verdict always carries a checked
@@ -180,9 +154,8 @@ def lp_feasible(system: LinearSystem) -> LPResult:
     red, pivots = rref([list(row.normal) + [row.offset]
                         for row in system.equalities])
     if dim in pivots:
-        return LPResult(False, None, None)
+        return LPResult(False, None)
     free = [j for j in range(dim) if j not in pivots]
-    nf = len(free)
 
     # substitute the pivot variables into the inequality rows: clearing
     # the pivot columns leaves coeffs . x_free >= offset in the last column
@@ -191,89 +164,40 @@ def lp_feasible(system: LinearSystem) -> LPResult:
     for i, p in enumerate(pivots):
         pivot(mat, i, p)
 
-    # normalize and deduplicate the inequality rows
-    kept: dict[tuple[Fraction, ...], tuple[Fraction, bool]] = {}
-    for row, reduced in zip(system.inequalities, mat[len(red):]):
+    # normalize and deduplicate the inequality rows, keeping the largest
+    # offset per direction
+    kept: dict[tuple[Fraction, ...], Fraction] = {}
+    for reduced in mat[len(red):]:
         coeffs = [reduced[f] for f in free]
         off = reduced[dim]
         lead = next((c for c in coeffs if c), None)
         if lead is None:
-            if off > 0 or (row.strict and off >= 0):
-                return LPResult(False, None, None)
-            if not row.strict:
-                continue
-            # 0 > off holds everywhere, but the row still caps the shared
-            # margin (-eps >= off), so it is kept as the all-zero row
-            lead = 1
+            if off > 0:
+                return LPResult(False, None)
+            continue
         scale = abs(lead)
         key = tuple(c / scale for c in coeffs)
-        cand = (off / scale, row.strict)
-        old = kept.get(key)
-        if old is None or cand[0] > old[0] or \
-                (cand[0] == old[0] and cand[1] and not old[1]):
-            kept[key] = cand
+        if key not in kept or off / scale > kept[key]:
+            kept[key] = off / scale
 
-    rows = [(list(k), off, strict) for k, (off, strict) in kept.items()]
-    has_strict = any(strict for _, _, strict in rows)
+    z = [Fraction(0)] * len(free)
+    if kept:
+        # dual: min (-d).y s.t. (-M^T).y = 0, y >= 0; the dual multipliers
+        # at the optimum are exactly a primal point satisfying M z >= d
+        amat = [[-k[i] for k in kept] for i in range(len(free))]
+        z = simplex_nonneg(amat, [-off for off in kept.values()])
+        if z is None:
+            return LPResult(False, None)
 
-    def compose(tvals: list[Fraction]) -> list[Fraction]:
-        x = [Fraction(0)] * dim
-        for f, t in zip(free, tvals):
-            x[f] = t
-        for r, p in zip(red, pivots):
-            x[p] = r[dim] - sum(r[f] * t for f, t in zip(free, tvals))
-        return x
-
-    def replay(x: list[Fraction]) -> None:
-        for row in system.equalities:
-            if sum(a * b for a, b in zip(row.normal, x)) != row.offset:
-                raise RuntimeError("witness failed equality replay")
-        for row in system.inequalities:
-            val = sum(a * b for a, b in zip(row.normal, x))
-            if row.strict:
-                if not val > row.offset:
-                    raise RuntimeError("witness failed strict replay")
-            elif not val >= row.offset:
-                raise RuntimeError("witness failed replay")
-
-    if not rows:
-        x = compose([Fraction(0)] * nf)
-        replay(x)
-        return LPResult(True, tuple(x), None)
-
-    # primal: max eps s.t. a.t - (strict)eps >= off, 0 <= eps <= 1
-    width = nf + 1 if has_strict else nf
-    mrows: list[list[Fraction]] = []
-    dvec: list[Fraction] = []
-    for coeffs, off, strict in rows:
-        r = list(coeffs)
-        if has_strict:
-            r.append(Fraction(-1) if strict else Fraction(0))
-        mrows.append(r)
-        dvec.append(off)
-    if has_strict:
-        mrows.append([Fraction(0)] * nf + [Fraction(-1)])
-        dvec.append(Fraction(-1))
-        mrows.append([Fraction(0)] * nf + [Fraction(1)])
-        dvec.append(Fraction(0))
-
-    # dual: min (-d).y s.t. (-M^T).y = c, y >= 0; the dual multipliers at
-    # the optimum are exactly a primal point satisfying M z >= d
-    nrows = len(mrows)
-    amat = [[-mrows[j][i] for j in range(nrows)] for i in range(width)]
-    cvec = [Fraction(0)] * width
-    if has_strict:
-        cvec[nf] = Fraction(1)
-    dualcost = [-dvec[j] for j in range(nrows)]
-
-    status, pi = simplex_nonneg(amat, cvec, dualcost)
-    if status != "optimal":
-        return LPResult(False, None, None)
-
-    z = list(pi)
-    margin = z[nf] if has_strict else None
-    if has_strict and margin <= 0:
-        return LPResult(False, None, margin)
-    x = compose(z[:nf])
-    replay(x)
-    return LPResult(True, tuple(x), margin)
+    x = [Fraction(0)] * dim
+    for f, t in zip(free, z):
+        x[f] = t
+    for r, p in zip(red, pivots):
+        x[p] = r[dim] - sum(r[f] * t for f, t in zip(free, z))
+    for row in system.equalities:
+        if sum(a * b for a, b in zip(row.normal, x)) != row.offset:
+            raise RuntimeError("witness failed equality replay")
+    for row in system.inequalities:
+        if not sum(a * b for a, b in zip(row.normal, x)) >= row.offset:
+            raise RuntimeError("witness failed replay")
+    return LPResult(True, tuple(x))

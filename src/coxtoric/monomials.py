@@ -55,7 +55,12 @@ class SquarefreeIdeal:
 
     @classmethod
     def from_supports(cls, supports) -> "SquarefreeIdeal":
-        canon = sorted({tuple(sorted(set(int(i) for i in s))) for s in supports},
+        """Supports of 1-based integer indices, in any order; a float, a
+        bool or an index below 1 raises ValueError."""
+        sets = [set(int_vector(s, "support")) for s in supports]
+        if any(i < 1 for s in sets for i in s):
+            raise ValueError("support indices must be at least 1")
+        canon = sorted({tuple(sorted(s)) for s in sets},
                        key=lambda s: (len(s), s))
         return cls(tuple(canon))
 

@@ -230,14 +230,14 @@ def test_criterion_9_property_suites():
             break
 
     system = LinearSystem(5, (LinearRow.make((1, 1, 1, 1, 1), 3),),
-                          tuple(LinearRow.make(c, 0, strict=True)
+                          tuple(LinearRow.make(c, 1)
                                 for c in ((1, 0, 0, 0, 0),
                                           (0, 1, 0, 0, 0),
                                           (1, -1, 1, -1, 1))))
     res = lp_feasible(system)
     if not (res.feasible
             and dot(res.witness, (1, 1, 1, 1, 1)) == 3
-            and all(dot(res.witness, r.normal) > r.offset
+            and all(dot(res.witness, r.normal) >= r.offset
                     for r in system.inequalities)):
         failures.append("LP witness replay")
 

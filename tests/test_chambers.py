@@ -106,13 +106,14 @@ def test_chamber_inside_effective_cone():
     dp = delpezzo4()
     ch = chamber_of(dp.degrees, dp.anti_canonical)
     assert not ch.full_dimensional
-    # no point satisfying the chamber rows violates any effective facet
+    # no point satisfying the chamber rows violates any effective facet;
+    # the rows are homogeneous, so a violation scales to -facet.x >= 1
     _, eff_rows = effective_cone(dp.degrees).hrep
     base = tuple(LinearRow.make(r, 0) for r in ch.hrep)
     for facet in eff_rows:
         system = LinearSystem(
             5, inequalities=base + (LinearRow.make(
-                [-x for x in facet], 0, strict=True),))
+                [-x for x in facet], 1),))
         assert not lp_feasible(system).feasible
 
 

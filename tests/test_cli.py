@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -296,6 +298,51 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, ["irrelevant", "--dataset", "p2",
                                 "--degree", "1,1"])
     assert code == 2 and "degree length" in err
+
+
+@pytest.mark.parametrize("degree", ["1_0", "\u0661", " 1", "1 "])
+def test_degree_fields_read_strictly(capsys, degree):
+    # int() accepts all of these
+    code, out, err = run(capsys, ["irrelevant", "--dataset", "p2",
+                                  "--degree", degree])
+    assert code == 2 and out == ""
+    assert err == "error: --degree must be comma-separated integers\n"
+    code, out, err = run(capsys, ["chamber", "--dataset", "p2", "--degree",
+                                  "1", "--compare", degree])
+    assert code == 2
+    assert err == "error: --compare must be comma-separated integers\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["irrelevant", "--dataset", "p2", "--degree", "1", "--saturate", "1_0"],
+    ["fan", "--dataset", "p2", "--degree", "1", "--saturate", "\u0661"],
+    ["incidence", "search", "--seed", "1_0"],
+    ["incidence", "search", "--max-tries", "\u0661\u0660"],
+    ["reproduce-paper", "--saturate", " 1"],
+])
+def test_integer_flags_read_strictly(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid integer value" in capsys.readouterr().err
+
+
+def test_integer_accepts_a_sign():
+    assert cli.integer("+7") == 7 and cli.integer("-12") == -12
+
+
+def test_input_and_reference_files_are_closed(tmp_path, capsys):
+    sample = tmp_path / "p2.json"
+    sample.write_text(json.dumps(P2_INPUT))
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps([[1, -1, 0], [0, 1, -1]]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run(capsys, ["gale", str(sample), "--reference",
+                                  str(ref)])
+        gc.collect()
+    assert code in (0, 1)
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_both_sources_rejected(tmp_path, capsys):

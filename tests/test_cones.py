@@ -112,6 +112,18 @@ def test_cone_member_rejects_floats_and_bools(gens, target):
         cone_member(gens, target, dim=len(target))
 
 
+@pytest.mark.parametrize("gens, target", [
+    ([(1, 0, 5)], (1, 0)),
+    ([(1, 0)], (1,)),
+    ([(1, 0), (0,)], (1, 0)),
+])
+def test_cone_member_rejects_wrong_lengths(gens, target):
+    # a third generator coordinate must not be dropped, and a short target
+    # must not raise IndexError
+    with pytest.raises(ValueError, match="length dim"):
+        cone_member(gens, target, dim=2)
+
+
 def test_contains_and_interior():
     c = RationalCone.from_generators([(1, 0), (1, 2)], dim=2)
     assert c.contains((1, 1))

@@ -55,27 +55,20 @@ def sys_of(dim, eqs=(), ineqs=()):
     return LinearSystem.make(
         dim,
         equalities=[LinearRow.make(c, o) for c, o in eqs],
-        inequalities=[LinearRow.make(c, o, s) for c, o, s in ineqs],
+        inequalities=[LinearRow.make(c, o) for c, o in ineqs],
     )
 
 
 def test_unit_interval_feasible():
-    res = lp_feasible(sys_of(1, ineqs=[([1], 0, False), ([-1], -1, False)]))
+    res = lp_feasible(sys_of(1, ineqs=[([1], 0), ([-1], -1)]))
     assert res.feasible
     assert 0 <= res.witness[0] <= 1
 
 
 def test_contradiction_infeasible():
-    res = lp_feasible(sys_of(1, ineqs=[([1], 1, False), ([-1], 0, False)]))
+    res = lp_feasible(sys_of(1, ineqs=[([1], 1), ([-1], 0)]))
     assert not res.feasible
     assert res.witness is None
-
-
-def test_open_interval_strict():
-    res = lp_feasible(sys_of(1, ineqs=[([1], 0, True), ([-1], -1, True)]))
-    assert res.feasible
-    assert 0 < res.witness[0] < 1
-    assert res.margin == Fraction(1, 2)
 
 
 def test_empty_system():
@@ -96,43 +89,31 @@ def test_inconsistent_equalities():
 
 
 def test_unbounded_direction_still_feasible():
-    res = lp_feasible(sys_of(1, ineqs=[([1], 5, False)]))
+    res = lp_feasible(sys_of(1, ineqs=[([1], 5)]))
     assert res.feasible
     assert res.witness[0] >= 5
 
 
-def test_strict_margin_below_one():
-    # lambda1+lambda3 = 1, lambda2+lambda3 = 1, all lambda_i > 0: the shared
-    # margin is forced to 1/2 < 1, yet the strict system is feasible
-    res = lp_feasible(sys_of(
-        3,
-        eqs=[([1, 0, 1], 1), ([0, 1, 1], 1)],
-        ineqs=[([1, 0, 0], 0, True), ([0, 1, 0], 0, True), ([0, 0, 1], 0, True)],
-    ))
-    assert res.feasible
-    assert res.margin == Fraction(1, 2)
-    assert all(x > 0 for x in res.witness)
-
-
 def test_strict_boundary_infeasible():
-    # x >= 0 and -x >= 0 pin x = 0, so x > 0 cannot hold
-    res = lp_feasible(sys_of(
-        1, ineqs=[([1], 0, False), ([-1], 0, False), ([1], 0, True)]))
+    # x >= 0 and -x >= 0 pin x = 0, so x > 0, asked as x >= 1, cannot hold
+    res = lp_feasible(sys_of(1, ineqs=[([1], 0), ([-1], 0), ([1], 1)]))
     assert not res.feasible
-    assert res.margin == 0
+    assert res.witness is None
 
 
 def test_strict_dominated_by_stronger_nonstrict():
-    res = lp_feasible(sys_of(1, ineqs=[([1], 0, True), ([1], 5, False)]))
+    # x > 0 asked as x >= 1 (and as 2x >= 2) shares its direction with
+    # x >= 5; the deduplication keeps the largest offset
+    res = lp_feasible(sys_of(1, ineqs=[([1], 1), ([2], 2), ([1], 5)]))
     assert res.feasible
     assert res.witness[0] >= 5
 
 
 def test_constant_rows_after_elimination():
     # x + y = 1 plus the redundant x + y >= 0 and the impossible x + y >= 2
-    ok = lp_feasible(sys_of(2, eqs=[([1, 1], 1)], ineqs=[([1, 1], 0, False)]))
+    ok = lp_feasible(sys_of(2, eqs=[([1, 1], 1)], ineqs=[([1, 1], 0)]))
     assert ok.feasible
-    bad = lp_feasible(sys_of(2, eqs=[([1, 1], 1)], ineqs=[([1, 1], 2, False)]))
+    bad = lp_feasible(sys_of(2, eqs=[([1, 1], 1)], ineqs=[([1, 1], 2)]))
     assert not bad.feasible
 
 
@@ -140,7 +121,7 @@ def test_row_dimension_validation():
     with pytest.raises(ValueError):
         LinearSystem(2, equalities=(LinearRow.make([1], 0),))
     with pytest.raises(ValueError):
-        LinearSystem(1, equalities=(LinearRow.make([1], 0, strict=True),))
+        LinearSystem(2, inequalities=(LinearRow.make([1, 0, 0], 0),))
 
 
 @pytest.mark.parametrize("normal, offset", [
@@ -164,35 +145,29 @@ def test_lp_feasible_rejects_float_rows():
 
 
 def test_linear_row_keeps_ints_and_fractions():
-    row = LinearRow.make([2, Fraction(1, 3)], Fraction(-1, 2), strict=True)
-    assert row == LinearRow((Fraction(2), Fraction(1, 3)), Fraction(-1, 2),
-                            True)
+    row = LinearRow.make([2, Fraction(1, 3)], Fraction(-1, 2))
+    assert row == LinearRow((Fraction(2), Fraction(1, 3)), Fraction(-1, 2))
     assert all(type(x) is Fraction for x in row.normal + (row.offset,))
 
 
-def test_simplex_nonneg_membership():
-    # (1,1) is a nonnegative combination of (1,0),(0,1),(1,1)
-    status, pi = simplex_nonneg([[1, 0, 1], [0, 1, 1]], [1, 1], [0, 0, 0])
-    assert status == "optimal"
-    assert pi == [0, 0]
-    # (-1,0) is not
-    status, _ = simplex_nonneg([[1, 0, 1], [0, 1, 1]], [-1, 0], [0, 0, 0])
-    assert status == "infeasible"
-
-
 def test_simplex_nonneg_optimum_and_multipliers():
-    # min -y1 - y2 s.t. y1 + y2 = 1: optimum -1, multiplier -1
-    status, pi = simplex_nonneg([[1, 1]], [1], [-1, -1])
-    assert status == "optimal"
-    assert pi == [Fraction(-1)]
+    # min y1 + 2 y2 s.t. y1 - y2 = 0: optimum 0 at y = 0, and the
+    # multiplier pi has pi <= 1 and -pi <= 2, tight on the basic column
+    pi = simplex_nonneg([[1, -1]], [1, 2])
+    assert pi == [Fraction(1)]
+    # min -y1 - y2 on the same ray is unbounded
+    assert simplex_nonneg([[1, -1]], [-1, -1]) is None
 
 
 def test_strict_system_with_dependent_dual_rows():
+    # the strict system -2x - y + 2z > 0, x > 0, asked as offset-1 rows:
     # the dual tableau has two dependent rows, and the artificial variable
     # left basic in the redundant tableau row belongs to another input row
     res = lp_feasible(LinearSystem.make(
-        3, (), [([-2, -1, 2], 0, True), ([1, 0, 0], 0, True)]))
-    assert res.feasible and res.margin > 0
+        3, (), [([-2, -1, 2], 1), ([1, 0, 0], 1)]))
+    assert res.feasible
+    x = res.witness
+    assert -2 * x[0] - x[1] + 2 * x[2] >= 1 and x[0] >= 1
 
 
 def test_random_cross_check_against_fourier_motzkin():
@@ -204,16 +179,16 @@ def test_random_cross_check_against_fourier_motzkin():
         nin = rng.randint(1, 4)
         eqs = [([rng.randint(-3, 3) for _ in range(dim)], rng.randint(-3, 3))
                for _ in range(neq)]
-        ineqs = [([rng.randint(-3, 3) for _ in range(dim)], rng.randint(-4, 4),
-                  rng.random() < 0.3) for _ in range(nin)]
-        expected = fm_feasible(dim, eqs, ineqs)
+        ineqs = [([rng.randint(-3, 3) for _ in range(dim)], rng.randint(-4, 4))
+                 for _ in range(nin)]
+        expected = fm_feasible(dim, eqs, [(c, o, False) for c, o in ineqs])
         got = lp_feasible(sys_of(dim, eqs=eqs, ineqs=ineqs))
         assert got.feasible == expected, (dim, eqs, ineqs)
         agree += 1
         if got.feasible:
             for coeffs, off in eqs:
                 assert sum(Fraction(c) * w for c, w in zip(coeffs, got.witness)) == off
-            for coeffs, off, strict in ineqs:
+            for coeffs, off in ineqs:
                 val = sum(Fraction(c) * w for c, w in zip(coeffs, got.witness))
-                assert val > off if strict else val >= off
+                assert val >= off
     assert agree == 120

@@ -96,6 +96,20 @@ def test_antichain_and_canonical_order():
         SquarefreeIdeal(((1, 2), (3,)))
 
 
+@pytest.mark.parametrize("supports, message", [
+    ([(1.7, 2)], "support entries must be integers"),
+    ([(True, 3)], "support entries must be integers"),
+    ([(0, -2)], "at least 1"),
+    ([(2,), (0, 1)], "at least 1"),
+])
+def test_from_supports_reads_indices_strictly(supports, message):
+    # 1.7 must not be truncated to 1, nor True read as 1
+    with pytest.raises(ValueError, match=message):
+        SquarefreeIdeal.from_supports(supports)
+    assert SquarefreeIdeal.from_supports([(3, 1), (2,), (1, 3)]).generators \
+        == ((2,), (1, 3))
+
+
 def test_anticanonical_radical_matches_listed_supports():
     dp = delpezzo4()
     ideal = irrelevant_radical(dp.degrees, dp.anti_canonical, heft=dp.heft)

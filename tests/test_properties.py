@@ -1,7 +1,8 @@
 """Property tests of the core routines against independent oracles: brute
 force for the minimal-subset search, sympy for rank, rref, determinants and
 Hermite normal forms, the gcd of maximal minors for the saturation check of
-gale_dual, Fourier-Motzkin elimination for lp_feasible, double description
+gale_dual, Fourier-Motzkin elimination for lp_feasible (also on the
+offset-1 form of homogeneous strict systems), double description
 for cone membership, chambers and fan validity, rank and rational_solve for
 subspace membership, coordinates and intersections, the Fraction path for
 the integer fast paths of primitive, dot and generators_to_hrep, and the
@@ -129,8 +130,8 @@ def linear_systems(draw):
             eqs.append(([0] * dim, draw(st.integers(-1, 1))))
         else:
             eqs.append((draw(normals), draw(st.integers(-3, 3))))
-    ineqs = draw(st.lists(st.tuples(normals, st.integers(-4, 4),
-                                    st.booleans()), max_size=3))
+    ineqs = draw(st.lists(st.tuples(normals, st.integers(-4, 4)),
+                          max_size=3))
     return dim, eqs, ineqs
 
 
@@ -139,19 +140,56 @@ def linear_systems(draw):
 # a draw whose Fourier-Motzkin elimination took seconds before the oracle
 # kept its rows primitive and deduplicated
 @example((4, [([2, 0, -3, 1], 0), ([2, 0, -3, 1], 0), ([3, 1, 1, 3], 1)],
-          [([3, 2, 1, -2], 1, True), ([-2, -3, 3, -1], -3, True),
-           ([-2, 3, -2, 1], -2, True)]))
+          [([3, 2, 1, -2], 1), ([-2, -3, 3, -1], -3), ([-2, 3, -2, 1], -2)]))
 def test_lp_feasible_against_fourier_motzkin(case):
     dim, eqs, ineqs = case
     got = lp_feasible(LinearSystem.make(
         dim, [LinearRow.make(c, o) for c, o in eqs],
-        [LinearRow.make(c, o, s) for c, o, s in ineqs]))
-    assert got.feasible == fm_feasible(dim, eqs, ineqs)
+        [LinearRow.make(c, o) for c, o in ineqs]))
+    assert got.feasible == fm_feasible(
+        dim, eqs, [(c, o, False) for c, o in ineqs])
     if got.feasible:
         x = got.witness
         assert all(dot(c, x) == o for c, o in eqs)
-        assert all(dot(c, x) > o if s else dot(c, x) >= o
-                   for c, o, s in ineqs)
+        assert all(dot(c, x) >= o for c, o in ineqs)
+
+
+@st.composite
+def homogeneous_strict_systems(draw):
+    """(dim, equality normals, inequality normals with a strict flag) in
+    dimension 1 to 4, every offset 0, as chamber_of and validate_fan ask
+    them; inequality normals repeat or negate earlier ones, so cones with
+    lineality and empty interiors are common."""
+    dim = draw(st.integers(1, 4))
+    normals = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    eqs = draw(st.lists(normals, max_size=2))
+    ineqs = []
+    for _ in range(draw(st.integers(1, 5))):
+        if ineqs and draw(st.booleans()):
+            normal = [draw(st.sampled_from((1, -1, 2))) * c
+                      for c in draw(st.sampled_from(ineqs))[0]]
+        else:
+            normal = draw(normals)
+        ineqs.append((normal, draw(st.booleans())))
+    return dim, eqs, ineqs
+
+
+@settings(deadline=None, max_examples=300)
+@given(homogeneous_strict_systems())
+def test_offset_one_decides_homogeneous_strict_systems(case):
+    # a.x > 0 on a cone holds at some point iff a.x >= 1 does, by scaling:
+    # the oracle decides the strict system, lp_feasible the offset-1 one
+    dim, eqs, ineqs = case
+    expected = fm_feasible(dim, [(c, 0) for c in eqs],
+                           [(c, 0, s) for c, s in ineqs])
+    got = lp_feasible(LinearSystem.make(
+        dim, [LinearRow.make(c, 0) for c in eqs],
+        [LinearRow.make(c, int(s)) for c, s in ineqs]))
+    assert got.feasible == expected
+    if got.feasible:
+        x = got.witness
+        assert all(dot(c, x) == 0 for c in eqs)
+        assert all(dot(c, x) > 0 if s else dot(c, x) >= 0 for c, s in ineqs)
 
 
 @settings(deadline=None)
