@@ -21,10 +21,10 @@ from .incidence import (LineWitness, PositionVerdict, ProjPoint, ProjSubspace,
                         intersect, subspace_from_equations,
                         subspace_from_points, witness_plane_via_line)
 from .linprog import LinearRow, LinearSystem, LPResult, lp_feasible
-from .monomials import (GuardExceeded, SquarefreeIdeal, derive_heft,
-                        irrelevant_radical, minimal_antichain,
-                        minimal_subsets, minimal_supports_of_degree,
-                        monomials_of_degree, radical_of_monomials)
+from .monomials import (GuardExceeded, SquarefreeIdeal, caratheodory_supports,
+                        derive_heft, irrelevant_radical, minimal_antichain,
+                        minimal_supports_of_degree, monomials_of_degree,
+                        radical_of_monomials)
 
 __all__ = [
     "Chamber", "Cone", "CoxPresentationPair", "DegreeMatrix", "Fan",
@@ -32,7 +32,7 @@ __all__ = [
     "LinearRow", "LinearSystem", "PositionVerdict", "ProjPoint",
     "ProjSubspace", "ProjectivityCertificate", "RationalCone",
     "RestrictionTable", "SameChamberResult", "SearchExhausted",
-    "SquarefreeIdeal", "TransversalPlane", "Verdict",
+    "SquarefreeIdeal", "TransversalPlane", "Verdict", "caratheodory_supports",
     "chamber_of", "check_degree_bijection", "check_pic_restriction",
     "cone_member", "delpezzo4", "derive_heft", "det", "dot",
     "double_description", "effective_cone", "fan_from_irrelevant",
@@ -41,7 +41,7 @@ __all__ = [
     "hermite_normal_form", "intersect", "irrelevant_radical",
     "is_complete", "is_projective", "is_simplicial",
     "kernel_lattice", "lp_feasible", "minimal_antichain",
-    "minimal_subsets", "minimal_supports_of_degree", "monomials_of_degree",
+    "minimal_supports_of_degree", "monomials_of_degree",
     "mori_embedding_report", "nullspace", "primitive",
     "radical_of_monomials", "rank", "rational_solve", "rref",
     "same_chamber", "spans_extremal_ray",

@@ -4,23 +4,22 @@ The effective cone is spanned by the degree columns. The chamber of a class
 w is the intersection of all cones spanned by subsets of columns containing
 w; only inclusion-minimal such subsets contribute constraints, and the
 resulting inequality list is reduced to an irredundant set by exact LP.
-By Caratheodory's theorem a minimal subset J is linearly independent and w
-has all its coefficients in q_J positive; conversely every such J is
-minimal. So one exact row reduction of [q_J | w] decides each subset, with
-no LP (Berchtold-Hausen, "GIT equivalence beyond the ample cone", 2006;
-Cox-Little-Schenck, Toric Varieties, ch. 14). Chamber equality at a fixed
-saturation depth is decided through the irrelevant radicals."""
+The minimal subsets form S(w), read off one double description by
+monomials.caratheodory_supports (Berchtold-Hausen, "GIT equivalence beyond
+the ample cone", 2006; Cox-Little-Schenck, Toric Varieties, ch. 14). Chamber
+equality at a fixed saturation depth is decided through the irrelevant
+radicals."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .cones import RationalCone, cone_member, generators_to_hrep, primitive
-from .exact import dot, int_vector, rref
+from .exact import dot, int_vector
 from .grading import DegreeMatrix
 from .linprog import LinearRow, LinearSystem, lp_feasible
 from .monomials import GuardExceeded  # noqa: F401  (re-exported)
-from .monomials import irrelevant_radical, minimal_subsets
+from .monomials import caratheodory_supports, irrelevant_radical
 
 Vec = tuple[int, ...]
 
@@ -64,9 +63,9 @@ def chamber_of(q: DegreeMatrix, w) -> Chamber:
     """The GIT chamber containing w: the intersection of the cones on all
     minimal column subsets containing w, with irredundant constraints.
 
-    The minimal subsets are the independent J in which w has positive
-    coefficients (see the module docstring); no such J exists exactly when
-    w lies outside the effective cone, which raises ValueError.
+    The minimal subsets are S(w) (see the module docstring); it is empty
+    exactly when w lies outside the effective cone, which raises
+    ValueError.
 
     The rows are homogeneous, so each LP asks for a point of a cone: a
     row is redundant when no point with r.x >= 0 on the others has
@@ -74,21 +73,11 @@ def chamber_of(q: DegreeMatrix, w) -> Chamber:
     r.x >= 1 on every kept row. By scaling these are the questions
     -row.x > 0 and r.x > 0."""
     w = int_vector(w, "class")
-    if len(w) != q.pic_rank:
-        raise ValueError("class has wrong length")
-
-    def contains_w(subset: tuple[int, ...]) -> bool:
-        # the zero class lies in every nonempty column cone, so its minimal
-        # subsets are the single columns
-        if not any(w):
-            return len(subset) == 1
-        if len(subset) > q.pic_rank:
-            return False
-        red, pivots = rref(list(zip(*(q.columns[j] for j in subset), w)))
-        return pivots == list(range(len(subset))) and \
-            all(row[-1] > 0 for row in red)
-
-    subsets = minimal_subsets(q.num_gens, contains_w)
+    subsets = caratheodory_supports(q, w)
+    if not any(w):
+        # S(0) = [()], but the zero class lies in every nonempty column
+        # cone, so the chamber is cut out by the single columns
+        subsets = [(j,) for j in range(q.num_gens)]
     if not subsets:
         raise ValueError("class outside the effective cone")
     rows: set[Vec] = set()

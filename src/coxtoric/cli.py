@@ -21,6 +21,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 from . import __version__
 from .chambers import chamber_of, same_chamber
@@ -611,7 +612,10 @@ def _add_io_arguments(sp, datasets=("delpezzo4", "p2", "p1xp1")) -> None:
                     help="use a built-in dataset instead of a file")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parse_args does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="coxtoric",
         description="exact toric constructions from Cox-ring gradings")

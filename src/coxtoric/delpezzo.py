@@ -11,6 +11,8 @@ points).
 
 from __future__ import annotations
 
+from functools import cache
+
 from .embedding import CoxPresentationPair, RestrictionTable
 from .grading import DegreeMatrix, delpezzo4
 from .incidence import ProjPoint, ProjSubspace, subspace_from_equations
@@ -113,7 +115,10 @@ PRINTED_POINTS = (
 )
 
 
+@cache
 def target_planes() -> tuple[ProjSubspace, ...]:
+    """The four target planes, built once per process (ProjSubspace is
+    frozen)."""
     out = []
     for idx in TARGET_PLANE_EQUATION_INDICES:
         forms = [tuple(1 if j == i else 0 for j in range(6)) for i in idx]

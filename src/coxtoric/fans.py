@@ -79,6 +79,10 @@ class Fan:
     def __post_init__(self) -> None:
         if not self.rays or not self.maximal_cones:
             raise ValueError("fan needs at least one ray and one maximal cone")
+        if any(len(r) != len(self.rays[0]) for r in self.rays):
+            raise ValueError("fan rays of unequal length")
+        if not all(any(r) for r in self.rays):
+            raise ValueError("zero ray in fan")
 
     @property
     def ambient_dim(self) -> int:

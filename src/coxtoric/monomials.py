@@ -8,18 +8,17 @@ arithmetic on cached constraint normals, so the hot loop never touches
 Fractions. The same enumerator, stopped at its first solution, decides
 whether a support is achievable.
 
-minimal_subsets is the one subset-lattice search of the package, shared by
-the minimal supports here and the GIT chambers; it carries the size guard.
+caratheodory_supports gives S(w) by one double description and carries the
+size guard; the GIT chambers and the minimal supports here are read off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import lcm
 
-from .cones import generators_to_hrep
+from .cones import double_description, generators_to_hrep
 from .exact import dot, int_vector
 from .grading import DegreeMatrix
 from .linprog import LinearRow, LinearSystem, lp_feasible
@@ -27,7 +26,7 @@ from .linprog import LinearRow, LinearSystem, lp_feasible
 Exponent = tuple[int, ...]
 Support = tuple[int, ...]
 
-# largest generator count for which a subset-lattice search runs
+# largest generator count for the double description of caratheodory_supports
 MAX_SEARCH_GENS = 16
 
 
@@ -166,33 +165,29 @@ def _exponents(q: DegreeMatrix, d, h, idx: tuple[int, ...]):
     yield from rec(0, list(d), total)
 
 
-def minimal_subsets(n: int, accept) -> list[tuple[int, ...]]:
-    """Inclusion-minimal subsets of range(n) accepted by the predicate, in
-    size-then-lex order.
-
-    Supersets of a subset already found are never tested. This is exact
-    for any predicate: an accepted subset that is not minimal contains a
-    smaller minimal one, which was found first. More than MAX_SEARCH_GENS
-    elements raises GuardExceeded."""
+def caratheodory_supports(q: DegreeMatrix, w) -> list[tuple[int, ...]]:
+    """S(w), the minimal 0-based column sets J with w in cone(q_J), in
+    size-then-lex order: by Caratheodory the supports of the vertices of
+    {lambda >= 0 : q lambda = w}, read off one double description of
+    {(lambda, t) >= 0 : q lambda = t w} as its rays with t > 0. S(0) = [()];
+    more than MAX_SEARCH_GENS columns raise GuardExceeded."""
+    w = int_vector(w, "class")
+    if len(w) != q.pic_rank:
+        raise ValueError("class has wrong length")
+    n = q.num_gens
     if n > MAX_SEARCH_GENS:
         raise GuardExceeded("subset enumeration too large")
-    found: list[tuple[int, ...]] = []
-    found_sets: list[frozenset] = []
-    for size in range(n + 1):
-        for subset in combinations(range(n), size):
-            sset = frozenset(subset)
-            if any(f <= sset for f in found_sets):
-                continue
-            if accept(subset):
-                found.append(subset)
-                found_sets.append(sset)
-    return found
+    eqs = [row + (-x,) for row, x in zip(zip(*q.columns), w)]
+    units = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
+    _, rays = double_description(n + 1, eqs, units)
+    return sorted((tuple(j for j in range(n) if r[j]) for r in rays if r[n]),
+                  key=lambda s: (len(s), s))
 
 
 def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Support, ...]:
     """Inclusion-minimal supports among all monomials of the given degree
-    (1-based, canonical order). Searches the support lattice directly, so
-    large graded pieces never get enumerated."""
+    (1-based, canonical order). A support is a union of vertex supports of
+    the bounded fiber over d, so only unions of members of S(d) are probed."""
     d = int_vector(degree, "degree")
     if len(d) != q.pic_rank:
         raise ValueError("degree has wrong length")
@@ -208,8 +203,23 @@ def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Supp
                 residual[k] -= x
         return next(_exponents(q, residual, h, subset), None) is not None
 
-    return tuple(tuple(j + 1 for j in s)
-                 for s in minimal_subsets(q.num_gens, achievable))
+    # probe unions of S(d) by size; grow none that holds a found support
+    supports = caratheodory_supports(q, d)
+    by_size: list[set] = [set() for _ in range(q.num_gens + 1)]
+    for s in supports:
+        by_size[len(s)].add(s)
+    found: list[set] = []
+    for unions in by_size:
+        for u in sorted(unions):
+            if any(f <= set(u) for f in found):
+                continue
+            if achievable(u):
+                found.append(set(u))
+                continue
+            for s in supports:
+                v = tuple(sorted(set(u).union(s)))
+                by_size[len(v)].add(v)
+    return tuple(tuple(j + 1 for j in s) for s in minimal_antichain(found))
 
 
 def radical_of_monomials(monomials) -> SquarefreeIdeal:

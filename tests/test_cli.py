@@ -367,9 +367,11 @@ def test_guard_exceeded_exit_code(tmp_path, capsys):
         assert code == 3, command
         assert "too large" in err
     # chamber finds the effective cone through the guarded subset search,
-    # so a class outside it also exits 3
-    code, _, err = run(capsys, ["chamber", str(wide), "--degree", "-1"])
-    assert code == 3 and "too large" in err
+    # so a class outside it also exits 3, and so does the zero class,
+    # whose minimal subsets are the single columns
+    for degree in ("-1", "0"):
+        code, _, err = run(capsys, ["chamber", str(wide), "--degree", degree])
+        assert code == 3 and "too large" in err, degree
 
 
 @pytest.mark.parametrize("source, degree, compare, message", [

@@ -242,6 +242,17 @@ def test_fan_needs_rays_and_cones(rays):
         Fan.from_index_sets(rays, ())
 
 
+@pytest.mark.parametrize("rays, message", [
+    (((1, 0), (0, 0)), "zero ray"),
+    (((1, 0), (0, 1, 0)), "unequal length"),
+])
+def test_from_index_sets_rejects_zero_and_ragged_rays(rays, message):
+    # a zero ray used to give a fan reported valid, and a ray of the wrong
+    # length failed deep inside lp_feasible
+    with pytest.raises(ValueError, match=message):
+        Fan.from_index_sets(rays, ((1,), (2,)))
+
+
 # rays at 0, 100, 200, 300, 40, 140, 240 and 340 degrees as
 # (round(10 cos), round(10 sin)), cyclically consecutive pairs as cones: a
 # complete fan that winds twice around the origin

@@ -229,3 +229,17 @@ def test_dp4_anticanonical_radical_on_sixteen_lines():
     ideal = irrelevant_radical(q, (3, -1, -1, -1, -1, -1), depth=1,
                                heft=(3, 1, 1, 1, 1, 1))
     assert ideal.generators == DP4_ANTICANONICAL_SUPPORTS
+
+
+def test_dp4_anticanonical_radical_saturates_at_depth_two():
+    # at depth 1 the radical misses supports that 2(-K) adds; depth 2 gives
+    # the 56 supports of the saturated radical, and depth 3 adds none
+    q = DegreeMatrix.make(dp4_columns())
+    minus_k = (3, -1, -1, -1, -1, -1)
+    ideal, stable = irrelevant_radical(q, minus_k, depth=1,
+                                       check_stable=True)
+    assert ideal.generators == DP4_ANTICANONICAL_SUPPORTS and not stable
+    ideal, stable = irrelevant_radical(q, minus_k, depth=2,
+                                       check_stable=True)
+    assert len(ideal.generators) == 56 and stable
+    assert set(DP4_ANTICANONICAL_SUPPORTS) < set(ideal.generators)

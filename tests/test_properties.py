@@ -1,8 +1,9 @@
 """Property tests of the core routines against independent oracles: brute
-force for the minimal-subset search, sympy for rank, rref, determinants and
-Hermite normal forms, the gcd of maximal minors for the saturation check of
-gale_dual, Fourier-Motzkin elimination for lp_feasible (also on the
-offset-1 form of homogeneous strict systems), double description
+force over column subsets for the Caratheodory supports S(w), enumeration
+of the graded pieces for their minimal supports, sympy for rank, rref,
+determinants and Hermite normal forms, the gcd of maximal minors for the
+saturation check of gale_dual, Fourier-Motzkin elimination for lp_feasible
+(also on the offset-1 form of homogeneous strict systems), double description
 for cone membership, chambers and fan validity, rank and rational_solve for
 subspace membership, coordinates and intersections, the Fraction path for
 the integer fast paths of primitive, dot and generators_to_hrep, and the
@@ -35,7 +36,9 @@ from coxtoric.grading import DegreeMatrix  # noqa: E402
 from coxtoric.incidence import (ProjPoint, _det, intersect,  # noqa: E402
                                 subspace_from_points)
 from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible  # noqa: E402
-from coxtoric.monomials import minimal_antichain, minimal_subsets  # noqa: E402
+from coxtoric.monomials import (caratheodory_supports,  # noqa: E402
+                                minimal_supports_of_degree,
+                                monomials_of_degree, radical_of_monomials)
 from test_chambers import chamber_oracle  # noqa: E402
 from test_exact import maximal_minor_gcd  # noqa: E402
 from test_fans import (CUBE_FACES, CUBE_RAYS, DOUBLY_WOUND_CONES,  # noqa: E402
@@ -73,13 +76,83 @@ def to_sympy(rows):
                          for row in rows])
 
 
+def brute_force_supports(q, w):
+    """The inclusion-minimal column sets J with w in cone(q_J), from the
+    Caratheodory rule: J of size at most r, independent, and w with all
+    coefficients positive in q_J, decided by one rref of [q_J | w]."""
+    found = []
+    for size in range(q.pic_rank + 1):
+        for subset in combinations(range(q.num_gens), size):
+            if any(set(f) <= set(subset) for f in found):
+                continue
+            red, pivots = rref(list(zip(*(q.columns[j] for j in subset), w)))
+            if pivots == list(range(size)) and \
+                    all(row[-1] > 0 for row in red):
+                found.append(subset)
+    return found
+
+
+@st.composite
+def gradings_and_classes(draw):
+    """A grading of rank 1 to 3 on 1 to 7 columns, positive or not, and a
+    class: zero, the sum of a few columns, or random (often outside the
+    cone of all columns)."""
+    r = draw(st.integers(1, 3))
+    cols = draw(st.lists(st.lists(st.integers(-2, 3), min_size=r,
+                                  max_size=r).map(tuple),
+                         min_size=1, max_size=7))
+    kind = draw(st.sampled_from(("zero", "columns", "random")))
+    if kind == "zero":
+        w = (0,) * r
+    elif kind == "columns":
+        picks = draw(st.lists(st.sampled_from(cols), min_size=1, max_size=4))
+        w = tuple(map(sum, zip(*picks)))
+    else:
+        w = tuple(draw(st.lists(st.integers(-4, 4), min_size=r, max_size=r)))
+    return DegreeMatrix.make(cols), w
+
+
+@settings(deadline=None, max_examples=300)
+@given(gradings_and_classes())
+@example((DegreeMatrix.make([(1, 0), (0, 1), (1, 1)]), (0, 0)))
+@example((DegreeMatrix.make([(1, 0), (-1, 0)]), (0, 1)))
+def test_caratheodory_supports_against_brute_force(case):
+    q, w = case
+    assert caratheodory_supports(q, w) == brute_force_supports(q, w)
+
+
+@st.composite
+def positive_gradings_and_degrees(draw):
+    """A positive grading of rank 1 to 3 on 1 to 5 columns, and a degree:
+    the sum of up to three columns or a random vector. Each column has
+    first entry 1 or 2 before a unimodular shear adds multiples of the
+    other entries to it, so the heft (1, -shear) is rarely a unit vector."""
+    r = draw(st.integers(1, 3))
+    cols = draw(st.lists(
+        st.tuples(st.integers(1, 2), *[st.integers(-1, 2)] * (r - 1)),
+        min_size=1, max_size=5))
+    shear = draw(st.lists(st.integers(-1, 1), min_size=r - 1,
+                          max_size=r - 1))
+    cols = [(c[0] + sum(s * x for s, x in zip(shear, c[1:])),) + c[1:]
+            for c in cols]
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.sampled_from(cols), min_size=1, max_size=3))
+        d = tuple(map(sum, zip(*picks)))
+    else:
+        d = tuple(draw(st.lists(st.integers(-2, 4), min_size=r, max_size=r)))
+    return DegreeMatrix.make(cols), d
+
+
 @settings(deadline=None)
-@given(n=st.integers(0, 8), data=st.data())
-def test_minimal_subsets_against_brute_force(n, data):
-    every = [s for k in range(n + 1) for s in combinations(range(n), k)]
-    accepted = data.draw(st.sets(st.sampled_from(every)))
-    found = minimal_subsets(n, lambda s: s in accepted)
-    assert tuple(found) == minimal_antichain(accepted)
+@given(positive_gradings_and_degrees())
+def test_minimal_supports_of_degree_against_enumeration(case):
+    # the unions of S(kd) probed for a monomial give the same antichain as
+    # the radical of every monomial of degree kd
+    q, d = case
+    for k in (1, 2, 3):
+        kd = tuple(k * x for x in d)
+        assert minimal_supports_of_degree(q, kd) == \
+            radical_of_monomials(monomials_of_degree(q, kd)).generators
 
 
 @settings(deadline=None)
