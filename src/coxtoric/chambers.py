@@ -67,19 +67,25 @@ def chamber_of(q: DegreeMatrix, w) -> Chamber:
     exactly when w lies outside the effective cone, which raises
     ValueError.
 
-    The rows are homogeneous, so each LP asks for a point of a cone: a
-    row is redundant when no point with r.x >= 0 on the others has
-    -row.x >= 1, and the chamber is full-dimensional when some point has
-    r.x >= 1 on every kept row. By scaling these are the questions
-    -row.x > 0 and r.x > 0."""
+    For w != 0 every J in S(w) is independent with w in the relative
+    interior of cone(q_J), so the chamber is full-dimensional exactly when
+    every J has r columns. The rows are homogeneous, so each redundancy LP
+    asks for a point of a cone: a row is redundant when no point with
+    r.x >= 0 on the others has -row.x >= 1, which by scaling is the
+    question -row.x > 0."""
     w = int_vector(w, "class")
     subsets = caratheodory_supports(q, w)
-    if not any(w):
-        # S(0) = [()], but the zero class lies in every nonempty column
-        # cone, so the chamber is cut out by the single columns
-        subsets = [(j,) for j in range(q.num_gens)]
     if not subsets:
         raise ValueError("class outside the effective cone")
+    if any(w):
+        full = all(len(subset) == q.pic_rank for subset in subsets)
+    else:
+        # S(0) = [()], but the zero class lies in every nonempty column
+        # cone, so the chamber is cut out by the single columns; those
+        # rays meet beyond 0 only on a line, all on one side of 0
+        subsets = [(j,) for j in range(q.num_gens)]
+        full = q.pic_rank == 1 and (all(c[0] > 0 for c in q.columns) or
+                                    all(c[0] < 0 for c in q.columns))
     rows: set[Vec] = set()
     for subset in subsets:
         eqs, ineqs = generators_to_hrep(
@@ -105,11 +111,6 @@ def chamber_of(q: DegreeMatrix, w) -> Chamber:
     for row in working:
         if dot(row, w) < 0:
             raise RuntimeError("representative violates chamber constraint")
-
-    interior = LinearSystem(
-        q.pic_rank,
-        inequalities=tuple(LinearRow.make(r, 1) for r in working))
-    full = lp_feasible(interior).feasible
     return Chamber(representative=w, hrep=tuple(working),
                    full_dimensional=full)
 
@@ -120,8 +121,7 @@ def same_chamber(q: DegreeMatrix, w1, w2, depth: int = 1, heft=None,
     saturation depth. With check_stable=True the depth+1 radicals are
     compared as well and instability is reported."""
     for w in (w1, w2):
-        if not cone_member(list(q.columns), int_vector(w, "class"),
-                           dim=q.pic_rank):
+        if not caratheodory_supports(q, w):
             raise ValueError("class outside the effective cone")
     if check_stable:
         rad1, st1 = irrelevant_radical(q, w1, depth, heft, check_stable=True)

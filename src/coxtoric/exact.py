@@ -47,10 +47,11 @@ class IntMat:
             raise ValueError("negative matrix dimensions")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
+        int_vector(self.entries, "matrix")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMat":
-        rs = [int_vector(row, "matrix") for row in rows]
+        rs = [tuple(row) for row in rows]
         if rs:
             width = len(rs[0])
             if any(len(r) != width for r in rs):

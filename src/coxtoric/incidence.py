@@ -22,7 +22,7 @@ from math import gcd
 from random import Random
 
 from .cones import primitive
-from .exact import IntMat, check_rational, det, nullspace, rref
+from .exact import IntMat, check_rational, det, int_vector, nullspace, rref
 
 _BOX = 10
 
@@ -43,7 +43,7 @@ class ProjPoint:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not any(self.coords):
+        if not any(int_vector(self.coords, "point")):
             raise ValueError("zero vector is not a projective point")
         if gcd(*(abs(x) for x in self.coords)) != 1:
             raise ValueError("coordinates not primitive")
@@ -79,6 +79,8 @@ class ProjSubspace:
     def __post_init__(self) -> None:
         if not self.basis:
             raise ValueError("empty basis")
+        if len({len(row) for row in self.basis}) != 1:
+            raise ValueError("basis rows of unequal length")
         for row in self.basis:
             check_rational(row)
         red, pivots = rref(self.basis)

@@ -8,10 +8,14 @@ tableau at (free dimension) rows no matter how many inequality rows there
 are. Both the reduction and the simplex pivots are `exact.pivot` steps.
 
 Every row is an equality or an a.x >= d. The questions of the package
-that need some a.x > 0 are all homogeneous: the redundancy and interior
-probes of `chambers.chamber_of` and the separating functional of
-`fans.validate_fan` ask for a point of a cone. Scaling such a point makes
-a.x >= 1, so those callers state a.x >= 1 and the verdict is the same.
+that need some a.x > 0 are all homogeneous: the redundancy probes of
+`chambers.chamber_of` and the separating functional of `fans.validate_fan`
+ask for a point of a cone. Scaling such a point makes a.x >= 1, so those
+callers state a.x >= 1 and the verdict is the same. The other callers are
+`cones.cone_member` and `fans.is_projective`. Positivity of a grading,
+its heft, effective-cone membership and chamber full-dimensionality take
+no LP: they are read off S(w) and the constraint form of the effective
+cone.
 """
 
 from __future__ import annotations

@@ -10,18 +10,18 @@ whether a support is achievable.
 
 caratheodory_supports gives S(w) by one double description and carries the
 size guard; the GIT chambers and the minimal supports here are read off it.
+No question here goes to an LP: positivity and the heft are read off the
+constraint form of the effective cone, which the enumerator caches anyway.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 
-from .cones import double_description, generators_to_hrep
-from .exact import dot, int_vector
+from .cones import double_description, generators_to_hrep, primitive
+from .exact import dot, int_vector, rank
 from .grading import DegreeMatrix
-from .linprog import LinearRow, LinearSystem, lp_feasible
 
 Exponent = tuple[int, ...]
 Support = tuple[int, ...]
@@ -37,12 +37,18 @@ class GuardExceeded(ValueError):
 @dataclass(frozen=True)
 class SquarefreeIdeal:
     """Radical monomial ideal, stored as the antichain of minimal supports
-    (1-based generator indices, each support sorted, supports ordered by
-    size then lexicographically)."""
+    (1-based generator indices, each support strictly increasing, supports
+    ordered by size then lexicographically)."""
 
     generators: tuple[Support, ...]
 
     def __post_init__(self) -> None:
+        for s in self.generators:
+            int_vector(s, "support")
+            if s and s[0] < 1:
+                raise ValueError("support indices must be at least 1")
+            if any(a >= b for a, b in zip(s, s[1:])):
+                raise ValueError("support not strictly increasing")
         sets = [frozenset(s) for s in self.generators]
         for s, t in zip(self.generators, self.generators[1:]):
             if not (len(s), s) < (len(t), t):
@@ -56,10 +62,8 @@ class SquarefreeIdeal:
     def from_supports(cls, supports) -> "SquarefreeIdeal":
         """Supports of 1-based integer indices, in any order; a float, a
         bool or an index below 1 raises ValueError."""
-        sets = [set(int_vector(s, "support")) for s in supports]
-        if any(i < 1 for s in sets for i in s):
-            raise ValueError("support indices must be at least 1")
-        canon = sorted({tuple(sorted(s)) for s in sets},
+        canon = sorted({tuple(sorted(set(int_vector(s, "support"))))
+                        for s in supports},
                        key=lambda s: (len(s), s))
         return cls(tuple(canon))
 
@@ -78,16 +82,16 @@ def minimal_antichain(supports) -> tuple[Support, ...]:
 def derive_heft(q: DegreeMatrix) -> tuple[int, ...]:
     """An integer functional taking value >= 1 on every generator degree.
 
-    Existence of such a functional is exactly positivity of the grading.
+    Such a functional exists exactly when no degree is zero and the
+    effective cone Eff is pointed, i.e. the equality and facet rows of its
+    constraint form have rank r. The heft is then the primitive sum of the
+    facet normals: it is positive on every nonzero point of Eff, so at
+    least 1 on every integer column.
     """
-    system = LinearSystem(
-        q.pic_rank,
-        inequalities=tuple(LinearRow.make(col, 1) for col in q.columns))
-    res = lp_feasible(system)
-    if not res.feasible:
+    eqs, facets = _subset_hrep(q, tuple(range(q.num_gens)))
+    if not all(map(any, q.columns)) or rank(eqs + facets) < q.pic_rank:
         raise ValueError("grading not positive")
-    scale = lcm(*(w.denominator for w in res.witness)) if res.witness else 1
-    heft = tuple(int(w * scale) for w in res.witness)
+    heft = primitive(tuple(map(sum, zip(*facets))))
     if any(dot(heft, col) < 1 for col in q.columns):
         raise RuntimeError("derived heft fails positivity")
     return heft

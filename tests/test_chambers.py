@@ -1,14 +1,16 @@
+import sys
 from itertools import combinations
 
 import pytest
 
 from coxtoric.chambers import (GuardExceeded, chamber_of, effective_cone,
                                same_chamber, spans_extremal_ray)
-from coxtoric.cones import RationalCone, double_description
+from coxtoric.cones import (RationalCone, double_description,
+                            generators_to_hrep, primitive)
 from coxtoric.fans import fan_from_irrelevant
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual
 from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible
-from coxtoric.monomials import irrelevant_radical
+from coxtoric.monomials import caratheodory_supports, irrelevant_radical
 
 
 def chamber_oracle(q, w):
@@ -142,6 +144,8 @@ def test_chamber_errors():
         chamber_of(wide, (1,))
     with pytest.raises(ValueError, match="outside the effective cone"):
         same_chamber(q, (1,), (-1,))
+    with pytest.raises(ValueError, match="class has wrong length"):
+        same_chamber(q, (1,), (1, 0))
 
 
 @pytest.mark.parametrize("w", [(3.9, -1, -1, -1, -1), (3, -1, -1, -1, True)])
@@ -195,3 +199,39 @@ def test_same_chamber_gives_same_fan():
     f2 = fan_from_irrelevant(gale, irrelevant_radical(dp.degrees, double,
                                                       heft=dp.heft))
     assert f1 == f2
+
+
+def counted_lp_calls(monkeypatch):
+    """Route every coxtoric module's lp_feasible through a counter and
+    return the list of systems it is called with."""
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return lp_feasible(system)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("coxtoric") and hasattr(module, "lp_feasible"):
+            monkeypatch.setattr(module, "lp_feasible", counted)
+    return calls
+
+
+def test_chamber_questions_lp_budget(monkeypatch):
+    dp = delpezzo4()
+    q = dp.degrees
+    calls = counted_lp_calls(monkeypatch)
+    # membership in the effective cone comes from S(w), positivity and
+    # the heft from the effective cone's constraint form
+    assert same_chamber(q, dp.ample, tuple(2 * x for x in dp.ample)).same
+    irrelevant_radical(q, dp.ample)
+    assert calls == []
+    # one redundancy LP per distinct candidate row, none for the interior
+    rows = set()
+    for subset in caratheodory_supports(q, dp.anti_canonical):
+        eqs, ineqs = generators_to_hrep(q.pic_rank,
+                                        [q.columns[j] for j in subset])
+        rows.update(primitive(e) for e in eqs)
+        rows.update(primitive(tuple(-x for x in e)) for e in eqs)
+        rows.update(primitive(a) for a in ineqs)
+    chamber_of(q, dp.anti_canonical)
+    assert len(calls) == len(rows)

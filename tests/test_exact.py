@@ -72,6 +72,13 @@ def test_intmat_rejects_non_integer_entries(rows):
         IntMat.from_rows(rows)
 
 
+@pytest.mark.parametrize("entries", [(True, 1), (1, 1.5), (Fraction(1), 0)])
+def test_intmat_constructor_rejects_non_integer_entries(entries):
+    # such a matrix would reach det, which returns a 1 x 1 entry as it is
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        IntMat(1, 2, entries)
+
+
 def test_hnf_identity():
     m = IntMat.identity(3)
     h, u = hermite_normal_form(m)

@@ -27,6 +27,12 @@ def test_point_rejects_floats_bools_and_strings(coords):
         ProjPoint.make(coords)
 
 
+@pytest.mark.parametrize("coords", [(True, 0), (1.0, 0), (Fraction(1), 0)])
+def test_point_constructor_rejects_non_integer_entries(coords):
+    with pytest.raises(ValueError, match="point entries must be integers"):
+        ProjPoint(coords)
+
+
 def test_point_validation():
     with pytest.raises(ValueError, match="zero vector"):
         ProjPoint.make([0, 0, 0])
@@ -222,6 +228,11 @@ def test_equations_reject_floats_bools_and_strings(form):
 def test_subspace_rejects_floats_and_bools(basis):
     with pytest.raises(ValueError, match="integers or Fractions"):
         ProjSubspace(basis)
+
+
+def test_subspace_rejects_rows_of_unequal_length():
+    with pytest.raises(ValueError, match="unequal length"):
+        ProjSubspace(((1, 0), (0, 1, 0)))
 
 
 def test_coordinates_are_the_pivot_entries():

@@ -96,6 +96,22 @@ def test_antichain_and_canonical_order():
         SquarefreeIdeal(((1, 2), (3,)))
 
 
+@pytest.mark.parametrize("generators, message", [
+    (((2, 1),), "strictly increasing"),
+    (((1, 1),), "strictly increasing"),
+    (((0,),), "at least 1"),
+    (((2,), (-1, 3)), "at least 1"),
+    (((1.0, 2),), "support entries must be integers"),
+    (((True, 2),), "support entries must be integers"),
+])
+def test_squarefree_ideal_rejects_non_canonical_supports(generators, message):
+    # (2, 1) and (1, 2) are one support; only the increasing form is kept
+    with pytest.raises(ValueError, match=message):
+        SquarefreeIdeal(generators)
+    assert SquarefreeIdeal(((1, 2),)) == \
+        SquarefreeIdeal.from_supports([(2, 1)])
+
+
 @pytest.mark.parametrize("supports, message", [
     ([(1.7, 2)], "support entries must be integers"),
     ([(True, 3)], "support entries must be integers"),

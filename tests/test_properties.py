@@ -4,7 +4,8 @@ of the graded pieces for their minimal supports, sympy for rank, rref,
 determinants and Hermite normal forms, the gcd of maximal minors for the
 saturation check of gale_dual, Fourier-Motzkin elimination for lp_feasible
 (also on the offset-1 form of homogeneous strict systems), double description
-for cone membership, chambers and fan validity, rank and rational_solve for
+for cone membership, chambers and fan validity, the heft LP for the
+positivity verdict of derive_heft, rank and rational_solve for
 subspace membership, coordinates and intersections, the Fraction path for
 the integer fast paths of primitive, dot and generators_to_hrep, and the
 pair LPs for the vertex replay that certifies complete projective fans."""
@@ -37,7 +38,7 @@ from coxtoric.incidence import (ProjPoint, _det, intersect,  # noqa: E402
                                 subspace_from_points)
 from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible  # noqa: E402
 from coxtoric.monomials import (caratheodory_supports,  # noqa: E402
-                                minimal_supports_of_degree,
+                                derive_heft, minimal_supports_of_degree,
                                 monomials_of_degree, radical_of_monomials)
 from test_chambers import chamber_oracle  # noqa: E402
 from test_exact import maximal_minor_gcd  # noqa: E402
@@ -390,6 +391,9 @@ def graded_classes(draw):
 
 @settings(deadline=None, max_examples=100)
 @given(graded_classes())
+@example((DegreeMatrix.make([(1,), (-1,)]), (0,)))
+@example((DegreeMatrix.make([(1,), (0,)]), (0,)))
+@example((DegreeMatrix.make([(-1,), (-2,)]), (0,)))
 def test_chamber_of_against_oracle(case):
     q, w = case
     if not effective_cone(q).contains(w):
@@ -404,6 +408,48 @@ def test_chamber_of_against_oracle(case):
     assert lin == lin_oracle == []
     assert sorted(rays) == sorted(rays_oracle)
     assert ch.full_dimensional == (rank(rays_oracle) == q.pic_rank)
+
+
+@st.composite
+def heft_gradings(draw):
+    """Gradings with r <= 4 rows and n <= 7 columns, entries in -2..2:
+    zero columns, a column together with its negative (lineality) and
+    columns spanning less than Q^r are all drawn."""
+    r = draw(st.integers(1, 4))
+    columns = draw(st.lists(st.lists(st.integers(-2, 2), min_size=r,
+                                     max_size=r), min_size=1, max_size=7))
+    kind = draw(st.sampled_from(("any", "zero", "lineality", "low rank")))
+    if kind == "zero":
+        columns.append([0] * r)
+    elif kind == "lineality":
+        columns.append([-x for x in draw(st.sampled_from(columns))])
+    elif kind == "low rank":
+        k = draw(st.integers(0, r - 1))
+        columns = [c[:k] + [0] + c[k + 1:] for c in columns]
+    return DegreeMatrix.make([tuple(c) for c in columns])
+
+
+def heft_lp_oracle(q):
+    """The LP formulation: some h over Q with col.h >= 1 on every column."""
+    return lp_feasible(LinearSystem(
+        q.pic_rank,
+        inequalities=tuple(LinearRow.make(col, 1) for col in q.columns))
+    ).feasible
+
+
+@settings(deadline=None, max_examples=300)
+@given(heft_gradings())
+@example(DegreeMatrix.make([(1, 0), (-1, 0)]))
+@example(DegreeMatrix.make([(1, 0), (0, 0)]))
+@example(DegreeMatrix.make([(1, 0), (2, 0)]))
+def test_derive_heft_against_lp(q):
+    if not heft_lp_oracle(q):
+        with pytest.raises(ValueError, match="grading not positive"):
+            derive_heft(q)
+        return
+    heft = derive_heft(q)
+    assert all(type(x) is int for x in heft)
+    assert all(dot(heft, col) >= 1 for col in q.columns)
 
 
 @settings(deadline=None)
