@@ -19,7 +19,7 @@ from .exact import dot, int_vector
 from .grading import DegreeMatrix
 from .linprog import LinearRow, LinearSystem, lp_feasible
 from .monomials import GuardExceeded  # noqa: F401  (re-exported)
-from .monomials import caratheodory_supports, irrelevant_radical
+from .monomials import _checked_heft, _radical, caratheodory_supports
 
 Vec = tuple[int, ...]
 
@@ -119,14 +119,19 @@ def same_chamber(q: DegreeMatrix, w1, w2, depth: int = 1, heft=None,
                  check_stable: bool = False) -> SameChamberResult:
     """Whether w1 and w2 produce identical irrelevant radicals at the given
     saturation depth. With check_stable=True the depth+1 radicals are
-    compared as well and instability is reported."""
+    compared as well and instability is reported. S(w) of each class is
+    computed once: it finds a class outside the effective cone, and every
+    layer of the radical reads its supports off it."""
+    supports = []
     for w in (w1, w2):
-        if not caratheodory_supports(q, w):
+        supports.append(caratheodory_supports(q, w))
+        if not supports[-1]:
             raise ValueError("class outside the effective cone")
+    if depth < 1:
+        raise ValueError("saturation depth must be at least 1")
+    h = _checked_heft(q, heft)
+    rad1, rad2 = (_radical(q, int_vector(w, "class"), depth, h, check_stable,
+                           s) for w, s in zip((w1, w2), supports))
     if check_stable:
-        rad1, st1 = irrelevant_radical(q, w1, depth, heft, check_stable=True)
-        rad2, st2 = irrelevant_radical(q, w2, depth, heft, check_stable=True)
-        return SameChamberResult(rad1 == rad2, st1 and st2)
-    rad1 = irrelevant_radical(q, w1, depth, heft)
-    rad2 = irrelevant_radical(q, w2, depth, heft)
+        return SameChamberResult(rad1[0] == rad2[0], rad1[1] and rad2[1])
     return SameChamberResult(rad1 == rad2, None)

@@ -1,15 +1,20 @@
 """Exact integer matrix normal forms and rational linear algebra.
 
-All arithmetic is arbitrary precision: matrix entries are Python ints,
-vector arithmetic uses fractions.Fraction. There is no floating point
-anywhere in this package. `pivot` is the one Gauss-Jordan step over Q:
-`rref` is built from it, and so is the simplex tableau of `linprog`.
+All arithmetic is arbitrary precision and there is no floating point
+anywhere in this package. Row elimination runs on Python ints: a row of
+ints and Fractions is scaled by the lcm of its denominators, and
+`eliminate`, one fraction-free step that keeps rows primitive, is the
+only elimination loop. `rref` is built from it and turns entries into
+Fractions only in its output; `linprog.lp_feasible` substitutes its
+equalities with it. `pivot`, one Gauss-Jordan step over Q, is the step
+of the simplex tableau of `linprog`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -23,11 +28,14 @@ def int_vector(values, what: str) -> tuple[int, ...]:
     return vec
 
 
+_RATIONAL_TYPES = frozenset((int, Fraction))
+
+
 def check_rational(vec: Sequence) -> None:
     """Raise ValueError unless every entry is an int (not a bool) or a
     Fraction, so that 0.1 is rejected instead of read as its binary
     expansion."""
-    if all(type(x) is int for x in vec):
+    if _RATIONAL_TYPES.issuperset(map(type, vec)):
         return
     if not all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
                for x in vec):
@@ -220,9 +228,34 @@ def pivot(mat: list[list[Fraction]], r: int, c: int) -> None:
                 other[j] -= f * row[j]
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q. Returns (matrix, pivot column list)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+def int_row(row: Sequence) -> list[int]:
+    """The row scaled by the lcm of its denominators, a positive factor, as
+    a list of ints. Entries must be ints or Fractions (check_rational)."""
+    check_rational(row)
+    den = lcm(*[x.denominator for x in row])
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def eliminate(target: list[int], source: list[int], c: int) -> list[int]:
+    """A new row: target with column c cleared by source (source[c] != 0),
+    a positive multiple of target minus a multiple of source, divided by
+    the gcd of its entries. Only positive factors touch target, so an
+    inequality row keeps its direction."""
+    s, t = source[c], target[c]
+    g = gcd(s, t)
+    a, b = abs(s) // g, t // g if s > 0 else -t // g
+    row = [a * x - b * y for x, y in zip(target, source)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form of integer rows: the rows of
+    rref, each a nonzero multiple with coprime entries, and the pivot
+    columns. The input lists are not modified."""
+    mat = list(rows)
     pivots: list[int] = []
     for c in range(len(mat[0]) if mat else 0):
         rk = len(pivots)
@@ -231,9 +264,23 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
         piv = next((i for i in range(rk, len(mat)) if mat[i][c]), None)
         if piv is not None:
             mat[rk], mat[piv] = mat[piv], mat[rk]
-            pivot(mat, rk, c)
+            source = mat[rk]
+            for i, row in enumerate(mat):
+                if row[c] and i != rk:
+                    mat[i] = eliminate(row, source, c)
             pivots.append(c)
     return mat[:len(pivots)], pivots
+
+
+_ZERO = Fraction(0)
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q. Returns (matrix, pivot column list).
+    Entries must be ints or Fractions; a float or a bool raises ValueError."""
+    red, pivots = int_rref([int_row(row) for row in rows])
+    return [[Fraction(x, row[p]) if x else _ZERO for x in row]
+            for row, p in zip(red, pivots)], pivots
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:

@@ -1,11 +1,15 @@
 """Exact rational linear programming.
 
 Linear systems A x = b, M x >= d over Q are decided exactly, with no
-floating point. The equalities are solved first with `exact.rref`, which
-writes each pivot variable in terms of the free ones; the remaining
-inequality system is decided through its LP dual, which keeps the simplex
-tableau at (free dimension) rows no matter how many inequality rows there
-are. Both the reduction and the simplex pivots are `exact.pivot` steps.
+floating point. Each row is scaled to integers, and the equalities are
+brought to reduced row echelon form by the fraction-free steps of
+`exact.int_rref`, which write each pivot variable in terms of the free
+ones. The same `exact.eliminate` step, with positive factors only,
+substitutes them into the inequality rows. The remaining inequality system
+is decided through its LP dual, which keeps the simplex tableau at (free
+dimension) rows no matter how many inequality rows there are; the simplex
+pivots are `exact.pivot` steps over Q. The witness is replayed on the
+integer rows, with one common denominator for its coordinates.
 
 Every row is an equality or an a.x >= d. The questions of the package
 that need some a.x > 0 are all homogeneous: the redundancy probes of
@@ -22,9 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
-from .exact import check_rational, pivot, rref
+from .exact import check_rational, eliminate, int_row, int_rref, pivot
 
 
 @dataclass(frozen=True)
@@ -155,34 +161,34 @@ def lp_feasible(system: LinearSystem) -> LPResult:
     rational point.
     """
     dim = system.dim
-    red, pivots = rref([list(row.normal) + [row.offset]
-                        for row in system.equalities])
+    # each row as the ints (L a, L b) for its positive denominator lcm L
+    eqs = [int_row(row.normal + (row.offset,)) for row in system.equalities]
+    ineqs = [int_row(row.normal + (row.offset,))
+             for row in system.inequalities]
+    red, pivots = int_rref(eqs)
     if dim in pivots:
         return LPResult(False, None)
     free = [j for j in range(dim) if j not in pivots]
 
-    # substitute the pivot variables into the inequality rows: clearing
-    # the pivot columns leaves coeffs . x_free >= offset in the last column
-    mat = red + [[Fraction(x) for x in row.normal] + [Fraction(row.offset)]
-                 for row in system.inequalities]
-    for i, p in enumerate(pivots):
-        pivot(mat, i, p)
-
     # normalize and deduplicate the inequality rows, keeping the largest
-    # offset per direction
+    # offset per direction; substituting the pivot variables clears the
+    # pivot columns and leaves a positive multiple of coeffs . x_free >= off
     kept: dict[tuple[Fraction, ...], Fraction] = {}
-    for reduced in mat[len(red):]:
-        coeffs = [reduced[f] for f in free]
-        off = reduced[dim]
+    for row in ineqs:
+        for r, p in zip(red, pivots):
+            if row[p]:
+                row = eliminate(row, r, p)
+        coeffs = [row[f] for f in free]
         lead = next((c for c in coeffs if c), None)
         if lead is None:
-            if off > 0:
+            if row[dim] > 0:
                 return LPResult(False, None)
             continue
         scale = abs(lead)
-        key = tuple(c / scale for c in coeffs)
-        if key not in kept or off / scale > kept[key]:
-            kept[key] = off / scale
+        key = tuple(Fraction(c, scale) for c in coeffs)
+        off = Fraction(row[dim], scale)
+        if key not in kept or off > kept[key]:
+            kept[key] = off
 
     z = [Fraction(0)] * len(free)
     if kept:
@@ -193,15 +199,24 @@ def lp_feasible(system: LinearSystem) -> LPResult:
         if z is None:
             return LPResult(False, None)
 
+    # z = Z / den; each pivot row r gives r[p] x_p = r[dim] - sum r[f] x_f
+    den = lcm(*[t.denominator for t in z])
+    zs = [t.numerator * (den // t.denominator) for t in z]
     x = [Fraction(0)] * dim
     for f, t in zip(free, z):
         x[f] = t
     for r, p in zip(red, pivots):
-        x[p] = r[dim] - sum(r[f] * t for f, t in zip(free, z))
-    for row in system.equalities:
-        if sum(a * b for a, b in zip(row.normal, x)) != row.offset:
+        num = r[dim] * den - sum(r[f] * t for f, t in zip(free, zs))
+        x[p] = Fraction(num, r[p] * den)
+
+    # replay on the integer rows: x = X / den gives a . x - b = 0 (or >= 0)
+    # exactly when the row dotted with (X, -den) is 0 (or >= 0)
+    den = lcm(*[t.denominator for t in x])
+    homog = [t.numerator * (den // t.denominator) for t in x] + [-den]
+    for row in eqs:
+        if sum(map(mul, row, homog)):
             raise RuntimeError("witness failed equality replay")
-    for row in system.inequalities:
-        if not sum(a * b for a, b in zip(row.normal, x)) >= row.offset:
+    for row in ineqs:
+        if sum(map(mul, row, homog)) < 0:
             raise RuntimeError("witness failed replay")
     return LPResult(True, tuple(x))

@@ -10,6 +10,7 @@ whether a support is achievable.
 
 caratheodory_supports gives S(w) by one double description and carries the
 size guard; the GIT chambers and the minimal supports here are read off it.
+S(k w) = S(w) for k >= 1, so every layer of irrelevant_radical reads off one.
 No question here goes to an LP: positivity and the heft are read off the
 constraint form of the effective cone, which the enumerator caches anyway.
 """
@@ -196,6 +197,13 @@ def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Supp
     if len(d) != q.pic_rank:
         raise ValueError("degree has wrong length")
     h = _checked_heft(q, heft)
+    return _minimal_supports(q, d, h, caratheodory_supports(q, d))
+
+
+def _minimal_supports(q: DegreeMatrix, d, h, supports) -> tuple[Support, ...]:
+    """minimal_supports_of_degree for a checked degree and heft, given
+    S(d) or S(w) for any class w with d = k w, k >= 1: the fiber over k w
+    is k times the fiber over w, so S(k w) = S(w)."""
     cols = q.columns
 
     def achievable(subset: tuple[int, ...]) -> bool:
@@ -208,7 +216,6 @@ def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Supp
         return next(_exponents(q, residual, h, subset), None) is not None
 
     # probe unions of S(d) by size; grow none that holds a found support
-    supports = caratheodory_supports(q, d)
     by_size: list[set] = [set() for _ in range(q.num_gens + 1)]
     for s in supports:
         by_size[len(s)].add(s)
@@ -246,13 +253,23 @@ def irrelevant_radical(q: DegreeMatrix, degree, depth: int = 1, heft=None,
         raise ValueError("saturation depth must be at least 1")
     d = int_vector(degree, "degree")
     h = _checked_heft(q, heft)
+    if len(d) != q.pic_rank:
+        raise ValueError("degree has wrong length")
+    return _radical(q, d, depth, h, check_stable, caratheodory_supports(q, d))
+
+
+def _radical(q: DegreeMatrix, d, depth: int, h, check_stable: bool,
+             supports):
+    """irrelevant_radical for a checked degree and heft, given S(d): every
+    layer j d has the same S (see _minimal_supports)."""
     layers: list[Support] = []
     for j in range(1, depth + 1):
-        layers.extend(minimal_supports_of_degree(q, tuple(j * x for x in d), h))
+        layers.extend(_minimal_supports(q, tuple(j * x for x in d), h,
+                                        supports))
     ideal = SquarefreeIdeal(minimal_antichain(layers))
     if not check_stable:
         return ideal
-    layers.extend(
-        minimal_supports_of_degree(q, tuple((depth + 1) * x for x in d), h))
+    layers.extend(_minimal_supports(q, tuple((depth + 1) * x for x in d), h,
+                                    supports))
     stable = SquarefreeIdeal(minimal_antichain(layers)) == ideal
     return ideal, stable

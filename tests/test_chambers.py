@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from coxtoric import chambers, monomials
 from coxtoric.chambers import (GuardExceeded, chamber_of, effective_cone,
                                same_chamber, spans_extremal_ray)
 from coxtoric.cones import (RationalCone, double_description,
@@ -235,3 +236,26 @@ def test_chamber_questions_lp_budget(monkeypatch):
         rows.update(primitive(a) for a in ineqs)
     chamber_of(q, dp.anti_canonical)
     assert len(calls) == len(rows)
+
+
+def test_support_sets_computed_once_per_class(monkeypatch):
+    # S(k w) = S(w), so same_chamber reads every layer of both radicals off
+    # the two S(w) of its effective-cone check, and irrelevant_radical off
+    # one S(w), at every depth
+    dp = delpezzo4()
+    q = dp.degrees
+    seen = []
+
+    def counted(q, w):
+        seen.append(tuple(w))
+        return caratheodory_supports(q, w)
+
+    monkeypatch.setattr(chambers, "caratheodory_supports", counted)
+    monkeypatch.setattr(monomials, "caratheodory_supports", counted)
+    doubled = tuple(2 * x for x in dp.ample)
+    result = same_chamber(q, dp.ample, doubled, depth=2, check_stable=True)
+    assert result.same and result.stable
+    assert seen == [dp.ample, doubled]
+    seen.clear()
+    irrelevant_radical(q, dp.anti_canonical, depth=2, check_stable=True)
+    assert seen == [dp.anti_canonical]

@@ -9,6 +9,7 @@ from coxtoric.exact import (
     IntMat,
     det,
     dot,
+    eliminate,
     hermite_normal_form,
     kernel_lattice,
     nullspace,
@@ -48,6 +49,24 @@ def maximal_minor_gcd(m: IntMat) -> int:
     rows = m.to_rows()
     return gcd(*(det(IntMat.from_rows([[r[j] for j in cols] for r in rows]))
                  for cols in combinations(range(m.cols), m.rows)))
+
+
+def fraction_rref(rows):
+    """Reference reduced row echelon form over Q by Gauss-Jordan steps on
+    Fractions (exact.pivot), the elimination rref used before it went
+    fraction-free."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        rk = len(pivots)
+        if rk == len(mat):
+            break
+        piv = next((i for i in range(rk, len(mat)) if mat[i][c]), None)
+        if piv is not None:
+            mat[rk], mat[piv] = mat[piv], mat[rk]
+            pivot(mat, rk, c)
+            pivots.append(c)
+    return mat[:len(pivots)], pivots
 
 
 def test_maximal_minor_gcd_known_values():
@@ -166,6 +185,34 @@ def test_rref_pivots():
     red, pivots = rref([[0, 2, 4], [1, 1, 1]])
     assert pivots == [0, 1]
     assert red[0][0] == 1 and red[1][1] == 1
+
+
+@pytest.mark.parametrize("fn", [rref, rank, nullspace])
+@pytest.mark.parametrize("rows", [
+    [[0.1, 1]],
+    [[True, 2]],
+    [[1, 2], [Fraction(1, 2), 1.5]],
+    [[1, 0], [0, False]],
+])
+def test_rref_rank_nullspace_reject_floats_and_bools(fn, rows):
+    # 0.1 was read as its binary expansion 3602879701896397/2^55, and True
+    # as 1
+    with pytest.raises(ValueError, match="integers or Fractions"):
+        fn(rows)
+
+
+def test_eliminate_clears_column_with_positive_factor():
+    # rows (a, b) read a.(x, y) >= b. Substituting x = (4y - 2) / 6 from
+    # -6x + 4y = 2 into 3x + 2y >= 5 leaves 4y >= 6, kept primitive as
+    # 2y >= 3; a negative factor on the target would turn it into <=
+    target, source = [3, 2, 5], [-6, 4, 2]
+    assert eliminate(target, source, 0) == [0, 2, 3]
+    assert eliminate([6, 4, 10], source, 0) == [0, 2, 3]
+    # x = 1/2 from 6x = 3 into -3x + y >= 0 leaves y >= 3/2
+    assert eliminate([-3, 1, 0], [6, 0, 3], 0) == [0, 2, 3]
+    assert eliminate([-3, 1, 0], [-6, 0, -3], 0) == [0, 2, 3]
+    # the input rows are left as they were
+    assert target == [3, 2, 5] and source == [-6, 4, 2]
 
 
 def test_pivot_is_one_gauss_jordan_step():

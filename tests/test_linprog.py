@@ -4,12 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from coxtoric import fans, linprog
+from coxtoric.cli import reproduce_paper_report
+from coxtoric.exact import pivot
 from coxtoric.linprog import (
     LinearRow,
     LinearSystem,
+    LPResult,
     lp_feasible,
     simplex_nonneg,
 )
+from test_exact import fraction_rref
 
 
 def _primitive_row(coeffs, off, strict):
@@ -49,6 +54,52 @@ def fm_feasible(dim, eqs, ineqs):
         if off > 0 or (strict and off == 0):
             return False
     return True
+
+
+def fraction_lp_feasible(system):
+    """Reference lp_feasible on Fractions throughout: the equalities by a
+    Fraction rref, their substitution by exact.pivot steps and the
+    witness replay by Fraction sums. It hands simplex_nonneg the same dual
+    tableau as lp_feasible, so both must return the same witness."""
+    dim = system.dim
+    red, pivots = fraction_rref([list(row.normal) + [row.offset]
+                                 for row in system.equalities])
+    if dim in pivots:
+        return LPResult(False, None)
+    free = [j for j in range(dim) if j not in pivots]
+    mat = red + [[Fraction(x) for x in row.normal] + [Fraction(row.offset)]
+                 for row in system.inequalities]
+    for i, p in enumerate(pivots):
+        pivot(mat, i, p)
+    kept = {}
+    for reduced in mat[len(red):]:
+        coeffs = [reduced[f] for f in free]
+        off = reduced[dim]
+        lead = next((c for c in coeffs if c), None)
+        if lead is None:
+            if off > 0:
+                return LPResult(False, None)
+            continue
+        scale = abs(lead)
+        key = tuple(c / scale for c in coeffs)
+        if key not in kept or off / scale > kept[key]:
+            kept[key] = off / scale
+    z = [Fraction(0)] * len(free)
+    if kept:
+        amat = [[-k[i] for k in kept] for i in range(len(free))]
+        z = simplex_nonneg(amat, [-off for off in kept.values()])
+        if z is None:
+            return LPResult(False, None)
+    x = [Fraction(0)] * dim
+    for f, t in zip(free, z):
+        x[f] = t
+    for r, p in zip(red, pivots):
+        x[p] = r[dim] - sum(r[f] * t for f, t in zip(free, z))
+    for row in system.equalities:
+        assert sum(a * b for a, b in zip(row.normal, x)) == row.offset
+    for row in system.inequalities:
+        assert sum(a * b for a, b in zip(row.normal, x)) >= row.offset
+    return LPResult(True, tuple(x))
 
 
 def sys_of(dim, eqs=(), ineqs=()):
@@ -192,3 +243,65 @@ def test_random_cross_check_against_fourier_motzkin():
                 val = sum(Fraction(c) * w for c, w in zip(coeffs, got.witness))
                 assert val >= off
     assert agree == 120
+
+
+def test_projectivity_lps_of_reproduce_paper_match_fraction_reference(
+        monkeypatch):
+    # the two is_projective LPs of the headline run (41 and 21 variables,
+    # hundreds of rows): the simplex must pivot exactly as before, so the
+    # witnesses, and with them the pinned support functions, are the same
+    systems = []
+
+    def record(system):
+        systems.append(system)
+        return lp_feasible(system)
+
+    monkeypatch.setattr(fans, "lp_feasible", record)
+    reproduce_paper_report()
+    assert sorted(s.dim for s in systems) == [21, 41]
+    for system in systems:
+        got = lp_feasible(system)
+        assert got.feasible
+        assert got == fraction_lp_feasible(system)
+        assert all(type(x) is Fraction for x in got.witness)
+
+
+# rows whose entries have unlike denominators, so that each row's own lcm
+# (6, 6, 6 and 10) matters when it is replayed on integers
+THIRDS = LinearSystem.make(
+    3, [([Fraction(1, 2), Fraction(1, 3), -1], Fraction(1, 6))],
+    [([0, Fraction(1, 3), 0], Fraction(1, 3)),
+     ([0, 0, Fraction(2, 3)], Fraction(-1, 3)),
+     ([0, Fraction(1, 3), Fraction(1, 2)], Fraction(2, 3)),
+     ([Fraction(1, 2), 0, 0], Fraction(-7, 5))])
+
+
+def test_thirds_system_witness_matches_fraction_reference():
+    got = lp_feasible(THIRDS)
+    assert got.feasible and got == fraction_lp_feasible(THIRDS)
+
+
+@pytest.mark.parametrize("z, ok", [
+    # (x1, x2) for the free columns; x0 = 1/3 + 2 x2 - 2 x1 / 3 follows
+    # from the equality. The rows read x1 >= 1, x2 >= -1/2,
+    # 2 x1 + 3 x2 >= 4 and x0 >= -14/5.
+    ((Fraction(11, 4), Fraction(-1, 2)), True),    # rows 2 and 3 tight
+    ((Fraction(4), Fraction(-1, 3)), False),       # x0 = -3
+    ((Fraction(13, 5), Fraction(-1, 2)), False),   # 2 x1 + 3 x2 = 37/10
+    ((Fraction(999, 1000), Fraction(1)), False),   # x1 misses 1
+    ((Fraction(3), Fraction(-501, 1000)), False),  # x2 below -1/2
+    ((Fraction(4), Fraction(5)), True),
+])
+def test_witness_replay_rejects_a_perturbed_point(monkeypatch, z, ok):
+    # the simplex returns a point instead of the one it finds; replayed on
+    # the rows scaled by their lcm, a point that violates a row must fail
+    # and one on its boundary must pass. The two points that violate the
+    # last two rows satisfy the rows of their numerators alone.
+    monkeypatch.setattr(linprog, "simplex_nonneg", lambda rows, cost: list(z))
+    if ok:
+        res = lp_feasible(THIRDS)
+        assert res.feasible and res.witness[1:] == z
+        assert res.witness[0] == Fraction(1, 3) + 2 * z[1] - 2 * z[0] / 3
+    else:
+        with pytest.raises(RuntimeError, match="^witness failed replay$"):
+            lp_feasible(THIRDS)

@@ -3,7 +3,8 @@ force over column subsets for the Caratheodory supports S(w), enumeration
 of the graded pieces for their minimal supports, sympy for rank, rref,
 determinants and Hermite normal forms, the gcd of maximal minors for the
 saturation check of gale_dual, Fourier-Motzkin elimination for lp_feasible
-(also on the offset-1 form of homogeneous strict systems), double description
+(also on the offset-1 form of homogeneous strict systems), the Fraction
+Gauss-Jordan lp_feasible for its integer witness, double description
 for cone membership, chambers and fan validity, the heft LP for the
 positivity verdict of derive_heft, rank and rational_solve for
 subspace membership, coordinates and intersections, the Fraction path for
@@ -29,8 +30,9 @@ from coxtoric.cones import (RationalCone, cone_member,  # noqa: E402
                             double_description, generators_to_hrep,
                             primitive)
 from coxtoric import grading  # noqa: E402
-from coxtoric.exact import (IntMat, det, dot, hermite_normal_form,  # noqa: E402
-                            kernel_lattice, rank, rational_solve, rref)
+from coxtoric.exact import (IntMat, det, dot, eliminate,  # noqa: E402
+                            hermite_normal_form, int_row, kernel_lattice,
+                            rank, rational_solve, rref)
 from coxtoric.fans import (Fan, _vertex_replay, fan_report,  # noqa: E402
                            is_complete, is_projective, validate_fan)
 from coxtoric.grading import DegreeMatrix  # noqa: E402
@@ -44,7 +46,7 @@ from test_chambers import chamber_oracle  # noqa: E402
 from test_exact import maximal_minor_gcd  # noqa: E402
 from test_fans import (CUBE_FACES, CUBE_RAYS, DOUBLY_WOUND_CONES,  # noqa: E402
                        DOUBLY_WOUND_RAYS, pair_lp_report)
-from test_linprog import fm_feasible  # noqa: E402
+from test_linprog import fm_feasible, fraction_lp_feasible  # noqa: E402
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -122,6 +124,17 @@ def test_caratheodory_supports_against_brute_force(case):
     assert caratheodory_supports(q, w) == brute_force_supports(q, w)
 
 
+@settings(deadline=None)
+@given(gradings_and_classes())
+def test_caratheodory_supports_of_multiples(case):
+    # {l >= 0 : q l = k w} is k times the fiber over w, so S(k w) = S(w);
+    # irrelevant_radical and same_chamber read every layer off S(w)
+    q, w = case
+    supports = caratheodory_supports(q, w)
+    for k in (2, 3):
+        assert caratheodory_supports(q, tuple(k * x for x in w)) == supports
+
+
 @st.composite
 def positive_gradings_and_degrees(draw):
     """A positive grading of rank 1 to 3 on 1 to 5 columns, and a degree:
@@ -176,12 +189,53 @@ def matrices_with_zero_rows(draw):
 @settings(deadline=None)
 @given(matrices_with_zero_rows())
 @example([[0, 0, 0], [0, 0, 0]])
+# negative pivots, in the input and after elimination
+@example([[-3, 1, 2], [-6, 2, 5], [0, -7, 1]])
+# coefficient growth: the integer rows of a Hilbert-like matrix
+@example([[Fraction(1, i + j + 1) for j in range(6)] for i in range(5)])
+@example([[97, 89, 83, 79], [71, 67, 61, 59], [53, 47, 43, 41],
+          [37, 31, 29, 23]])
+# Fraction rows whose denominators differ within a row
+@example([[Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 4)],
+          [Fraction(-1, 6), 0, Fraction(3, 5), 1]])
 def test_rref_against_sympy(rows):
     red, pivots = rref(rows)
     expected, expected_pivots = to_sympy(rows).rref()
     assert pivots == list(expected_pivots)
     assert red == [[Fraction(int(x.p), int(x.q)) for x in expected.row(i)]
                    for i in range(len(pivots))]
+    # lp_feasible and nullspace index and mutate these rows: each is a
+    # list of its own, of Fractions only
+    assert all(type(row) is list for row in red)
+    assert len({id(row) for row in red}) == len(red)
+    assert all(type(x) is Fraction for row in red for x in row)
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(st.integers(-9, 9), rationals), min_size=2,
+                max_size=6).flatmap(lambda t: st.tuples(
+                    st.just(t), st.lists(st.integers(-9, 9), min_size=len(t),
+                                         max_size=len(t)),
+                    st.integers(0, len(t) - 1))))
+def test_eliminate_is_a_positive_multiple_on_the_hyperplane(case):
+    # on the hyperplane source.y = 0, the new row is a positive multiple of
+    # the target row, and column c is cleared
+    target, source, c = case
+    target = int_row(target)
+    assume(source[c])
+    row = eliminate(target, source, c)
+    assert row[c] == 0
+    assert math.gcd(*row) in (0, 1)
+    # y = source[c] e_j - source[j] e_c lies on the hyperplane; target and
+    # row take values of one sign there, in the same ratio for every j
+    ratios = set()
+    for j in range(len(target)):
+        t = source[c] * target[j] - source[j] * target[c]
+        r = source[c] * row[j] - source[j] * row[c]
+        assert (t > 0) == (r > 0) and (t < 0) == (r < 0)
+        if t:
+            ratios.add(Fraction(r, t))
+    assert len(ratios) <= 1
 
 
 @st.composite
@@ -226,6 +280,21 @@ def test_lp_feasible_against_fourier_motzkin(case):
         x = got.witness
         assert all(dot(c, x) == o for c, o in eqs)
         assert all(dot(c, x) >= o for c, o in ineqs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(linear_systems())
+@example((2, [([Fraction(1, 3), Fraction(-1, 2)], Fraction(1, 3))],
+          [([Fraction(2, 3), 1], Fraction(-1, 3)), ([-1, Fraction(1, 5)], 0)]))
+@example((3, [([2, -1, 0], 1), ([0, 3, -3], Fraction(1, 3))],
+          [([-1, -1, -1], -4), ([1, 0, 0], 1), ([1, 0, 0], Fraction(3, 2))]))
+def test_lp_feasible_matches_fraction_reference(case):
+    # the integer substitution and replay hand simplex_nonneg the same
+    # dual tableau as the Fraction steps, so verdict and witness agree
+    dim, eqs, ineqs = case
+    system = LinearSystem.make(dim, [LinearRow.make(c, o) for c, o in eqs],
+                               [LinearRow.make(c, o) for c, o in ineqs])
+    assert lp_feasible(system) == fraction_lp_feasible(system)
 
 
 @st.composite
