@@ -3,8 +3,11 @@
 The effective cone is spanned by the degree columns. The chamber of a class
 w is the intersection of all cones spanned by subsets of columns containing
 w; only inclusion-minimal such subsets contribute constraints, and the
-resulting inequality list is reduced to an irredundant set by exact LP.
-The minimal subsets form S(w), read off one double description by
+resulting inequality list is reduced to an irredundant set with no LP: a
+row is redundant among the others exactly when it lies in their cone
+(Farkas), and every kept row has a separating functional from
+cones.separating_functional, replayed in integers. The minimal subsets
+form S(w), read off one double description by
 monomials.caratheodory_supports (Berchtold-Hausen, "GIT equivalence beyond
 the ample cone", 2006; Cox-Little-Schenck, Toric Varieties, ch. 14). Chamber
 equality at a fixed saturation depth is decided through the irrelevant
@@ -14,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import RationalCone, cone_member, generators_to_hrep, primitive
+from .cones import (RationalCone, generators_to_hrep, primitive,
+                    separating_functional)
 from .exact import dot, int_vector
 from .grading import DegreeMatrix
-from .linprog import LinearRow, LinearSystem, lp_feasible
 from .monomials import GuardExceeded  # noqa: F401  (re-exported)
 from .monomials import _checked_heft, _radical, caratheodory_supports
 
@@ -47,7 +50,7 @@ def effective_cone(q: DegreeMatrix) -> RationalCone:
 def spans_extremal_ray(q: DegreeMatrix, i: int) -> bool:
     """Whether generator i (1-based) spans an extremal ray of the effective
     cone: its degree is not a nonnegative combination of the non-parallel
-    remaining degrees."""
+    remaining degrees, certified by a replayed separating functional."""
     if not 1 <= i <= q.num_gens:
         raise ValueError("generator index out of range")
     col = q.columns[i - 1]
@@ -56,7 +59,7 @@ def spans_extremal_ray(q: DegreeMatrix, i: int) -> bool:
     direction = primitive(col)
     others = [c for j, c in enumerate(q.columns)
               if j != i - 1 and primitive(c) != direction]
-    return not cone_member(others, col, dim=q.pic_rank)
+    return separating_functional(others, col, q.pic_rank) is not None
 
 
 def chamber_of(q: DegreeMatrix, w) -> Chamber:
@@ -69,10 +72,11 @@ def chamber_of(q: DegreeMatrix, w) -> Chamber:
 
     For w != 0 every J in S(w) is independent with w in the relative
     interior of cone(q_J), so the chamber is full-dimensional exactly when
-    every J has r columns. The rows are homogeneous, so each redundancy LP
-    asks for a point of a cone: a row is redundant when no point with
-    r.x >= 0 on the others has -row.x >= 1, which by scaling is the
-    question -row.x > 0."""
+    every J has r columns. The candidate rows are tested in sorted order,
+    each against the rows still kept: by Farkas a row is redundant exactly
+    when it lies in the cone of those rows, and otherwise
+    separating_functional returns a point x with row.x < 0 <= r.x on the
+    others, replayed in integers, which raises RuntimeError if it fails."""
     w = int_vector(w, "class")
     subsets = caratheodory_supports(q, w)
     if not subsets:
@@ -96,16 +100,10 @@ def chamber_of(q: DegreeMatrix, w) -> Chamber:
         for a in ineqs:
             rows.add(primitive(a))
 
-    # strip redundant rows: a row is redundant when no point satisfies the
-    # others while violating it
     working = sorted(rows)
     for row in list(working):
         others = [r for r in working if r != row]
-        probe = LinearSystem(
-            q.pic_rank,
-            inequalities=tuple(LinearRow.make(r, 0) for r in others) +
-            (LinearRow.make([-x for x in row], 1),))
-        if not lp_feasible(probe).feasible:
+        if separating_functional(others, row, q.pic_rank) is None:
             working = others
 
     for row in working:

@@ -11,6 +11,11 @@ the constraint cuts the lineality space instead of the ray list.
 Integer vectors never become Fractions: `primitive` divides an all-int
 vector by its gcd directly, so the double description runs in machine
 integers and only rational input pays for `fractions.Fraction`.
+
+Non-membership is certified by Farkas with no LP: `separating_functional`
+reads a functional that separates a vector from cone(gens) off one double
+description and replays it with exact dot products. `cone_member` asks
+`lp_feasible` for nonnegative coefficients instead.
 """
 
 from __future__ import annotations
@@ -133,11 +138,33 @@ def double_description(dim: int,
 
 def generators_to_hrep(dim: int, gens: Sequence[Sequence[int]]):
     """Constraint form (equalities, inequalities) of cone(gens): the dual
-    cone's lineality gives the equalities, its rays give the facets."""
-    cleaned = [primitive(g) for g in gens]
-    cleaned = [g for g in cleaned if any(g)]
-    lin, rays = double_description(dim, inequalities=cleaned)
+    cone's lineality gives the equalities, its rays give the facets. Zero
+    generators cut nothing: double_description skips them."""
+    lin, rays = double_description(dim, inequalities=gens)
     return tuple(lin), tuple(rays)
+
+
+def separating_functional(gens: Sequence[Sequence], v: Sequence,
+                          dim: int) -> Vec | None:
+    """None when v lies in cone(gens), else a primitive integer x with
+    v.x < 0 and g.x >= 0 for every generator (Farkas). The functional is a
+    row of one double description of cone(gens), the first with a.v < 0
+    among the equalities, their negatives and the facets. It is replayed
+    with exact dot products, over the integers for integer generators,
+    before it is returned, and a failed replay raises RuntimeError.
+    Entries are ints or Fractions; a wrong length raises ValueError, as in
+    cone_member."""
+    if len(v) != dim or any(len(g) != dim for g in gens):
+        raise ValueError("target and generators must have length dim")
+    target = primitive(v)
+    eqs, ineqs = generators_to_hrep(dim, gens)
+    rows = (*eqs, *(tuple(-c for c in e) for e in eqs), *ineqs)
+    x = next((a for a in rows if dot(a, target) < 0), None)
+    if x is None:
+        return None
+    if dot(x, target) >= 0 or any(dot(g, x) < 0 for g in gens):
+        raise RuntimeError("separating functional failed replay")
+    return x
 
 
 def cone_member(gens: Sequence[Sequence[int]], target: Sequence, dim: int) -> bool:

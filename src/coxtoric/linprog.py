@@ -12,14 +12,14 @@ pivots are `exact.pivot` steps over Q. The witness is replayed on the
 integer rows, with one common denominator for its coordinates.
 
 Every row is an equality or an a.x >= d. The questions of the package
-that need some a.x > 0 are all homogeneous: the redundancy probes of
-`chambers.chamber_of` and the separating functional of `fans.validate_fan`
-ask for a point of a cone. Scaling such a point makes a.x >= 1, so those
-callers state a.x >= 1 and the verdict is the same. The other callers are
-`cones.cone_member` and `fans.is_projective`. Positivity of a grading,
-its heft, effective-cone membership and chamber full-dimensionality take
-no LP: they are read off S(w) and the constraint form of the effective
-cone.
+that need some a.x > 0 are all homogeneous: the separating functional of
+`fans.validate_fan` asks for a point of a cone. Scaling such a point makes
+a.x >= 1, so that caller states a.x >= 1 and the verdict is the same. The
+other callers are `cones.cone_member` and `fans.is_projective`. Positivity
+of a grading, its heft, effective-cone membership, chamber
+full-dimensionality and chamber irredundancy take no LP: they are read off
+S(w), the constraint form of the effective cone and the separating
+functionals of `cones.separating_functional`.
 """
 
 from __future__ import annotations

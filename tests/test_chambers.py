@@ -3,9 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from coxtoric import chambers, monomials
+from coxtoric import chambers, cones, monomials
 from coxtoric.chambers import (GuardExceeded, chamber_of, effective_cone,
                                same_chamber, spans_extremal_ray)
+from coxtoric.cli import main
 from coxtoric.cones import (RationalCone, double_description,
                             generators_to_hrep, primitive)
 from coxtoric.fans import fan_from_irrelevant
@@ -30,6 +31,34 @@ def chamber_oracle(q, w):
                 rows.extend(ineqs)
     return double_description(q.pic_rank, (),
                               tuple(dict.fromkeys(rows)))
+
+
+def greedy_lp_hrep(q, w):
+    """The former redundancy pass of chamber_of, kept as its oracle. The
+    candidate rows are the hreps of the members of S(w), or of the single
+    columns for the zero class, each equality with both signs; in sorted
+    order, a row is dropped when no point with r.x >= 0 on the rows still
+    kept has -row.x >= 1."""
+    subsets = caratheodory_supports(q, w)
+    if not any(w):
+        subsets = [(j,) for j in range(q.num_gens)]
+    rows = set()
+    for subset in subsets:
+        eqs, ineqs = generators_to_hrep(q.pic_rank,
+                                        [q.columns[j] for j in subset])
+        rows.update(primitive(e) for e in eqs)
+        rows.update(primitive(tuple(-x for x in e)) for e in eqs)
+        rows.update(primitive(a) for a in ineqs)
+    working = sorted(rows)
+    for row in list(working):
+        others = [r for r in working if r != row]
+        probe = LinearSystem(
+            q.pic_rank,
+            inequalities=tuple(LinearRow.make(r, 0) for r in others) +
+            (LinearRow.make([-x for x in row], 1),))
+        if not lp_feasible(probe).feasible:
+            working = others
+    return tuple(working)
 
 
 def test_effective_cone_small():
@@ -225,17 +254,11 @@ def test_chamber_questions_lp_budget(monkeypatch):
     # the heft from the effective cone's constraint form
     assert same_chamber(q, dp.ample, tuple(2 * x for x in dp.ample)).same
     irrelevant_radical(q, dp.ample)
-    assert calls == []
-    # one redundancy LP per distinct candidate row, none for the interior
-    rows = set()
-    for subset in caratheodory_supports(q, dp.anti_canonical):
-        eqs, ineqs = generators_to_hrep(q.pic_rank,
-                                        [q.columns[j] for j in subset])
-        rows.update(primitive(e) for e in eqs)
-        rows.update(primitive(tuple(-x for x in e)) for e in eqs)
-        rows.update(primitive(a) for a in ineqs)
+    # redundancy and extremality are decided by separating functionals
     chamber_of(q, dp.anti_canonical)
-    assert len(calls) == len(rows)
+    chamber_of(q, (0, 0, 0, 0, 0))
+    assert all(spans_extremal_ray(q, i) for i in range(1, q.num_gens + 1))
+    assert calls == []
 
 
 def test_support_sets_computed_once_per_class(monkeypatch):
@@ -259,3 +282,58 @@ def test_support_sets_computed_once_per_class(monkeypatch):
     seen.clear()
     irrelevant_radical(q, dp.anti_canonical, depth=2, check_stable=True)
     assert seen == [dp.anti_canonical]
+
+
+def _line(h, minus):
+    v = [h] + [0] * 5
+    for i in minus:
+        v[i] -= 1
+    return tuple(v)
+
+
+# the sixteen lines of the degree-four del Pezzo surface on Pic = Z^6:
+# E_i, H - E_i - E_j and 2H - (E_1 + ... + E_5)
+DP4_LINES = ([tuple(int(j == i) for j in range(6)) for i in range(1, 6)]
+             + [_line(1, p) for p in combinations(range(1, 6), 2)]
+             + [_line(2, range(1, 6))])
+
+# chamber_of at -K on the sixteen-line grading, computed by the greedy LP
+# pass before it was replaced; the column sum is 4(-K)
+DP4_ANTICANONICAL_CHAMBER = (
+    (-1, 0, -1, 0, -1, -1), (0, -1, 1, 0, 0, 0), (0, 0, -1, 1, 0, 0),
+    (0, 0, 0, -1, 0, 1), (0, 0, 0, -1, 1, 0), (1, 1, 1, 1, 0, 0),
+    (3, 2, 1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("w", [(3, -1, -1, -1, -1, -1),
+                               tuple(map(sum, zip(*DP4_LINES)))],
+                         ids=["anticanonical", "column-sum"])
+def test_dp4_chamber_is_pinned(w):
+    ch = chamber_of(DegreeMatrix.make(DP4_LINES), w)
+    assert ch.hrep == DP4_ANTICANONICAL_CHAMBER
+    assert ch.full_dimensional is False
+
+
+def test_separating_functional_replay_failure(monkeypatch, capsys):
+    # a generator's negative put first among the facets separates every
+    # target with a positive product with some generator, but fails on
+    # that generator itself
+    real = cones.generators_to_hrep
+
+    def bogus(dim, gens):
+        eqs, ineqs = real(dim, gens)
+        return eqs, tuple(tuple(-x for x in g) for g in gens) + ineqs
+
+    monkeypatch.setattr(cones, "generators_to_hrep", bogus)
+    dp = delpezzo4()
+    with pytest.raises(RuntimeError,
+                       match="separating functional failed replay"):
+        chamber_of(dp.degrees, dp.anti_canonical)
+    with pytest.raises(RuntimeError,
+                       match="separating functional failed replay"):
+        spans_extremal_ray(dp.degrees, 1)
+    code = main(["chamber", "--dataset", "delpezzo4", "--degree",
+                 "3,-1,-1,-1,-1", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err == "internal error: separating functional failed replay\n"

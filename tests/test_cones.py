@@ -9,6 +9,7 @@ from coxtoric.cones import (
     double_description,
     generators_to_hrep,
     primitive,
+    separating_functional,
 )
 from coxtoric.exact import dot, rank
 
@@ -122,6 +123,32 @@ def test_cone_member_rejects_wrong_lengths(gens, target):
     # must not raise IndexError
     with pytest.raises(ValueError, match="length dim"):
         cone_member(gens, target, dim=2)
+
+
+def test_separating_functional():
+    gens = [(1, 0), (1, 1)]
+    assert separating_functional(gens, (2, 1), 2) is None
+    assert separating_functional(gens, (0, 0), 2) is None
+    assert separating_functional(gens, (0, 1), 2) == (1, -1)
+    assert separating_functional(gens, (-1, 0), 2) == (1, -1)
+    # the empty cone is the origin: an equality, its sign flipped
+    assert separating_functional([], (-3, 0), 2) == (1, 0)
+    assert separating_functional([], (0, 0), 2) is None
+    # a half-plane: lineality along the first axis
+    half = [(1, 0), (-1, 0), (0, 2)]
+    assert separating_functional(half, (5, 1), 2) is None
+    assert separating_functional(half, (5, Fraction(-1, 3)), 2) == (0, 1)
+
+
+@pytest.mark.parametrize("gens, target, dim, message", [
+    ([(0.5,)], (1,), 1, "integers or Fractions"),
+    ([(1, 0), (0, 1)], (1, True), 2, "integers or Fractions"),
+    ([(1, 0, 5)], (1, 0), 2, "length dim"),
+    ([(1, 0)], (1,), 2, "length dim"),
+])
+def test_separating_functional_rejects_bad_input(gens, target, dim, message):
+    with pytest.raises(ValueError, match=message):
+        separating_functional(gens, target, dim)
 
 
 def test_contains_and_interior():

@@ -5,8 +5,10 @@ determinants and Hermite normal forms, the gcd of maximal minors for the
 saturation check of gale_dual, Fourier-Motzkin elimination for lp_feasible
 (also on the offset-1 form of homogeneous strict systems), the Fraction
 Gauss-Jordan lp_feasible for its integer witness, double description
-for cone membership, chambers and fan validity, the heft LP for the
-positivity verdict of derive_heft, rank and rational_solve for
+for cone membership, chambers and fan validity, cone_member for the
+separating functionals, the former greedy LP pass for chamber
+irredundancy, the heft LP for the positivity verdict of derive_heft,
+rank and rational_solve for
 subspace membership, coordinates and intersections, the Fraction path for
 the integer fast paths of primitive, dot and generators_to_hrep, and the
 pair LPs for the vertex replay that certifies complete projective fans."""
@@ -28,21 +30,21 @@ from sympy.matrices import normalforms  # noqa: E402
 from coxtoric.chambers import chamber_of, effective_cone  # noqa: E402
 from coxtoric.cones import (RationalCone, cone_member,  # noqa: E402
                             double_description, generators_to_hrep,
-                            primitive)
+                            primitive, separating_functional)
 from coxtoric import grading  # noqa: E402
 from coxtoric.exact import (IntMat, det, dot, eliminate,  # noqa: E402
                             hermite_normal_form, int_row, kernel_lattice,
                             rank, rational_solve, rref)
 from coxtoric.fans import (Fan, _vertex_replay, fan_report,  # noqa: E402
                            is_complete, is_projective, validate_fan)
-from coxtoric.grading import DegreeMatrix  # noqa: E402
+from coxtoric.grading import DegreeMatrix, delpezzo4  # noqa: E402
 from coxtoric.incidence import (ProjPoint, _det, intersect,  # noqa: E402
                                 subspace_from_points)
 from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible  # noqa: E402
 from coxtoric.monomials import (caratheodory_supports,  # noqa: E402
                                 derive_heft, minimal_supports_of_degree,
                                 monomials_of_degree, radical_of_monomials)
-from test_chambers import chamber_oracle  # noqa: E402
+from test_chambers import chamber_oracle, greedy_lp_hrep  # noqa: E402
 from test_exact import maximal_minor_gcd  # noqa: E402
 from test_fans import (CUBE_FACES, CUBE_RAYS, DOUBLY_WOUND_CONES,  # noqa: E402
                        DOUBLY_WOUND_RAYS, pair_lp_report)
@@ -436,6 +438,38 @@ def test_cone_member_against_double_description(case):
 
 
 @st.composite
+def separation_cases(draw):
+    """membership_cases, with the target sometimes made zero and some
+    generators sometimes joined by their negatives, so that cone(gens)
+    has lineality."""
+    d, gens, target = draw(membership_cases())
+    if draw(st.booleans()):
+        gens = gens + [tuple(-x for x in g) for g in gens
+                       if draw(st.booleans())]
+    if draw(st.integers(0, 4)) == 0:
+        target = (0,) * d
+    return d, gens, target
+
+
+@settings(deadline=None, max_examples=300)
+@given(separation_cases())
+@example((2, [], (0, 0)))
+@example((2, [], (1, -1)))
+@example((3, [(0, 0, 0)], (0, 0, 0)))
+@example((2, [(1, 0), (-1, 0), (0, 1)], (3, -1)))
+@example((2, [(1, 0), (-1, 0), (0, 1), (0, -1)], (Fraction(1, 2), -5)))
+@example((3, [(1, 1, 0), (-1, -1, 0), (0, 0, 1)], (1, 0, 0)))
+def test_separating_functional_against_cone_member(case):
+    d, gens, target = case
+    x = separating_functional(gens, target, d)
+    assert (x is None) == cone_member(gens, target, dim=d)
+    if x is not None:
+        assert all(type(c) is int for c in x) and primitive(x) == x
+        assert dot(x, target) < 0
+        assert all(dot(g, x) >= 0 for g in gens)
+
+
+@st.composite
 def graded_classes(draw):
     """(grading, class): r <= 3 rows, n <= 7 columns with entries in -2..2,
     zero and negative columns included. The class is zero, a sum of columns
@@ -477,6 +511,25 @@ def test_chamber_of_against_oracle(case):
     assert lin == lin_oracle == []
     assert sorted(rays) == sorted(rays_oracle)
     assert ch.full_dimensional == (rank(rays_oracle) == q.pic_rank)
+
+
+@settings(deadline=None, max_examples=200)
+@given(graded_classes())
+@example((DegreeMatrix.make([(1, 0), (0, 1), (1, 1)]), (1, 1)))
+@example((DegreeMatrix.make([(1, 0), (0, 1), (1, 1)]), (0, 0)))
+@example((DegreeMatrix.make([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
+                             (0, 1, 1)]), (1, 2, 1)))
+@example((DegreeMatrix.make([(1,), (-1,)]), (0,)))
+@example((DegreeMatrix.make([(1, 0), (-1, 0), (0, 1)]), (0, 1)))
+@example((delpezzo4().degrees, (3, -1, -1, -1, -1)))
+@example((delpezzo4().degrees, (0, 0, 0, 0, 0)))
+@example((delpezzo4().degrees, (11, -5, -3, -2, -1)))
+def test_chamber_of_against_greedy_lp_pass(case):
+    # the same rows as the former LP pass, in the same order, on
+    # full-dimensional and lower-dimensional chambers alike
+    q, w = case
+    assume(effective_cone(q).contains(w))
+    assert chamber_of(q, w).hrep == greedy_lp_hrep(q, w)
 
 
 @st.composite
