@@ -23,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .cones import RationalCone, cone_member, primitive
-from .exact import dot, int_vector, nullspace, rank
+from .exact import dot, int_vector, rank
 from .grading import GaleDual
-from .linprog import LinearRow, LinearSystem, lp_feasible
+from .linprog import LinearRow, LinearSystem, int_lp_feasible, lp_feasible
 from .monomials import SquarefreeIdeal
 
 Vec = tuple[int, ...]
@@ -285,21 +285,21 @@ def is_complete(fan: Fan) -> Verdict:
 
 def _walls(fan: Fan) -> list[tuple[int, int, tuple[int, ...], Vec]]:
     """(cone position a, cone position b, tight ray indices, wall normal)
-    for every shared facet of a complete fan."""
+    for every shared facet of a complete fan. The normal is the primitive
+    inward facet normal of cone a, signed so that its last nonzero entry is
+    positive: that is primitive(nullspace(tau_rays)[0]) for the wall's rays
+    tau_rays, whose single free column is the last index of their column
+    dependency, so the sign does not depend on which cone holds the facet."""
+    cones = fan.maximal_cones
     walls = []
     for key, owners in _facet_pairing(fan).items():
         if len(owners) != 2:
             raise ValueError("facet pairing is not two-to-one")
-        tau_rays = [fan.rays[i - 1] for i in key]
-        if tau_rays:
-            basis = nullspace(tau_rays)
-        else:
-            # dimension one: the wall is the origin and any nonzero
-            # functional spans its annihilator
-            basis = nullspace([[0] * fan.ambient_dim])
-        if len(basis) != 1:
-            raise ValueError("wall does not span a hyperplane")
-        walls.append((owners[0], owners[1], key, primitive(basis[0])))
+        normal = next(n for n, tight in cones[owners[0]].facets
+                      if tight == key)
+        if next(x for x in reversed(normal) if x) < 0:
+            normal = tuple(-x for x in normal)
+        walls.append((owners[0], owners[1], key, normal))
     return walls
 
 
@@ -319,6 +319,10 @@ def is_projective(fan: Fan) -> ProjectivityCertificate:
     signs of the normals from _walls, and its rows come in wall order: the
     vertex the simplex picks, and so the reported support function, can
     depend on these orders and signs.
+    The wall normals are the facet normals that Cone.facets already holds
+    (see _walls); the fan is complete, so every cone is full-dimensional
+    and every facet spans a hyperplane. The rows are built as ints and go
+    straight to linprog.int_lp_feasible.
     A feasible solution is scaled to integers and replayed on every wall
     before the certificate is returned.
     """
@@ -331,13 +335,15 @@ def is_projective(fan: Fan) -> ProjectivityCertificate:
     tree, path = _wall_tree(len(cones), [(a, b) for a, b, _k, _n in walls])
     normals = [walls[w][3] for w in tree]
 
-    def row(a: int, b: int, ray: Vec, offset: int) -> LinearRow:
-        """<m_a - m_b, ray> as a row over the tree coefficients."""
-        coeffs = [0] * len(tree)
+    def row(a: int, b: int, ray: Vec, offset: int) -> list[int]:
+        """<m_a - m_b, ray> >= offset (or = offset) as the integer row
+        [coefficients of the tree walls | offset]."""
+        coeffs = [0] * (len(tree) + 1)
         for k in path[a] ^ path[b]:
             x = dot(normals[k], ray)
             coeffs[k] = x if k in path[a] else -x
-        return LinearRow.make(coeffs, offset)
+        coeffs[-1] = offset
+        return coeffs
 
     tree_walls = set(tree)
     equalities = []
@@ -349,16 +355,18 @@ def is_projective(fan: Fan) -> ProjectivityCertificate:
             inequalities += [row(near, far, fan.rays[i - 1], 1)
                              for i in cones[far].ray_indices if i not in key]
 
-    res = lp_feasible(LinearSystem(len(tree), tuple(equalities),
-                                   tuple(inequalities)))
+    res = int_lp_feasible(len(tree), equalities, inequalities)
     if not res.feasible:
         return ProjectivityCertificate(False, None)
 
-    coeff = res.witness
-    support = [tuple(sum(coeff[k] * normals[k][i] for k in p)
+    # the witness is c = C / den; m_s = (sum of C_k n_k over the path of
+    # s) / den, scaled by den / g to the smallest integer functionals
+    den = lcm(*(t.denominator for t in res.witness))
+    big = [t.numerator * (den // t.denominator) for t in res.witness]
+    support = [tuple(sum(big[k] * normals[k][i] for k in p)
                      for i in range(fan.ambient_dim)) for p in path]
-    denom = lcm(*(f.denominator for vec in support for f in vec))
-    support_int = tuple(tuple(int(f * denom) for f in vec) for vec in support)
+    g = gcd(den, *(x for vec in support for x in vec))
+    support_int = tuple(tuple(x // g for x in vec) for vec in support)
 
     # replay the integer certificate on every wall of the fan
     for ca, cb, key, _normal in walls:

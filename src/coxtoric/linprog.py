@@ -1,22 +1,29 @@
 """Exact rational linear programming.
 
 Linear systems A x = b, M x >= d over Q are decided exactly, with no
-floating point. Each row is scaled to integers, and the equalities are
-brought to reduced row echelon form by the fraction-free steps of
-`exact.int_rref`, which write each pivot variable in terms of the free
-ones. The same `exact.eliminate` step, with positive factors only,
-substitutes them into the inequality rows. The remaining inequality system
-is decided through its LP dual, which keeps the simplex tableau at (free
-dimension) rows no matter how many inequality rows there are; the simplex
-pivots are `exact.pivot` steps over Q. The witness is replayed on the
-integer rows, with one common denominator for its coordinates.
+floating point. The decision runs in one integer core, `int_lp_feasible`,
+which takes each row as the ints [a | b]. The equalities are brought to
+reduced row echelon form by the fraction-free steps of `exact.int_rref`,
+which write each pivot variable in terms of the free ones. The same
+`exact.eliminate` step, with positive factors only, substitutes them into
+the inequality rows. The remaining inequality system is decided through
+its LP dual, which keeps the simplex tableau at (free dimension) rows no
+matter how many inequality rows there are; the simplex pivots are
+`exact.pivot` steps over Q. The witness is replayed on the integer rows,
+with one common denominator for its coordinates.
+
+Callers enter in one of two places. `lp_feasible` takes a `LinearSystem`
+of Fraction rows, the public form, and scales each row to integers with
+`exact.int_row` before it calls the core; `cones.cone_member` and the pair
+LPs of `fans.validate_fan` enter here. `fans.is_projective` builds its
+wall rows as ints and calls `int_lp_feasible` directly, so its thousands
+of rows never become Fractions.
 
 Every row is an equality or an a.x >= d. The questions of the package
 that need some a.x > 0 are all homogeneous: the separating functional of
 `fans.validate_fan` asks for a point of a cone. Scaling such a point makes
-a.x >= 1, so that caller states a.x >= 1 and the verdict is the same. The
-other callers are `cones.cone_member` and `fans.is_projective`. Positivity
-of a grading, its heft, effective-cone membership, chamber
+a.x >= 1, so that caller states a.x >= 1 and the verdict is the same.
+Positivity of a grading, its heft, effective-cone membership, chamber
 full-dimensionality and chamber irredundancy take no LP: they are read off
 S(w), the constraint form of the effective cone and the separating
 functionals of `cones.separating_functional`.
@@ -160,11 +167,19 @@ def lp_feasible(system: LinearSystem) -> LPResult:
     before being reported, so a feasible verdict always carries a checked
     rational point.
     """
-    dim = system.dim
     # each row as the ints (L a, L b) for its positive denominator lcm L
-    eqs = [int_row(row.normal + (row.offset,)) for row in system.equalities]
-    ineqs = [int_row(row.normal + (row.offset,))
-             for row in system.inequalities]
+    return int_lp_feasible(
+        system.dim,
+        [int_row(row.normal + (row.offset,)) for row in system.equalities],
+        [int_row(row.normal + (row.offset,)) for row in system.inequalities])
+
+
+def int_lp_feasible(dim: int, eqs: list[list[int]],
+                    ineqs: list[list[int]]) -> LPResult:
+    """lp_feasible for integer rows [a | b] of length dim + 1, each read as
+    a.x = b (eqs) or a.x >= b (ineqs). The input lists are not modified."""
+    if any(len(row) != dim + 1 for row in eqs + ineqs):
+        raise ValueError("row has wrong dimension")
     red, pivots = int_rref(eqs)
     if dim in pivots:
         return LPResult(False, None)

@@ -11,6 +11,8 @@ whether a support is achievable.
 caratheodory_supports gives S(w) by one double description and carries the
 size guard; the GIT chambers and the minimal supports here are read off it.
 S(k w) = S(w) for k >= 1, so every layer of irrelevant_radical reads off one.
+The minimal supports of each degree are computed once per process, so the
+radicals and chamber comparisons of one run share their common layers.
 No question here goes to an LP: positivity and the heft are read off the
 constraint form of the effective cone, which the enumerator caches anyway.
 """
@@ -200,10 +202,29 @@ def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Supp
     return _minimal_supports(q, d, h, caratheodory_supports(q, d))
 
 
+# minimal supports per (grading, degree), kept for the whole process like
+# _subset_hrep: reproduce-paper asks for 12 layers of which 5 are distinct
+_LAYERS: dict[tuple[DegreeMatrix, tuple[int, ...]], tuple[Support, ...]] = {}
+
+
 def _minimal_supports(q: DegreeMatrix, d, h, supports) -> tuple[Support, ...]:
     """minimal_supports_of_degree for a checked degree and heft, given
     S(d) or S(w) for any class w with d = k w, k >= 1: the fiber over k w
-    is k times the fiber over w, so S(k w) = S(w)."""
+    is k times the fiber over w, so S(k w) = S(w).
+
+    The result is cached per (q, d) in _LAYERS as an immutable tuple. The
+    heft is not part of the key: it only bounds each exponent by the heft
+    budget, which no monomial of degree d exceeds under any heft positive
+    on the grading, so the supports depend on q and d alone."""
+    key = (q, tuple(d))
+    layer = _LAYERS.get(key)
+    if layer is None:
+        layer = _LAYERS[key] = _search_supports(q, key[1], h, supports)
+    return layer
+
+
+def _search_supports(q: DegreeMatrix, d, h, supports) -> tuple[Support, ...]:
+    """The uncached search of _minimal_supports."""
     cols = q.columns
 
     def achievable(subset: tuple[int, ...]) -> bool:

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import json
 import warnings
 
@@ -274,6 +275,32 @@ FROZEN_REPORTS = [
 def test_report_bytes_are_frozen(capsys, argv, digest):
     _, out, _ = run(capsys, argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `fan - --degree 3,-1,-1,-1,-1,-1 --saturate 2 --json` on the
+# sixteen-line dP4 grading read from stdin: 56 maximal cones, and an
+# is_projective LP with 55 tree-wall columns and 8,527 integer rows
+DP4_SATURATED_FAN_SHA = \
+    "064b75587dc215a994f96f227c0390175cfca841e19e39846c322f261b7832f2"
+
+
+def test_dp4_saturated_fan_is_pinned(capsys, monkeypatch):
+    from test_monomials import dp4_columns
+    cols = dp4_columns()
+    labels = ([f"E{i}" for i in range(1, 6)]
+              + [f"L{i}{j}" for i in range(1, 6) for j in range(i + 1, 6)]
+              + ["C"])
+    grading = {"picRank": 6, "numGens": 16,
+               "columns": [list(c) for c in cols], "labels": labels,
+               "heft": [3, 1, 1, 1, 1, 1]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(grading)))
+    code, out, _ = run(capsys, ["fan", "-", "--degree", "3,-1,-1,-1,-1,-1",
+                                "--saturate", "2", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["numMaximalCones"] == 56
+    assert report["complete"] is True and report["projective"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == DP4_SATURATED_FAN_SHA
 
 
 def test_reproduce_corrupted_dataset_names_first_failure():

@@ -4,13 +4,14 @@ from unittest.mock import patch
 
 import pytest
 
-from coxtoric import fans
+from coxtoric import fans, linprog
 from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
 from coxtoric.fans import (Fan, Verdict, _vertex_replay,
                            fan_from_irrelevant, fan_report, is_complete,
                            is_projective, is_simplicial, validate_fan)
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual
-from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible
+from coxtoric.linprog import (LinearRow, LinearSystem, int_lp_feasible,
+                              lp_feasible)
 from coxtoric.monomials import SquarefreeIdeal, irrelevant_radical
 
 CUBE_RAYS = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
@@ -328,11 +329,14 @@ def test_fan_report_makes_one_lp_call(monkeypatch, ideal):
     fan = fan_from_irrelevant(gale_dual(delpezzo4().degrees), ideal())
     calls = []
 
-    def counted(system):
-        calls.append(system)
-        return lp_feasible(system)
+    def counted(dim, eqs, ineqs):
+        calls.append(dim)
+        return int_lp_feasible(dim, eqs, ineqs)
 
-    monkeypatch.setattr(fans, "lp_feasible", counted)
+    # every LP goes through the integer core: is_projective calls it
+    # directly, lp_feasible (the pair LPs of validate_fan) through linprog
+    monkeypatch.setattr(fans, "int_lp_feasible", counted)
+    monkeypatch.setattr(linprog, "int_lp_feasible", counted)
     report = fan_report(fan)
     assert report["valid"] is True and report["projective"] is True
     # is_projective's LP; validity comes from the vertex replay

@@ -11,6 +11,7 @@ from coxtoric.linprog import (
     LinearRow,
     LinearSystem,
     LPResult,
+    int_lp_feasible,
     lp_feasible,
     simplex_nonneg,
 )
@@ -195,6 +196,19 @@ def test_lp_feasible_rejects_float_rows():
         lp_feasible(LinearSystem.make(1, equalities=[([1], 0.5)]))
 
 
+def test_int_lp_feasible_matches_lp_feasible_and_checks_row_length():
+    # x0 + x1 = 2, x0 - x1 >= 1 as integer rows [a | b]
+    eqs, ineqs = [[1, 1, 2]], [[1, -1, 1]]
+    got = int_lp_feasible(2, eqs, ineqs)
+    assert got.feasible and got == lp_feasible(sys_of(
+        2, eqs=[([1, 1], 2)], ineqs=[([1, -1], 1)]))
+    assert eqs == [[1, 1, 2]] and ineqs == [[1, -1, 1]]
+    with pytest.raises(ValueError, match="wrong dimension"):
+        int_lp_feasible(2, [[1, 1]], [])
+    with pytest.raises(ValueError, match="wrong dimension"):
+        int_lp_feasible(1, [], [[1, -1, 1]])
+
+
 def test_linear_row_keeps_ints_and_fractions():
     row = LinearRow.make([2, Fraction(1, 3)], Fraction(-1, 2))
     assert row == LinearRow((Fraction(2), Fraction(1, 3)), Fraction(-1, 2))
@@ -250,18 +264,23 @@ def test_projectivity_lps_of_reproduce_paper_match_fraction_reference(
     # the two is_projective LPs of the headline run (41 and 21 variables,
     # hundreds of rows): the simplex must pivot exactly as before, so the
     # witnesses, and with them the pinned support functions, are the same
+    # is_projective hands its integer rows to the core directly; each
+    # recorded LP is rebuilt as the LinearSystem of the same rows
     systems = []
 
-    def record(system):
-        systems.append(system)
-        return lp_feasible(system)
+    def record(dim, eqs, ineqs):
+        got = int_lp_feasible(dim, eqs, ineqs)
+        systems.append((LinearSystem(
+            dim, tuple(LinearRow.make(r[:-1], r[-1]) for r in eqs),
+            tuple(LinearRow.make(r[:-1], r[-1]) for r in ineqs)), got))
+        return got
 
-    monkeypatch.setattr(fans, "lp_feasible", record)
+    monkeypatch.setattr(fans, "int_lp_feasible", record)
     reproduce_paper_report()
-    assert sorted(s.dim for s in systems) == [21, 41]
-    for system in systems:
-        got = lp_feasible(system)
+    assert sorted(s.dim for s, _ in systems) == [21, 41]
+    for system, got in systems:
         assert got.feasible
+        assert got == lp_feasible(system)
         assert got == fraction_lp_feasible(system)
         assert all(type(x) is Fraction for x in got.witness)
 

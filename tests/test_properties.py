@@ -10,8 +10,10 @@ separating functionals, the former greedy LP pass for chamber
 irredundancy, the heft LP for the positivity verdict of derive_heft,
 rank and rational_solve for
 subspace membership, coordinates and intersections, the Fraction path for
-the integer fast paths of primitive, dot and generators_to_hrep, and the
-pair LPs for the vertex replay that certifies complete projective fans."""
+the integer fast paths of primitive, dot and generators_to_hrep, the
+pair LPs for the vertex replay that certifies complete projective fans,
+the kernel of each wall's rays for the wall normals read off the facets,
+and an uncached search under another heft for the cached radical layers."""
 
 import math
 from fractions import Fraction
@@ -31,18 +33,22 @@ from coxtoric.chambers import chamber_of, effective_cone  # noqa: E402
 from coxtoric.cones import (RationalCone, cone_member,  # noqa: E402
                             double_description, generators_to_hrep,
                             primitive, separating_functional)
-from coxtoric import grading  # noqa: E402
+from coxtoric import grading, monomials  # noqa: E402
+from coxtoric.cli import reproduce_paper_report  # noqa: E402
+from coxtoric.delpezzo import ample_ideal, anticanonical_ideal  # noqa: E402
 from coxtoric.exact import (IntMat, det, dot, eliminate,  # noqa: E402
                             hermite_normal_form, int_row, kernel_lattice,
-                            rank, rational_solve, rref)
-from coxtoric.fans import (Fan, _vertex_replay, fan_report,  # noqa: E402
-                           is_complete, is_projective, validate_fan)
-from coxtoric.grading import DegreeMatrix, delpezzo4  # noqa: E402
+                            nullspace, rank, rational_solve, rref)
+from coxtoric.fans import (Fan, _vertex_replay, _walls,  # noqa: E402
+                           fan_from_irrelevant, fan_report, is_complete,
+                           is_projective, validate_fan)
+from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual  # noqa: E402
 from coxtoric.incidence import (ProjPoint, _det, intersect,  # noqa: E402
                                 subspace_from_points)
 from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible  # noqa: E402
 from coxtoric.monomials import (caratheodory_supports,  # noqa: E402
-                                derive_heft, minimal_supports_of_degree,
+                                derive_heft, irrelevant_radical,
+                                minimal_supports_of_degree,
                                 monomials_of_degree, radical_of_monomials)
 from test_chambers import chamber_oracle, greedy_lp_hrep  # noqa: E402
 from test_exact import maximal_minor_gcd  # noqa: E402
@@ -822,3 +828,111 @@ def test_generators_to_hrep_int_matches_fraction(case):
     # the same rays given as positive rational multiples
     fracs = [[Fraction(x, k) for x in g] for g, k in scaled]
     assert generators_to_hrep(d, gens) == generators_to_hrep(d, fracs)
+
+
+def _nullspace_normals(fan):
+    """Per wall of _walls, the reference normal from the kernel of its
+    rays: the primitive form of nullspace(tau_rays)[0]."""
+    out = []
+    for _a, _b, key, _n in _walls(fan):
+        tau_rays = [fan.rays[i - 1] for i in key] or \
+            [[0] * fan.ambient_dim]
+        basis = nullspace(tau_rays)
+        assert len(basis) == 1
+        out.append(primitive(basis[0]))
+    return out
+
+
+@pytest.mark.parametrize("ideal", [ample_ideal, anticanonical_ideal],
+                         ids=["ample", "anticanonical"])
+def test_wall_normals_of_bundled_fans_match_nullspace(ideal):
+    fan = fan_from_irrelevant(gale_dual(delpezzo4().degrees), ideal())
+    walls = _walls(fan)
+    assert len(walls) > 0
+    assert [n for _a, _b, _k, n in walls] == _nullspace_normals(fan)
+
+
+@st.composite
+def complete_grading_fans(draw):
+    """Fans of the depth-2 radical at the sum of the columns of a positive
+    grading of rank 1 to 3 on r + 2 to 6 columns, kept when complete
+    (about two in five)."""
+    r = draw(st.integers(1, 3))
+    cols = draw(st.lists(
+        st.tuples(st.integers(1, 2), *[st.integers(-1, 2)] * (r - 1)),
+        min_size=r + 2, max_size=6))
+    q = DegreeMatrix.make(cols)
+    try:
+        fan = fan_from_irrelevant(gale_dual(q), irrelevant_radical(
+            q, tuple(map(sum, zip(*cols))), depth=2))
+    except ValueError:
+        assume(False)
+    assume(is_complete(fan).ok)
+    return fan
+
+
+@settings(deadline=None, max_examples=60)
+@given(complete_grading_fans())
+def test_wall_normals_from_facets_match_nullspace(fan):
+    # the facet normal, signed so that its last nonzero entry is positive,
+    # is the kernel vector of the wall's rays: both sides of the LP of
+    # is_projective see the same columns with the same signs
+    assert [n for _a, _b, _k, n in _walls(fan)] == _nullspace_normals(fan)
+
+
+@settings(deadline=None)
+@given(positive_gradings_and_degrees(), st.data())
+def test_cached_layer_is_heft_independent(case, data):
+    # the cache key leaves the heft out: an uncached search under another
+    # valid heft h2 = m h + f, and the radical of every monomial of the
+    # degree under h2, both give the cached layer
+    q, d = case
+    h = derive_heft(q)
+    f = data.draw(st.lists(st.integers(-3, 3), min_size=q.pic_rank,
+                           max_size=q.pic_rank))
+    m = 1 + max(abs(dot(f, col)) for col in q.columns)
+    h2 = tuple(m * a + b for a, b in zip(h, f))
+    assert all(dot(h2, col) >= 1 for col in q.columns)
+    cached = minimal_supports_of_degree(q, d)
+    assert minimal_supports_of_degree(q, d, heft=h2) is cached
+    assert monomials._search_supports(
+        q, d, h2, caratheodory_supports(q, d)) == cached
+    assert radical_of_monomials(
+        monomials_of_degree(q, d, heft=h2)).generators == cached
+
+
+@settings(deadline=None)
+@given(positive_gradings_and_degrees())
+def test_cached_layer_is_immutable(case):
+    q, d = case
+    layer = minimal_supports_of_degree(q, d)
+    assert type(layer) is tuple
+    assert all(type(s) is tuple for s in layer)
+    assert monomials._LAYERS[(q, d)] is layer
+
+
+def test_reproduce_paper_computes_five_layers(monkeypatch):
+    # 12 layers are asked for: a and 2a, K and 2K by the two radicals,
+    # a, 2a, 2a, 4a and a, 2a, K, 2K by the two chamber comparisons
+    monkeypatch.setattr(monomials, "_LAYERS", {})
+    searched = []
+    asked = []
+    search, layer = monomials._search_supports, monomials._minimal_supports
+
+    def counted_search(q, d, h, supports):
+        searched.append(d)
+        return search(q, d, h, supports)
+
+    def counted_layer(q, d, h, supports):
+        asked.append(tuple(d))
+        return layer(q, d, h, supports)
+
+    monkeypatch.setattr(monomials, "_search_supports", counted_search)
+    monkeypatch.setattr(monomials, "_minimal_supports", counted_layer)
+    assert reproduce_paper_report()["overall"]
+    dp = delpezzo4()
+    assert len(asked) == 12
+    assert sorted(searched) == sorted(
+        {tuple(k * x for x in w) for w, ks in ((dp.ample, (1, 2, 4)),
+                                               (dp.anti_canonical, (1, 2)))
+         for k in ks})
