@@ -20,7 +20,6 @@ from .incidence import (LineWitness, PositionVerdict, ProjPoint, ProjSubspace,
                         find_transversal_plane, general_position_on_plane,
                         intersect, subspace_from_equations,
                         subspace_from_points, witness_plane_via_line)
-from .linprog import LinearRow, LinearSystem, LPResult, lp_feasible
 from .monomials import (GuardExceeded, SquarefreeIdeal, caratheodory_supports,
                         derive_heft, irrelevant_radical, minimal_antichain,
                         minimal_supports_of_degree, monomials_of_degree,
@@ -28,9 +27,8 @@ from .monomials import (GuardExceeded, SquarefreeIdeal, caratheodory_supports,
 
 __all__ = [
     "Chamber", "Cone", "CoxPresentationPair", "DegreeMatrix", "Fan",
-    "GaleDual", "GuardExceeded", "IntMat", "LPResult", "LineWitness",
-    "LinearRow", "LinearSystem", "PositionVerdict", "ProjPoint",
-    "ProjSubspace", "ProjectivityCertificate", "RationalCone",
+    "GaleDual", "GuardExceeded", "IntMat", "LineWitness", "PositionVerdict",
+    "ProjPoint", "ProjSubspace", "ProjectivityCertificate", "RationalCone",
     "RestrictionTable", "SameChamberResult", "SearchExhausted",
     "SquarefreeIdeal", "TransversalPlane", "Verdict", "caratheodory_supports",
     "chamber_of", "check_degree_bijection", "check_pic_restriction",
@@ -40,7 +38,7 @@ __all__ = [
     "general_position_on_plane", "generators_to_hrep",
     "hermite_normal_form", "intersect", "irrelevant_radical",
     "is_complete", "is_projective", "is_simplicial",
-    "kernel_lattice", "lp_feasible", "minimal_antichain",
+    "kernel_lattice", "minimal_antichain",
     "minimal_supports_of_degree", "monomials_of_degree",
     "mori_embedding_report", "nullspace", "primitive",
     "radical_of_monomials", "rank", "rational_solve", "rref",

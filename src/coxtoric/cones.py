@@ -12,10 +12,11 @@ Integer vectors never become Fractions: `primitive` divides an all-int
 vector by its gcd directly, so the double description runs in machine
 integers and only rational input pays for `fractions.Fraction`.
 
-Non-membership is certified by Farkas with no LP: `separating_functional`
-reads a functional that separates a vector from cone(gens) off one double
-description and replays it with exact dot products. `cone_member` asks
-`lp_feasible` for nonnegative coefficients instead.
+Membership is certified with no LP. `separating_functional` reads a
+functional that separates a vector from cone(gens) off one double
+description (Farkas) and replays it with exact dot products. `cone_member`
+answers "no" with that functional and "yes" with nonnegative coefficients
+read off a second double description, also replayed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from math import gcd
 from typing import Sequence
 
 from .exact import check_rational, dot, rank
-from .linprog import LinearSystem, lp_feasible
 
 Vec = tuple[int, ...]
 
@@ -168,16 +168,24 @@ def separating_functional(gens: Sequence[Sequence], v: Sequence,
 
 
 def cone_member(gens: Sequence[Sequence[int]], target: Sequence, dim: int) -> bool:
-    """Whether target is a nonnegative rational combination of gens: one
-    lp_feasible call over lambda >= 0 with sum_j lambda_j gens_j = target,
-    so a "yes" verdict rests on a replayed witness lambda. The target and
-    every generator must have length dim, or ValueError is raised."""
-    if len(target) != dim or any(len(g) != dim for g in gens):
-        raise ValueError("target and generators must have length dim")
+    """Whether target is a nonnegative rational combination of gens. "No"
+    is the replayed functional of separating_functional. "Yes" is a ray
+    (lambda, t) with t > 0 of one double description of
+    {(lambda, t) >= 0 : sum_j lambda_j gens_j = t target}, as in
+    monomials.caratheodory_supports; lambda >= 0, t > 0 and that equation
+    are replayed with exact dot products before the verdict is returned,
+    and a failed replay raises RuntimeError. The target and every
+    generator must have length dim, or ValueError is raised."""
+    if separating_functional(gens, target, dim) is not None:
+        return False
     k = len(gens)
-    return lp_feasible(LinearSystem.make(
-        k, [([g[i] for g in gens], target[i]) for i in range(dim)],
-        [([int(i == j) for i in range(k)],) for j in range(k)])).feasible
+    eqs = [tuple(g[i] for g in gens) + (-target[i],) for i in range(dim)]
+    units = [tuple(int(i == j) for i in range(k + 1)) for j in range(k + 1)]
+    _, rays = double_description(k + 1, eqs, units)
+    lam = next((r for r in rays if r[k] > 0), None)
+    if lam is None or min(lam) < 0 or any(dot(e, lam) for e in eqs):
+        raise RuntimeError("cone membership witness failed replay")
+    return True
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 
-from .cones import RationalCone, cone_member, primitive
+from .cones import RationalCone, cone_member, double_description, primitive
 from .exact import dot, int_vector, rank
 from .grading import GaleDual
-from .linprog import LinearRow, LinearSystem, int_lp_feasible, lp_feasible
+from .linprog import lp_feasible
 from .monomials import SquarefreeIdeal
 
 Vec = tuple[int, ...]
@@ -184,10 +184,13 @@ def validate_fan(fan: Fan, support_function=None) -> Verdict:
     the origin.
 
     Otherwise each pair (A, B) is certified by one separating functional h
-    (Cox-Little-Schenck, Lemma 1.2.13) that lp_feasible finds and replays:
-    h = 0 on the common rays, h > 0 on the rays of A \\ B and h < 0 on the
-    rays of B \\ A. The system is homogeneous in h, so the LP asks for
-    h.v >= 1 and -h.v >= 1 on the two sides, which scaling makes equivalent.
+    (Cox-Little-Schenck, Lemma 1.2.13): h = 0 on the common rays, h > 0 on
+    the rays of A \\ B and h < 0 on the rays of B \\ A. One double
+    description gives the cone H of the h that vanish on the common rays,
+    with h >= 0 on A \\ B and h <= 0 on B \\ A. Every side row is >= 0 on
+    H and so vanishes on its lineality: a strict separator exists exactly
+    when the sum of H's rays is one. That sum is replayed on every row,
+    and a failed replay raises RuntimeError.
     A ray inside the cone on the common rays is exempt from its side row;
     exempt rays are looked up only when the full system fails.
     Every invalid fan gets its reason from this pair loop.
@@ -201,10 +204,12 @@ def validate_fan(fan: Fan, support_function=None) -> Verdict:
         return Verdict(True)
 
     def separated(common: list[Vec], sides: list[tuple[Vec, int]]) -> bool:
-        system = LinearSystem(
-            d, tuple(LinearRow.make(r) for r in common),
-            tuple(LinearRow.make([s * x for x in r], 1) for r, s in sides))
-        return lp_feasible(system).feasible
+        rows = [tuple(s * x for x in r) for r, s in sides]
+        _lin, rays = double_description(d, common, rows)
+        h = [sum(col) for col in zip(*rays)] or [0] * d
+        if any(dot(h, c) for c in common) or any(dot(h, r) < 0 for r in rows):
+            raise RuntimeError("pair separator failed replay")
+        return all(dot(h, r) > 0 for r in rows)
 
     for (a, ca), (b, cb) in combinations(
             enumerate(fan.maximal_cones, start=1), 2):
@@ -322,7 +327,7 @@ def is_projective(fan: Fan) -> ProjectivityCertificate:
     The wall normals are the facet normals that Cone.facets already holds
     (see _walls); the fan is complete, so every cone is full-dimensional
     and every facet spans a hyperplane. The rows are built as ints and go
-    straight to linprog.int_lp_feasible.
+    straight to linprog.lp_feasible.
     A feasible solution is scaled to integers and replayed on every wall
     before the certificate is returned.
     """
@@ -355,7 +360,7 @@ def is_projective(fan: Fan) -> ProjectivityCertificate:
             inequalities += [row(near, far, fan.rays[i - 1], 1)
                              for i in cones[far].ray_indices if i not in key]
 
-    res = int_lp_feasible(len(tree), equalities, inequalities)
+    res = lp_feasible(len(tree), equalities, inequalities)
     if not res.feasible:
         return ProjectivityCertificate(False, None)
 
@@ -389,7 +394,7 @@ def is_projective(fan: Fan) -> ProjectivityCertificate:
 def fan_report(fan: Fan) -> dict:
     """Certification summary in JSON-ready form. The support function of a
     complete fan of pointed cones certifies validity by a vertex replay;
-    only fans it does not certify run the pair LPs."""
+    only fans it does not certify run the pair separators."""
     complete = is_complete(fan)
     cert = None
     if complete.ok and all(c.geometry.is_pointed for c in fan.maximal_cones):

@@ -1,32 +1,24 @@
 """Exact rational linear programming.
 
 Linear systems A x = b, M x >= d over Q are decided exactly, with no
-floating point. The decision runs in one integer core, `int_lp_feasible`,
-which takes each row as the ints [a | b]. The equalities are brought to
-reduced row echelon form by the fraction-free steps of `exact.int_rref`,
-which write each pivot variable in terms of the free ones. The same
-`exact.eliminate` step, with positive factors only, substitutes them into
-the inequality rows. The remaining inequality system is decided through
-its LP dual, which keeps the simplex tableau at (free dimension) rows no
-matter how many inequality rows there are; the simplex pivots are
-`exact.pivot` steps over Q. The witness is replayed on the integer rows,
-with one common denominator for its coordinates.
+floating point. `lp_feasible` takes each row as the ints [a | b]. The
+equalities are brought to reduced row echelon form by the fraction-free
+steps of `exact.int_rref`, which write each pivot variable in terms of the
+free ones. The same `exact.eliminate` step, with positive factors only,
+substitutes them into the inequality rows. The remaining inequality system
+is decided through its LP dual, which keeps the simplex tableau at (free
+dimension) rows no matter how many inequality rows there are; the simplex
+pivots are `exact.pivot` steps over Q. The witness is replayed on the
+integer rows, with one common denominator for its coordinates.
 
-Callers enter in one of two places. `lp_feasible` takes a `LinearSystem`
-of Fraction rows, the public form, and scales each row to integers with
-`exact.int_row` before it calls the core; `cones.cone_member` and the pair
-LPs of `fans.validate_fan` enter here. `fans.is_projective` builds its
-wall rows as ints and calls `int_lp_feasible` directly, so its thousands
-of rows never become Fractions.
-
-Every row is an equality or an a.x >= d. The questions of the package
-that need some a.x > 0 are all homogeneous: the separating functional of
-`fans.validate_fan` asks for a point of a cone. Scaling such a point makes
-a.x >= 1, so that caller states a.x >= 1 and the verdict is the same.
-Positivity of a grading, its heft, effective-cone membership, chamber
-full-dimensionality and chamber irredundancy take no LP: they are read off
-S(w), the constraint form of the effective cone and the separating
-functionals of `cones.separating_functional`.
+The one caller is `fans.is_projective`, which builds its wall rows as
+ints. Its strict jumps across walls are homogeneous in the unknowns, so
+scaling a solution makes each of them >= 1, and it asks for that instead.
+No other question of the package takes an LP. Cone membership, the
+separating functionals and the pair separators of `fans.validate_fan` are
+each read off one double description in `cones`; positivity of a grading,
+its heft and the chamber questions are read off S(w) and the constraint
+form of the effective cone.
 """
 
 from __future__ import annotations
@@ -37,48 +29,7 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .exact import check_rational, eliminate, int_row, int_rref, pivot
-
-
-@dataclass(frozen=True)
-class LinearRow:
-    """One constraint  normal . x  (>= or = as used)  offset."""
-
-    normal: tuple[Fraction, ...]
-    offset: Fraction = Fraction(0)
-
-    @classmethod
-    def make(cls, normal: Sequence, offset=0) -> "LinearRow":
-        """Entries and offset must be ints or Fractions; a float or a bool
-        raises ValueError, as in cones.primitive."""
-        normal = tuple(normal)
-        check_rational(normal + (offset,))
-        return cls(tuple(Fraction(x) for x in normal), Fraction(offset))
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """A conjunction of linear equalities and inequalities a.x >= d."""
-
-    dim: int
-    equalities: tuple[LinearRow, ...] = ()
-    inequalities: tuple[LinearRow, ...] = ()
-
-    def __post_init__(self) -> None:
-        for row in self.equalities:
-            if len(row.normal) != self.dim:
-                raise ValueError("equality row has wrong dimension")
-        for row in self.inequalities:
-            if len(row.normal) != self.dim:
-                raise ValueError("inequality row has wrong dimension")
-
-    @classmethod
-    def make(cls, dim: int, equalities=(), inequalities=()) -> "LinearSystem":
-        eqs = tuple(r if isinstance(r, LinearRow) else LinearRow.make(*r)
-                    for r in equalities)
-        ins = tuple(r if isinstance(r, LinearRow) else LinearRow.make(*r)
-                    for r in inequalities)
-        return cls(dim, eqs, ins)
+from .exact import eliminate, int_rref, pivot
 
 
 @dataclass(frozen=True)
@@ -160,24 +111,16 @@ def simplex_nonneg(rows: Sequence[Sequence],
             for r in range(m)]
 
 
-def lp_feasible(system: LinearSystem) -> LPResult:
-    """Exact feasibility of A x = b, M x >= d over Q.
+def lp_feasible(dim: int, eqs: list[list[int]],
+                ineqs: list[list[int]]) -> LPResult:
+    """Exact feasibility of A x = b, M x >= d over Q, for integer rows
+    [a | b] of length dim + 1, each read as a.x = b (eqs) or a.x >= b
+    (ineqs). The input lists are not modified.
 
-    The returned witness is replayed against every row of the input system
-    before being reported, so a feasible verdict always carries a checked
-    rational point.
+    The returned witness is replayed against every input row before being
+    reported, so a feasible verdict always carries a checked rational
+    point.
     """
-    # each row as the ints (L a, L b) for its positive denominator lcm L
-    return int_lp_feasible(
-        system.dim,
-        [int_row(row.normal + (row.offset,)) for row in system.equalities],
-        [int_row(row.normal + (row.offset,)) for row in system.inequalities])
-
-
-def int_lp_feasible(dim: int, eqs: list[list[int]],
-                    ineqs: list[list[int]]) -> LPResult:
-    """lp_feasible for integer rows [a | b] of length dim + 1, each read as
-    a.x = b (eqs) or a.x >= b (ineqs). The input lists are not modified."""
     if any(len(row) != dim + 1 for row in eqs + ineqs):
         raise ValueError("row has wrong dimension")
     red, pivots = int_rref(eqs)

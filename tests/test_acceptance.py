@@ -22,7 +22,7 @@ from coxtoric.fans import (fan_from_irrelevant, is_complete, is_projective,
                            is_simplicial, validate_fan)
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual
 from coxtoric.incidence import find_transversal_plane, intersect
-from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible
+from coxtoric.linprog import lp_feasible
 from coxtoric.monomials import (derive_heft, irrelevant_radical,
                                 minimal_antichain, minimal_supports_of_degree,
                                 monomials_of_degree, radical_of_monomials,
@@ -229,16 +229,11 @@ def test_criterion_9_property_suites():
             failures.append("facet pairing")
             break
 
-    system = LinearSystem(5, (LinearRow.make((1, 1, 1, 1, 1), 3),),
-                          tuple(LinearRow.make(c, 1)
-                                for c in ((1, 0, 0, 0, 0),
-                                          (0, 1, 0, 0, 0),
-                                          (1, -1, 1, -1, 1))))
-    res = lp_feasible(system)
+    ineqs = [[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 1], [1, -1, 1, -1, 1, 1]]
+    res = lp_feasible(5, [[1, 1, 1, 1, 1, 3]], ineqs)
     if not (res.feasible
             and dot(res.witness, (1, 1, 1, 1, 1)) == 3
-            and all(dot(res.witness, r.normal) >= r.offset
-                    for r in system.inequalities)):
+            and all(dot(res.witness, r[:-1]) >= r[-1] for r in ineqs)):
         failures.append("LP witness replay")
 
     rng = Random(11)

@@ -11,7 +11,7 @@ from coxtoric.cones import (RationalCone, double_description,
                             generators_to_hrep, primitive)
 from coxtoric.fans import fan_from_irrelevant
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual
-from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible
+from coxtoric.linprog import lp_feasible
 from coxtoric.monomials import caratheodory_supports, irrelevant_radical
 
 
@@ -52,11 +52,8 @@ def greedy_lp_hrep(q, w):
     working = sorted(rows)
     for row in list(working):
         others = [r for r in working if r != row]
-        probe = LinearSystem(
-            q.pic_rank,
-            inequalities=tuple(LinearRow.make(r, 0) for r in others) +
-            (LinearRow.make([-x for x in row], 1),))
-        if not lp_feasible(probe).feasible:
+        probe = [[*r, 0] for r in others] + [[*(-x for x in row), 1]]
+        if not lp_feasible(q.pic_rank, [], probe).feasible:
             working = others
     return tuple(working)
 
@@ -141,12 +138,10 @@ def test_chamber_inside_effective_cone():
     # no point satisfying the chamber rows violates any effective facet;
     # the rows are homogeneous, so a violation scales to -facet.x >= 1
     _, eff_rows = effective_cone(dp.degrees).hrep
-    base = tuple(LinearRow.make(r, 0) for r in ch.hrep)
+    base = [[*r, 0] for r in ch.hrep]
     for facet in eff_rows:
-        system = LinearSystem(
-            5, inequalities=base + (LinearRow.make(
-                [-x for x in facet], 1),))
-        assert not lp_feasible(system).feasible
+        probe = base + [[*(-x for x in facet), 1]]
+        assert not lp_feasible(5, [], probe).feasible
 
 
 def test_chamber_of_zero_class():
@@ -233,12 +228,12 @@ def test_same_chamber_gives_same_fan():
 
 def counted_lp_calls(monkeypatch):
     """Route every coxtoric module's lp_feasible through a counter and
-    return the list of systems it is called with."""
+    return the list of the systems (dim, eqs, ineqs) it is called with."""
     calls = []
 
-    def counted(system):
-        calls.append(system)
-        return lp_feasible(system)
+    def counted(dim, eqs, ineqs):
+        calls.append((dim, eqs, ineqs))
+        return lp_feasible(dim, eqs, ineqs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("coxtoric") and hasattr(module, "lp_feasible"):

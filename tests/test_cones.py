@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxtoric import cones
 from coxtoric.cones import (
     RationalCone,
     cone_member,
@@ -123,6 +124,30 @@ def test_cone_member_rejects_wrong_lengths(gens, target):
     # must not raise IndexError
     with pytest.raises(ValueError, match="length dim"):
         cone_member(gens, target, dim=2)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda r: (r[0] + 1,) + r[1:],
+    lambda r: (-r[0],) + r[1:],
+    lambda r: r[:-1] + (0,),
+], ids=["equation", "sign", "no-positive-t"])
+def test_cone_member_replay_failure(monkeypatch, corrupt):
+    # (2, 1) = (1, 0) + (1, 1): the coefficients are the ray (1, 1, 1) of
+    # the one double description called with equalities. Made to break
+    # sum_j lambda_j gens_j = t target, lambda >= 0 or t > 0, it must
+    # raise instead of giving a "yes"
+    real = cones.double_description
+
+    def corrupted(dim, equalities=(), inequalities=()):
+        lin, rays = real(dim, equalities, inequalities)
+        return lin, [corrupt(r) for r in rays] if equalities else rays
+
+    monkeypatch.setattr(cones, "double_description", corrupted)
+    with pytest.raises(RuntimeError,
+                       match="^cone membership witness failed replay$"):
+        cone_member([(1, 0), (1, 1)], (2, 1), dim=2)
+    # a "no" is the separating functional's, which this does not touch
+    assert not cone_member([(1, 0), (1, 1)], (0, 1), dim=2)
 
 
 def test_separating_functional():

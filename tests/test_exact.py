@@ -11,6 +11,7 @@ from coxtoric.exact import (
     dot,
     eliminate,
     hermite_normal_form,
+    int_row,
     kernel_lattice,
     nullspace,
     pivot,
@@ -199,6 +200,20 @@ def test_rref_rank_nullspace_reject_floats_and_bools(fn, rows):
     # as 1
     with pytest.raises(ValueError, match="integers or Fractions"):
         fn(rows)
+
+
+@pytest.mark.parametrize("normal, offset", [
+    ([0.1, True], 1.5),
+    ([0.1, 1], 0),
+    ([1, True], 0),
+    ([1, 1], 0.5),
+    ([Fraction(1, 2), 1], False),
+])
+def test_int_row_rejects_floats_and_bools(normal, offset):
+    # a row [normal | offset] of the LP test oracles is built by int_row,
+    # which must reject 0.5 instead of reading it as Fraction(1, 2)
+    with pytest.raises(ValueError, match="integers or Fractions"):
+        int_row([*normal, offset])
 
 
 def test_eliminate_clears_column_with_positive_factor():

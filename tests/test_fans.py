@@ -1,17 +1,18 @@
 from collections import defaultdict
+from itertools import combinations
 from random import Random
 from unittest.mock import patch
 
 import pytest
 
-from coxtoric import fans, linprog
+from coxtoric import fans
 from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
+from coxtoric.exact import int_row
 from coxtoric.fans import (Fan, Verdict, _vertex_replay,
                            fan_from_irrelevant, fan_report, is_complete,
                            is_projective, is_simplicial, validate_fan)
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual
-from coxtoric.linprog import (LinearRow, LinearSystem, int_lp_feasible,
-                              lp_feasible)
+from coxtoric.linprog import lp_feasible
 from coxtoric.monomials import SquarefreeIdeal, irrelevant_radical
 
 CUBE_RAYS = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
@@ -67,19 +68,56 @@ def direct_projectivity_oracle(fan):
             continue
         i, j = members
         for idx in tight:
-            eqs.append(LinearRow.make(diff_row(i, j, fan.rays[idx - 1]), 0))
+            eqs.append(diff_row(i, j, fan.rays[idx - 1]) + [0])
         for near, far in ((i, j), (j, i)):
             for idx in fan.maximal_cones[far].ray_indices:
                 if idx not in tight:
-                    ineqs.append(LinearRow.make(
-                        diff_row(near, far, fan.rays[idx - 1]), 1))
+                    ineqs.append(
+                        diff_row(near, far, fan.rays[idx - 1]) + [1])
     for c in range(d):
         g = [0] * nvars
         g[c] = 1
-        eqs.append(LinearRow.make(g, 0))
-    system = LinearSystem(nvars, equalities=tuple(eqs),
-                          inequalities=tuple(ineqs))
-    return lp_feasible(system).feasible
+        eqs.append(g + [0])
+    return lp_feasible(nvars, eqs, ineqs).feasible
+
+
+def lp_member(gens, target, dim):
+    """Cone membership as an LP, independent of the double descriptions of
+    cones: some lambda >= 0 with sum_j lambda_j gens_j = target."""
+    k = len(gens)
+    return lp_feasible(
+        k, [int_row([*(g[i] for g in gens), target[i]]) for i in range(dim)],
+        [[int(i == j) for i in range(k)] + [0] for j in range(k)]).feasible
+
+
+def pair_lp_validate(fan):
+    """validate_fan without a support function, as one LP per pair of
+    maximal cones: a separating functional h with h = 0 on the common rays
+    and h.v >= 1, -h.v >= 1 on the two sides, retried without the side rays
+    that lp_member puts inside the cone on the common rays."""
+    d = fan.ambient_dim
+    for pos, cone in enumerate(fan.maximal_cones, start=1):
+        if not cone.geometry.is_pointed:
+            return Verdict(False, f"cone {pos} is not strongly convex")
+
+    def separated(common, sides):
+        return lp_feasible(d, [[*r, 0] for r in common],
+                           [[*(s * x for x in r), 1] for r, s in sides]
+                           ).feasible
+
+    for (a, ca), (b, cb) in combinations(
+            enumerate(fan.maximal_cones, start=1), 2):
+        sa, sb = set(ca.ray_indices), set(cb.ray_indices)
+        common = [fan.rays[i - 1] for i in sorted(sa & sb)]
+        sides = [(fan.rays[i - 1], 1) for i in sorted(sa - sb)] + \
+            [(fan.rays[i - 1], -1) for i in sorted(sb - sa)]
+        if separated(common, sides):
+            continue
+        outside = [(r, s) for r, s in sides if not lp_member(common, r, d)]
+        if len(outside) == len(sides) or not separated(common, outside):
+            return Verdict(False, f"intersection of cones {a} and {b} is "
+                                  f"not a face of both")
+    return Verdict(True)
 
 
 def projective_space_fan(n):
@@ -249,7 +287,7 @@ def test_fan_needs_rays_and_cones(rays):
 ])
 def test_from_index_sets_rejects_zero_and_ragged_rays(rays, message):
     # a zero ray used to give a fan reported valid, and a ray of the wrong
-    # length failed deep inside lp_feasible
+    # length failed deep inside the pair loop of validate_fan
     with pytest.raises(ValueError, match=message):
         Fan.from_index_sets(rays, ((1,), (2,)))
 
@@ -264,7 +302,7 @@ DOUBLY_WOUND_CONES = tuple((k + 1, (k + 1) % 8 + 1) for k in range(8))
 
 def pair_lp_report(fan):
     """fan_report with the support function withheld from validate_fan, so
-    that validity comes from the pair LPs alone."""
+    that validity comes from its pair loop alone."""
     plain = fans.validate_fan
     with patch.object(fans, "validate_fan",
                       lambda f, support_function=None: plain(f)):
@@ -285,6 +323,7 @@ def test_doubly_wound_fan_needs_the_global_replay():
         "intersection of cones 1 and 4 is not a face of both"
     assert report["projective"] is None
     assert report == pair_lp_report(fan)
+    assert validate_fan(fan) == pair_lp_validate(fan)
 
 
 def test_complete_fan_with_a_cone_that_is_not_strongly_convex():
@@ -323,24 +362,74 @@ def test_vertex_replay_on_small_fans():
                           .support_function)
 
 
-@pytest.mark.parametrize("ideal", [ample_ideal, anticanonical_ideal],
-                         ids=["ample", "anticanonical"])
-def test_fan_report_makes_one_lp_call(monkeypatch, ideal):
-    fan = fan_from_irrelevant(gale_dual(delpezzo4().degrees), ideal())
+def counted_lp_calls(monkeypatch):
+    """Route fans.lp_feasible, which is_projective calls, through a counter
+    and return the list of the dimensions it is called with."""
     calls = []
 
     def counted(dim, eqs, ineqs):
         calls.append(dim)
-        return int_lp_feasible(dim, eqs, ineqs)
+        return lp_feasible(dim, eqs, ineqs)
 
-    # every LP goes through the integer core: is_projective calls it
-    # directly, lp_feasible (the pair LPs of validate_fan) through linprog
-    monkeypatch.setattr(fans, "int_lp_feasible", counted)
-    monkeypatch.setattr(linprog, "int_lp_feasible", counted)
+    monkeypatch.setattr(fans, "lp_feasible", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ideal", [ample_ideal, anticanonical_ideal],
+                         ids=["ample", "anticanonical"])
+def test_fan_report_makes_one_lp_call(monkeypatch, ideal):
+    fan = fan_from_irrelevant(gale_dual(delpezzo4().degrees), ideal())
+    calls = counted_lp_calls(monkeypatch)
     report = fan_report(fan)
     assert report["valid"] is True and report["projective"] is True
     # is_projective's LP; validity comes from the vertex replay
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("rays, cones", [
+    (DOUBLY_WOUND_RAYS, DOUBLY_WOUND_CONES),
+    (CUBE_RAYS, CUBE_NONPROJECTIVE),
+], ids=["doubly-wound", "cube-nonprojective"])
+def test_pair_loop_makes_no_lp_call(monkeypatch, rays, cones):
+    # neither fan is certified by the vertex replay, so validate_fan runs
+    # its pair loop on every pair of cones; the only LP is is_projective's
+    fan = Fan.from_index_sets(rays, cones)
+    calls = counted_lp_calls(monkeypatch)
+    is_projective(fan)
+    projective_calls = list(calls)
+    calls.clear()
+    assert "supportFunction" not in fan_report(fan)
+    assert calls == projective_calls == [len(cones) - 1]
+
+
+def test_validate_fan_does_not_exempt_rays_in_the_span_of_the_common_cone():
+    # ray 3 = e1 - e2 lies in the span of the common rays e1 and e2 but not
+    # in their cone, and every h that vanishes on them vanishes on it too:
+    # cone 1 is the plane cone on e2 and e1 - e2, which contains cone(e1, e2)
+    # as a part that is not a face
+    fan = Fan.from_index_sets(((1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0, 1)),
+                              ((1, 2, 3), (1, 2, 4)))
+    verdict = Verdict(False, "intersection of cones 1 and 2 is not a face "
+                             "of both")
+    assert validate_fan(fan) == verdict == pair_lp_validate(fan)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda rays, common: [tuple(-x for x in r) for r in rays],
+    lambda rays, common: rays + [tuple(common[0])],
+], ids=["negated-rays", "ray-off-the-common-rays"])
+def test_pair_separator_replay_failure(monkeypatch, corrupt):
+    # a double description that returns wrong rays gives a sum that fails
+    # its replay on the rows, and validate_fan raises instead of answering
+    real = fans.double_description
+
+    def corrupted(dim, equalities=(), inequalities=()):
+        lin, rays = real(dim, equalities, inequalities)
+        return lin, corrupt(rays, equalities)
+
+    monkeypatch.setattr(fans, "double_description", corrupted)
+    with pytest.raises(RuntimeError, match="^pair separator failed replay$"):
+        validate_fan(projective_space_fan(2))
 
 
 # is_projective's support functions on fans outside the sha256-pinned

@@ -6,15 +6,8 @@ import pytest
 
 from coxtoric import fans, linprog
 from coxtoric.cli import reproduce_paper_report
-from coxtoric.exact import pivot
-from coxtoric.linprog import (
-    LinearRow,
-    LinearSystem,
-    LPResult,
-    int_lp_feasible,
-    lp_feasible,
-    simplex_nonneg,
-)
+from coxtoric.exact import int_row, pivot
+from coxtoric.linprog import LPResult, lp_feasible, simplex_nonneg
 from test_exact import fraction_rref
 
 
@@ -57,19 +50,17 @@ def fm_feasible(dim, eqs, ineqs):
     return True
 
 
-def fraction_lp_feasible(system):
-    """Reference lp_feasible on Fractions throughout: the equalities by a
-    Fraction rref, their substitution by exact.pivot steps and the
-    witness replay by Fraction sums. It hands simplex_nonneg the same dual
-    tableau as lp_feasible, so both must return the same witness."""
-    dim = system.dim
-    red, pivots = fraction_rref([list(row.normal) + [row.offset]
-                                 for row in system.equalities])
+def fraction_lp_feasible(dim, eqs, ineqs):
+    """Reference lp_feasible on Fractions throughout, for the same integer
+    rows [a | b]: the equalities by a Fraction rref, their substitution by
+    exact.pivot steps and the witness replay by Fraction sums. It hands
+    simplex_nonneg the same dual tableau as lp_feasible, so both must
+    return the same witness."""
+    red, pivots = fraction_rref([list(row) for row in eqs])
     if dim in pivots:
         return LPResult(False, None)
     free = [j for j in range(dim) if j not in pivots]
-    mat = red + [[Fraction(x) for x in row.normal] + [Fraction(row.offset)]
-                 for row in system.inequalities]
+    mat = red + [[Fraction(x) for x in row] for row in ineqs]
     for i, p in enumerate(pivots):
         pivot(mat, i, p)
     kept = {}
@@ -96,59 +87,58 @@ def fraction_lp_feasible(system):
         x[f] = t
     for r, p in zip(red, pivots):
         x[p] = r[dim] - sum(r[f] * t for f, t in zip(free, z))
-    for row in system.equalities:
-        assert sum(a * b for a, b in zip(row.normal, x)) == row.offset
-    for row in system.inequalities:
-        assert sum(a * b for a, b in zip(row.normal, x)) >= row.offset
+    for row in eqs:
+        assert sum(a * b for a, b in zip(row, x)) == row[dim]
+    for row in ineqs:
+        assert sum(a * b for a, b in zip(row, x)) >= row[dim]
     return LPResult(True, tuple(x))
 
 
 def sys_of(dim, eqs=(), ineqs=()):
-    return LinearSystem.make(
-        dim,
-        equalities=[LinearRow.make(c, o) for c, o in eqs],
-        inequalities=[LinearRow.make(c, o) for c, o in ineqs],
-    )
+    """The arguments of lp_feasible for rows (coefficients, offset) of ints
+    and Fractions: each row as the integer row [a | b] of exact.int_row."""
+    return (dim, [int_row([*c, o]) for c, o in eqs],
+            [int_row([*c, o]) for c, o in ineqs])
 
 
 def test_unit_interval_feasible():
-    res = lp_feasible(sys_of(1, ineqs=[([1], 0), ([-1], -1)]))
+    res = lp_feasible(*sys_of(1, ineqs=[([1], 0), ([-1], -1)]))
     assert res.feasible
     assert 0 <= res.witness[0] <= 1
 
 
 def test_contradiction_infeasible():
-    res = lp_feasible(sys_of(1, ineqs=[([1], 1), ([-1], 0)]))
+    res = lp_feasible(*sys_of(1, ineqs=[([1], 1), ([-1], 0)]))
     assert not res.feasible
     assert res.witness is None
 
 
 def test_empty_system():
-    res = lp_feasible(LinearSystem(1))
+    res = lp_feasible(1, [], [])
     assert res.feasible
     assert res.witness == (Fraction(0),)
 
 
 def test_equalities_only():
-    res = lp_feasible(sys_of(2, eqs=[([1, 1], 2), ([1, -1], 0)]))
+    res = lp_feasible(*sys_of(2, eqs=[([1, 1], 2), ([1, -1], 0)]))
     assert res.feasible
     assert res.witness == (Fraction(1), Fraction(1))
 
 
 def test_inconsistent_equalities():
-    res = lp_feasible(sys_of(2, eqs=[([1, 1], 1), ([2, 2], 3)]))
+    res = lp_feasible(*sys_of(2, eqs=[([1, 1], 1), ([2, 2], 3)]))
     assert not res.feasible
 
 
 def test_unbounded_direction_still_feasible():
-    res = lp_feasible(sys_of(1, ineqs=[([1], 5)]))
+    res = lp_feasible(*sys_of(1, ineqs=[([1], 5)]))
     assert res.feasible
     assert res.witness[0] >= 5
 
 
 def test_strict_boundary_infeasible():
     # x >= 0 and -x >= 0 pin x = 0, so x > 0, asked as x >= 1, cannot hold
-    res = lp_feasible(sys_of(1, ineqs=[([1], 0), ([-1], 0), ([1], 1)]))
+    res = lp_feasible(*sys_of(1, ineqs=[([1], 0), ([-1], 0), ([1], 1)]))
     assert not res.feasible
     assert res.witness is None
 
@@ -156,63 +146,41 @@ def test_strict_boundary_infeasible():
 def test_strict_dominated_by_stronger_nonstrict():
     # x > 0 asked as x >= 1 (and as 2x >= 2) shares its direction with
     # x >= 5; the deduplication keeps the largest offset
-    res = lp_feasible(sys_of(1, ineqs=[([1], 1), ([2], 2), ([1], 5)]))
+    res = lp_feasible(*sys_of(1, ineqs=[([1], 1), ([2], 2), ([1], 5)]))
     assert res.feasible
     assert res.witness[0] >= 5
 
 
 def test_constant_rows_after_elimination():
     # x + y = 1 plus the redundant x + y >= 0 and the impossible x + y >= 2
-    ok = lp_feasible(sys_of(2, eqs=[([1, 1], 1)], ineqs=[([1, 1], 0)]))
+    ok = lp_feasible(*sys_of(2, eqs=[([1, 1], 1)], ineqs=[([1, 1], 0)]))
     assert ok.feasible
-    bad = lp_feasible(sys_of(2, eqs=[([1, 1], 1)], ineqs=[([1, 1], 2)]))
+    bad = lp_feasible(*sys_of(2, eqs=[([1, 1], 1)], ineqs=[([1, 1], 2)]))
     assert not bad.feasible
 
 
 def test_row_dimension_validation():
-    with pytest.raises(ValueError):
-        LinearSystem(2, equalities=(LinearRow.make([1], 0),))
-    with pytest.raises(ValueError):
-        LinearSystem(2, inequalities=(LinearRow.make([1, 0, 0], 0),))
-
-
-@pytest.mark.parametrize("normal, offset", [
-    ([0.1, True], 1.5),
-    ([0.1, 1], 0),
-    ([1, True], 0),
-    ([1, 1], 0.5),
-    ([Fraction(1, 2), 1], False),
-])
-def test_linear_row_rejects_floats_and_bools(normal, offset):
-    with pytest.raises(ValueError, match="integers or Fractions"):
-        LinearRow.make(normal, offset)
-
-
-def test_lp_feasible_rejects_float_rows():
-    # 0.5 x >= 1 would be read as Fraction(1, 2) and decided feasible
-    with pytest.raises(ValueError, match="integers or Fractions"):
-        lp_feasible(LinearSystem.make(1, inequalities=[([0.5], 1)]))
-    with pytest.raises(ValueError, match="integers or Fractions"):
-        lp_feasible(LinearSystem.make(1, equalities=[([1], 0.5)]))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        lp_feasible(2, [[1, 0]], [])
+    with pytest.raises(ValueError, match="wrong dimension"):
+        lp_feasible(2, [], [[1, 0, 0, 0]])
 
 
 def test_int_lp_feasible_matches_lp_feasible_and_checks_row_length():
-    # x0 + x1 = 2, x0 - x1 >= 1 as integer rows [a | b]
+    # x0 + x1 = 2, x0 - x1 >= 1 as integer rows [a | b]: the same answer as
+    # the rows (coefficients, offset) scaled through exact.int_row, and the
+    # input lists are left as they are
     eqs, ineqs = [[1, 1, 2]], [[1, -1, 1]]
-    got = int_lp_feasible(2, eqs, ineqs)
-    assert got.feasible and got == lp_feasible(sys_of(
-        2, eqs=[([1, 1], 2)], ineqs=[([1, -1], 1)]))
+    got = lp_feasible(2, eqs, ineqs)
+    assert got.feasible and got.witness == (Fraction(3, 2), Fraction(1, 2))
+    assert got == lp_feasible(*sys_of(
+        2, eqs=[([Fraction(1, 2), Fraction(1, 2)], 1)],
+        ineqs=[([1, -1], 1)]))
     assert eqs == [[1, 1, 2]] and ineqs == [[1, -1, 1]]
     with pytest.raises(ValueError, match="wrong dimension"):
-        int_lp_feasible(2, [[1, 1]], [])
+        lp_feasible(2, [[1, 1]], [])
     with pytest.raises(ValueError, match="wrong dimension"):
-        int_lp_feasible(1, [], [[1, -1, 1]])
-
-
-def test_linear_row_keeps_ints_and_fractions():
-    row = LinearRow.make([2, Fraction(1, 3)], Fraction(-1, 2))
-    assert row == LinearRow((Fraction(2), Fraction(1, 3)), Fraction(-1, 2))
-    assert all(type(x) is Fraction for x in row.normal + (row.offset,))
+        lp_feasible(1, [], [[1, -1, 1]])
 
 
 def test_simplex_nonneg_optimum_and_multipliers():
@@ -228,8 +196,7 @@ def test_strict_system_with_dependent_dual_rows():
     # the strict system -2x - y + 2z > 0, x > 0, asked as offset-1 rows:
     # the dual tableau has two dependent rows, and the artificial variable
     # left basic in the redundant tableau row belongs to another input row
-    res = lp_feasible(LinearSystem.make(
-        3, (), [([-2, -1, 2], 1), ([1, 0, 0], 1)]))
+    res = lp_feasible(3, [], [[-2, -1, 2, 1], [1, 0, 0, 1]])
     assert res.feasible
     x = res.witness
     assert -2 * x[0] - x[1] + 2 * x[2] >= 1 and x[0] >= 1
@@ -247,7 +214,7 @@ def test_random_cross_check_against_fourier_motzkin():
         ineqs = [([rng.randint(-3, 3) for _ in range(dim)], rng.randint(-4, 4))
                  for _ in range(nin)]
         expected = fm_feasible(dim, eqs, [(c, o, False) for c, o in ineqs])
-        got = lp_feasible(sys_of(dim, eqs=eqs, ineqs=ineqs))
+        got = lp_feasible(*sys_of(dim, eqs=eqs, ineqs=ineqs))
         assert got.feasible == expected, (dim, eqs, ineqs)
         agree += 1
         if got.feasible:
@@ -264,30 +231,25 @@ def test_projectivity_lps_of_reproduce_paper_match_fraction_reference(
     # the two is_projective LPs of the headline run (41 and 21 variables,
     # hundreds of rows): the simplex must pivot exactly as before, so the
     # witnesses, and with them the pinned support functions, are the same
-    # is_projective hands its integer rows to the core directly; each
-    # recorded LP is rebuilt as the LinearSystem of the same rows
     systems = []
 
     def record(dim, eqs, ineqs):
-        got = int_lp_feasible(dim, eqs, ineqs)
-        systems.append((LinearSystem(
-            dim, tuple(LinearRow.make(r[:-1], r[-1]) for r in eqs),
-            tuple(LinearRow.make(r[:-1], r[-1]) for r in ineqs)), got))
+        got = lp_feasible(dim, eqs, ineqs)
+        systems.append(((dim, eqs, ineqs), got))
         return got
 
-    monkeypatch.setattr(fans, "int_lp_feasible", record)
+    monkeypatch.setattr(fans, "lp_feasible", record)
     reproduce_paper_report()
-    assert sorted(s.dim for s, _ in systems) == [21, 41]
+    assert sorted(s[0] for s, _ in systems) == [21, 41]
     for system, got in systems:
         assert got.feasible
-        assert got == lp_feasible(system)
-        assert got == fraction_lp_feasible(system)
+        assert got == fraction_lp_feasible(*system)
         assert all(type(x) is Fraction for x in got.witness)
 
 
 # rows whose entries have unlike denominators, so that each row's own lcm
 # (6, 6, 6 and 10) matters when it is replayed on integers
-THIRDS = LinearSystem.make(
+THIRDS = sys_of(
     3, [([Fraction(1, 2), Fraction(1, 3), -1], Fraction(1, 6))],
     [([0, Fraction(1, 3), 0], Fraction(1, 3)),
      ([0, 0, Fraction(2, 3)], Fraction(-1, 3)),
@@ -296,8 +258,8 @@ THIRDS = LinearSystem.make(
 
 
 def test_thirds_system_witness_matches_fraction_reference():
-    got = lp_feasible(THIRDS)
-    assert got.feasible and got == fraction_lp_feasible(THIRDS)
+    got = lp_feasible(*THIRDS)
+    assert got.feasible and got == fraction_lp_feasible(*THIRDS)
 
 
 @pytest.mark.parametrize("z, ok", [
@@ -318,9 +280,9 @@ def test_witness_replay_rejects_a_perturbed_point(monkeypatch, z, ok):
     # last two rows satisfy the rows of their numerators alone.
     monkeypatch.setattr(linprog, "simplex_nonneg", lambda rows, cost: list(z))
     if ok:
-        res = lp_feasible(THIRDS)
+        res = lp_feasible(*THIRDS)
         assert res.feasible and res.witness[1:] == z
         assert res.witness[0] == Fraction(1, 3) + 2 * z[1] - 2 * z[0] / 3
     else:
         with pytest.raises(RuntimeError, match="^witness failed replay$"):
-            lp_feasible(THIRDS)
+            lp_feasible(*THIRDS)

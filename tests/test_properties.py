@@ -4,16 +4,17 @@ of the graded pieces for their minimal supports, sympy for rank, rref,
 determinants and Hermite normal forms, the gcd of maximal minors for the
 saturation check of gale_dual, Fourier-Motzkin elimination for lp_feasible
 (also on the offset-1 form of homogeneous strict systems), the Fraction
-Gauss-Jordan lp_feasible for its integer witness, double description
-for cone membership, chambers and fan validity, cone_member for the
-separating functionals, the former greedy LP pass for chamber
-irredundancy, the heft LP for the positivity verdict of derive_heft,
-rank and rational_solve for
+Gauss-Jordan lp_feasible for its integer witness, the LP
+lambda >= 0, G lambda = target for cone_member, RationalCone.contains and
+the separating functionals, double description for chambers and fan
+validity, the former greedy LP pass for chamber irredundancy, the heft LP
+for the positivity verdict of derive_heft, rank and rational_solve for
 subspace membership, coordinates and intersections, the Fraction path for
 the integer fast paths of primitive, dot and generators_to_hrep, the
-pair LPs for the vertex replay that certifies complete projective fans,
-the kernel of each wall's rays for the wall normals read off the facets,
-and an uncached search under another heft for the cached radical layers."""
+former pair LPs for the pair separators of validate_fan and for the
+vertex replay that certifies complete projective fans, the kernel of each
+wall's rays for the wall normals read off the facets, and an uncached
+search under another heft for the cached radical layers."""
 
 import math
 from fractions import Fraction
@@ -45,7 +46,7 @@ from coxtoric.fans import (Fan, _vertex_replay, _walls,  # noqa: E402
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual  # noqa: E402
 from coxtoric.incidence import (ProjPoint, _det, intersect,  # noqa: E402
                                 subspace_from_points)
-from coxtoric.linprog import LinearRow, LinearSystem, lp_feasible  # noqa: E402
+from coxtoric.linprog import lp_feasible  # noqa: E402
 from coxtoric.monomials import (caratheodory_supports,  # noqa: E402
                                 derive_heft, irrelevant_radical,
                                 minimal_supports_of_degree,
@@ -53,8 +54,10 @@ from coxtoric.monomials import (caratheodory_supports,  # noqa: E402
 from test_chambers import chamber_oracle, greedy_lp_hrep  # noqa: E402
 from test_exact import maximal_minor_gcd  # noqa: E402
 from test_fans import (CUBE_FACES, CUBE_RAYS, DOUBLY_WOUND_CONES,  # noqa: E402
-                       DOUBLY_WOUND_RAYS, pair_lp_report)
-from test_linprog import fm_feasible, fraction_lp_feasible  # noqa: E402
+                       DOUBLY_WOUND_RAYS, lp_member, pair_lp_report,
+                       pair_lp_validate)
+from test_linprog import (fm_feasible, fraction_lp_feasible,  # noqa: E402
+                          sys_of)
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -279,9 +282,7 @@ def linear_systems(draw):
           [([3, 2, 1, -2], 1), ([-2, -3, 3, -1], -3), ([-2, 3, -2, 1], -2)]))
 def test_lp_feasible_against_fourier_motzkin(case):
     dim, eqs, ineqs = case
-    got = lp_feasible(LinearSystem.make(
-        dim, [LinearRow.make(c, o) for c, o in eqs],
-        [LinearRow.make(c, o) for c, o in ineqs]))
+    got = lp_feasible(*sys_of(dim, eqs, ineqs))
     assert got.feasible == fm_feasible(
         dim, eqs, [(c, o, False) for c, o in ineqs])
     if got.feasible:
@@ -300,9 +301,8 @@ def test_lp_feasible_matches_fraction_reference(case):
     # the integer substitution and replay hand simplex_nonneg the same
     # dual tableau as the Fraction steps, so verdict and witness agree
     dim, eqs, ineqs = case
-    system = LinearSystem.make(dim, [LinearRow.make(c, o) for c, o in eqs],
-                               [LinearRow.make(c, o) for c, o in ineqs])
-    assert lp_feasible(system) == fraction_lp_feasible(system)
+    system = sys_of(dim, eqs, ineqs)
+    assert lp_feasible(*system) == fraction_lp_feasible(*system)
 
 
 @st.composite
@@ -333,9 +333,8 @@ def test_offset_one_decides_homogeneous_strict_systems(case):
     dim, eqs, ineqs = case
     expected = fm_feasible(dim, [(c, 0) for c in eqs],
                            [(c, 0, s) for c, s in ineqs])
-    got = lp_feasible(LinearSystem.make(
-        dim, [LinearRow.make(c, 0) for c in eqs],
-        [LinearRow.make(c, int(s)) for c, s in ineqs]))
+    got = lp_feasible(*sys_of(dim, [(c, 0) for c in eqs],
+                              [(c, int(s)) for c, s in ineqs]))
     assert got.feasible == expected
     if got.feasible:
         x = got.witness
@@ -438,9 +437,12 @@ def membership_cases(draw):
 @example((2, [], (1, 0)))
 @example((2, [(0, 0)], (Fraction(1, 2), 0)))
 def test_cone_member_against_double_description(case):
+    # cone_member's "no" reads the double description that contains reads,
+    # so both are checked against the LP lambda >= 0, G lambda = target
     d, gens, target = case
-    assert cone_member(gens, target, dim=d) == \
-        RationalCone.from_generators(gens, d).contains(target)
+    expected = lp_member(gens, target, d)
+    assert cone_member(gens, target, dim=d) == expected
+    assert RationalCone.from_generators(gens, d).contains(target) == expected
 
 
 @st.composite
@@ -468,7 +470,8 @@ def separation_cases(draw):
 def test_separating_functional_against_cone_member(case):
     d, gens, target = case
     x = separating_functional(gens, target, d)
-    assert (x is None) == cone_member(gens, target, dim=d)
+    assert (x is None) == cone_member(gens, target, dim=d) == \
+        lp_member(gens, target, d)
     if x is not None:
         assert all(type(c) is int for c in x) and primitive(x) == x
         assert dot(x, target) < 0
@@ -559,10 +562,8 @@ def heft_gradings(draw):
 
 def heft_lp_oracle(q):
     """The LP formulation: some h over Q with col.h >= 1 on every column."""
-    return lp_feasible(LinearSystem(
-        q.pic_rank,
-        inequalities=tuple(LinearRow.make(col, 1) for col in q.columns))
-    ).feasible
+    return lp_feasible(q.pic_rank, [],
+                       [[*col, 1] for col in q.columns]).feasible
 
 
 @settings(deadline=None, max_examples=300)
@@ -701,6 +702,7 @@ def small_fans(draw):
                               (-1, 1, -2)), ((3,), (1, 4), (2,))))
 def test_validate_fan_against_double_description(fan):
     verdict = validate_fan(fan)
+    assert verdict == pair_lp_validate(fan)
     if all(c.geometry.is_pointed for c in fan.maximal_cones):
         assert verdict.ok == dd_fan_oracle(fan)
         if not verdict.ok:
@@ -746,6 +748,7 @@ def cube_height_fans(draw):
 def _check_replay_against_pair_lps(fan):
     assert fan_report(fan) == pair_lp_report(fan)
     plain = validate_fan(fan)
+    assert plain == pair_lp_validate(fan)
     zero = ((0,) * fan.ambient_dim,) * len(fan.maximal_cones)
     pointed = all(c.geometry.is_pointed for c in fan.maximal_cones)
     # no support function, not even the degenerate zero one, changes the
@@ -780,6 +783,7 @@ def test_validate_fan_exempts_rays_inside_the_common_cone():
     fan = Fan.from_index_sets(((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)),
                               ((1, 2, 3), (1, 2, 4)))
     assert validate_fan(fan).ok and dd_fan_oracle(fan)
+    assert validate_fan(fan) == pair_lp_validate(fan)
 
 
 def test_validate_fan_rejects_a_cone_that_is_not_strongly_convex():
