@@ -9,7 +9,10 @@ row is redundant among the others exactly when it lies in their cone
 cones.separating_functional, replayed in integers. The minimal subsets
 form S(w), read off one double description by
 monomials.caratheodory_supports (Berchtold-Hausen, "GIT equivalence beyond
-the ample cone", 2006; Cox-Little-Schenck, Toric Varieties, ch. 14). Chamber
+the ample cone", 2006; Cox-Little-Schenck, Toric Varieties, ch. 14), which
+caches it per primitive class. The constraint form of each cone(q_J) comes
+from monomials._subset_hrep, the cache that the radical search reads, so a
+chamber comparison that follows builds none of them again. Chamber
 equality at a fixed saturation depth is decided through the irrelevant
 radicals."""
 
@@ -17,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import (RationalCone, generators_to_hrep, primitive,
-                    separating_functional)
+from .cones import RationalCone, primitive, separating_functional
 from .exact import dot, int_vector
 from .grading import DegreeMatrix
 from .monomials import GuardExceeded  # noqa: F401  (re-exported)
-from .monomials import _checked_heft, _radical, caratheodory_supports
+from .monomials import (_checked_heft, _radical, _subset_hrep,
+                        caratheodory_supports)
 
 Vec = tuple[int, ...]
 
@@ -92,8 +95,7 @@ def chamber_of(q: DegreeMatrix, w) -> Chamber:
                                     all(c[0] < 0 for c in q.columns))
     rows: set[Vec] = set()
     for subset in subsets:
-        eqs, ineqs = generators_to_hrep(
-            q.pic_rank, [q.columns[j] for j in subset])
+        eqs, ineqs = _subset_hrep(q, subset)
         for e in eqs:
             rows.add(primitive(e))
             rows.add(primitive(tuple(-x for x in e)))
@@ -117,16 +119,17 @@ def same_chamber(q: DegreeMatrix, w1, w2, depth: int = 1, heft=None,
                  check_stable: bool = False) -> SameChamberResult:
     """Whether w1 and w2 produce identical irrelevant radicals at the given
     saturation depth. With check_stable=True the depth+1 radicals are
-    compared as well and instability is reported. S(w) of each class is
-    computed once: it finds a class outside the effective cone, and every
-    layer of the radical reads its supports off it."""
+    compared as well and instability is reported. The depth is checked
+    before any S(w) is asked for. S(w) of each class finds a class outside
+    the effective cone, and every layer of the radical reads its supports
+    off it."""
+    if depth < 1:
+        raise ValueError("saturation depth must be at least 1")
     supports = []
     for w in (w1, w2):
         supports.append(caratheodory_supports(q, w))
         if not supports[-1]:
             raise ValueError("class outside the effective cone")
-    if depth < 1:
-        raise ValueError("saturation depth must be at least 1")
     h = _checked_heft(q, heft)
     rad1, rad2 = (_radical(q, int_vector(w, "class"), depth, h, check_stable,
                            s) for w, s in zip((w1, w2), supports))

@@ -3,10 +3,14 @@
 Cones are rational; generators (V-form) and constraint normals (H-form) are
 kept as primitive integer vectors, and conversion between the two forms is
 one dual computation. During incremental insertion every ray carries the set
-of already-processed inequality indices it satisfies with equality, which
-powers the combinatorial adjacency test of Fukuda and Prodon. Lineality is
-handled by pivoting: while some lineality vector meets the new constraint,
-the constraint cuts the lineality space instead of the ray list.
+of already-processed inequality indices it satisfies with equality, kept as
+an int bitmask, which powers the combinatorial adjacency test of Fukuda and
+Prodon: a positive and a negative ray are adjacent when no third ray is
+tight on all of their common rows (`z & meet == meet` holds for the two
+alone). Lineality is handled by pivoting: while some lineality vector meets
+the new constraint, the constraint cuts the lineality space instead of the
+ray list. Every lineality vector and ray is primitive, so one that already
+lies on the new hyperplane is kept as it is, with no arithmetic.
 
 Integer vectors never become Fractions: `primitive` divides an all-int
 vector by its gcd directly, so the double description runs in machine
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .exact import check_rational, dot, rank
@@ -55,8 +60,11 @@ def primitive(vec: Sequence) -> Vec:
 
 def _project_off(v: Vec, normal: Vec, pivot: Vec, dp: int) -> Vec:
     # v * dp - pivot * (normal . v), with dp = normal . pivot > 0 so the
-    # direction of v is preserved
-    dv = dot(normal, v)
+    # direction of v is preserved; v is primitive, so a v already on the
+    # hyperplane is its own result
+    dv = sum(map(mul, normal, v))
+    if not dv:
+        return v
     return primitive(tuple(x * dp - p * dv for x, p in zip(v, pivot)))
 
 
@@ -67,70 +75,77 @@ def double_description(dim: int,
     {x : e.x = 0 for all equalities, a.x >= 0 for all inequalities}.
 
     Rays are primitive integer vectors, minimal in the sense that each is
-    extreme modulo the lineality space.
+    extreme modulo the lineality space. A nonzero row whose length is not
+    dim raises ValueError.
     """
     if dim < 1:
         raise ValueError("ambient dimension must be positive")
-    lin: list[Vec] = [tuple(1 if i == j else 0 for j in range(dim))
-                      for i in range(dim)]
-    rays: list[tuple[Vec, frozenset[int]]] = []
+    zeros = (0,) * dim
+    lin: list[Vec] = [zeros[:i] + (1,) + zeros[i + 1:] for i in range(dim)]
+    # each ray with the bitmask of the processed inequalities it is tight on
+    rays: list[tuple[Vec, int]] = []
 
-    def cut_with(normal: Vec, idx: int | None) -> None:
+    def cut_with(normal: Vec, bit: int) -> None:
+        # bit is 1 << (inequality index), or 0 for an equality
         nonlocal lin, rays
-        porig = next((l for l in lin if dot(normal, l) != 0), None)
+        for porig in lin:
+            ps = sum(map(mul, normal, porig))
+            if ps:
+                break
+        else:
+            porig = None
         if porig is not None:
-            pivot = porig if dot(normal, porig) > 0 else tuple(-x for x in porig)
-            dp = dot(normal, pivot)
+            if ps > 0:
+                pivot, dp = porig, ps
+            else:
+                pivot, dp = tuple(-x for x in porig), -ps
             lin = [_project_off(l, normal, pivot, dp)
                    for l in lin if l is not porig]
-            new_rays = [(_project_off(r, normal, pivot, dp),
-                         z | {idx} if idx is not None else z)
-                        for r, z in rays]
-            if idx is not None:
+            rays = [(_project_off(r, normal, pivot, dp), z | bit)
+                    for r, z in rays]
+            if bit:
                 # the pivot itself survives on the positive side; as former
                 # lineality it is tight on every previously processed row
-                new_rays.append((pivot, frozenset(range(idx))))
-            rays = new_rays
+                rays.append((pivot, bit - 1))
             return
         pos, zero, neg = [], [], []
         for r, z in rays:
-            s = dot(normal, r)
+            s = sum(map(mul, normal, r))
             if s > 0:
                 pos.append((r, z, s))
             elif s < 0:
                 neg.append((r, z, s))
             else:
-                zero.append((r, z | {idx} if idx is not None else z))
-        if idx is None:
-            kept = zero
-        else:
-            kept = zero + [(r, z) for r, z, _ in pos]
+                zero.append((r, z | bit))
+        kept = zero + [(r, z) for r, z, _ in pos] if bit else zero
         combos = []
         for rp, zp, sp in pos:
             for rn, zn, sn in neg:
+                # adjacent when no third ray is tight on all of their
+                # common rows
                 meet = zp & zn
-                adjacent = True
                 for r3, z3 in rays:
-                    if r3 is rp or r3 is rn:
-                        continue
-                    if z3 >= meet:
-                        adjacent = False
+                    if z3 & meet == meet and r3 is not rp and r3 is not rn:
                         break
-                if not adjacent:
-                    continue
-                w = primitive(tuple(sp * b - sn * a for a, b in zip(rp, rn)))
-                combos.append((w, meet | {idx} if idx is not None else meet))
+                else:
+                    w = primitive(
+                        tuple(sp * b - sn * a for a, b in zip(rp, rn)))
+                    combos.append((w, meet | bit))
         rays = kept + combos
 
     for e in equalities:
         en = primitive(e)
         if any(en):
-            cut_with(en, None)
+            if len(en) != dim:
+                raise ValueError("dimension mismatch")
+            cut_with(en, 0)
     count = 0
     for a in inequalities:
         an = primitive(a)
         if any(an):
-            cut_with(an, count)
+            if len(an) != dim:
+                raise ValueError("dimension mismatch")
+            cut_with(an, 1 << count)
             count += 1
 
     return lin, [r for r, _ in rays]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -128,32 +128,40 @@ def lp_feasible(dim: int, eqs: list[list[int]],
         return LPResult(False, None)
     free = [j for j in range(dim) if j not in pivots]
 
-    # normalize and deduplicate the inequality rows, keeping the largest
-    # offset per direction; substituting the pivot variables clears the
-    # pivot columns and leaves a positive multiple of coeffs . x_free >= off
-    kept: dict[tuple[Fraction, ...], Fraction] = {}
+    # deduplicate the inequality rows on their primitive integer direction,
+    # keeping the largest offset b / g per direction (compared as integer
+    # cross products); substituting the pivot variables clears the pivot
+    # columns and leaves a positive multiple of coeffs . x_free >= off
+    kept: dict[tuple[int, ...], tuple[int, int]] = {}
     for row in ineqs:
         for r, p in zip(red, pivots):
             if row[p]:
                 row = eliminate(row, r, p)
         coeffs = [row[f] for f in free]
-        lead = next((c for c in coeffs if c), None)
-        if lead is None:
+        g = gcd(*coeffs)
+        if not g:
             if row[dim] > 0:
                 return LPResult(False, None)
             continue
-        scale = abs(lead)
-        key = tuple(Fraction(c, scale) for c in coeffs)
-        off = Fraction(row[dim], scale)
-        if key not in kept or off > kept[key]:
-            kept[key] = off
+        key = tuple(c // g for c in coeffs)
+        best = kept.get(key)
+        if best is None or row[dim] * best[1] > best[0] * g:
+            kept[key] = (row[dim], g)
 
     z = [Fraction(0)] * len(free)
     if kept:
-        # dual: min (-d).y s.t. (-M^T).y = 0, y >= 0; the dual multipliers
-        # at the optimum are exactly a primal point satisfying M z >= d
-        amat = [[-k[i] for k in kept] for i in range(len(free))]
-        z = simplex_nonneg(amat, [-off for off in kept.values()])
+        # each kept direction scaled by its first nonzero entry, in
+        # first-seen order; dual: min (-d).y s.t. (-M^T).y = 0, y >= 0, and
+        # the dual multipliers at the optimum are exactly a primal point
+        # satisfying M z >= d
+        amat: list[list[Fraction]] = [[] for _ in free]
+        cost = []
+        for key, (b, g) in kept.items():
+            scale = abs(next(c for c in key if c))
+            for col, c in zip(amat, key):
+                col.append(Fraction(-c, scale))
+            cost.append(Fraction(-b, g * scale))
+        z = simplex_nonneg(amat, cost)
         if z is None:
             return LPResult(False, None)
 

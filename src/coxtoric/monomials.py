@@ -10,9 +10,13 @@ whether a support is achievable.
 
 caratheodory_supports gives S(w) by one double description and carries the
 size guard; the GIT chambers and the minimal supports here are read off it.
-S(k w) = S(w) for k >= 1, so every layer of irrelevant_radical reads off one.
-The minimal supports of each degree are computed once per process, so the
-radicals and chamber comparisons of one run share their common layers.
+S(k w) = S(w) for k >= 1, so every layer of irrelevant_radical reads off one,
+and the double description runs once per grading and primitive class in the
+process. The minimal supports of each degree are computed once per process,
+so the radicals and chamber comparisons of one run share their common
+layers. Like the constraint forms of the column cones (_subset_hrep), these
+caches keep every entry for the whole process, with no bound on their
+memory; chambers.chamber_of reads its column cones from the same cache.
 No question here goes to an LP: positivity and the heft are read off the
 constraint form of the effective cone, which the enumerator caches anyway.
 """
@@ -172,23 +176,38 @@ def _exponents(q: DegreeMatrix, d, h, idx: tuple[int, ...]):
     yield from rec(0, list(d), total)
 
 
+# S(w) per (grading, primitive class), kept for the whole process like
+# _LAYERS: S(k w) = S(w) for k >= 1, so reproduce-paper asks for S six
+# times and computes two
+_SUPPORTS: dict[tuple[DegreeMatrix, tuple[int, ...]],
+                tuple[Support, ...]] = {}
+
+
 def caratheodory_supports(q: DegreeMatrix, w) -> list[tuple[int, ...]]:
     """S(w), the minimal 0-based column sets J with w in cone(q_J), in
     size-then-lex order: by Caratheodory the supports of the vertices of
     {lambda >= 0 : q lambda = w}, read off one double description of
     {(lambda, t) >= 0 : q lambda = t w} as its rays with t > 0. S(0) = [()];
-    more than MAX_SEARCH_GENS columns raise GuardExceeded."""
+    more than MAX_SEARCH_GENS columns raise GuardExceeded. The double
+    description runs once per (q, primitive(w)) in the process, and every
+    call returns a fresh list."""
     w = int_vector(w, "class")
     if len(w) != q.pic_rank:
         raise ValueError("class has wrong length")
     n = q.num_gens
     if n > MAX_SEARCH_GENS:
         raise GuardExceeded("subset enumeration too large")
-    eqs = [row + (-x,) for row, x in zip(zip(*q.columns), w)]
-    units = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
-    _, rays = double_description(n + 1, eqs, units)
-    return sorted((tuple(j for j in range(n) if r[j]) for r in rays if r[n]),
-                  key=lambda s: (len(s), s))
+    key = (q, primitive(w))
+    supports = _SUPPORTS.get(key)
+    if supports is None:
+        eqs = [row + (-x,) for row, x in zip(zip(*q.columns), key[1])]
+        units = [tuple(int(i == j) for i in range(n + 1))
+                 for j in range(n + 1)]
+        _, rays = double_description(n + 1, eqs, units)
+        supports = _SUPPORTS[key] = tuple(sorted(
+            (tuple(j for j in range(n) if r[j]) for r in rays if r[n]),
+            key=lambda s: (len(s), s)))
+    return list(supports)
 
 
 def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Support, ...]:

@@ -279,6 +279,88 @@ def test_support_sets_computed_once_per_class(monkeypatch):
     assert seen == [dp.anti_canonical]
 
 
+def counted_support_dds(monkeypatch):
+    """Empty the S(w) cache and count the double descriptions of
+    caratheodory_supports, the only caller of double_description in
+    monomials; returns the list of their equality systems."""
+    monkeypatch.setattr(monomials, "_SUPPORTS", {})
+    calls = []
+    real = monomials.double_description
+
+    def counted(dim, equalities=(), inequalities=()):
+        calls.append(equalities)
+        return real(dim, equalities, inequalities)
+
+    monkeypatch.setattr(monomials, "double_description", counted)
+    return calls
+
+
+def test_reproduce_paper_computes_two_support_sets(monkeypatch, capsys):
+    # S is asked for six times (a once by the radical, a and 2a, a and -K
+    # by the two chamber comparisons, -K by the radical) and S(2a) = S(a)
+    calls = counted_support_dds(monkeypatch)
+    assert main(["reproduce-paper", "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+
+
+def test_chamber_compare_job_computes_one_support_set(monkeypatch, capsys):
+    # chamber_of(w) and same_chamber(w, 2w) ask for S three times
+    calls = counted_support_dds(monkeypatch)
+    assert main(["chamber", "--dataset", "delpezzo4", "--degree",
+                 "3,-1,-1,-1,-1", "--compare", "6,-2,-2,-2,-2",
+                 "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_caratheodory_supports_returns_a_fresh_list(monkeypatch):
+    calls = counted_support_dds(monkeypatch)
+    q = delpezzo4().degrees
+    first = caratheodory_supports(q, (3, -1, -1, -1, -1))
+    first.clear()
+    again = caratheodory_supports(q, (6, -2, -2, -2, -2))
+    assert again and again == caratheodory_supports(q, (3, -1, -1, -1, -1))
+    assert len(calls) == 1
+
+
+def test_same_chamber_reuses_the_cone_hreps_of_chamber_of(monkeypatch):
+    # chamber_of builds the constraint form of every cone(q_J), J in S(w),
+    # through the cache that the radical search of same_chamber reads
+    dp = delpezzo4()
+    q = dp.degrees
+    monkeypatch.setattr(monomials, "_SUPPORTS", {})
+    monkeypatch.setattr(monomials, "_LAYERS", {})
+    monomials._subset_hrep.cache_clear()
+    misses = []
+    real = monomials.generators_to_hrep
+
+    def counted(dim, gens):
+        misses.append(tuple(gens))
+        return real(dim, gens)
+
+    monkeypatch.setattr(monomials, "generators_to_hrep", counted)
+    cones_of = {tuple(q.columns[j] for j in subset)
+                for subset in caratheodory_supports(q, dp.anti_canonical)}
+    chamber_of(q, dp.anti_canonical)
+    assert cones_of <= set(misses)
+    misses.clear()
+    assert not same_chamber(q, dp.anti_canonical, dp.ample).same
+    assert misses and not cones_of & set(misses)
+
+
+def test_same_chamber_checks_depth_before_any_support_set(monkeypatch):
+    calls = counted_support_dds(monkeypatch)
+    q = delpezzo4().degrees
+    outside = (-1, 0, 0, 0, 0)
+    with pytest.raises(ValueError,
+                       match="^saturation depth must be at least 1$"):
+        same_chamber(q, outside, (3, -1, -1, -1, -1), depth=0)
+    assert calls == []
+    with pytest.raises(ValueError, match="^class outside the effective cone$"):
+        same_chamber(q, outside, (3, -1, -1, -1, -1))
+
+
 def _line(h, minus):
     v = [h] + [0] * 5
     for i in minus:

@@ -91,6 +91,17 @@ def test_equality_cut():
     assert set(rays) == {(1, 1, 0), (0, 0, 1)}
 
 
+@pytest.mark.parametrize("dim, eqs, ineqs", [
+    (2, (), [(1, 0), (0, 1, 0)]),
+    (3, [(1, 0, 0, 1)], ()),
+    # no lineality and no ray is left for the short row to meet
+    (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 1)]),
+], ids=["inequality", "equality", "after-the-origin"])
+def test_double_description_rejects_rows_of_wrong_length(dim, eqs, ineqs):
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        double_description(dim, eqs, ineqs)
+
+
 def test_cone_member():
     gens = [(1, 0), (1, 1)]
     assert cone_member(gens, (2, 1), dim=2)

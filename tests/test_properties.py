@@ -131,8 +131,12 @@ def gradings_and_classes(draw):
 @example((DegreeMatrix.make([(1, 0), (0, 1), (1, 1)]), (0, 0)))
 @example((DegreeMatrix.make([(1, 0), (-1, 0)]), (0, 1)))
 def test_caratheodory_supports_against_brute_force(case):
+    # once from a fresh double description, once from the cache
     q, w = case
-    assert caratheodory_supports(q, w) == brute_force_supports(q, w)
+    expected = brute_force_supports(q, w)
+    with patch.dict(monomials._SUPPORTS, clear=True):
+        assert caratheodory_supports(q, w) == expected
+        assert caratheodory_supports(q, w) == expected
 
 
 @settings(deadline=None)
@@ -140,10 +144,15 @@ def test_caratheodory_supports_against_brute_force(case):
 def test_caratheodory_supports_of_multiples(case):
     # {l >= 0 : q l = k w} is k times the fiber over w, so S(k w) = S(w);
     # irrelevant_radical and same_chamber read every layer off S(w)
+    # S(w) is cached per primitive class, so each multiple is also given
+    # its own double description with the cache cleared
     q, w = case
     supports = caratheodory_supports(q, w)
     for k in (2, 3):
-        assert caratheodory_supports(q, tuple(k * x for x in w)) == supports
+        kw = tuple(k * x for x in w)
+        assert caratheodory_supports(q, kw) == supports
+        with patch.dict(monomials._SUPPORTS, clear=True):
+            assert caratheodory_supports(q, kw) == supports
 
 
 @st.composite
@@ -817,6 +826,119 @@ def test_dot_against_fraction_sum(rows):
                             Fraction(0))
     with pytest.raises(ValueError, match="dimension mismatch"):
         dot(u + [1], v)
+
+
+def _reference_project_off(v, normal, pivot, dp):
+    # v * dp - pivot * (normal . v), with dp = normal . pivot > 0 so the
+    # direction of v is preserved
+    dv = dot(normal, v)
+    return primitive(tuple(x * dp - p * dv for x, p in zip(v, pivot)))
+
+
+def reference_double_description(dim, equalities=(), inequalities=()):
+    """The double description with frozenset zero sets, kept as it was
+    before the kernel moved to bitmasks: the kernel must return the same
+    lists in the same order, since facet order reaches pinned reports."""
+    if dim < 1:
+        raise ValueError("ambient dimension must be positive")
+    lin = [tuple(1 if i == j else 0 for j in range(dim))
+           for i in range(dim)]
+    rays = []
+
+    def cut_with(normal, idx):
+        nonlocal lin, rays
+        porig = next((l for l in lin if dot(normal, l) != 0), None)
+        if porig is not None:
+            pivot = porig if dot(normal, porig) > 0 else tuple(-x for x in porig)
+            dp = dot(normal, pivot)
+            lin = [_reference_project_off(l, normal, pivot, dp)
+                   for l in lin if l is not porig]
+            new_rays = [(_reference_project_off(r, normal, pivot, dp),
+                         z | {idx} if idx is not None else z)
+                        for r, z in rays]
+            if idx is not None:
+                # the pivot itself survives on the positive side; as former
+                # lineality it is tight on every previously processed row
+                new_rays.append((pivot, frozenset(range(idx))))
+            rays = new_rays
+            return
+        pos, zero, neg = [], [], []
+        for r, z in rays:
+            s = dot(normal, r)
+            if s > 0:
+                pos.append((r, z, s))
+            elif s < 0:
+                neg.append((r, z, s))
+            else:
+                zero.append((r, z | {idx} if idx is not None else z))
+        if idx is None:
+            kept = zero
+        else:
+            kept = zero + [(r, z) for r, z, _ in pos]
+        combos = []
+        for rp, zp, sp in pos:
+            for rn, zn, sn in neg:
+                meet = zp & zn
+                adjacent = True
+                for r3, z3 in rays:
+                    if r3 is rp or r3 is rn:
+                        continue
+                    if z3 >= meet:
+                        adjacent = False
+                        break
+                if not adjacent:
+                    continue
+                w = primitive(tuple(sp * b - sn * a for a, b in zip(rp, rn)))
+                combos.append((w, meet | {idx} if idx is not None else meet))
+        rays = kept + combos
+
+    for e in equalities:
+        en = primitive(e)
+        if any(en):
+            cut_with(en, None)
+    count = 0
+    for a in inequalities:
+        an = primitive(a)
+        if any(an):
+            cut_with(an, count)
+            count += 1
+
+    return lin, [r for r, _ in rays]
+
+
+@st.composite
+def integer_systems(draw):
+    """A homogeneous integer system in dimension 1 to 7: equalities and
+    inequalities drawn from a small pool of rows, so that rows repeat, and
+    from zero rows, integer multiples of pool rows and fresh rows. Few or
+    dependent rows leave lineality."""
+    d = draw(st.integers(1, 7))
+    row = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    pool = draw(st.lists(row, min_size=1, max_size=8))
+    pick = st.one_of(
+        st.sampled_from(pool), st.just([0] * d), row,
+        st.builds(lambda r, k: [k * x for x in r], st.sampled_from(pool),
+                  st.integers(-2, 3)))
+    eqs = draw(st.lists(pick, max_size=3))
+    ineqs = draw(st.lists(pick, max_size=10))
+    return d, eqs, ineqs
+
+
+@settings(deadline=None, max_examples=300)
+@given(integer_systems())
+@example((1, [], []))
+@example((3, [[0, 0, 0]], [[1, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, 0]]))
+@example((2, [], [[1, 0], [-1, 0], [0, 1], [0, -1]]))
+# the cone over a square cut along a diagonal: the opposite corners are
+# not adjacent, and two other rays share their empty meet
+@example((3, [], [[-1, 0, 1], [1, 0, 1], [0, -1, 1], [0, 1, 1], [1, 1, 0]]))
+@example((4, [[1, 1, 0, 0]], [[1, 0, 0, 0], [0, 1, 1, 0], [1, -1, 0, 1],
+                              [0, 0, 1, 1], [-1, 0, 1, 0]]))
+def test_double_description_matches_reference(case):
+    # the same lineality basis and the same rays in the same order
+    d, eqs, ineqs = case
+    assert double_description(d, eqs, ineqs) == \
+        reference_double_description(d, eqs, ineqs)
 
 
 @settings(deadline=None)
