@@ -11,10 +11,10 @@ form S(w), read off one double description by
 monomials.caratheodory_supports (Berchtold-Hausen, "GIT equivalence beyond
 the ample cone", 2006; Cox-Little-Schenck, Toric Varieties, ch. 14), which
 caches it per primitive class. The constraint form of each cone(q_J) comes
-from monomials._subset_hrep, the cache that the radical search reads, so a
-chamber comparison that follows builds none of them again. Chamber
-equality at a fixed saturation depth is decided through the irrelevant
-radicals."""
+from monomials._subset_hrep, the cache of the enumerator's column cones.
+Chamber equality at a fixed saturation depth is decided through the
+irrelevant radicals, whose search needs no constraint forms when the
+columns of each probed union are independent (see monomials)."""
 
 from __future__ import annotations
 

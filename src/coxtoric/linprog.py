@@ -12,8 +12,9 @@ pivots are `exact.pivot` steps over Q. The witness is replayed on the
 integer rows, with one common denominator for its coordinates.
 
 The one caller is `fans.is_projective`, which builds its wall rows as
-ints. Its strict jumps across walls are homogeneous in the unknowns, so
-scaling a solution makes each of them >= 1, and it asks for that instead.
+ints; most of them repeat, so each distinct row is reduced once. Its
+strict jumps across walls are homogeneous in the unknowns, so scaling a
+solution makes each of them >= 1, and it asks for that instead.
 No other question of the package takes an LP. Cone membership, the
 separating functionals and the pair separators of `fans.validate_fan` are
 each read off one double description in `cones`; positivity of a grading,
@@ -123,7 +124,9 @@ def lp_feasible(dim: int, eqs: list[list[int]],
     """
     if any(len(row) != dim + 1 for row in eqs + ineqs):
         raise ValueError("row has wrong dimension")
-    red, pivots = int_rref(eqs)
+    # exact duplicate rows add nothing; the replay below still runs over
+    # every input row
+    red, pivots = int_rref(list(dict.fromkeys(map(tuple, eqs))))
     if dim in pivots:
         return LPResult(False, None)
     free = [j for j in range(dim) if j not in pivots]
@@ -133,7 +136,7 @@ def lp_feasible(dim: int, eqs: list[list[int]],
     # cross products); substituting the pivot variables clears the pivot
     # columns and leaves a positive multiple of coeffs . x_free >= off
     kept: dict[tuple[int, ...], tuple[int, int]] = {}
-    for row in ineqs:
+    for row in dict.fromkeys(map(tuple, ineqs)):
         for r, p in zip(red, pivots):
             if row[p]:
                 row = eliminate(row, r, p)

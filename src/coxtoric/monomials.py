@@ -5,8 +5,12 @@ search runs over generators in order, bounding each exponent by an exact
 heft budget and pruning any residual degree that falls outside the cone
 spanned by the remaining generator degrees. Both tests are integer
 arithmetic on cached constraint normals, so the hot loop never touches
-Fractions. The same enumerator, stopped at its first solution, decides
-whether a support is achievable.
+Fractions.
+
+A support u is achievable when some monomial of degree d uses exactly the
+generators in u. When the columns of u are linearly independent, that is
+one exact solve of sum(x_j q_j) = d - sum(q_u) in integers x_j >= 0; only
+dependent columns ask the enumerator for its first solution.
 
 caratheodory_supports gives S(w) by one double description and carries the
 size guard; the GIT chambers and the minimal supports here are read off it.
@@ -18,7 +22,7 @@ layers. Like the constraint forms of the column cones (_subset_hrep), these
 caches keep every entry for the whole process, with no bound on their
 memory; chambers.chamber_of reads its column cones from the same cache.
 No question here goes to an LP: positivity and the heft are read off the
-constraint form of the effective cone, which the enumerator caches anyway.
+constraint form of the effective cone, cached like the enumerator's cones.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cones import double_description, generators_to_hrep, primitive
-from .exact import dot, int_vector, rank
+from .exact import dot, int_rref, int_vector, rank
 from .grading import DegreeMatrix
 
 Exponent = tuple[int, ...]
@@ -242,35 +246,69 @@ def _minimal_supports(q: DegreeMatrix, d, h, supports) -> tuple[Support, ...]:
     return layer
 
 
-def _search_supports(q: DegreeMatrix, d, h, supports) -> tuple[Support, ...]:
-    """The uncached search of _minimal_supports."""
-    cols = q.columns
-
-    def achievable(subset: tuple[int, ...]) -> bool:
-        # some monomial of degree d has support exactly subset: every
-        # generator in it appears at least once
-        residual = list(d)
-        for j in subset:
-            for k, x in enumerate(cols[j]):
-                residual[k] -= x
+def _achievable(q: DegreeMatrix, d, h, subset: tuple[int, ...]) -> bool:
+    """Whether some monomial of degree d has support exactly subset
+    (0-based columns): whether d - sum(q_u) = sum(x_j q_j) has a solution
+    in integers x_j >= 0. One int_rref of the rows [q_u | residual] decides
+    it when the columns are linearly independent, and a "yes" is replayed
+    as sum((1 + x_j) q_j) == d; dependent columns ask _exponents for a
+    first solution."""
+    cols = [q.columns[j] for j in subset]
+    m = len(cols)
+    residual = [x - sum(c[k] for c in cols) for k, x in enumerate(d)]
+    rows = [[c[k] for c in cols] + [x] for k, x in enumerate(residual)]
+    # more columns than rows are dependent: they skip the solve
+    red, pivots = int_rref(rows) if m <= len(rows) else ([], [])
+    if m in pivots:
+        return False
+    if len(pivots) < m:
         return next(_exponents(q, residual, h, subset), None) is not None
+    # the pivots are the columns 0..m-1 in order: x_p = row[m] / row[p]
+    xs = []
+    for row, p in zip(red, pivots):
+        x, rem = divmod(row[m], row[p])
+        if rem or x < 0:
+            return False
+        xs.append(x)
+    if any(sum((1 + x) * c[k] for x, c in zip(xs, cols)) != dk
+           for k, dk in enumerate(d)):
+        raise RuntimeError("exponent vector failed replay")
+    return True
 
-    # probe unions of S(d) by size; grow none that holds a found support
-    by_size: list[set] = [set() for _ in range(q.num_gens + 1)]
-    for s in supports:
-        by_size[len(s)].add(s)
-    found: list[set] = []
+
+def _search_supports(q: DegreeMatrix, d, h, supports) -> tuple[Support, ...]:
+    """The uncached search of _minimal_supports: unions of members of S(d)
+    as int bitmasks over the columns, probed by size. A found support is
+    never grown, so the found supports form an antichain, and within a size
+    level the order of the probes does not matter."""
+    masks = [sum(1 << j for j in s) for s in supports]
+    by_size: list[set[int]] = [set() for _ in range(q.num_gens + 1)]
+    for s in masks:
+        by_size[s.bit_count()].add(s)
+    found: list[int] = []
     for unions in by_size:
-        for u in sorted(unions):
-            if any(f <= set(u) for f in found):
+        for u in unions:
+            if any(u & f == f for f in found):
                 continue
-            if achievable(u):
-                found.append(set(u))
+            if _achievable(q, d, h, tuple(j for j in range(q.num_gens)
+                                          if u >> j & 1)):
+                found.append(u)
                 continue
-            for s in supports:
-                v = tuple(sorted(set(u).union(s)))
-                by_size[len(v)].add(v)
-    return tuple(tuple(j + 1 for j in s) for s in minimal_antichain(found))
+            # a found support with exactly one column c outside u lies in
+            # u | s for every member s that covers c: generate none of them
+            near = 0
+            for f in found:
+                c = f & ~u
+                if not c & (c - 1):
+                    near |= c
+            for s in masks:
+                if not s & near:
+                    v = u | s
+                    if v != u:
+                        by_size[v.bit_count()].add(v)
+    minimal = [tuple(j + 1 for j in range(q.num_gens) if f >> j & 1)
+               for f in found]
+    return tuple(sorted(minimal, key=lambda s: (len(s), s)))
 
 
 def radical_of_monomials(monomials) -> SquarefreeIdeal:

@@ -326,7 +326,7 @@ def test_caratheodory_supports_returns_a_fresh_list(monkeypatch):
 
 def test_same_chamber_reuses_the_cone_hreps_of_chamber_of(monkeypatch):
     # chamber_of builds the constraint form of every cone(q_J), J in S(w),
-    # through the cache that the radical search of same_chamber reads
+    # through the monomials cache, and same_chamber builds none of them again
     dp = delpezzo4()
     q = dp.degrees
     monkeypatch.setattr(monomials, "_SUPPORTS", {})

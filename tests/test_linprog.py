@@ -247,6 +247,31 @@ def test_projectivity_lps_of_reproduce_paper_match_fraction_reference(
         assert all(type(x) is Fraction for x in got.witness)
 
 
+def test_projectivity_lps_reduce_each_distinct_row_once(monkeypatch):
+    # most wall rows of is_projective repeat: only the distinct equality
+    # rows reach int_rref, and doubling every row changes no witness
+    systems = []
+    reduced = []
+    real_rref = linprog.int_rref
+
+    def record(dim, eqs, ineqs):
+        systems.append((dim, eqs, ineqs))
+        return lp_feasible(dim, eqs, ineqs)
+
+    def rref_rows(rows):
+        reduced.append(len(rows))
+        return real_rref(rows)
+
+    monkeypatch.setattr(fans, "lp_feasible", record)
+    monkeypatch.setattr(linprog, "int_rref", rref_rows)
+    reproduce_paper_report()
+    assert reduced == [len(set(map(tuple, eqs))) for _, eqs, _ in systems]
+    assert all(n < len(eqs) for n, (_, eqs, _) in zip(reduced, systems))
+    for dim, eqs, ineqs in systems:
+        assert lp_feasible(dim, eqs + eqs, ineqs + ineqs) == \
+            lp_feasible(dim, eqs, ineqs)
+
+
 # rows whose entries have unlike denominators, so that each row's own lcm
 # (6, 6, 6 and 10) matters when it is replayed on integers
 THIRDS = sys_of(

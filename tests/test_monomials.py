@@ -3,12 +3,14 @@ from random import Random
 
 import pytest
 
+from coxtoric import monomials
+from coxtoric.cli import reproduce_paper_report
 from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
 from coxtoric.exact import dot
 from coxtoric.grading import DegreeMatrix, delpezzo4
-from coxtoric.monomials import (SquarefreeIdeal, derive_heft,
-                                irrelevant_radical, minimal_antichain,
-                                minimal_supports_of_degree,
+from coxtoric.monomials import (SquarefreeIdeal, caratheodory_supports,
+                                derive_heft, irrelevant_radical,
+                                minimal_antichain, minimal_supports_of_degree,
                                 monomials_of_degree, radical_of_monomials)
 
 
@@ -25,6 +27,37 @@ def brute_force_monomials(q, d, heft):
         if img == tuple(d):
             out.append(e)
     return tuple(sorted(out))
+
+
+def set_search_supports(q, d, h, supports):
+    """The former union search of monomials._search_supports, kept as its
+    oracle: unions as sorted tuples grown through sets, each probed for a
+    monomial by the enumerator's first solution."""
+    cols = q.columns
+
+    def achievable(subset):
+        residual = list(d)
+        for j in subset:
+            for k, x in enumerate(cols[j]):
+                residual[k] -= x
+        return next(monomials._exponents(q, residual, h, subset),
+                    None) is not None
+
+    by_size = [set() for _ in range(q.num_gens + 1)]
+    for s in supports:
+        by_size[len(s)].add(s)
+    found = []
+    for unions in by_size:
+        for u in sorted(unions):
+            if any(f <= set(u) for f in found):
+                continue
+            if achievable(u):
+                found.append(set(u))
+                continue
+            for s in supports:
+                v = tuple(sorted(set(u).union(s)))
+                by_size[len(v)].add(v)
+    return tuple(tuple(j + 1 for j in s) for s in minimal_antichain(found))
 
 
 def test_p2_degree_two():
@@ -259,3 +292,52 @@ def test_dp4_anticanonical_radical_saturates_at_depth_two():
                                        check_stable=True)
     assert len(ideal.generators) == 56 and stable
     assert set(DP4_ANTICANONICAL_SUPPORTS) < set(ideal.generators)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bitmask_search_matches_set_search_on_dp4(k):
+    # the layers k(-K) of the depth-1 to depth-3 radicals
+    q = DegreeMatrix.make(dp4_columns())
+    h = derive_heft(q)
+    d = tuple(k * x for x in (3, -1, -1, -1, -1, -1))
+    supports = caratheodory_supports(q, d)
+    assert monomials._search_supports(q, d, h, supports) == \
+        set_search_supports(q, d, h, supports)
+
+
+def counted_exponents(monkeypatch):
+    """Empty the layer cache and count the calls of the enumerator."""
+    monkeypatch.setattr(monomials, "_LAYERS", {})
+    calls = []
+    real = monomials._exponents
+
+    def counted(q, d, h, idx):
+        calls.append(idx)
+        return real(q, d, h, idx)
+
+    monkeypatch.setattr(monomials, "_exponents", counted)
+    return calls
+
+
+def test_dependent_columns_ask_the_enumerator(monkeypatch):
+    # x_1 + x_2 = 1 has two solutions in nonnegative integers, so the
+    # exact solve leaves the question to the enumerator
+    calls = counted_exponents(monkeypatch)
+    q = DegreeMatrix.make([(1,), (1,)])
+    assert monomials._achievable(q, (3,), (1,), (0, 1))
+    assert calls == [(0, 1)]
+
+
+def test_reproduce_paper_radical_searches_run_no_enumerator(monkeypatch):
+    # every union probed on the bundled grading has independent columns
+    calls = counted_exponents(monkeypatch)
+    reproduce_paper_report()
+    assert len(monomials._LAYERS) == 5 and calls == []
+
+
+def test_dp4_radical_search_runs_no_enumerator(monkeypatch):
+    calls = counted_exponents(monkeypatch)
+    ideal = irrelevant_radical(DegreeMatrix.make(dp4_columns()),
+                               (3, -1, -1, -1, -1, -1), depth=1)
+    assert ideal.generators == DP4_ANTICANONICAL_SUPPORTS
+    assert len(monomials._LAYERS) == 1 and calls == []

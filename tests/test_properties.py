@@ -14,7 +14,10 @@ the integer fast paths of primitive, dot and generators_to_hrep, the
 former pair LPs for the pair separators of validate_fan and for the
 vertex replay that certifies complete projective fans, the kernel of each
 wall's rays for the wall normals read off the facets, and an uncached
-search under another heft for the cached radical layers."""
+search under another heft for the cached radical layers, the enumerator's
+first solution for the exact solve that decides a support, the former
+set-based union search for the bitmask one, and the same system without
+its repeated rows for lp_feasible."""
 
 import math
 from fractions import Fraction
@@ -58,6 +61,7 @@ from test_fans import (CUBE_FACES, CUBE_RAYS, DOUBLY_WOUND_CONES,  # noqa: E402
                        pair_lp_validate)
 from test_linprog import (fm_feasible, fraction_lp_feasible,  # noqa: E402
                           sys_of)
+from test_monomials import set_search_supports  # noqa: E402
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -189,6 +193,44 @@ def test_minimal_supports_of_degree_against_enumeration(case):
             radical_of_monomials(monomials_of_degree(q, kd)).generators
 
 
+@settings(deadline=None, max_examples=300)
+@given(positive_gradings_and_degrees())
+@example((DegreeMatrix.make([(1,)]), (1,)))  # x = 0 on the one column
+@example((DegreeMatrix.make([(2,)]), (3,)))  # x = 1/2
+@example((DegreeMatrix.make([(1,), (2,)]), (4,)))  # dependent columns
+@example((DegreeMatrix.make([(1, 0)]), (0, 1)))  # inconsistent residual
+@example((DegreeMatrix.make([(1, 0), (1, 1)]), (1, 1)))  # negative residual
+def test_achievable_matches_the_first_monomial(case):
+    # on every subset, the empty one included, the exact solve (or its
+    # fallback) agrees with the enumerator's first solution
+    q, d = case
+    h = derive_heft(q)
+    for size in range(q.num_gens + 1):
+        for subset in combinations(range(q.num_gens), size):
+            residual = [x - sum(q.columns[j][k] for j in subset)
+                        for k, x in enumerate(d)]
+            expected = next(monomials._exponents(q, residual, h, subset),
+                            None) is not None
+            assert monomials._achievable(q, d, h, subset) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(positive_gradings_and_degrees())
+# a union grown by a single column
+@example((DegreeMatrix.make([(2,), (3,)]), (5,)))
+# at 3d, a found support that u lacks two columns of does not stop the
+# growth of u by a member that covers only one of them
+@example((DegreeMatrix.make([(1, 2), (2, 1), (2, -1), (1, -1)]), (3, 0)))
+def test_bitmask_search_matches_set_search(case):
+    q, d = case
+    h = derive_heft(q)
+    for k in (1, 2, 3):
+        kd = tuple(k * x for x in d)
+        supports = caratheodory_supports(q, kd)
+        assert monomials._search_supports(q, kd, h, supports) == \
+            set_search_supports(q, kd, h, supports)
+
+
 @settings(deadline=None)
 @given(matrices(rationals))
 def test_rank_against_sympy(rows):
@@ -312,6 +354,14 @@ def test_lp_feasible_matches_fraction_reference(case):
     dim, eqs, ineqs = case
     system = sys_of(dim, eqs, ineqs)
     assert lp_feasible(*system) == fraction_lp_feasible(*system)
+
+
+@settings(deadline=None)
+@given(linear_systems())
+def test_lp_feasible_ignores_repeated_rows(case):
+    dim, eqs, ineqs = sys_of(*case)
+    assert lp_feasible(dim, eqs + eqs, ineqs + ineqs) == \
+        lp_feasible(dim, eqs, ineqs)
 
 
 @st.composite
