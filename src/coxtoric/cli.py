@@ -31,11 +31,11 @@ from .delpezzo import (AMPLE_SUPPORTS, REFERENCE_RAY_ROWS, ample_ideal,
                        target_planes)
 from .embedding import mori_embedding_report, verify_restriction_table
 from .exact import IntMat, hermite_normal_form, kernel_lattice
-from .fans import fan_from_irrelevant, fan_report
+from .fans import fan_from_irrelevant, fan_report, fibre_support
 from .grading import DegreeMatrix, delpezzo4, gale_dual
 from .incidence import (SearchExhausted, find_transversal_plane,
                         general_position_on_plane, intersect)
-from .monomials import (GuardExceeded, irrelevant_radical,
+from .monomials import (GuardExceeded, fibre_vertices, irrelevant_radical,
                         monomials_of_degree)
 
 
@@ -260,12 +260,19 @@ def cmd_irrelevant(args) -> tuple[int, list[str], dict]:
     return 0, lines, payload
 
 
+def _fan_report(q: DegreeMatrix, gale, ideal, w) -> dict:
+    """fan_report of the fan of ideal, with the support function read off
+    the fibre vertices of w when every generator is one of their supports
+    (the LP finds it otherwise)."""
+    fan = fan_from_irrelevant(gale, ideal)
+    return fan_report(fan, fibre_support(fan, ideal, fibre_vertices(q, w)))
+
+
 def cmd_fan(args) -> tuple[int, list[str], dict]:
     q, dataset, heft = _load_input(args)
     degree = _parse_degree(args, q)
     ideal = irrelevant_radical(q, degree, depth=args.saturate, heft=heft)
-    fan = fan_from_irrelevant(gale_dual(q), ideal)
-    report = fan_report(fan)
+    report = _fan_report(q, gale_dual(q), ideal, degree)
     payload = {"dataset": dataset, "degree": list(degree),
                "saturationDepth": args.saturate, **report}
     flags = "  ".join(
@@ -473,7 +480,7 @@ def reproduce_paper_report(saturate: int = 1,
         ample_radical == ample_ideal()))
 
     gale = gale_dual(q)
-    ample_fan = fan_report(fan_from_irrelevant(gale, ample_radical))
+    ample_fan = _fan_report(q, gale, ample_radical, dp.ample)
     expected_ample = {"numMaximalCones": 42, "valid": True,
                       "simplicial": True, "complete": True,
                       "projective": True}
@@ -489,7 +496,7 @@ def reproduce_paper_report(saturate: int = 1,
         "PAPER", [list(s) for s in anti_radical.generators],
         anti_radical == anti))
 
-    anti_fan = fan_report(fan_from_irrelevant(gale, anti_radical))
+    anti_fan = _fan_report(q, gale, anti_radical, dp.anti_canonical)
     expected_anti = {"numMaximalCones": 22, "valid": True,
                      "simplicial": False, "complete": True,
                      "projective": True}

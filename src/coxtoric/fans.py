@@ -5,7 +5,13 @@ the ray sets complementary to its minimal supports. Validity (strongly
 convex cones meeting pairwise in common faces), simpliciality,
 completeness, and projectivity are certified by exact integer and rational
 computation; projectivity returns a strictly convex piecewise-linear
-support function, replayed against every wall before it is reported.
+support function, replayed before it is reported.
+
+The fan of an irrelevant radical whose minimal supports are all vertex
+supports of the fibre {c >= 0 : Q c = w} (the radical is S(w)) gets its
+support function from those vertices, with no LP (fibre_support): each
+cone's functional m_J solves V m_J = c_J - c_J0 over the Gale rays V.
+is_projective's LP serves every other complete fan.
 
 A complete fan with such a support function, one functional m_s per
 maximal cone s, is certified valid by one global integer replay: every
@@ -26,7 +32,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .cones import RationalCone, cone_member, double_description, primitive
-from .exact import dot, int_vector, rank
+from .exact import dot, int_rref, int_vector, rank
 from .grading import GaleDual
 from .linprog import lp_feasible
 from .monomials import SquarefreeIdeal
@@ -167,6 +173,50 @@ def _vertex_replay(fan: Fan, support) -> bool:
             if i not in own and not dot(m, fan.rays[i - 1]) > h:
                 return False
     return True
+
+
+def fibre_support(fan: Fan, ideal: SquarefreeIdeal,
+                  vertices) -> tuple[Vec, ...] | None:
+    """The support function of the GIT fan of a class w read off the
+    vertices of its fibre, or None unless every generator of ideal is a
+    vertex support. The fan's maximal cones are the complements of the
+    generators, in order, over the Gale rays V; vertices is
+    monomials.fibre_vertices(q, w), one ray (lambda, t) per support J, and
+    c_J = lambda / t is the vertex on J of {c >= 0 : Q c = w0}, the fibre
+    over w0 = primitive(w).
+
+    With J0 the first cone's support, c_J - c_J0 lies in ker Q, the span
+    of the columns of V, so V m_J = c_J - c_J0 has one solution m_J, and
+    m_0 = 0. Then <m_J, v_i> = -c_J0_i on the rays of the cone (c_J = 0
+    off J) and > -c_J0_i on the others (c_J > 0 on J): each cone is the
+    normal cone of a vertex of the polytope of the divisor c_J0, of class
+    w0 (Cox-Little-Schenck, Toric Varieties, ch. 14-15). m_J is the inverse
+    of d independent Gale rows V_B, from one int_rref of [V_B | I], times
+    (c_J - c_J0) on B, with every c_J over one common denominator; the
+    functionals are the smallest integer multiple of the m_J, as in
+    is_projective. fan_report replays them before they are reported."""
+    n, d = len(fan.rays), fan.ambient_dim
+    supports = [tuple(i - 1 for i in s) for s in ideal.generators]
+    if len(supports) != len(fan.maximal_cones) or \
+            not all(s in vertices for s in supports):
+        return None
+    rays = [vertices[s] for s in supports]
+    den = lcm(*(r[n] for r in rays))
+    lifts = [[x * (den // r[n]) for x in r[:n]] for r in rays]
+    _red, basis = int_rref([list(col) for col in zip(*fan.rays)])
+    red, _pivots = int_rref([list(fan.rays[i]) + [int(j == k)
+                                                  for k in range(d)]
+                             for j, i in enumerate(basis)])
+    # row k of red is [p e_k | p (V_B^-1)_k] with p = row[k]: scale the
+    # rows to one common factor, so that V_B^-1 = inverse / scale
+    scale = lcm(*(row[k] for k, row in enumerate(red)))
+    inverse = [[x * (scale // row[k]) for x in row[d:]]
+               for k, row in enumerate(red)]
+    base = lifts[0]
+    support = [tuple(dot(row, [lift[i] - base[i] for i in basis])
+                     for row in inverse) for lift in lifts]
+    g = gcd(scale * den, *(x for m in support for x in m))
+    return tuple(tuple(x // g for x in m) for m in support)
 
 
 def validate_fan(fan: Fan, support_function=None) -> Verdict:
@@ -391,15 +441,29 @@ def is_projective(fan: Fan) -> ProjectivityCertificate:
     return ProjectivityCertificate(True, support_int)
 
 
-def fan_report(fan: Fan) -> dict:
+def fan_report(fan: Fan, support=None) -> dict:
     """Certification summary in JSON-ready form. The support function of a
     complete fan of pointed cones certifies validity by a vertex replay;
-    only fans it does not certify run the pair separators."""
+    only fans it does not certify run the pair separators.
+
+    A given support (one integer functional per maximal cone, as
+    fibre_support returns) is replayed once by _vertex_replay on a complete
+    fan of pointed cones, and certifies both validity and projectivity; a
+    failed replay raises RuntimeError. Without one, or on any other fan,
+    is_projective's LP finds the support function."""
     complete = is_complete(fan)
     cert = None
     if complete.ok and all(c.geometry.is_pointed for c in fan.maximal_cones):
-        cert = is_projective(fan)
-    valid = validate_fan(fan, cert.support_function if cert else None)
+        if support is None:
+            cert = is_projective(fan)
+            valid = validate_fan(fan, cert.support_function)
+        elif _vertex_replay(fan, support):
+            cert = ProjectivityCertificate(True, support)
+            valid = Verdict(True)
+        else:
+            raise RuntimeError("support function fails vertex replay")
+    else:
+        valid = validate_fan(fan)
     simplicial = is_simplicial(fan)
     report = {
         "ambientDim": fan.ambient_dim,

@@ -12,7 +12,10 @@ pivots are `exact.pivot` steps over Q. The witness is replayed on the
 integer rows, with one common denominator for its coordinates.
 
 The one caller is `fans.is_projective`, which builds its wall rows as
-ints; most of them repeat, so each distinct row is reduced once. Its
+ints; most of them repeat, so each distinct row is reduced once. The CLI
+asks it only about complete fans whose cones are not all complements of
+S(w): the support function of an S(w) fan is read off the vertices of the
+fibre (`fans.fibre_support`), so the bundled runs solve no LP. Its
 strict jumps across walls are homogeneous in the unknowns, so scaling a
 solution makes each of them >= 1, and it asks for that instead.
 No other question of the package takes an LP. Cone membership, the

@@ -12,8 +12,11 @@ generators in u. When the columns of u are linearly independent, that is
 one exact solve of sum(x_j q_j) = d - sum(q_u) in integers x_j >= 0; only
 dependent columns ask the enumerator for its first solution.
 
-caratheodory_supports gives S(w) by one double description and carries the
-size guard; the GIT chambers and the minimal supports here are read off it.
+fibre_vertices gives the vertices of the fibre over w by one double
+description and carries the size guard; their supports are S(w)
+(caratheodory_supports), off which the GIT chambers and the minimal
+supports here are read, and fans.fibre_support reads the support function
+of the S(w) fan off the vertices themselves.
 S(k w) = S(w) for k >= 1, so every layer of irrelevant_radical reads off one,
 and the double description runs once per grading and primitive class in the
 process. The minimal supports of each degree are computed once per process,
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .cones import double_description, generators_to_hrep, primitive
 from .exact import dot, int_rref, int_vector, rank
@@ -180,21 +184,23 @@ def _exponents(q: DegreeMatrix, d, h, idx: tuple[int, ...]):
     yield from rec(0, list(d), total)
 
 
-# S(w) per (grading, primitive class), kept for the whole process like
-# _LAYERS: S(k w) = S(w) for k >= 1, so reproduce-paper asks for S six
-# times and computes two
-_SUPPORTS: dict[tuple[DegreeMatrix, tuple[int, ...]],
-                tuple[Support, ...]] = {}
+# the fibre vertices per (grading, primitive class), kept for the whole
+# process like _LAYERS: S(k w) = S(w) for k >= 1, so reproduce-paper asks
+# for S six times and computes two
+_VERTICES: dict[tuple[DegreeMatrix, tuple[int, ...]],
+                MappingProxyType] = {}
 
 
-def caratheodory_supports(q: DegreeMatrix, w) -> list[tuple[int, ...]]:
-    """S(w), the minimal 0-based column sets J with w in cone(q_J), in
-    size-then-lex order: by Caratheodory the supports of the vertices of
-    {lambda >= 0 : q lambda = w}, read off one double description of
-    {(lambda, t) >= 0 : q lambda = t w} as its rays with t > 0. S(0) = [()];
-    more than MAX_SEARCH_GENS columns raise GuardExceeded. The double
-    description runs once per (q, primitive(w)) in the process, and every
-    call returns a fresh list."""
+def fibre_vertices(q: DegreeMatrix, w) -> MappingProxyType:
+    """The vertices of the fibre {lambda >= 0 : q lambda = w}, read off one
+    double description of {(lambda, t) >= 0 : q lambda = t w} as its rays
+    with t > 0: a read-only map from each vertex support J (0-based
+    columns, in size-then-lex order) to its primitive ray (lambda, t), so
+    that the vertex of the fibre over primitive(w) is lambda / t.
+    By Caratheodory the supports are S(w), the minimal column sets J with
+    w in cone(q_J); S(0) = [()]. More than MAX_SEARCH_GENS columns raise
+    GuardExceeded. The double description runs once per (q, primitive(w))
+    in the process."""
     w = int_vector(w, "class")
     if len(w) != q.pic_rank:
         raise ValueError("class has wrong length")
@@ -202,16 +208,23 @@ def caratheodory_supports(q: DegreeMatrix, w) -> list[tuple[int, ...]]:
     if n > MAX_SEARCH_GENS:
         raise GuardExceeded("subset enumeration too large")
     key = (q, primitive(w))
-    supports = _SUPPORTS.get(key)
-    if supports is None:
+    vertices = _VERTICES.get(key)
+    if vertices is None:
         eqs = [row + (-x,) for row, x in zip(zip(*q.columns), key[1])]
         units = [tuple(int(i == j) for i in range(n + 1))
                  for j in range(n + 1)]
         _, rays = double_description(n + 1, eqs, units)
-        supports = _SUPPORTS[key] = tuple(sorted(
-            (tuple(j for j in range(n) if r[j]) for r in rays if r[n]),
-            key=lambda s: (len(s), s)))
-    return list(supports)
+        found = {tuple(j for j in range(n) if r[j]): r for r in rays if r[n]}
+        vertices = _VERTICES[key] = MappingProxyType(
+            {s: found[s] for s in sorted(found, key=lambda s: (len(s), s))})
+    return vertices
+
+
+def caratheodory_supports(q: DegreeMatrix, w) -> list[tuple[int, ...]]:
+    """S(w), the minimal 0-based column sets J with w in cone(q_J), in
+    size-then-lex order: the supports of fibre_vertices(q, w), as a fresh
+    list on every call."""
+    return list(fibre_vertices(q, w))
 
 
 def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Support, ...]:

@@ -281,9 +281,9 @@ def test_support_sets_computed_once_per_class(monkeypatch):
 
 def counted_support_dds(monkeypatch):
     """Empty the S(w) cache and count the double descriptions of
-    caratheodory_supports, the only caller of double_description in
+    fibre_vertices, the only caller of double_description in
     monomials; returns the list of their equality systems."""
-    monkeypatch.setattr(monomials, "_SUPPORTS", {})
+    monkeypatch.setattr(monomials, "_VERTICES", {})
     calls = []
     real = monomials.double_description
 
@@ -329,7 +329,7 @@ def test_same_chamber_reuses_the_cone_hreps_of_chamber_of(monkeypatch):
     # through the monomials cache, and same_chamber builds none of them again
     dp = delpezzo4()
     q = dp.degrees
-    monkeypatch.setattr(monomials, "_SUPPORTS", {})
+    monkeypatch.setattr(monomials, "_VERTICES", {})
     monkeypatch.setattr(monomials, "_LAYERS", {})
     monomials._subset_hrep.cache_clear()
     misses = []

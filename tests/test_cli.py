@@ -9,8 +9,9 @@ import pytest
 from coxtoric import __version__, cli, fans, grading
 from coxtoric.cli import main, reproduce_paper_report
 from coxtoric.delpezzo import ANTICANONICAL_SUPPORTS
-from coxtoric.exact import IntMat, kernel_lattice
+from coxtoric.exact import IntMat, dot, kernel_lattice
 from coxtoric.grading import DegreeMatrix, delpezzo4
+from coxtoric.monomials import fibre_vertices, irrelevant_radical
 
 
 def run(capsys, argv):
@@ -246,7 +247,7 @@ FROZEN_REPORTS = [
      "88516bdc0ff180aec89ae73013a6d2980fa0fd3a8b1ac963d35d47889e22bbbc"),
     (["fan", "--dataset", "delpezzo4", "--degree", "11,-5,-3,-2,-1",
       "--json"],
-     "98ba98d395e008b03a8e7688e47e532769e01612e079e3391ae710cfd41f8371"),
+     "aa96bf59a851b38b2c7c7e4cbd363c95a2e6a879983755c48a4207bf8c371824"),
     (["fan", "--dataset", "delpezzo4", "--degree", "3,-1,-1,-1,-1",
       "--json"],
      "81aee91913b7f77e0cefdc812c25151419130d8198fa61f3e5f5f7d9b196562f"),
@@ -275,6 +276,38 @@ FROZEN_REPORTS = [
 def test_report_bytes_are_frozen(capsys, argv, digest):
     _, out, _ = run(capsys, argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_ample_fan_reports_the_support_function_of_its_class(capsys):
+    # the fan command reads the ample fan's support function off the fibre
+    # vertices of w: its heights are those of a divisor of class w itself,
+    # where the LP's are of class (10, -4, -3, -2, -1); the rest of the
+    # report is the LP path's
+    dp = delpezzo4()
+    q, w = dp.degrees, dp.ample
+    code, payload, _ = run_json(capsys, ["fan", "--dataset", "delpezzo4",
+                                         "--degree", "11,-5,-3,-2,-1"])
+    assert code == 0
+    ideal = irrelevant_radical(q, w)
+    fan = fans.fan_from_irrelevant(grading.gale_dual(q), ideal)
+    lp_report = fans.fan_report(fan)
+    support = fans.fibre_support(fan, ideal, fibre_vertices(q, w))
+    assert payload["supportFunction"] == [list(m) for m in support]
+    assert lp_report["supportFunction"] != payload["supportFunction"]
+    assert {k: v for k, v in payload.items() if k in lp_report
+            and k != "supportFunction"} == \
+        {k: v for k, v in lp_report.items() if k != "supportFunction"}
+    for function in (support, lp_report["supportFunction"]):
+        assert fans._vertex_replay(fan, function)
+    # the heights h_i = <m_s, v_i> over the cones s on ray i are -a for a
+    # divisor a of class w
+    divisor = {i: -dot(m, fan.rays[i - 1])
+               for cone, m in zip(fan.maximal_cones, support)
+               for i in cone.ray_indices}
+    assert sorted(divisor) == list(range(1, q.num_gens + 1))
+    assert tuple(sum(divisor[j + 1] * col[k]
+                     for j, col in enumerate(q.columns))
+                 for k in range(q.pic_rank)) == w
 
 
 # sha256 of `fan - --degree 3,-1,-1,-1,-1,-1 --saturate 2 --json` on the
@@ -452,15 +485,23 @@ def _raise_replay_failure(message):
     return stage
 
 
-@pytest.mark.parametrize("module, name, argv, message", [
-    (cli, "gale_dual", ["gale", "--dataset", "p2"],
-     "kernel verification failed"),
-    (fans, "is_projective", ["fan", "--dataset", "p2", "--degree", "1"],
-     "support function fails wall agreement"),
+def _negated_support(fan, ideal, vertices):
+    return tuple(tuple(-x for x in m)
+                 for m in fans.fibre_support(fan, ideal, vertices))
+
+
+@pytest.mark.parametrize("name, stage, argv, message", [
+    ("gale_dual", _raise_replay_failure("kernel verification failed"),
+     ["gale", "--dataset", "p2"], "kernel verification failed"),
+    # the fan command reads its support function off the fibre vertices;
+    # a corrupted one fails fan_report's vertex replay
+    ("fibre_support", _negated_support,
+     ["fan", "--dataset", "p2", "--degree", "1"],
+     "support function fails vertex replay"),
 ], ids=["gale", "fan"])
-def test_internal_error_exit_code(monkeypatch, capsys, module, name, argv,
+def test_internal_error_exit_code(monkeypatch, capsys, name, stage, argv,
                                   message):
-    monkeypatch.setattr(module, name, _raise_replay_failure(message))
+    monkeypatch.setattr(cli, name, stage)
     code, out, err = run(capsys, argv)
     assert code == 4
     assert out == ""

@@ -1,3 +1,4 @@
+import json
 from collections import defaultdict
 from itertools import combinations
 from random import Random
@@ -6,14 +7,18 @@ from unittest.mock import patch
 import pytest
 
 from coxtoric import fans
+from coxtoric.cli import main, reproduce_paper_report
 from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
 from coxtoric.exact import int_row
 from coxtoric.fans import (Fan, Verdict, _vertex_replay,
-                           fan_from_irrelevant, fan_report, is_complete,
-                           is_projective, is_simplicial, validate_fan)
+                           fan_from_irrelevant, fan_report, fibre_support,
+                           is_complete, is_projective, is_simplicial,
+                           validate_fan)
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual
 from coxtoric.linprog import lp_feasible
-from coxtoric.monomials import SquarefreeIdeal, irrelevant_radical
+from coxtoric.monomials import (SquarefreeIdeal, fibre_vertices,
+                                irrelevant_radical)
+from test_monomials import dp4_columns
 
 CUBE_RAYS = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
              (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1))
@@ -384,6 +389,62 @@ def test_fan_report_makes_one_lp_call(monkeypatch, ideal):
     assert report["valid"] is True and report["projective"] is True
     # is_projective's LP; validity comes from the vertex replay
     assert len(calls) == 1
+
+
+def test_reproduce_paper_makes_no_lp_call(monkeypatch):
+    # both fans of the headline run are S(w) fans: their support functions
+    # are read off the fibre vertices
+    calls = counted_lp_calls(monkeypatch)
+    report = reproduce_paper_report()
+    assert all(c["verdict"] for c in report["checks"])
+    assert calls == []
+
+
+def test_dp4_saturated_fan_makes_no_lp_call(monkeypatch, tmp_path, capsys):
+    # the depth-2 radical of the sixteen-line dP4 at -K is S(-K), so its
+    # 56-cone fan needs no LP (the LP has 55 columns and 8,527 rows)
+    path = tmp_path / "dp4.json"
+    cols = dp4_columns()
+    path.write_text(json.dumps({"picRank": 6, "numGens": 16,
+                                "columns": [list(c) for c in cols],
+                                "labels": [f"x{i}" for i in range(16)]}))
+    calls = counted_lp_calls(monkeypatch)
+    assert main(["fan", str(path), "--degree", "3,-1,-1,-1,-1,-1",
+                 "--saturate", "2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["numMaximalCones"] == 56 and report["projective"] is True
+    assert calls == []
+
+
+def test_fibre_support_needs_every_generator_in_s_w():
+    # no monomial of degree (5, 3) has support {2, 3}: the radical's
+    # generator (1, 3, 4) is a union of two vertex supports, not one of them
+    q = DegreeMatrix.make([(1, 0), (1, 1), (1, 2), (2, 1)])
+    w = (5, 3)
+    vertices = fibre_vertices(q, w)
+    assert list(vertices) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    ideal = irrelevant_radical(q, w)
+    assert ideal.generators == ((1, 2), (2, 4), (1, 3, 4))
+    fan = fan_from_irrelevant(gale_dual(q), ideal)
+    assert fibre_support(fan, ideal, vertices) is None
+
+
+def test_fan_report_replays_a_given_support_function():
+    dp = delpezzo4()
+    q, w = dp.degrees, dp.anti_canonical
+    ideal = anticanonical_ideal()
+    fan = fan_from_irrelevant(gale_dual(q), ideal)
+    support = fibre_support(fan, ideal, fibre_vertices(q, w))
+    assert support[0] == (0,) * fan.ambient_dim
+    assert fan_report(fan, support) == fan_report(fan)
+    bad = (support[1],) + support[1:]
+    with pytest.raises(RuntimeError,
+                       match="^support function fails vertex replay$"):
+        fan_report(fan, bad)
+    # a fan that is not complete ignores it and runs the pair separators
+    part = Fan.from_index_sets(fan.rays, [c.ray_indices
+                                          for c in fan.maximal_cones[1:]])
+    assert fan_report(part, support[1:]) == fan_report(part)
 
 
 @pytest.mark.parametrize("rays, cones", [

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from coxtoric import fans, linprog
-from coxtoric.cli import reproduce_paper_report
+from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
 from coxtoric.exact import int_row, pivot
+from coxtoric.fans import fan_from_irrelevant, is_projective
+from coxtoric.grading import delpezzo4, gale_dual
 from coxtoric.linprog import LPResult, lp_feasible, simplex_nonneg
 from test_exact import fraction_rref
 
@@ -226,10 +228,19 @@ def test_random_cross_check_against_fourier_motzkin():
     assert agree == 120
 
 
+def bundled_fans():
+    """The ample and anticanonical fans of the bundled dP5 grading, the two
+    fans of the headline run."""
+    gale = gale_dual(delpezzo4().degrees)
+    return [fan_from_irrelevant(gale, ideal())
+            for ideal in (ample_ideal, anticanonical_ideal)]
+
+
 def test_projectivity_lps_of_reproduce_paper_match_fraction_reference(
         monkeypatch):
-    # the two is_projective LPs of the headline run (41 and 21 variables,
-    # hundreds of rows): the simplex must pivot exactly as before, so the
+    # the is_projective LPs of the two bundled fans (41 and 21 variables,
+    # hundreds of rows), which the headline run reads off the fibre
+    # vertices instead: the simplex must pivot exactly as before, so the
     # witnesses, and with them the pinned support functions, are the same
     systems = []
 
@@ -239,7 +250,9 @@ def test_projectivity_lps_of_reproduce_paper_match_fraction_reference(
         return got
 
     monkeypatch.setattr(fans, "lp_feasible", record)
-    reproduce_paper_report()
+    for fan in bundled_fans():
+        is_projective(fan)
+    assert len(systems) == 2
     assert sorted(s[0] for s, _ in systems) == [21, 41]
     for system, got in systems:
         assert got.feasible
@@ -249,7 +262,8 @@ def test_projectivity_lps_of_reproduce_paper_match_fraction_reference(
 
 def test_projectivity_lps_reduce_each_distinct_row_once(monkeypatch):
     # most wall rows of is_projective repeat: only the distinct equality
-    # rows reach int_rref, and doubling every row changes no witness
+    # rows of the two bundled fans' LPs reach int_rref, and doubling every
+    # row changes no witness
     systems = []
     reduced = []
     real_rref = linprog.int_rref
@@ -264,7 +278,9 @@ def test_projectivity_lps_reduce_each_distinct_row_once(monkeypatch):
 
     monkeypatch.setattr(fans, "lp_feasible", record)
     monkeypatch.setattr(linprog, "int_rref", rref_rows)
-    reproduce_paper_report()
+    for fan in bundled_fans():
+        is_projective(fan)
+    assert len(systems) == 2
     assert reduced == [len(set(map(tuple, eqs))) for _, eqs, _ in systems]
     assert all(n < len(eqs) for n, (_, eqs, _) in zip(reduced, systems))
     for dim, eqs, ineqs in systems:

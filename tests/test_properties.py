@@ -16,8 +16,9 @@ vertex replay that certifies complete projective fans, the kernel of each
 wall's rays for the wall normals read off the facets, and an uncached
 search under another heft for the cached radical layers, the enumerator's
 first solution for the exact solve that decides a support, the former
-set-based union search for the bitmask one, and the same system without
-its repeated rows for lp_feasible."""
+set-based union search for the bitmask one, the same system without
+its repeated rows for lp_feasible, and the vertex replay and the
+projectivity LP for the support function read off the fibre vertices."""
 
 import math
 from fractions import Fraction
@@ -44,14 +45,15 @@ from coxtoric.exact import (IntMat, det, dot, eliminate,  # noqa: E402
                             hermite_normal_form, int_row, kernel_lattice,
                             nullspace, rank, rational_solve, rref)
 from coxtoric.fans import (Fan, _vertex_replay, _walls,  # noqa: E402
-                           fan_from_irrelevant, fan_report, is_complete,
-                           is_projective, validate_fan)
+                           fan_from_irrelevant, fan_report, fibre_support,
+                           is_complete, is_projective, validate_fan)
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual  # noqa: E402
 from coxtoric.incidence import (ProjPoint, _det, intersect,  # noqa: E402
                                 subspace_from_points)
 from coxtoric.linprog import lp_feasible  # noqa: E402
-from coxtoric.monomials import (caratheodory_supports,  # noqa: E402
-                                derive_heft, irrelevant_radical,
+from coxtoric.monomials import (SquarefreeIdeal,  # noqa: E402
+                                caratheodory_supports, derive_heft,
+                                fibre_vertices, irrelevant_radical,
                                 minimal_supports_of_degree,
                                 monomials_of_degree, radical_of_monomials)
 from test_chambers import chamber_oracle, greedy_lp_hrep  # noqa: E402
@@ -61,7 +63,7 @@ from test_fans import (CUBE_FACES, CUBE_RAYS, DOUBLY_WOUND_CONES,  # noqa: E402
                        pair_lp_validate)
 from test_linprog import (fm_feasible, fraction_lp_feasible,  # noqa: E402
                           sys_of)
-from test_monomials import set_search_supports  # noqa: E402
+from test_monomials import dp4_columns, set_search_supports  # noqa: E402
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -138,7 +140,7 @@ def test_caratheodory_supports_against_brute_force(case):
     # once from a fresh double description, once from the cache
     q, w = case
     expected = brute_force_supports(q, w)
-    with patch.dict(monomials._SUPPORTS, clear=True):
+    with patch.dict(monomials._VERTICES, clear=True):
         assert caratheodory_supports(q, w) == expected
         assert caratheodory_supports(q, w) == expected
 
@@ -155,7 +157,7 @@ def test_caratheodory_supports_of_multiples(case):
     for k in (2, 3):
         kw = tuple(k * x for x in w)
         assert caratheodory_supports(q, kw) == supports
-        with patch.dict(monomials._SUPPORTS, clear=True):
+        with patch.dict(monomials._VERTICES, clear=True):
             assert caratheodory_supports(q, kw) == supports
 
 
@@ -1054,6 +1056,55 @@ def test_wall_normals_from_facets_match_nullspace(fan):
     # is the kernel vector of the wall's rays: both sides of the LP of
     # is_projective see the same columns with the same signs
     assert [n for _a, _b, _k, n in _walls(fan)] == _nullspace_normals(fan)
+
+
+def _check_fibre_support(q, w, ideal):
+    """Whenever fibre_support gives a function, it replays, m_0 = 0, its
+    heights -a have a class Q a that is a positive multiple of w, and on a
+    complete fan fan_report accepts it and the LP also finds the fan
+    projective."""
+    try:
+        fan = fan_from_irrelevant(gale_dual(q), ideal)
+    except ValueError:
+        return
+    support = fibre_support(fan, ideal, fibre_vertices(q, w))
+    if support is None:
+        return
+    assert _vertex_replay(fan, support)
+    assert support[0] == (0,) * fan.ambient_dim
+    divisor = {i: -dot(m, fan.rays[i - 1])
+               for cone, m in zip(fan.maximal_cones, support)
+               for i in cone.ray_indices}
+    cls = tuple(sum(divisor[j + 1] * col[k] for j, col in enumerate(q.columns))
+                for k in range(q.pic_rank))
+    assert primitive(cls) == primitive(w)
+    if not is_complete(fan):
+        return
+    assert is_projective(fan).projective
+    report = fan_report(fan, support)
+    assert report["valid"] and report["projective"]
+    assert report == {**fan_report(fan),
+                      "supportFunction": [list(m) for m in support]}
+
+
+@settings(deadline=None, max_examples=300)
+@given(positive_gradings_and_degrees())
+@example((DegreeMatrix.make(dp4_columns()), (3, -1, -1, -1, -1, -1)))
+@example((DegreeMatrix.make([(1,), (1,), (1,)]), (1,)))  # p2
+@example((DegreeMatrix.make([(1, 0), (1, 0), (0, 1), (0, 1)]), (1, 1)))
+def test_fibre_support_against_the_projectivity_lp(case):
+    # the S(w) ideal itself and the radicals at depths 1 and 2, at the drawn
+    # degree and at the sum of the columns, which is more often inside a
+    # full-dimensional chamber; on dP4 at -K depth 2 is S(-K), and depth 1
+    # a proper part of it
+    q, d = case
+    for w in (d, tuple(map(sum, zip(*q.columns)))):
+        vertices = fibre_vertices(q, w)
+        ideals = [SquarefreeIdeal.from_supports(
+            [tuple(j + 1 for j in s) for s in vertices])] if vertices else []
+        ideals += [irrelevant_radical(q, w, depth=k) for k in (1, 2)]
+        for ideal in ideals:
+            _check_fibre_support(q, w, ideal)
 
 
 @settings(deadline=None)
