@@ -13,8 +13,8 @@ the ample cone", 2006; Cox-Little-Schenck, Toric Varieties, ch. 14), which
 caches it per primitive class. The constraint form of each cone(q_J) comes
 from monomials._subset_hrep, the cache of the enumerator's column cones.
 Chamber equality at a fixed saturation depth is decided through the
-irrelevant radicals, whose search needs no constraint forms when the
-columns of each probed union are independent (see monomials)."""
+irrelevant radicals, whose search decides each member of S(w) by its fibre
+vertex and needs no constraint form for it (see monomials)."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .exact import dot, int_vector
 from .grading import DegreeMatrix
 from .monomials import GuardExceeded  # noqa: F401  (re-exported)
 from .monomials import (_checked_heft, _radical, _subset_hrep,
-                        caratheodory_supports)
+                        caratheodory_supports, fibre_vertices)
 
 Vec = tuple[int, ...]
 
@@ -120,19 +120,19 @@ def same_chamber(q: DegreeMatrix, w1, w2, depth: int = 1, heft=None,
     """Whether w1 and w2 produce identical irrelevant radicals at the given
     saturation depth. With check_stable=True the depth+1 radicals are
     compared as well and instability is reported. The depth is checked
-    before any S(w) is asked for. S(w) of each class finds a class outside
-    the effective cone, and every layer of the radical reads its supports
-    off it."""
+    before any S(w) is asked for. The fibre vertices of each class, whose
+    supports are S(w), find a class outside the effective cone, and every
+    layer of the radical reads its supports and member verdicts off them."""
     if depth < 1:
         raise ValueError("saturation depth must be at least 1")
-    supports = []
+    vertices = []
     for w in (w1, w2):
-        supports.append(caratheodory_supports(q, w))
-        if not supports[-1]:
+        vertices.append(fibre_vertices(q, w))
+        if not vertices[-1]:
             raise ValueError("class outside the effective cone")
     h = _checked_heft(q, heft)
     rad1, rad2 = (_radical(q, int_vector(w, "class"), depth, h, check_stable,
-                           s) for w, s in zip((w1, w2), supports))
+                           v) for w, v in zip((w1, w2), vertices))
     if check_stable:
         return SameChamberResult(rad1[0] == rad2[0], rad1[1] and rad2[1])
     return SameChamberResult(rad1 == rad2, None)

@@ -227,12 +227,20 @@ class RationalCone:
         return generators_to_hrep(self.dim, self.generators)
 
     @cached_property
+    def span_rank(self) -> int:
+        """Dimension of the linear span of the generators, read off the
+        H-form: its equalities are a basis of the orthogonal complement
+        of that span (the lineality of the dual cone)."""
+        return self.dim - len(self.hrep[0])
+
+    @cached_property
     def is_pointed(self) -> bool:
+        """No line in the cone: independent generators span a simplicial
+        cone, and otherwise the stacked constraint normals have rank dim."""
+        if self.span_rank == len(self.generators):
+            return True
         eqs, ineqs = self.hrep
-        stacked = list(eqs) + list(ineqs)
-        if not stacked:
-            return self.dim == 0
-        return rank(stacked) == self.dim
+        return rank(list(eqs) + list(ineqs)) == self.dim
 
     def contains(self, vec: Sequence) -> bool:
         """Membership of an int or Fraction vector; a float or a bool entry

@@ -32,7 +32,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .cones import RationalCone, cone_member, double_description, primitive
-from .exact import dot, int_rref, int_vector, rank
+from .exact import dot, int_rref, int_vector
 from .grading import GaleDual
 from .linprog import lp_feasible
 from .monomials import SquarefreeIdeal
@@ -279,7 +279,8 @@ def validate_fan(fan: Fan, support_function=None) -> Verdict:
 
 def is_simplicial(fan: Fan) -> bool:
     """Every maximal cone is spanned by linearly independent rays."""
-    return all(rank(c.rays) == len(c.rays) for c in fan.maximal_cones)
+    return all(c.geometry.span_rank == len(c.rays)
+               for c in fan.maximal_cones)
 
 
 def _facet_pairing(fan: Fan) -> dict[tuple[int, ...], list[int]]:
@@ -319,7 +320,7 @@ def is_complete(fan: Fan) -> Verdict:
     every facet shared by exactly two cones, adjacency connected."""
     d = fan.ambient_dim
     for pos, cone in enumerate(fan.maximal_cones):
-        if rank(cone.rays) < d:
+        if cone.geometry.span_rank < d:
             return Verdict(False,
                            f"cone {pos + 1} is not full-dimensional")
     pairing = _facet_pairing(fan)

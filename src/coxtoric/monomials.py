@@ -8,9 +8,12 @@ arithmetic on cached constraint normals, so the hot loop never touches
 Fractions.
 
 A support u is achievable when some monomial of degree d uses exactly the
-generators in u. When the columns of u are linearly independent, that is
-one exact solve of sum(x_j q_j) = d - sum(q_u) in integers x_j >= 0; only
-dependent columns ask the enumerator for its first solution.
+generators in u. The search probes the members of S(d) and their unions.
+A member J has independent columns, so its one candidate is the fibre
+vertex over d on J, and integrality of that vertex decides it with no
+solve. A union of two or more members has dependent columns, and asks
+the enumerator for its first solution; a union whose columns' hefts sum
+past the heft of d is never generated.
 
 fibre_vertices gives the vertices of the fibre over w by one double
 description and carries the size guard; their supports are S(w)
@@ -32,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from types import MappingProxyType
 
 from .cones import double_description, generators_to_hrep, primitive
-from .exact import dot, int_rref, int_vector, rank
+from .exact import dot, int_vector, rank
 from .grading import DegreeMatrix
 
 Exponent = tuple[int, ...]
@@ -235,7 +239,7 @@ def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Supp
     if len(d) != q.pic_rank:
         raise ValueError("degree has wrong length")
     h = _checked_heft(q, heft)
-    return _minimal_supports(q, d, h, caratheodory_supports(q, d))
+    return _minimal_supports(q, d, h, fibre_vertices(q, d))
 
 
 # minimal supports per (grading, degree), kept for the whole process like
@@ -243,10 +247,10 @@ def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Supp
 _LAYERS: dict[tuple[DegreeMatrix, tuple[int, ...]], tuple[Support, ...]] = {}
 
 
-def _minimal_supports(q: DegreeMatrix, d, h, supports) -> tuple[Support, ...]:
+def _minimal_supports(q: DegreeMatrix, d, h, vertices) -> tuple[Support, ...]:
     """minimal_supports_of_degree for a checked degree and heft, given
-    S(d) or S(w) for any class w with d = k w, k >= 1: the fiber over k w
-    is k times the fiber over w, so S(k w) = S(w).
+    fibre_vertices(q, w) for any class w with d = k w, k >= 1: the fiber
+    over k w is k times the fiber over w, so S(k w) = S(w).
 
     The result is cached per (q, d) in _LAYERS as an immutable tuple. The
     heft is not part of the key: it only bounds each exponent by the heft
@@ -255,47 +259,64 @@ def _minimal_supports(q: DegreeMatrix, d, h, supports) -> tuple[Support, ...]:
     key = (q, tuple(d))
     layer = _LAYERS.get(key)
     if layer is None:
-        layer = _LAYERS[key] = _search_supports(q, key[1], h, supports)
+        layer = _LAYERS[key] = _search_supports(q, key[1], h, vertices)
     return layer
 
 
-def _achievable(q: DegreeMatrix, d, h, subset: tuple[int, ...]) -> bool:
-    """Whether some monomial of degree d has support exactly subset
-    (0-based columns): whether d - sum(q_u) = sum(x_j q_j) has a solution
-    in integers x_j >= 0. One int_rref of the rows [q_u | residual] decides
-    it when the columns are linearly independent, and a "yes" is replayed
-    as sum((1 + x_j) q_j) == d; dependent columns ask _exponents for a
-    first solution."""
-    cols = [q.columns[j] for j in subset]
-    m = len(cols)
-    residual = [x - sum(c[k] for c in cols) for k, x in enumerate(d)]
-    rows = [[c[k] for c in cols] + [x] for k, x in enumerate(residual)]
-    # more columns than rows are dependent: they skip the solve
-    red, pivots = int_rref(rows) if m <= len(rows) else ([], [])
-    if m in pivots:
-        return False
-    if len(pivots) < m:
-        return next(_exponents(q, residual, h, subset), None) is not None
-    # the pivots are the columns 0..m-1 in order: x_p = row[m] / row[p]
+def _member_achievable(q: DegreeMatrix, d, subset: tuple[int, ...],
+                       vertex) -> bool:
+    """Whether some monomial of degree d has support exactly the member
+    subset of S(d), given its fibre vertex (lambda, t) over w0 =
+    primitive(d). The columns of subset are independent, so x = k lambda / t
+    with d = k w0 is the one point of the fibre over d supported on them:
+    subset is achievable exactly when t divides every k lambda_j. A "yes"
+    is replayed as sum(x_j q_j) == d, and a failed replay raises
+    RuntimeError."""
+    k, t = gcd(*d), vertex[-1]
     xs = []
-    for row, p in zip(red, pivots):
-        x, rem = divmod(row[m], row[p])
-        if rem or x < 0:
+    for j in subset:
+        x, rem = divmod(k * vertex[j], t)
+        if rem:
             return False
         xs.append(x)
-    if any(sum((1 + x) * c[k] for x, c in zip(xs, cols)) != dk
-           for k, dk in enumerate(d)):
+    if any(sum(x * q.columns[j][i] for x, j in zip(xs, subset)) != di
+           for i, di in enumerate(d)):
         raise RuntimeError("exponent vector failed replay")
     return True
 
 
-def _search_supports(q: DegreeMatrix, d, h, supports) -> tuple[Support, ...]:
-    """The uncached search of _minimal_supports: unions of members of S(d)
-    as int bitmasks over the columns, probed by size. A found support is
-    never grown, so the found supports form an antichain, and within a size
-    level the order of the probes does not matter."""
-    masks = [sum(1 << j for j in s) for s in supports]
-    by_size: list[set[int]] = [set() for _ in range(q.num_gens + 1)]
+def _achievable(q: DegreeMatrix, d, h, subset: tuple[int, ...]) -> bool:
+    """Whether some monomial of degree d has support exactly subset
+    (0-based columns): whether _exponents finds a first solution of
+    d - sum(q_u) = sum(x_j q_j) in integers x_j >= 0. The search asks it
+    only for unions of two or more members of S(d), whose columns are
+    dependent (independent columns would carry one fibre point, not one
+    per member)."""
+    residual = [x - sum(q.columns[j][k] for j in subset)
+                for k, x in enumerate(d)]
+    return next(_exponents(q, residual, h, subset), None) is not None
+
+
+def _search_supports(q: DegreeMatrix, d, h, vertices) -> tuple[Support, ...]:
+    """The uncached search of _minimal_supports: the members of S(d), the
+    supports of fibre_vertices(q, d), and their unions as int bitmasks over
+    the columns, probed by size. A member is decided by its vertex
+    (_member_achievable), a union by the enumerator (_achievable). A found
+    support is never grown, so the found supports form an antichain, and
+    within a size level the order of the probes does not matter. Each
+    column of an achievable support takes at least its heft out of the
+    heft of d, so no union over that budget, which no superset of it meets
+    either, is generated."""
+    n = q.num_gens
+    budget = dot(h, d)
+    hefts = [dot(h, col) for col in q.columns]
+
+    def heft_of(mask: int) -> int:
+        return sum(x for j, x in enumerate(hefts) if mask >> j & 1)
+
+    members = {sum(1 << j for j in s): s for s in vertices}
+    masks = [s for s in members if heft_of(s) <= budget]
+    by_size: list[set[int]] = [set() for _ in range(n + 1)]
     for s in masks:
         by_size[s.bit_count()].add(s)
     found: list[int] = []
@@ -303,8 +324,13 @@ def _search_supports(q: DegreeMatrix, d, h, supports) -> tuple[Support, ...]:
         for u in unions:
             if any(u & f == f for f in found):
                 continue
-            if _achievable(q, d, h, tuple(j for j in range(q.num_gens)
-                                          if u >> j & 1)):
+            member = members.get(u)
+            if member is not None:
+                ok = _member_achievable(q, d, member, vertices[member])
+            else:
+                ok = _achievable(q, d, h,
+                                 tuple(j for j in range(n) if u >> j & 1))
+            if ok:
                 found.append(u)
                 continue
             # a found support with exactly one column c outside u lies in
@@ -317,10 +343,9 @@ def _search_supports(q: DegreeMatrix, d, h, supports) -> tuple[Support, ...]:
             for s in masks:
                 if not s & near:
                     v = u | s
-                    if v != u:
+                    if v != u and heft_of(v) <= budget:
                         by_size[v.bit_count()].add(v)
-    minimal = [tuple(j + 1 for j in range(q.num_gens) if f >> j & 1)
-               for f in found]
+    minimal = [tuple(j + 1 for j in range(n) if f >> j & 1) for f in found]
     return tuple(sorted(minimal, key=lambda s: (len(s), s)))
 
 
@@ -346,21 +371,22 @@ def irrelevant_radical(q: DegreeMatrix, degree, depth: int = 1, heft=None,
     h = _checked_heft(q, heft)
     if len(d) != q.pic_rank:
         raise ValueError("degree has wrong length")
-    return _radical(q, d, depth, h, check_stable, caratheodory_supports(q, d))
+    return _radical(q, d, depth, h, check_stable, fibre_vertices(q, d))
 
 
 def _radical(q: DegreeMatrix, d, depth: int, h, check_stable: bool,
-             supports):
-    """irrelevant_radical for a checked degree and heft, given S(d): every
-    layer j d has the same S (see _minimal_supports)."""
+             vertices):
+    """irrelevant_radical for a checked degree and heft, given
+    fibre_vertices(q, d): every layer j d has the same S and the same
+    primitive rays (see _minimal_supports)."""
     layers: list[Support] = []
     for j in range(1, depth + 1):
         layers.extend(_minimal_supports(q, tuple(j * x for x in d), h,
-                                        supports))
+                                        vertices))
     ideal = SquarefreeIdeal(minimal_antichain(layers))
     if not check_stable:
         return ideal
     layers.extend(_minimal_supports(q, tuple((depth + 1) * x for x in d), h,
-                                    supports))
+                                    vertices))
     stable = SquarefreeIdeal(minimal_antichain(layers)) == ideal
     return ideal, stable

@@ -12,7 +12,8 @@ from coxtoric.cones import (RationalCone, double_description,
 from coxtoric.fans import fan_from_irrelevant
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual
 from coxtoric.linprog import lp_feasible
-from coxtoric.monomials import caratheodory_supports, irrelevant_radical
+from coxtoric.monomials import (caratheodory_supports, fibre_vertices,
+                                irrelevant_radical)
 
 
 def chamber_oracle(q, w):
@@ -258,18 +259,18 @@ def test_chamber_questions_lp_budget(monkeypatch):
 
 def test_support_sets_computed_once_per_class(monkeypatch):
     # S(k w) = S(w), so same_chamber reads every layer of both radicals off
-    # the two S(w) of its effective-cone check, and irrelevant_radical off
-    # one S(w), at every depth
+    # the two vertex maps of its effective-cone check, and
+    # irrelevant_radical off one, at every depth
     dp = delpezzo4()
     q = dp.degrees
     seen = []
 
     def counted(q, w):
         seen.append(tuple(w))
-        return caratheodory_supports(q, w)
+        return fibre_vertices(q, w)
 
-    monkeypatch.setattr(chambers, "caratheodory_supports", counted)
-    monkeypatch.setattr(monomials, "caratheodory_supports", counted)
+    monkeypatch.setattr(chambers, "fibre_vertices", counted)
+    monkeypatch.setattr(monomials, "fibre_vertices", counted)
     doubled = tuple(2 * x for x in dp.ample)
     result = same_chamber(q, dp.ample, doubled, depth=2, check_stable=True)
     assert result.same and result.stable

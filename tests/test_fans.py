@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import defaultdict
 from itertools import combinations
 from random import Random
@@ -6,7 +7,7 @@ from unittest.mock import patch
 
 import pytest
 
-from coxtoric import fans
+from coxtoric import fans, monomials
 from coxtoric.cli import main, reproduce_paper_report
 from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
 from coxtoric.exact import int_row
@@ -398,6 +399,52 @@ def test_reproduce_paper_makes_no_lp_call(monkeypatch):
     report = reproduce_paper_report()
     assert all(c["verdict"] for c in report["checks"])
     assert calls == []
+
+
+def counted_exact_calls(monkeypatch, name):
+    """Route `name` through a counter in every coxtoric module that binds
+    it, exact itself included, and return the list of its calls."""
+    calls = []
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "coxtoric" and \
+                hasattr(module, name):
+            def counted(*args, _real=getattr(module, name)):
+                calls.append(args)
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_reproduce_paper_radical_search_solves_nothing(monkeypatch):
+    # every member of S(d) is decided by its fibre vertex, so the five
+    # layer searches, run afresh, call int_rref nowhere (170 calls when
+    # each member was one exact solve)
+    monkeypatch.setattr(monomials, "_LAYERS", {})
+    calls = counted_exact_calls(monkeypatch, "int_rref")
+    search = monomials._search_supports
+    searched = []
+
+    def counted_search(q, d, h, vertices):
+        before = len(calls)
+        layer = search(q, d, h, vertices)
+        searched.append(len(calls) - before)
+        return layer
+
+    monkeypatch.setattr(monomials, "_search_supports", counted_search)
+    assert reproduce_paper_report()["overall"]
+    assert searched == [0] * 5
+
+
+def test_reproduce_paper_ranks_few_matrices(monkeypatch):
+    # the fan checks read each cone's rank off its H-form, and is_pointed
+    # skips the rank for independent rays: at most 15 calls of exact.rank
+    # (176 when every cone was ranked by is_pointed, is_complete and
+    # is_simplicial), with the S(w) and layer caches emptied
+    monkeypatch.setattr(monomials, "_LAYERS", {})
+    monkeypatch.setattr(monomials, "_VERTICES", {})
+    calls = counted_exact_calls(monkeypatch, "rank")
+    assert reproduce_paper_report()["overall"]
+    assert len(calls) <= 15
 
 
 def test_dp4_saturated_fan_makes_no_lp_call(monkeypatch, tmp_path, capsys):

@@ -9,7 +9,8 @@ from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
 from coxtoric.exact import dot
 from coxtoric.grading import DegreeMatrix, delpezzo4
 from coxtoric.monomials import (SquarefreeIdeal, caratheodory_supports,
-                                derive_heft, irrelevant_radical,
+                                derive_heft, fibre_vertices,
+                                irrelevant_radical,
                                 minimal_antichain, minimal_supports_of_degree,
                                 monomials_of_degree, radical_of_monomials)
 
@@ -272,6 +273,35 @@ def dp4_columns():
             + [cls(2, range(1, 6))])
 
 
+def dp3_columns():
+    """The 27 lines of the cubic surface on Pic = Z^7 in the basis
+    (H, E_1..E_6): E_i, then H - E_i - E_j, then 2H - sum_{j != i} E_j."""
+    def cls(h, minus):
+        return tuple([h] + [-1 if i in minus else 0 for i in range(1, 7)])
+    return ([tuple(int(j == i) for j in range(7)) for i in range(1, 7)]
+            + [cls(1, p) for p in combinations(range(1, 7), 2)]
+            + [cls(2, [j for j in range(1, 7) if j != i])
+               for i in range(1, 7)])
+
+
+def test_dp3_anticanonical_radical_is_the_tritangent_triples(monkeypatch):
+    # 27 columns pass the guard once it is raised; the depth-1 radical at
+    # -K is the 45 triples of lines that sum to -K, the tritangent planes,
+    # and no union of two members of S(-K) fits the heft budget of -K
+    monkeypatch.setattr(monomials, "MAX_SEARCH_GENS", 27)
+    monkeypatch.setattr(monomials, "_VERTICES", {})
+    monkeypatch.setattr(monomials, "_LAYERS", {})
+    cols = dp3_columns()
+    q = DegreeMatrix.make(cols)
+    minus_k = (3, -1, -1, -1, -1, -1, -1)
+    assert len(caratheodory_supports(q, minus_k)) == 621
+    triples = tuple(tuple(j + 1 for j in t)
+                    for t in combinations(range(27), 3)
+                    if tuple(map(sum, zip(*(cols[j] for j in t)))) == minus_k)
+    assert len(triples) == 45
+    assert irrelevant_radical(q, minus_k).generators == triples
+
+
 def test_dp4_anticanonical_radical_on_sixteen_lines():
     # sixteen generators sit at the subset-search guard
     q = DegreeMatrix.make(dp4_columns())
@@ -300,9 +330,8 @@ def test_bitmask_search_matches_set_search_on_dp4(k):
     q = DegreeMatrix.make(dp4_columns())
     h = derive_heft(q)
     d = tuple(k * x for x in (3, -1, -1, -1, -1, -1))
-    supports = caratheodory_supports(q, d)
-    assert monomials._search_supports(q, d, h, supports) == \
-        set_search_supports(q, d, h, supports)
+    assert monomials._search_supports(q, d, h, fibre_vertices(q, d)) == \
+        set_search_supports(q, d, h, caratheodory_supports(q, d))
 
 
 def counted_exponents(monkeypatch):
@@ -320,8 +349,8 @@ def counted_exponents(monkeypatch):
 
 
 def test_dependent_columns_ask_the_enumerator(monkeypatch):
-    # x_1 + x_2 = 1 has two solutions in nonnegative integers, so the
-    # exact solve leaves the question to the enumerator
+    # the union of the members (0,) and (1,) of S(3): x_1 + x_2 = 1 has two
+    # solutions in nonnegative integers, and the enumerator finds the first
     calls = counted_exponents(monkeypatch)
     q = DegreeMatrix.make([(1,), (1,)])
     assert monomials._achievable(q, (3,), (1,), (0, 1))
@@ -329,7 +358,8 @@ def test_dependent_columns_ask_the_enumerator(monkeypatch):
 
 
 def test_reproduce_paper_radical_searches_run_no_enumerator(monkeypatch):
-    # every union probed on the bundled grading has independent columns
+    # every set probed on the bundled grading is a member of S(d), decided
+    # by its fibre vertex
     calls = counted_exponents(monkeypatch)
     reproduce_paper_report()
     assert len(monomials._LAYERS) == 5 and calls == []

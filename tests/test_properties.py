@@ -15,10 +15,12 @@ former pair LPs for the pair separators of validate_fan and for the
 vertex replay that certifies complete projective fans, the kernel of each
 wall's rays for the wall normals read off the facets, and an uncached
 search under another heft for the cached radical layers, the enumerator's
-first solution for the exact solve that decides a support, the former
-set-based union search for the bitmask one, the same system without
-its repeated rows for lp_feasible, and the vertex replay and the
-projectivity LP for the support function read off the fibre vertices."""
+first solution for the vertex decision of each member of S(d), the former
+set-based union search for the bitmask one, the rank of the generators
+for the span rank and pointedness read off RationalCone's H-form, the
+same system without its repeated rows for lp_feasible, and the vertex
+replay and the projectivity LP for the support function read off the
+fibre vertices."""
 
 import math
 from fractions import Fraction
@@ -199,21 +201,25 @@ def test_minimal_supports_of_degree_against_enumeration(case):
 @given(positive_gradings_and_degrees())
 @example((DegreeMatrix.make([(1,)]), (1,)))  # x = 0 on the one column
 @example((DegreeMatrix.make([(2,)]), (3,)))  # x = 1/2
-@example((DegreeMatrix.make([(1,), (2,)]), (4,)))  # dependent columns
-@example((DegreeMatrix.make([(1, 0)]), (0, 1)))  # inconsistent residual
-@example((DegreeMatrix.make([(1, 0), (1, 1)]), (1, 1)))  # negative residual
+@example((DegreeMatrix.make([(1,), (2,)]), (4,)))  # two one-column members
+@example((DegreeMatrix.make([(1, 0)]), (0, 1)))  # outside Eff: no member
+@example((DegreeMatrix.make([(1, 0), (1, 1)]), (1, 1)))  # x = 1 on one of two
+# at d the member's two columns have more heft than d; at 2d, x = (1, 1)
+@example((DegreeMatrix.make([(1, 0), (1, 2)]), (1, 1)))
 def test_achievable_matches_the_first_monomial(case):
-    # on every subset, the empty one included, the exact solve (or its
-    # fallback) agrees with the enumerator's first solution
+    # on every member J of S(kd), the vertex decision agrees with the
+    # enumerator's first solution on J, and so does _achievable
     q, d = case
     h = derive_heft(q)
-    for size in range(q.num_gens + 1):
-        for subset in combinations(range(q.num_gens), size):
-            residual = [x - sum(q.columns[j][k] for j in subset)
-                        for k, x in enumerate(d)]
+    for k in (1, 2, 3):
+        kd = tuple(k * x for x in d)
+        for subset, vertex in fibre_vertices(q, kd).items():
+            residual = [x - sum(q.columns[j][i] for j in subset)
+                        for i, x in enumerate(kd)]
             expected = next(monomials._exponents(q, residual, h, subset),
                             None) is not None
-            assert monomials._achievable(q, d, h, subset) == expected
+            assert monomials._member_achievable(q, kd, subset, vertex) == \
+                expected == monomials._achievable(q, kd, h, subset)
 
 
 @settings(deadline=None, max_examples=300)
@@ -228,9 +234,9 @@ def test_bitmask_search_matches_set_search(case):
     h = derive_heft(q)
     for k in (1, 2, 3):
         kd = tuple(k * x for x in d)
-        supports = caratheodory_supports(q, kd)
-        assert monomials._search_supports(q, kd, h, supports) == \
-            set_search_supports(q, kd, h, supports)
+        assert monomials._search_supports(
+            q, kd, h, fibre_vertices(q, kd)) == \
+            set_search_supports(q, kd, h, caratheodory_supports(q, kd))
 
 
 @settings(deadline=None)
@@ -504,6 +510,44 @@ def test_cone_member_against_double_description(case):
     expected = lp_member(gens, target, d)
     assert cone_member(gens, target, dim=d) == expected
     assert RationalCone.from_generators(gens, d).contains(target) == expected
+
+
+@st.composite
+def generator_sets(draw):
+    """(dim, gens): up to five integer generators in dimension 1 to 4,
+    zero vectors and the empty list included, sometimes joined by an
+    integer combination of them and by the negatives of some, so that the
+    set is dependent and cone(gens) may hold a line."""
+    d = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d,
+                                  max_size=d).map(tuple), max_size=5))
+    if gens and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(gens),
+                               max_size=len(gens)))
+        gens.append(tuple(sum(c * g[i] for c, g in zip(coeffs, gens))
+                          for i in range(d)))
+    if draw(st.booleans()):
+        gens += [tuple(-x for x in g) for g in gens if draw(st.booleans())]
+    return d, gens
+
+
+@settings(deadline=None, max_examples=300)
+@given(generator_sets())
+@example((2, []))
+@example((2, [(0, 0), (2, 4)]))
+@example((2, [(1, 0), (-1, 0)]))
+@example((2, [(1, 0), (-1, 0), (0, 1), (0, -1)]))
+@example((3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]))
+def test_span_rank_and_pointedness_against_rank(case):
+    # the span rank read off the H-form is the rank of the generators, and
+    # is_pointed, which skips the rank for independent generators, is the
+    # former stacked-rank definition
+    d, gens = case
+    cone = RationalCone.from_generators(gens, d)
+    assert cone.span_rank == rank(gens)
+    eqs, ineqs = cone.hrep
+    stacked = list(eqs) + list(ineqs)
+    assert cone.is_pointed == (rank(stacked) == d if stacked else d == 0)
 
 
 @st.composite
@@ -1123,7 +1167,7 @@ def test_cached_layer_is_heft_independent(case, data):
     cached = minimal_supports_of_degree(q, d)
     assert minimal_supports_of_degree(q, d, heft=h2) is cached
     assert monomials._search_supports(
-        q, d, h2, caratheodory_supports(q, d)) == cached
+        q, d, h2, fibre_vertices(q, d)) == cached
     assert radical_of_monomials(
         monomials_of_degree(q, d, heft=h2)).generators == cached
 
@@ -1146,13 +1190,13 @@ def test_reproduce_paper_computes_five_layers(monkeypatch):
     asked = []
     search, layer = monomials._search_supports, monomials._minimal_supports
 
-    def counted_search(q, d, h, supports):
+    def counted_search(q, d, h, vertices):
         searched.append(d)
-        return search(q, d, h, supports)
+        return search(q, d, h, vertices)
 
-    def counted_layer(q, d, h, supports):
+    def counted_layer(q, d, h, vertices):
         asked.append(tuple(d))
-        return layer(q, d, h, supports)
+        return layer(q, d, h, vertices)
 
     monkeypatch.setattr(monomials, "_search_supports", counted_search)
     monkeypatch.setattr(monomials, "_minimal_supports", counted_layer)
