@@ -693,9 +693,31 @@ _HANDLERS = {
 }
 
 
+# options whose value is a class, whose first field may carry a sign
+_CLASS_OPTIONS = ("--degree", "--compare")
+
+
+def _join_signed_classes(argv: list[str]) -> list[str]:
+    """argv with "--degree -1,2" joined into "--degree=-1,2", and so for
+    --compare and unambiguous abbreviations of either: argparse takes a
+    separate value that starts with '-' and is not a plain negative number
+    for an option, and exits 2 with "expected one argument". Nothing after
+    "--" is joined."""
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if "--" not in out and len(prev) > 2 and re.match(r"-[0-9]", tok) \
+                and any(opt.startswith(prev) for opt in _CLASS_OPTIONS):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_classes(
+        sys.argv[1:] if argv is None else list(argv)))
     try:
         code, lines, payload = _HANDLERS[args.command](args)
     except UsageError as e:

@@ -21,6 +21,15 @@ functional that separates a vector from cone(gens) off one double
 description (Farkas) and replays it with exact dot products. `cone_member`
 answers "no" with that functional and "yes" with nonnegative coefficients
 read off a second double description, also replayed.
+
+`RationalCone` builds its H-form only when a question needs it. At most
+dim generators are tested for independence by one `int_rref`; independent
+generators span a simplicial cone, of span rank their count, and pointed.
+Dependent generators read the span rank off the H-form's equalities, and
+pointedness off a witness: the sum of the facet normals lies in the
+relative interior of the dual cone, so it is positive on every generator
+exactly when the cone holds no line (Cox-Little-Schenck, Toric Varieties,
+Sec. 1.2).
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .exact import check_rational, dot, rank
+from .exact import check_rational, dot, int_rref
 
 Vec = tuple[int, ...]
 
@@ -227,20 +236,34 @@ class RationalCone:
         return generators_to_hrep(self.dim, self.generators)
 
     @cached_property
+    def _independent(self) -> bool:
+        """Whether the generators are linearly independent: at most dim of
+        them, with one pivot each in one int_rref. Builds no H-form."""
+        gens = self.generators
+        return len(gens) <= self.dim and \
+            len(int_rref(list(gens))[1]) == len(gens)
+
+    @cached_property
     def span_rank(self) -> int:
-        """Dimension of the linear span of the generators, read off the
-        H-form: its equalities are a basis of the orthogonal complement
-        of that span (the lineality of the dual cone)."""
+        """Dimension of the linear span of the generators: their count when
+        they are independent, and otherwise read off the H-form, whose
+        equalities are a basis of the orthogonal complement of that span
+        (the lineality of the dual cone)."""
+        if self._independent:
+            return len(self.generators)
         return self.dim - len(self.hrep[0])
 
     @cached_property
     def is_pointed(self) -> bool:
-        """No line in the cone: independent generators span a simplicial
-        cone, and otherwise the stacked constraint normals have rank dim."""
-        if self.span_rank == len(self.generators):
+        """No line in the cone. Independent generators span a simplicial
+        cone. Otherwise x, the sum of the facet normals, lies in the
+        relative interior of the dual cone, and the cone is pointed exactly
+        when g.x > 0 for every generator g (integer dot products)."""
+        if self._independent:
             return True
-        eqs, ineqs = self.hrep
-        return rank(list(eqs) + list(ineqs)) == self.dim
+        facets = self.hrep[1]
+        x = [sum(a[i] for a in facets) for i in range(self.dim)]
+        return all(dot(g, x) > 0 for g in self.generators)
 
     def contains(self, vec: Sequence) -> bool:
         """Membership of an int or Fraction vector; a float or a bool entry

@@ -4,7 +4,8 @@ All arithmetic is arbitrary precision and there is no floating point
 anywhere in this package. Row elimination runs on Python ints: a row of
 ints and Fractions is scaled by the lcm of its denominators, and
 `eliminate`, one fraction-free step that keeps rows primitive, is the
-only elimination loop. `rref` is built from it and turns entries into
+only elimination loop. `rank` counts the pivots of `int_rref` with no
+Fraction at all, and `rref` is built from it and turns entries into
 Fractions only in its output; `linprog.lp_feasible` substitutes its
 equalities with it. `pivot`, one Gauss-Jordan step over Q, is the step
 of the simplex tableau of `linprog`.
@@ -208,8 +209,9 @@ def det(m: IntMat) -> int:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals of a matrix given as rows (ints or Fractions)."""
-    return len(rref(rows)[1])
+    """Rank over the rationals of a matrix given as rows (ints or
+    Fractions): the pivot count of one int_rref of the integer rows."""
+    return len(int_rref([int_row(row) for row in rows])[1])
 
 
 def pivot(mat: list[list[Fraction]], r: int, c: int) -> None:

@@ -22,6 +22,12 @@ rays of s, so s is the normal cone of the face of P through m_s, and the
 normal cones of the faces of a polyhedron form a fan (Cox-Little-Schenck,
 Toric Varieties, ch. 2 on normal fans and Sec. 6.1 on support functions).
 Every other fan is certified pair by pair with separating functionals.
+
+No cone of independent rays builds a constraint form here: it is
+pointed, and its facets are its "drop one ray" subsets, facet k omitting
+ray k as in its double description (_facet_pairing). Only cones with
+dependent rays read Cone.facets and the H-form's pointedness witness
+(RationalCone.is_pointed).
 """
 
 from __future__ import annotations
@@ -284,11 +290,19 @@ def is_simplicial(fan: Fan) -> bool:
 
 
 def _facet_pairing(fan: Fan) -> dict[tuple[int, ...], list[int]]:
-    """Facet key (tight ray indices) -> positions of the cones sharing it."""
+    """Facet key (tight ray indices) -> positions of the cones sharing it.
+    A cone of independent rays has as facets its "drop one ray" subsets,
+    facet k omitting ray k, the order of its double description; only
+    the other cones read Cone.facets."""
     pairing: dict[tuple[int, ...], list[int]] = {}
     for pos, cone in enumerate(fan.maximal_cones):
-        for _normal, tight in cone.facets:
-            pairing.setdefault(tight, []).append(pos)
+        idx = cone.ray_indices
+        if cone.geometry.span_rank == len(idx):
+            keys = [idx[:k] + idx[k + 1:] for k in range(len(idx))]
+        else:
+            keys = [tight for _normal, tight in cone.facets]
+        for key in keys:
+            pairing.setdefault(key, []).append(pos)
     return pairing
 
 

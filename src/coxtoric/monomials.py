@@ -27,8 +27,10 @@ so the radicals and chamber comparisons of one run share their common
 layers. Like the constraint forms of the column cones (_subset_hrep), these
 caches keep every entry for the whole process, with no bound on their
 memory; chambers.chamber_of reads its column cones from the same cache.
-No question here goes to an LP: positivity and the heft are read off the
-constraint form of the effective cone, cached like the enumerator's cones.
+No question here goes to an LP, and none to a rank: the heft is the
+primitive sum of the facet normals of the effective cone, read off its
+constraint form (cached like the enumerator's cones), and the grading is
+positive exactly when that heft is at least 1 on every column.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from math import gcd
 from types import MappingProxyType
 
 from .cones import double_description, generators_to_hrep, primitive
-from .exact import dot, int_vector, rank
+from .exact import dot, int_vector
 from .grading import DegreeMatrix
 
 Exponent = tuple[int, ...]
@@ -68,13 +70,14 @@ class SquarefreeIdeal:
                 raise ValueError("support indices must be at least 1")
             if any(a >= b for a, b in zip(s, s[1:])):
                 raise ValueError("support not strictly increasing")
-        sets = [frozenset(s) for s in self.generators]
         for s, t in zip(self.generators, self.generators[1:]):
             if not (len(s), s) < (len(t), t):
                 raise ValueError("supports not in canonical order")
+        # in canonical order a support can lie only in a later, larger one
+        sets = [frozenset(s) for s in self.generators]
         for i, a in enumerate(sets):
-            for j, b in enumerate(sets):
-                if i != j and a <= b:
+            for b in sets[i + 1:]:
+                if a < b:
                     raise ValueError("supports do not form an antichain")
 
     @classmethod
@@ -102,17 +105,16 @@ def derive_heft(q: DegreeMatrix) -> tuple[int, ...]:
     """An integer functional taking value >= 1 on every generator degree.
 
     Such a functional exists exactly when no degree is zero and the
-    effective cone Eff is pointed, i.e. the equality and facet rows of its
-    constraint form have rank r. The heft is then the primitive sum of the
-    facet normals: it is positive on every nonzero point of Eff, so at
-    least 1 on every integer column.
+    effective cone Eff is pointed. The heft is the primitive sum of the
+    facet normals of Eff, a point of the relative interior of the dual
+    cone: it is positive on every column exactly when such a functional
+    exists, and then at least 1 on every integer column. Otherwise
+    ValueError("grading not positive") is raised.
     """
-    eqs, facets = _subset_hrep(q, tuple(range(q.num_gens)))
-    if not all(map(any, q.columns)) or rank(eqs + facets) < q.pic_rank:
-        raise ValueError("grading not positive")
-    heft = primitive(tuple(map(sum, zip(*facets))))
+    facets = _subset_hrep(q, tuple(range(q.num_gens)))[1]
+    heft = primitive([sum(a[i] for a in facets) for i in range(q.pic_rank)])
     if any(dot(heft, col) < 1 for col in q.columns):
-        raise RuntimeError("derived heft fails positivity")
+        raise ValueError("grading not positive")
     return heft
 
 

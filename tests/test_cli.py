@@ -457,6 +457,59 @@ def test_chamber_classes_parsed_before_any_computation(
     assert err == f"error: {message}\n"
 
 
+# a positive grading on which (-1, 2) = (-1, 1) + (0, 1) is effective
+SIGNED_INPUT = {"picRank": 2, "numGens": 3,
+                "columns": [[1, 0], [-1, 1], [0, 1]],
+                "labels": ["x", "y", "z"]}
+
+
+@pytest.mark.parametrize("degree, compare", [
+    (["--degree", "-1,2"], ["--compare", "-1,3"]),
+    (["--degree=-1,2"], ["--compare=-1,3"]),
+    (["--deg", "-1,2"], ["--comp", "-1,3"]),
+])
+def test_classes_with_a_leading_minus_sign(tmp_path, capsys, degree,
+                                           compare):
+    # a separate value starting with '-' that is not a plain negative
+    # number is no longer read as an option
+    sample = tmp_path / "signed.json"
+    sample.write_text(json.dumps(SIGNED_INPUT))
+    code, out, err = run(capsys, ["chamber", str(sample), *degree,
+                                  *compare])
+    assert (code, err) == (0, "")
+    assert "class: (-1, 2)" in out
+    assert "same chamber as (-1, 3): yes" in out
+    for command in ("basis", "irrelevant"):
+        code, out, err = run(capsys, [command, str(sample), *degree])
+        assert (code, err) == (0, ""), command
+        assert "degree: (-1, 2)" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--degree", "3,-1,-1,-1,-1", "--compare", "-1,0,0,0,0"],
+    ["--degree", "-1,0,0,0,0", "--compare", "3,-1,-1,-1,-1"],
+    ["--degree", "-1,0,0,0,0"],
+])
+def test_signed_class_outside_the_effective_cone(capsys, flags):
+    code, out, err = run(capsys, ["chamber", "--dataset", "delpezzo4",
+                                  *flags])
+    assert (code, out) == (2, "")
+    assert err == "error: class outside the effective cone\n"
+
+
+def test_signed_values_are_joined_only_to_class_options():
+    join = cli._join_signed_classes
+    assert join(["chamber", "--degree", "-1,2", "--compare", "-3,4"]) == \
+        ["chamber", "--degree=-1,2", "--compare=-3,4"]
+    # other options, values that are no signed number, and anything after
+    # "--" pass through unchanged
+    for argv in (["incidence", "search", "--seed", "-1"],
+                 ["chamber", "--degree", "-h"],
+                 ["chamber", "--degree", "--json"],
+                 ["chamber", "--", "--degree", "-1,2"]):
+        assert join(argv) == argv
+
+
 P2_INPUT = {"picRank": 1, "numGens": 3, "columns": [[1], [1], [1]],
             "labels": ["x", "y", "z"]}
 

@@ -11,14 +11,15 @@ from coxtoric import fans, monomials
 from coxtoric.cli import main, reproduce_paper_report
 from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
 from coxtoric.exact import int_row
-from coxtoric.fans import (Fan, Verdict, _vertex_replay,
-                           fan_from_irrelevant, fan_report, fibre_support,
-                           is_complete, is_projective, is_simplicial,
-                           validate_fan)
+from coxtoric.fans import (Cone, Fan, Verdict, _facet_pairing, _vertex_replay,
+                           _wall_tree, fan_from_irrelevant, fan_report,
+                           fibre_support, is_complete, is_projective,
+                           is_simplicial, validate_fan)
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual
 from coxtoric.linprog import lp_feasible
 from coxtoric.monomials import (SquarefreeIdeal, fibre_vertices,
                                 irrelevant_radical)
+from test_exact import fraction_rref
 from test_monomials import dp4_columns
 
 CUBE_RAYS = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
@@ -124,6 +125,61 @@ def pair_lp_validate(fan):
             return Verdict(False, f"intersection of cones {a} and {b} is "
                                   f"not a face of both")
     return Verdict(True)
+
+
+def hrep_span_rank(cone):
+    """RationalCone.span_rank off the H-form alone: dim less the count of
+    its equalities, a basis of span(generators)^perp."""
+    return cone.dim - len(cone.hrep[0])
+
+
+def hrep_is_pointed(cone):
+    """The former RationalCone.is_pointed: independent generators, or
+    stacked constraint normals of rank dim, ranked by Fraction
+    elimination (test_exact.fraction_rref)."""
+    if hrep_span_rank(cone) == len(cone.generators):
+        return True
+    eqs, ineqs = cone.hrep
+    return len(fraction_rref(list(eqs) + list(ineqs))[1]) == cone.dim
+
+
+def hrep_facet_pairing(fan):
+    """The former fans._facet_pairing: every cone's facet keys read off
+    its double description (Cone.facets)."""
+    pairing = {}
+    for pos, cone in enumerate(fan.maximal_cones):
+        for _normal, tight in cone.facets:
+            pairing.setdefault(tight, []).append(pos)
+    return pairing
+
+
+def hrep_is_complete(fan):
+    """The former fans.is_complete, with hrep_span_rank and
+    hrep_facet_pairing."""
+    for pos, cone in enumerate(fan.maximal_cones):
+        if hrep_span_rank(cone.geometry) < fan.ambient_dim:
+            return Verdict(False,
+                           f"cone {pos + 1} is not full-dimensional")
+    pairing = hrep_facet_pairing(fan)
+    for key, owners in pairing.items():
+        if len(owners) == 1:
+            return Verdict(False,
+                           f"facet with rays {key} belongs to only one "
+                           f"maximal cone")
+        if len(owners) > 2:
+            return Verdict(False,
+                           f"facet with rays {key} is shared by more than "
+                           f"two maximal cones")
+    _tree, path = _wall_tree(len(fan.maximal_cones), pairing.values())
+    if None in path:
+        return Verdict(False, "maximal cones are not wall-connected")
+    return Verdict(True)
+
+
+def fresh_copy(fan):
+    """The same fan with empty per-cone caches, for an oracle to fill."""
+    return Fan(fan.rays, tuple(Cone(c.ray_indices, c.rays)
+                               for c in fan.maximal_cones))
 
 
 def projective_space_fan(n):
@@ -436,15 +492,64 @@ def test_reproduce_paper_radical_search_solves_nothing(monkeypatch):
 
 
 def test_reproduce_paper_ranks_few_matrices(monkeypatch):
-    # the fan checks read each cone's rank off its H-form, and is_pointed
-    # skips the rank for independent rays: at most 15 calls of exact.rank
-    # (176 when every cone was ranked by is_pointed, is_complete and
-    # is_simplicial), with the S(w) and layer caches emptied
+    # the fan checks read ranks off an int_rref or the H-form, pointedness
+    # off a witness, and derive_heft its verdict off the heft itself: one
+    # call of exact.rank, gale_dual's (176 when every cone was ranked by
+    # is_pointed, is_complete and is_simplicial, 15 when only dependent
+    # cones and the heft were), with the S(w) and layer caches emptied
     monkeypatch.setattr(monomials, "_LAYERS", {})
     monkeypatch.setattr(monomials, "_VERTICES", {})
     calls = counted_exact_calls(monkeypatch, "rank")
     assert reproduce_paper_report()["overall"]
-    assert len(calls) <= 15
+    assert len(calls) == 1
+
+
+def test_reproduce_paper_makes_few_hreps(monkeypatch):
+    # cones of independent rays build no H-form: at most 21 double
+    # descriptions through generators_to_hrep (75 when every fan cone had
+    # one), with the S(w), layer and column-cone caches emptied
+    monkeypatch.setattr(monomials, "_LAYERS", {})
+    monkeypatch.setattr(monomials, "_VERTICES", {})
+    monomials._subset_hrep.cache_clear()
+    calls = counted_exact_calls(monkeypatch, "generators_to_hrep")
+    assert reproduce_paper_report()["overall"]
+    assert len(calls) <= 21
+
+
+@pytest.mark.parametrize("make_ideal, attr, hreps", [
+    (ample_ideal, "ample", 0),
+    (anticanonical_ideal, "anti_canonical", 10),
+])
+def test_bundled_fans_build_an_hrep_per_dependent_cone(
+        monkeypatch, make_ideal, attr, hreps):
+    # building and reporting a fan as the CLI does builds an H-form only
+    # for the cones whose rays are dependent: none of the 42 ample cones,
+    # and 10 of the 22 anticanonical ones
+    dp = delpezzo4()
+    gale, ideal = gale_dual(dp.degrees), make_ideal()
+    vertices = fibre_vertices(dp.degrees, getattr(dp, attr))
+    calls = counted_exact_calls(monkeypatch, "generators_to_hrep")
+    fan = fan_from_irrelevant(gale, ideal)
+    report = fan_report(fan, fibre_support(fan, ideal, vertices))
+    assert len(calls) == hreps
+    assert report["valid"] and report["complete"] and report["projective"]
+    # every cone is full-dimensional, so dependent means more than d rays
+    assert sum(len(c.rays) > fan.ambient_dim
+               for c in fan.maximal_cones) == hreps
+
+
+def test_bundled_facet_pairing_matches_the_hrep_path():
+    # facet k of a cone of independent rays omits ray k, as in its double
+    # description: the pairing, in order, is the former one on the 54
+    # simplicial and 10 other bundled cones
+    dp = delpezzo4()
+    gale = gale_dual(dp.degrees)
+    for ideal in (ample_ideal(), anticanonical_ideal()):
+        fan = fan_from_irrelevant(gale, ideal)
+        oracle = fresh_copy(fan)
+        assert list(_facet_pairing(fan).items()) == \
+            list(hrep_facet_pairing(oracle).items())
+        assert is_complete(fan) == hrep_is_complete(oracle) == Verdict(True)
 
 
 def test_dp4_saturated_fan_makes_no_lp_call(monkeypatch, tmp_path, capsys):

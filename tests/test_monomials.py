@@ -115,6 +115,42 @@ def test_derive_heft_positive():
     assert all(dot(h, c) >= 1 for c in dp.degrees.columns)
 
 
+@pytest.mark.parametrize("columns", [
+    # a zero column: the heft is 0 on it, whatever Eff is
+    [(1,), (0,)],
+    [(1, 0), (0, 1), (0, 0)],
+    # Eff is the whole line, with no facet: the heft is 0
+    [(1,), (-1,)],
+    # Eff is not full-dimensional and holds the line of (1, 0, 0)
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0)],
+    # Eff is the whole plane
+    [(1, 0), (0, 1), (-1, -1)],
+])
+def test_derive_heft_rejects_gradings_that_are_not_positive(columns):
+    with pytest.raises(ValueError, match="^grading not positive$"):
+        derive_heft(DegreeMatrix.make(columns))
+
+
+@pytest.mark.parametrize("columns, heft", [
+    # Eff is a ray in the plane: its one facet normal is the heft
+    ([(1, 0), (2, 0)], (1, 0)),
+    # a pointed Eff that is not full-dimensional in rank 3
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], (1, 1, 0)),
+    ([(1, 0), (-1, 1), (0, 1)], (1, 2)),
+])
+def test_derive_heft_is_the_sum_of_the_facet_normals(columns, heft):
+    q = DegreeMatrix.make(columns)
+    assert derive_heft(q) == heft
+    assert all(dot(heft, c) >= 1 for c in columns)
+
+
+def test_heft_and_cones_need_no_rank():
+    # positivity is read off the heft and pointedness off a witness, so
+    # neither module ranks a matrix
+    from coxtoric import cones
+    assert not hasattr(monomials, "rank") and not hasattr(cones, "rank")
+
+
 def test_radical_of_monomials_basics():
     # x^2 y and x y^2 share support {x, y}
     assert radical_of_monomials([(2, 1), (1, 2)]).generators == ((1, 2),)
@@ -128,6 +164,24 @@ def test_antichain_and_canonical_order():
         SquarefreeIdeal(((1,), (1, 2)))
     with pytest.raises(ValueError, match="canonical order"):
         SquarefreeIdeal(((1, 2), (3,)))
+
+
+@pytest.mark.parametrize("generators, message", [
+    # a support inside a later, larger one, adjacent or not
+    (((2,), (1, 2)), "antichain"),
+    (((1,), (2,), (3, 4), (2, 5, 6)), "antichain"),
+    (((3, 4), (1, 2, 5), (1, 3, 4, 6)), "antichain"),
+    # out of order: a larger support first, a lex inversion, a repeat;
+    # the order is checked first, so a non-antichain out of order reports
+    # the order
+    (((1, 2), (1,)), "canonical order"),
+    (((2,), (1,)), "canonical order"),
+    (((1, 3), (1, 2)), "canonical order"),
+    (((1,), (1,)), "canonical order"),
+])
+def test_squarefree_ideal_checks_order_then_antichain(generators, message):
+    with pytest.raises(ValueError, match=message):
+        SquarefreeIdeal(generators)
 
 
 @pytest.mark.parametrize("generators, message", [

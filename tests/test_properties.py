@@ -20,11 +20,15 @@ set-based union search for the bitmask one, the rank of the generators
 for the span rank and pointedness read off RationalCone's H-form, the
 same system without its repeated rows for lp_feasible, and the vertex
 replay and the projectivity LP for the support function read off the
-fibre vertices."""
+fibre vertices, the former H-form path (the equalities, the Fraction rank
+of the stacked normals and Cone.facets) for the independence test, the
+pointedness witness and the "drop one ray" facets of simplicial cones,
+Fraction elimination for exact.rank, and all pairs for the antichain
+check of SquarefreeIdeal."""
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from unittest.mock import patch
 
 import pytest
@@ -46,9 +50,10 @@ from coxtoric.delpezzo import ample_ideal, anticanonical_ideal  # noqa: E402
 from coxtoric.exact import (IntMat, det, dot, eliminate,  # noqa: E402
                             hermite_normal_form, int_row, kernel_lattice,
                             nullspace, rank, rational_solve, rref)
-from coxtoric.fans import (Fan, _vertex_replay, _walls,  # noqa: E402
-                           fan_from_irrelevant, fan_report, fibre_support,
-                           is_complete, is_projective, validate_fan)
+from coxtoric.fans import (Fan, _facet_pairing,  # noqa: E402
+                           _vertex_replay, _walls, fan_from_irrelevant,
+                           fan_report, fibre_support, is_complete,
+                           is_projective, is_simplicial, validate_fan)
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual  # noqa: E402
 from coxtoric.incidence import (ProjPoint, _det, intersect,  # noqa: E402
                                 subspace_from_points)
@@ -59,10 +64,11 @@ from coxtoric.monomials import (SquarefreeIdeal,  # noqa: E402
                                 minimal_supports_of_degree,
                                 monomials_of_degree, radical_of_monomials)
 from test_chambers import chamber_oracle, greedy_lp_hrep  # noqa: E402
-from test_exact import maximal_minor_gcd  # noqa: E402
+from test_exact import fraction_rref, maximal_minor_gcd  # noqa: E402
 from test_fans import (CUBE_FACES, CUBE_RAYS, DOUBLY_WOUND_CONES,  # noqa: E402
-                       DOUBLY_WOUND_RAYS, lp_member, pair_lp_report,
-                       pair_lp_validate)
+                       DOUBLY_WOUND_RAYS, fresh_copy, hrep_facet_pairing,
+                       hrep_is_complete, hrep_is_pointed, hrep_span_rank,
+                       lp_member, pair_lp_report, pair_lp_validate)
 from test_linprog import (fm_feasible, fraction_lp_feasible,  # noqa: E402
                           sys_of)
 from test_monomials import dp4_columns, set_search_supports  # noqa: E402
@@ -243,6 +249,18 @@ def test_bitmask_search_matches_set_search(case):
 @given(matrices(rationals))
 def test_rank_against_sympy(rows):
     assert rank(rows) == to_sympy(rows).rank()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(matrices(st.integers(-5, 5), max_rows=6, max_cols=6),
+                 matrices(rationals, max_rows=6, max_cols=6),
+                 square_matrices(st.integers(-4, 4))))
+@example([[0, 0], [0, 0]])
+@example([[Fraction(1, 2), Fraction(1, 3)], [3, 2]])
+def test_rank_against_fraction_elimination(rows):
+    # rank counts int_rref's pivots; Gauss-Jordan steps over Fractions,
+    # the elimination it replaced, give the same count
+    assert rank(rows) == len(fraction_rref(rows)[1])
 
 
 @st.composite
@@ -548,6 +566,67 @@ def test_span_rank_and_pointedness_against_rank(case):
     eqs, ineqs = cone.hrep
     stacked = list(eqs) + list(ineqs)
     assert cone.is_pointed == (rank(stacked) == d if stacked else d == 0)
+
+
+@st.composite
+def cone_generator_cases(draw):
+    """Generators in dimension 1 to 5 of four kinds: independent,
+    dependent (one a combination of the others), lower-dimensional (last
+    coordinate zero, dependent or not) and with a line (a generator and its
+    negative). Zero and repeated generators may occur in every kind."""
+    d = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("independent", "dependent", "lower",
+                                 "line")))
+    vector = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple)
+    if kind == "independent":
+        gens = draw(st.lists(vector, max_size=d))
+        assume(len(fraction_rref(gens)[1]) == len(gens))
+    elif kind == "lower":
+        assume(d > 1)
+        gens = [g[:-1] + (0,) for g in draw(st.lists(vector, max_size=d + 1))]
+    else:
+        gens = draw(st.lists(vector, min_size=1, max_size=d + 1))
+        if kind == "dependent":
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(gens),
+                                   max_size=len(gens)))
+            gens.append(tuple(sum(c * g[i] for c, g in zip(coeffs, gens))
+                              for i in range(d)))
+        else:
+            gens.append(tuple(-x for x in draw(st.sampled_from(gens))))
+    return d, draw(st.permutations(gens))
+
+
+@settings(deadline=None, max_examples=400)
+@given(cone_generator_cases())
+@example((2, []))
+@example((2, [(1, 0), (-1, 0)]))
+@example((2, [(1, 0), (0, 1), (-1, 0)]))
+@example((3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]))
+@example((3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+@example((1, [(2,), (-3,)]))
+def test_cone_rank_and_pointedness_against_the_hrep_path(case):
+    # independent generators skip the H-form, and dependent ones read
+    # pointedness off the witness: both agree with the former path, the
+    # H-form's equalities and the Fraction rank of its stacked normals
+    d, gens = case
+    cone = RationalCone.from_generators(gens, d)
+    oracle = RationalCone.from_generators(gens, d)
+    assert cone.span_rank == hrep_span_rank(oracle)
+    assert cone.is_pointed == hrep_is_pointed(oracle)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.sets(st.integers(1, 6), max_size=4), max_size=8))
+def test_squarefree_ideal_antichain_check_against_all_pairs(family):
+    # the constructor compares each support with later, larger ones only;
+    # on supports in canonical order that finds every nested pair
+    canon = tuple(sorted({tuple(sorted(s)) for s in family},
+                         key=lambda s: (len(s), s)))
+    if any(set(a) <= set(b) for a, b in permutations(canon, 2)):
+        with pytest.raises(ValueError, match="antichain"):
+            SquarefreeIdeal(canon)
+    else:
+        assert SquarefreeIdeal(canon).generators == canon
 
 
 @st.composite
@@ -880,6 +959,33 @@ def test_vertex_replay_matches_pair_lps_in_the_plane(fan):
 @given(cube_height_fans())
 def test_vertex_replay_matches_pair_lps_on_cube_fans(fan):
     _check_replay_against_pair_lps(fan)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(small_fans(), cyclic_plane_fans(), cube_height_fans()))
+@example(Fan.from_index_sets(CUBE_RAYS, CUBE_FACES))
+@example(Fan.from_index_sets(CUBE_RAYS, CUBE_FACES[:5] + (
+    (2, 4, 6), (4, 6, 8))))
+@example(Fan.from_index_sets(((1, 0), (2, 0), (0, 1), (-1, -1)),
+                             ((1, 2, 3), (3, 4), (1, 4))))
+@example(Fan.from_index_sets(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                             ((1, 2), (2, 3), (1, 3))))
+def test_fan_checks_against_the_hrep_path(fan):
+    # simplicial cones take their facets as "drop one ray" subsets and
+    # no H-form: every per-cone answer, the facet pairing in order, and the
+    # verdicts and reasons of is_simplicial and is_complete are those of
+    # the former path, which read every cone's H-form
+    oracle = fresh_copy(fan)
+    assert [c.geometry.span_rank for c in fan.maximal_cones] == \
+        [hrep_span_rank(c.geometry) for c in oracle.maximal_cones]
+    assert [c.geometry.is_pointed for c in fan.maximal_cones] == \
+        [hrep_is_pointed(c.geometry) for c in oracle.maximal_cones]
+    assert is_simplicial(fan) == all(
+        hrep_span_rank(c.geometry) == len(c.rays)
+        for c in oracle.maximal_cones)
+    assert list(_facet_pairing(fan).items()) == \
+        list(hrep_facet_pairing(oracle).items())
+    assert is_complete(fan) == hrep_is_complete(oracle)
 
 
 def test_validate_fan_exempts_rays_inside_the_common_cone():
