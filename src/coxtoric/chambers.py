@@ -2,16 +2,23 @@
 
 The effective cone is spanned by the degree columns. The chamber of a class
 w is the intersection of all cones spanned by subsets of columns containing
-w; only inclusion-minimal such subsets contribute constraints, and the
-resulting inequality list is reduced to an irredundant set with no LP: a
-row is redundant among the others exactly when it lies in their cone
-(Farkas), and every kept row has a separating functional from
-cones.separating_functional, replayed in integers. The minimal subsets
-form S(w), read off one double description by
+w; only inclusion-minimal such subsets contribute constraints. The minimal
+subsets form S(w), read off one double description by
 monomials.caratheodory_supports (Berchtold-Hausen, "GIT equivalence beyond
 the ample cone", 2006; Cox-Little-Schenck, Toric Varieties, ch. 14), which
 caches it per primitive class. The constraint form of each cone(q_J) comes
 from monomials._subset_hrep, the cache of the enumerator's column cones.
+
+The chamber needs no LP and no redundancy test per row: one double
+description of the stacked constraint forms, equalities passed as
+equalities, gives its rays, and one more gives its equalities and facets
+(Fukuda-Prodon, "Double description method revisited", 1996). It is
+reported in a canonical form: the equalities with both signs, then one
+candidate row per facet. Every row is irredundant, but a lower-dimensional
+chamber does not get the fewest rows: 2k rows state k equalities, where
+k + 1 would do. The rays, the equalities and each facet row are replayed
+with integer dot products and ranks.
+
 Chamber equality at a fixed saturation depth is decided through the
 irrelevant radicals, whose search decides each member of S(w) by its fibre
 vertex and needs no constraint form for it (see monomials)."""
@@ -20,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import RationalCone, primitive, separating_functional
-from .exact import dot, int_vector
+from .cones import (RationalCone, _tight_hrep, double_description, primitive,
+                    separating_functional)
+from .exact import dot, int_rref, int_vector, rank
 from .grading import DegreeMatrix
 from .monomials import GuardExceeded  # noqa: F401  (re-exported)
 from .monomials import (_checked_heft, _radical, _subset_hrep,
@@ -32,7 +40,12 @@ Vec = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Chamber:
-    """GIT chamber as an irredundant homogeneous inequality system."""
+    """GIT chamber as an irredundant homogeneous inequality system in
+    canonical form: the rows of the fraction-free reduced echelon basis of
+    its equalities, each with both signs, and per facet the least candidate
+    row that cuts it out, all sorted. A full-dimensional chamber's rows are
+    its unique primitive facet normals; a lower-dimensional one does not
+    get the fewest rows."""
 
     representative: Vec
     hrep: tuple[Vec, ...]
@@ -67,52 +80,65 @@ def spans_extremal_ray(q: DegreeMatrix, i: int) -> bool:
 
 def chamber_of(q: DegreeMatrix, w) -> Chamber:
     """The GIT chamber containing w: the intersection of the cones on all
-    minimal column subsets containing w, with irredundant constraints.
+    minimal column subsets containing w, in its canonical H-form.
 
     The minimal subsets are S(w) (see the module docstring); it is empty
     exactly when w lies outside the effective cone, which raises
-    ValueError.
+    ValueError. The zero class lies in every nonempty column cone, so its
+    chamber is cut out by the single columns.
 
-    For w != 0 every J in S(w) is independent with w in the relative
-    interior of cone(q_J), so the chamber is full-dimensional exactly when
-    every J has r columns. The candidate rows are tested in sorted order,
-    each against the rows still kept: by Farkas a row is redundant exactly
-    when it lies in the cone of those rows, and otherwise
-    separating_functional returns a point x with row.x < 0 <= r.x on the
-    others, replayed in integers, which raises RuntimeError if it fails."""
+    The candidate rows are the constraint forms of those cones. One
+    double description of them, equalities as equalities, gives the
+    chamber's rays, and one more gives their equalities E and facets. The
+    chamber is full-dimensional exactly when E is empty. The reported rows
+    are, sorted, each row of int_rref(E) with both signs and, per facet,
+    the least candidate row positive on exactly the rays off that facet.
+    Before the chamber is returned, every ray must satisfy every candidate
+    row and lie on every reported equality, the rays must span
+    r - |E| dimensions and hold no line, each facet row's tight rays must
+    span r - |E| - 1, and w must satisfy every row; a failure raises
+    RuntimeError."""
     w = int_vector(w, "class")
     subsets = caratheodory_supports(q, w)
     if not subsets:
         raise ValueError("class outside the effective cone")
-    if any(w):
-        full = all(len(subset) == q.pic_rank for subset in subsets)
-    else:
-        # S(0) = [()], but the zero class lies in every nonempty column
-        # cone, so the chamber is cut out by the single columns; those
-        # rays meet beyond 0 only on a line, all on one side of 0
+    if not any(w):
         subsets = [(j,) for j in range(q.num_gens)]
-        full = q.pic_rank == 1 and (all(c[0] > 0 for c in q.columns) or
-                                    all(c[0] < 0 for c in q.columns))
-    rows: set[Vec] = set()
+    r = q.pic_rank
+    equalities: set[Vec] = set()
+    inequalities: set[Vec] = set()
     for subset in subsets:
         eqs, ineqs = _subset_hrep(q, subset)
-        for e in eqs:
-            rows.add(primitive(e))
-            rows.add(primitive(tuple(-x for x in e)))
-        for a in ineqs:
-            rows.add(primitive(a))
+        equalities.update(map(primitive, eqs))
+        inequalities.update(map(primitive, ineqs))
+    lin, rays = double_description(r, sorted(equalities), sorted(inequalities))
+    perp, _normals, masks = _tight_hrep(r, rays)
+    basis = [primitive(e) for e in int_rref(list(perp))[0]]
+    dim = r - len(basis)
 
-    working = sorted(rows)
-    for row in list(working):
-        others = [r for r in working if r != row]
-        if separating_functional(others, row, q.pic_rank) is None:
-            working = others
+    # per set of rays (a bitmask), the least candidate row positive on
+    # exactly those rays
+    least: dict[int, Vec] = {}
+    for row in sorted({*inequalities, *equalities, *map(_neg, equalities)}):
+        values = [dot(row, x) for x in rays]
+        if min(values, default=0) < 0:
+            raise RuntimeError("chamber failed replay")
+        least.setdefault(sum(1 << k for k, v in enumerate(values) if v), row)
+    everything = (1 << len(rays)) - 1
+    facets = [least.get(everything & ~z) for z in masks]
+    if lin or None in facets or rank(rays) != dim or \
+            any(dot(e, x) for e in basis for x in rays) or \
+            any(rank([x for k, x in enumerate(rays) if z >> k & 1]) !=
+                dim - 1 for z in masks):
+        raise RuntimeError("chamber failed replay")
+    hrep = tuple(sorted([*basis, *map(_neg, basis), *facets]))
+    if any(dot(row, w) < 0 for row in hrep):
+        raise RuntimeError("chamber failed replay")
+    return Chamber(representative=w, hrep=hrep, full_dimensional=not basis)
 
-    for row in working:
-        if dot(row, w) < 0:
-            raise RuntimeError("representative violates chamber constraint")
-    return Chamber(representative=w, hrep=tuple(working),
-                   full_dimensional=full)
+
+def _neg(v: Vec) -> Vec:
+    return tuple(-x for x in v)
 
 
 def same_chamber(q: DegreeMatrix, w1, w2, depth: int = 1, heft=None,

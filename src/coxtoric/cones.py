@@ -10,7 +10,10 @@ tight on all of their common rows (`z & meet == meet` holds for the two
 alone). Lineality is handled by pivoting: while some lineality vector meets
 the new constraint, the constraint cuts the lineality space instead of the
 ray list. Every lineality vector and ray is primitive, so one that already
-lies on the new hyperplane is kept as it is, with no arithmetic.
+lies on the new hyperplane is kept as it is, with no arithmetic. The final
+bitmasks are exact, and `_tight_hrep` returns them with an H-form: per
+facet of cone(gens), the generators it vanishes on, which
+`fans.Cone.facets` and `chambers.chamber_of` read with no dot product.
 
 Integer vectors never become Fractions: `primitive` divides an all-int
 vector by its gcd directly, so the double description runs in machine
@@ -87,6 +90,15 @@ def double_description(dim: int,
     extreme modulo the lineality space. A nonzero row whose length is not
     dim raises ValueError.
     """
+    lin, rays, _tight = _double_description(dim, equalities, inequalities)
+    return lin, rays
+
+
+def _double_description(dim: int, equalities: Sequence[Sequence[int]],
+                        inequalities: Sequence[Sequence[int]]):
+    """double_description with, per ray, the bitmask of the nonzero
+    inequalities it is tight on (bit k for the k-th nonzero inequality):
+    (lineality basis, rays, masks)."""
     if dim < 1:
         raise ValueError("ambient dimension must be positive")
     zeros = (0,) * dim
@@ -157,7 +169,7 @@ def double_description(dim: int,
             cut_with(an, 1 << count)
             count += 1
 
-    return lin, [r for r, _ in rays]
+    return lin, [r for r, _ in rays], [z for _, z in rays]
 
 
 def generators_to_hrep(dim: int, gens: Sequence[Sequence[int]]):
@@ -166,6 +178,14 @@ def generators_to_hrep(dim: int, gens: Sequence[Sequence[int]]):
     generators cut nothing: double_description skips them."""
     lin, rays = double_description(dim, inequalities=gens)
     return tuple(lin), tuple(rays)
+
+
+def _tight_hrep(dim: int, gens: Sequence[Sequence[int]]):
+    """generators_to_hrep with, per facet, the bitmask of the nonzero
+    generators it vanishes on (bit k for the k-th nonzero generator), as
+    the double description tracked them: (equalities, facets, masks)."""
+    lin, rays, tight = _double_description(dim, (), gens)
+    return tuple(lin), tuple(rays), tuple(tight)
 
 
 def separating_functional(gens: Sequence[Sequence], v: Sequence,
@@ -233,7 +253,14 @@ class RationalCone:
     @cached_property
     def hrep(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         """(equality normals, inequality normals)."""
-        return generators_to_hrep(self.dim, self.generators)
+        eqs, facets, _tight = self._hrep_with_tight
+        return eqs, facets
+
+    @cached_property
+    def _hrep_with_tight(self):
+        """The H-form with, per facet, the bitmask of the generators it
+        vanishes on (bit k for generator k), from one double description."""
+        return _tight_hrep(self.dim, self.generators)
 
     @cached_property
     def _independent(self) -> bool:

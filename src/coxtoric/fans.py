@@ -71,14 +71,17 @@ class Cone:
 
     @cached_property
     def facets(self) -> tuple[tuple[Vec, tuple[int, ...]], ...]:
-        """(inward normal, tight 1-based ray indices) per facet."""
-        _eqs, ineqs = self.geometry.hrep
-        out = []
-        for n in ineqs:
-            tight = tuple(idx for idx, ray in zip(self.ray_indices, self.rays)
-                          if dot(n, ray) == 0)
-            out.append((n, tight))
-        return tuple(out)
+        """(inward normal, tight 1-based ray indices) per facet. The tight
+        rays are read off the bitmasks that the double description of the
+        facets kept, one bit per distinct primitive ray."""
+        geometry = self.geometry
+        _eqs, ineqs, masks = geometry._hrep_with_tight
+        bit = {g: 1 << k for k, g in enumerate(geometry.generators)}
+        # a zero ray has no bit and lies on every facet
+        ray_bits = [(idx, bit.get(primitive(ray), 0))
+                    for idx, ray in zip(self.ray_indices, self.rays)]
+        return tuple((n, tuple(idx for idx, b in ray_bits if z & b == b))
+                     for n, z in zip(ineqs, masks))
 
 
 @dataclass(frozen=True)

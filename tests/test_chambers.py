@@ -9,11 +9,13 @@ from coxtoric.chambers import (GuardExceeded, chamber_of, effective_cone,
 from coxtoric.cli import main
 from coxtoric.cones import (RationalCone, double_description,
                             generators_to_hrep, primitive)
+from coxtoric.exact import dot
 from coxtoric.fans import fan_from_irrelevant
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual
 from coxtoric.linprog import lp_feasible
 from coxtoric.monomials import (caratheodory_supports, fibre_vertices,
                                 irrelevant_radical)
+from test_monomials import dp3_columns
 
 
 def chamber_oracle(q, w):
@@ -145,15 +147,32 @@ def test_chamber_inside_effective_cone():
         assert not lp_feasible(5, [], probe).feasible
 
 
+def same_cone(rows_a, rows_b, dim):
+    """Whether two homogeneous inequality systems cut out the same cone:
+    one double description of each gives the same generator form."""
+    lin_a, rays_a = double_description(dim, (), rows_a)
+    lin_b, rays_b = double_description(dim, (), rows_b)
+    return lin_a == lin_b == [] and sorted(rays_a) == sorted(rays_b)
+
+
+# chamber_of at the zero class of the bundled grading, as the greedy pass
+# reported it before the canonical form
+DP5_ZERO_CHAMBER_GREEDY = (
+    (-1, 0, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, -1, 0, 0),
+    (0, 0, 0, -1, 0), (0, 0, 0, 0, -1), (1, 0, 0, 0, 1),
+    (1, 0, 0, 1, 0), (1, 0, 1, 0, 0), (1, 1, 0, 0, 0))
+
+
 def test_chamber_of_zero_class():
     # the zero class lies in every nonempty column cone, so its chamber is
-    # cut out by the single columns
+    # cut out by the single columns: on the bundled grading only the origin,
+    # five equalities with both signs, the cone of the former nine rows
     ch = chamber_of(delpezzo4().degrees, (0, 0, 0, 0, 0))
-    assert ch.hrep == (
-        (-1, 0, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, -1, 0, 0),
-        (0, 0, 0, -1, 0), (0, 0, 0, 0, -1), (1, 0, 0, 0, 1),
-        (1, 0, 0, 1, 0), (1, 0, 1, 0, 0), (1, 1, 0, 0, 0))
+    units = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    assert ch.hrep == tuple(sorted(units + [tuple(-x for x in u)
+                                            for u in units]))
     assert ch.full_dimensional is False
+    assert same_cone(ch.hrep, DP5_ZERO_CHAMBER_GREEDY, 5)
     ch = chamber_of(DegreeMatrix.make([(1,), (1,), (1,)]), (0,))
     assert ch.hrep == ((1,),)
     assert ch.full_dimensional is True
@@ -377,10 +396,18 @@ DP4_LINES = ([tuple(int(j == i) for j in range(6)) for i in range(1, 6)]
 
 # chamber_of at -K on the sixteen-line grading, computed by the greedy LP
 # pass before it was replaced; the column sum is 4(-K)
-DP4_ANTICANONICAL_CHAMBER = (
+DP4_ANTICANONICAL_CHAMBER_GREEDY = (
     (-1, 0, -1, 0, -1, -1), (0, -1, 1, 0, 0, 0), (0, 0, -1, 1, 0, 0),
     (0, 0, 0, -1, 0, 1), (0, 0, 0, -1, 1, 0), (1, 1, 1, 1, 0, 0),
     (3, 2, 1, 1, 1, 1))
+
+# the same chamber, the ray through -K, in canonical form: five equalities
+# with both signs and one facet row
+DP4_ANTICANONICAL_CHAMBER = (
+    (-1, -1, -1, -1, -1, 0), (-1, 0, 0, 0, 0, -3), (0, -1, 0, 0, 0, 1),
+    (0, 0, -1, 0, 0, 1), (0, 0, 0, -1, 0, 1), (0, 0, 0, 0, -1, 1),
+    (0, 0, 0, 0, 1, -1), (0, 0, 0, 1, 0, -1), (0, 0, 1, 0, 0, -1),
+    (0, 1, 0, 0, 0, -1), (1, 0, 0, 0, 0, 3))
 
 
 @pytest.mark.parametrize("w", [(3, -1, -1, -1, -1, -1),
@@ -390,9 +417,31 @@ def test_dp4_chamber_is_pinned(w):
     ch = chamber_of(DegreeMatrix.make(DP4_LINES), w)
     assert ch.hrep == DP4_ANTICANONICAL_CHAMBER
     assert ch.full_dimensional is False
+    assert same_cone(ch.hrep, DP4_ANTICANONICAL_CHAMBER_GREEDY, 6)
 
 
-def test_separating_functional_replay_failure(monkeypatch, capsys):
+def test_dp3_anticanonical_chamber_is_the_ray_through_minus_k(monkeypatch):
+    # 27 columns pass the guard once it is raised; the chamber of -K on the
+    # cubic surface's lines is the ray through -K: six equalities with both
+    # signs and one facet row, positive on -K
+    monkeypatch.setattr(monomials, "MAX_SEARCH_GENS", 27)
+    monkeypatch.setattr(monomials, "_VERTICES", {})
+    monkeypatch.setattr(monomials, "_LAYERS", {})
+    minus_k = (3, -1, -1, -1, -1, -1, -1)
+    ch = chamber_of(DegreeMatrix.make(dp3_columns()), minus_k)
+    assert ch.full_dimensional is False
+    assert len(ch.hrep) == 13
+    lin, rays = double_description(7, (), ch.hrep)
+    assert lin == [] and rays == [minus_k]
+    equalities = [row for row in ch.hrep
+                  if tuple(-x for x in row) in ch.hrep]
+    assert len(equalities) == 12
+    assert all(dot(row, minus_k) == 0 for row in equalities)
+    (facet,) = set(ch.hrep) - set(equalities)
+    assert dot(facet, minus_k) > 0
+
+
+def test_separating_functional_replay_failure(monkeypatch):
     # a generator's negative put first among the facets separates every
     # target with a positive product with some generator, but fails on
     # that generator itself
@@ -403,15 +452,27 @@ def test_separating_functional_replay_failure(monkeypatch, capsys):
         return eqs, tuple(tuple(-x for x in g) for g in gens) + ineqs
 
     monkeypatch.setattr(cones, "generators_to_hrep", bogus)
+    with pytest.raises(RuntimeError,
+                       match="separating functional failed replay"):
+        spans_extremal_ray(delpezzo4().degrees, 1)
+
+
+def test_chamber_replay_failure(monkeypatch, capsys):
+    # a ray put first that is the negative of the first inequality row
+    # violates that candidate row, which the replay of every ray against
+    # every candidate row must catch
+    real = chambers.double_description
+
+    def bogus(dim, equalities=(), inequalities=()):
+        lin, rays = real(dim, equalities, inequalities)
+        return lin, [tuple(-x for x in inequalities[0])] + rays
+
+    monkeypatch.setattr(chambers, "double_description", bogus)
     dp = delpezzo4()
-    with pytest.raises(RuntimeError,
-                       match="separating functional failed replay"):
+    with pytest.raises(RuntimeError, match="^chamber failed replay$"):
         chamber_of(dp.degrees, dp.anti_canonical)
-    with pytest.raises(RuntimeError,
-                       match="separating functional failed replay"):
-        spans_extremal_ray(dp.degrees, 1)
     code = main(["chamber", "--dataset", "delpezzo4", "--degree",
                  "3,-1,-1,-1,-1", "--json"])
     out, err = capsys.readouterr()
     assert code == 4 and out == ""
-    assert err == "internal error: separating functional failed replay\n"
+    assert err == "internal error: chamber failed replay\n"

@@ -12,6 +12,7 @@ from coxtoric.delpezzo import ANTICANONICAL_SUPPORTS
 from coxtoric.exact import IntMat, dot, kernel_lattice
 from coxtoric.grading import DegreeMatrix, delpezzo4
 from coxtoric.monomials import fibre_vertices, irrelevant_radical
+from test_chambers import same_cone
 
 
 def run(capsys, argv):
@@ -254,13 +255,13 @@ FROZEN_REPORTS = [
     # a lower-dimensional chamber
     (["chamber", "--dataset", "delpezzo4", "--degree", "3,-1,-1,-1,-1",
       "--compare", "6,-2,-2,-2,-2", "--json"],
-     "33d944f89c69861a0d43b24cb592b488c4171dcc7b5ae4edc270d82d3bf110d6"),
+     "813077a6bf379ee4530861ced5d4dd747962c4836e6bfe0d7d3b7e09b4de77bb"),
     (["chamber", "--dataset", "delpezzo4", "--degree", "11,-5,-3,-2,-1",
       "--compare", "3,-1,-1,-1,-1", "--json"],
      "2ae90df96ecbc0c632839f7c099eb6ec3d1d905a73504d39855a8286464e5a9d"),
     (["chamber", "--dataset", "delpezzo4", "--degree", "0,0,0,0,0",
       "--json"],
-     "492d1d07548c7cbf69b8ca4111d7c39c1a89ccfea1337e6cb3637e650394cb72"),
+     "5cfb1f9f0364035780152236e5d9507f1257f806b6f3d5838301748f3e2ce3cb"),
     (["incidence", "verify-paper", "--json"],
      "abc1d5d4af2ac386b99aded30db723fc44f0c06ff9769e65e3c5ef801d0ba833"),
     (["incidence", "search", "--seed", "1", "--json"],
@@ -276,6 +277,29 @@ FROZEN_REPORTS = [
 def test_report_bytes_are_frozen(capsys, argv, digest):
     _, out, _ = run(capsys, argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the rows of the two lower-dimensional chamber reports above before the
+# canonical form: the greedy pass kept rows that depended on their order
+GREEDY_CHAMBER_ROWS = {
+    "3,-1,-1,-1,-1": ((-1, 0, -1, -1, -1), (0, -1, 1, 0, 0),
+                      (0, 0, -1, 1, 0), (0, 0, 0, -1, 1), (1, 1, 1, 0, 0),
+                      (1, 1, 1, 1, 0)),
+    "0,0,0,0,0": ((-1, 0, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, -1, 0, 0),
+                  (0, 0, 0, -1, 0), (0, 0, 0, 0, -1), (1, 0, 0, 0, 1),
+                  (1, 0, 0, 1, 0), (1, 0, 1, 0, 0), (1, 1, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("degree", sorted(GREEDY_CHAMBER_ROWS))
+def test_repinned_chamber_reports_keep_their_cones(capsys, degree):
+    # the canonical rows (equalities with both signs, one row per facet)
+    # cut out the cone of the former rows
+    code, payload, _ = run_json(capsys, ["chamber", "--dataset",
+                                         "delpezzo4", "--degree", degree])
+    assert code == 0 and payload["fullDimensional"] is False
+    new = [tuple(row) for row in payload["hRep"]]
+    assert same_cone(new, GREEDY_CHAMBER_ROWS[degree], 5)
 
 
 def test_ample_fan_reports_the_support_function_of_its_class(capsys):

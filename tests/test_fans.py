@@ -10,7 +10,7 @@ import pytest
 from coxtoric import fans, monomials
 from coxtoric.cli import main, reproduce_paper_report
 from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
-from coxtoric.exact import int_row
+from coxtoric.exact import dot, int_row
 from coxtoric.fans import (Cone, Fan, Verdict, _facet_pairing, _vertex_replay,
                            _wall_tree, fan_from_irrelevant, fan_report,
                            fibre_support, is_complete, is_projective,
@@ -143,12 +143,21 @@ def hrep_is_pointed(cone):
     return len(fraction_rref(list(eqs) + list(ineqs))[1]) == cone.dim
 
 
+def dot_facets(cone):
+    """The former Cone.facets: per facet normal of the H-form, the rays
+    on it found by one dot product per (facet, ray)."""
+    return tuple((n, tuple(idx for idx, ray in zip(cone.ray_indices,
+                                                   cone.rays)
+                           if dot(n, ray) == 0))
+                 for n in cone.geometry.hrep[1])
+
+
 def hrep_facet_pairing(fan):
     """The former fans._facet_pairing: every cone's facet keys read off
-    its double description (Cone.facets)."""
+    its double description, with the tight rays of dot_facets."""
     pairing = {}
     for pos, cone in enumerate(fan.maximal_cones):
-        for _normal, tight in cone.facets:
+        for _normal, tight in dot_facets(cone):
             pairing.setdefault(tight, []).append(pos)
     return pairing
 
@@ -471,6 +480,15 @@ def counted_exact_calls(monkeypatch, name):
     return calls
 
 
+def counted_hreps(monkeypatch):
+    """The list of H-forms built: calls of generators_to_hrep and of
+    cones._tight_hrep, which also keeps each facet's tight generators for
+    RationalCone and chamber_of. Neither calls the other."""
+    calls = counted_exact_calls(monkeypatch, "generators_to_hrep")
+    tight = counted_exact_calls(monkeypatch, "_tight_hrep")
+    return calls, tight
+
+
 def test_reproduce_paper_radical_search_solves_nothing(monkeypatch):
     # every member of S(d) is decided by its fibre vertex, so the five
     # layer searches, run afresh, call int_rref nowhere (170 calls when
@@ -506,14 +524,14 @@ def test_reproduce_paper_ranks_few_matrices(monkeypatch):
 
 def test_reproduce_paper_makes_few_hreps(monkeypatch):
     # cones of independent rays build no H-form: at most 21 double
-    # descriptions through generators_to_hrep (75 when every fan cone had
-    # one), with the S(w), layer and column-cone caches emptied
+    # descriptions through generators_to_hrep or _tight_hrep (75 when every
+    # fan cone had one), with the S(w), layer and column-cone caches emptied
     monkeypatch.setattr(monomials, "_LAYERS", {})
     monkeypatch.setattr(monomials, "_VERTICES", {})
     monomials._subset_hrep.cache_clear()
-    calls = counted_exact_calls(monkeypatch, "generators_to_hrep")
+    calls, tight = counted_hreps(monkeypatch)
     assert reproduce_paper_report()["overall"]
-    assert len(calls) <= 21
+    assert len(calls) + len(tight) <= 21
 
 
 @pytest.mark.parametrize("make_ideal, attr, hreps", [
@@ -528,10 +546,10 @@ def test_bundled_fans_build_an_hrep_per_dependent_cone(
     dp = delpezzo4()
     gale, ideal = gale_dual(dp.degrees), make_ideal()
     vertices = fibre_vertices(dp.degrees, getattr(dp, attr))
-    calls = counted_exact_calls(monkeypatch, "generators_to_hrep")
+    calls, tight = counted_hreps(monkeypatch)
     fan = fan_from_irrelevant(gale, ideal)
     report = fan_report(fan, fibre_support(fan, ideal, vertices))
-    assert len(calls) == hreps
+    assert len(calls) + len(tight) == hreps
     assert report["valid"] and report["complete"] and report["projective"]
     # every cone is full-dimensional, so dependent means more than d rays
     assert sum(len(c.rays) > fan.ambient_dim

@@ -7,7 +7,9 @@ saturation check of gale_dual, Fourier-Motzkin elimination for lp_feasible
 Gauss-Jordan lp_feasible for its integer witness, the LP
 lambda >= 0, G lambda = target for cone_member, RationalCone.contains and
 the separating functionals, double description for chambers and fan
-validity, the former greedy LP pass for chamber irredundancy, the heft LP
+validity, the former greedy LP pass for the chamber's canonical rows (the
+same rows on full-dimensional chambers, the same cone on the others) with
+separating_functional for the irredundancy of each row, the heft LP
 for the positivity verdict of derive_heft, rank and rational_solve for
 subspace membership, coordinates and intersections, the Fraction path for
 the integer fast paths of primitive, dot and generators_to_hrep, the
@@ -23,8 +25,9 @@ replay and the projectivity LP for the support function read off the
 fibre vertices, the former H-form path (the equalities, the Fraction rank
 of the stacked normals and Cone.facets) for the independence test, the
 pointedness witness and the "drop one ray" facets of simplicial cones,
-Fraction elimination for exact.rank, and all pairs for the antichain
-check of SquarefreeIdeal."""
+Fraction elimination for exact.rank, all pairs for the antichain check
+of SquarefreeIdeal, and dot products for the tight-row bitmasks of the
+double description and the tight rays of Cone.facets."""
 
 import math
 from fractions import Fraction
@@ -44,7 +47,7 @@ from coxtoric.chambers import chamber_of, effective_cone  # noqa: E402
 from coxtoric.cones import (RationalCone, cone_member,  # noqa: E402
                             double_description, generators_to_hrep,
                             primitive, separating_functional)
-from coxtoric import grading, monomials  # noqa: E402
+from coxtoric import cones, grading, monomials  # noqa: E402
 from coxtoric.cli import reproduce_paper_report  # noqa: E402
 from coxtoric.delpezzo import ample_ideal, anticanonical_ideal  # noqa: E402
 from coxtoric.exact import (IntMat, det, dot, eliminate,  # noqa: E402
@@ -66,8 +69,9 @@ from coxtoric.monomials import (SquarefreeIdeal,  # noqa: E402
 from test_chambers import chamber_oracle, greedy_lp_hrep  # noqa: E402
 from test_exact import fraction_rref, maximal_minor_gcd  # noqa: E402
 from test_fans import (CUBE_FACES, CUBE_RAYS, DOUBLY_WOUND_CONES,  # noqa: E402
-                       DOUBLY_WOUND_RAYS, fresh_copy, hrep_facet_pairing,
-                       hrep_is_complete, hrep_is_pointed, hrep_span_rank,
+                       DOUBLY_WOUND_RAYS, dot_facets, fresh_copy,
+                       hrep_facet_pairing, hrep_is_complete,
+                       hrep_is_pointed, hrep_span_rank,
                        lp_member, pair_lp_report, pair_lp_validate)
 from test_linprog import (fm_feasible, fraction_lp_feasible,  # noqa: E402
                           sys_of)
@@ -718,11 +722,27 @@ def test_chamber_of_against_oracle(case):
 @example((delpezzo4().degrees, (0, 0, 0, 0, 0)))
 @example((delpezzo4().degrees, (11, -5, -3, -2, -1)))
 def test_chamber_of_against_greedy_lp_pass(case):
-    # the same rows as the former LP pass, in the same order, on
-    # full-dimensional and lower-dimensional chambers alike
+    # a full-dimensional chamber has one irredundant H-form, so its rows
+    # are the former LP pass's, in the same order; a lower-dimensional one
+    # is the same cone in canonical form. Every reported row is
+    # irredundant, and for w != 0 the chamber is full-dimensional exactly
+    # when every member of S(w) has r columns
     q, w = case
     assume(effective_cone(q).contains(w))
-    assert chamber_of(q, w).hrep == greedy_lp_hrep(q, w)
+    ch = chamber_of(q, w)
+    greedy = greedy_lp_hrep(q, w)
+    if ch.full_dimensional:
+        assert ch.hrep == greedy
+    else:
+        assert sorted(double_description(q.pic_rank, (), ch.hrep)[1]) == \
+            sorted(double_description(q.pic_rank, (), greedy)[1])
+    for row in ch.hrep:
+        others = [r for r in ch.hrep if r != row]
+        assert separating_functional(others, row, q.pic_rank) is not None
+    if any(w):
+        assert ch.full_dimensional == all(
+            len(subset) == q.pic_rank
+            for subset in caratheodory_supports(q, w))
 
 
 @st.composite
@@ -986,6 +1006,10 @@ def test_fan_checks_against_the_hrep_path(fan):
     assert list(_facet_pairing(fan).items()) == \
         list(hrep_facet_pairing(oracle).items())
     assert is_complete(fan) == hrep_is_complete(oracle)
+    # the tight rays read off the double description's bitmasks are those
+    # of one dot product per (facet, ray), parallel rays included
+    assert [c.facets for c in fan.maximal_cones] == \
+        [dot_facets(c) for c in oracle.maximal_cones]
 
 
 def test_validate_fan_exempts_rays_inside_the_common_cone():
@@ -1141,6 +1165,23 @@ def test_double_description_matches_reference(case):
     d, eqs, ineqs = case
     assert double_description(d, eqs, ineqs) == \
         reference_double_description(d, eqs, ineqs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(integer_systems())
+@example((3, [[0, 0, 0]], [[1, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, 0]]))
+@example((3, [], [[-1, 0, 1], [1, 0, 1], [0, -1, 1], [0, 1, 1], [1, 1, 0]]))
+@example((4, [[1, 1, 0, 0]], [[1, 0, 0, 0], [0, 1, 1, 0], [1, -1, 0, 1],
+                              [0, 0, 1, 1], [-1, 0, 1, 0]]))
+def test_double_description_masks_are_the_tight_rows(case):
+    # the bitmask kept per ray has bit k exactly when the k-th nonzero
+    # inequality vanishes on it, and the rays are double_description's
+    d, eqs, ineqs = case
+    lin, rays, masks = cones._double_description(d, eqs, ineqs)
+    assert (lin, rays) == double_description(d, eqs, ineqs)
+    rows = [a for a in ineqs if any(a)]
+    assert masks == [sum(1 << k for k, a in enumerate(rows)
+                         if dot(a, ray) == 0) for ray in rays]
 
 
 @settings(deadline=None)
