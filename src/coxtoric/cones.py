@@ -2,22 +2,32 @@
 
 Cones are rational; generators (V-form) and constraint normals (H-form) are
 kept as primitive integer vectors, and conversion between the two forms is
-one dual computation. During incremental insertion every ray carries the set
-of already-processed inequality indices it satisfies with equality, kept as
-an int bitmask, which powers the combinatorial adjacency test of Fukuda and
-Prodon: a positive and a negative ray are adjacent when no third ray is
-tight on all of their common rows (`z & meet == meet` holds for the two
-alone). Lineality is handled by pivoting: while some lineality vector meets
-the new constraint, the constraint cuts the lineality space instead of the
-ray list. Every lineality vector and ray is primitive, so one that already
-lies on the new hyperplane is kept as it is, with no arithmetic. The final
-bitmasks are exact, and `_tight_hrep` returns them with an H-form: per
-facet of cone(gens), the generators it vanishes on, which
-`fans.Cone.facets` and `chambers.chamber_of` read with no dot product.
+one dual computation. The equalities are solved once by `exact.int_rref`,
+and the double description starts from its canonical kernel basis: per
+free column, the primitive kernel vector positive there and zero at the
+other free columns. The inequalities are then inserted one at a time.
+Every ray carries the set of already-processed inequality indices it
+satisfies with equality, kept as an int bitmask, which powers the
+combinatorial adjacency test of Fukuda and Prodon ("Double description
+method revisited", 1996): a positive and a negative ray are adjacent when
+no third ray is tight on all of their common rows (`z & meet == meet`
+holds for the two alone). Their rank bound comes first: with m the
+dimension the equalities leave and l the current lineality dimension, two
+adjacent rays span a face of dimension l + 2, so a pair with fewer than
+m - l - 2 common rows is skipped with no scan. Lineality is handled by
+pivoting: while some lineality vector meets the new constraint, the
+constraint cuts the lineality space instead of the ray list. Every
+lineality vector and ray is primitive, so one that already lies on the
+new hyperplane is kept as it is, with no arithmetic. The final bitmasks
+are exact, and `_tight_hrep` returns them with an H-form: per facet of
+cone(gens), the generators it vanishes on, which `fans.Cone.facets` and
+`chambers.chamber_of` read with no dot product.
 
-Integer vectors never become Fractions: `primitive` divides an all-int
-vector by its gcd directly, so the double description runs in machine
-integers and only rational input pays for `fractions.Fraction`.
+Integer vectors never become Fractions: every row enters through
+`primitive`, which checks its entries and divides an all-int vector by its
+gcd directly, so only rational input pays for `fractions.Fraction`. Inside
+the double description every vector is an int tuple, and projections and
+combined rays are normalised by their gcd alone.
 
 Membership is certified with no LP. `separating_functional` reads a
 functional that separates a vector from cone(gens) off one double
@@ -40,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -49,13 +59,18 @@ from .exact import check_rational, dot, int_rref
 Vec = tuple[int, ...]
 
 
+def _reduced(w: Sequence[int]) -> Vec:
+    # an int vector divided by the gcd of its entries
+    g = gcd(*w)
+    return tuple(x // g for x in w) if g > 1 else tuple(w)
+
+
 def primitive(vec: Sequence) -> Vec:
     """Scale a rational vector to primitive integer form, keeping direction.
     Entries must be ints or Fractions; a float or a bool is rejected with
     ValueError instead of being read as its binary expansion."""
     if all(type(x) is int for x in vec):
-        g = gcd(*vec)
-        return tuple(v // g for v in vec) if g > 1 else tuple(vec)
+        return _reduced(vec)
     check_rational(vec)
     fr = [Fraction(x) for x in vec]
     den = 1
@@ -77,7 +92,37 @@ def _project_off(v: Vec, normal: Vec, pivot: Vec, dp: int) -> Vec:
     dv = sum(map(mul, normal, v))
     if not dv:
         return v
-    return primitive(tuple(x * dp - p * dv for x, p in zip(v, pivot)))
+    return _reduced([x * dp - p * dv for x, p in zip(v, pivot)])
+
+
+def _nonzero_rows(dim: int, rows: Sequence[Sequence]) -> list[Vec]:
+    # the primitive forms of the nonzero rows; every row, zero or not, must
+    # have length dim
+    out = []
+    for row in rows:
+        p = primitive(row)
+        if len(p) != dim:
+            raise ValueError("dimension mismatch")
+        if any(p):
+            out.append(p)
+    return out
+
+
+def _kernel_basis(dim: int, rows: list[Vec]) -> list[Vec]:
+    """The canonical basis of {x : r.x = 0 for all rows} from one int_rref:
+    per free column f, in increasing order, the primitive kernel vector
+    that is positive at f and zero at the other free columns."""
+    red, pivots = int_rref(rows)
+    basis = []
+    for f in (c for c in range(dim) if c not in pivots):
+        used = [(row, p) for row, p in zip(red, pivots) if row[f]]
+        scale = lcm(*[row[p] for row, p in used])
+        v = [0] * dim
+        v[f] = scale
+        for row, p in used:
+            v[p] = -row[f] * scale // row[p]
+        basis.append(_reduced(v))
+    return basis
 
 
 def double_description(dim: int,
@@ -87,8 +132,8 @@ def double_description(dim: int,
     {x : e.x = 0 for all equalities, a.x >= 0 for all inequalities}.
 
     Rays are primitive integer vectors, minimal in the sense that each is
-    extreme modulo the lineality space. A nonzero row whose length is not
-    dim raises ValueError.
+    extreme modulo the lineality space. A row whose length is not dim
+    raises ValueError.
     """
     lin, rays, _tight = _double_description(dim, equalities, inequalities)
     return lin, rays
@@ -101,73 +146,66 @@ def _double_description(dim: int, equalities: Sequence[Sequence[int]],
     (lineality basis, rays, masks)."""
     if dim < 1:
         raise ValueError("ambient dimension must be positive")
-    zeros = (0,) * dim
-    lin: list[Vec] = [zeros[:i] + (1,) + zeros[i + 1:] for i in range(dim)]
+    eqs = _nonzero_rows(dim, equalities)
+    ineqs = _nonzero_rows(dim, inequalities)
+    lin = _kernel_basis(dim, eqs)
+    # the dimension of the space the equalities cut out
+    m = len(lin)
     # each ray with the bitmask of the processed inequalities it is tight on
     rays: list[tuple[Vec, int]] = []
 
-    def cut_with(normal: Vec, bit: int) -> None:
-        # bit is 1 << (inequality index), or 0 for an equality
-        nonlocal lin, rays
-        for porig in lin:
+    for k, normal in enumerate(ineqs):
+        bit = 1 << k
+        for i, porig in enumerate(lin):
             ps = sum(map(mul, normal, porig))
             if ps:
-                break
-        else:
-            porig = None
-        if porig is not None:
-            if ps > 0:
-                pivot, dp = porig, ps
-            else:
-                pivot, dp = tuple(-x for x in porig), -ps
-            lin = [_project_off(l, normal, pivot, dp)
-                   for l in lin if l is not porig]
-            rays = [(_project_off(r, normal, pivot, dp), z | bit)
-                    for r, z in rays]
-            if bit:
+                # the constraint cuts the lineality space
+                del lin[i]
+                if ps > 0:
+                    pivot = porig
+                else:
+                    pivot, ps = tuple(-x for x in porig), -ps
+                lin = [_project_off(l, normal, pivot, ps) for l in lin]
+                rays = [(_project_off(r, normal, pivot, ps), z | bit)
+                        for r, z in rays]
                 # the pivot itself survives on the positive side; as former
                 # lineality it is tight on every previously processed row
                 rays.append((pivot, bit - 1))
-            return
-        pos, zero, neg = [], [], []
-        for r, z in rays:
-            s = sum(map(mul, normal, r))
-            if s > 0:
-                pos.append((r, z, s))
-            elif s < 0:
-                neg.append((r, z, s))
-            else:
-                zero.append((r, z | bit))
-        kept = zero + [(r, z) for r, z, _ in pos] if bit else zero
-        combos = []
-        for rp, zp, sp in pos:
-            for rn, zn, sn in neg:
-                # adjacent when no third ray is tight on all of their
-                # common rows
-                meet = zp & zn
-                for r3, z3 in rays:
-                    if z3 & meet == meet and r3 is not rp and r3 is not rn:
-                        break
+                break
+        else:
+            pos, neg, kept = [], [], []
+            for r, z in rays:
+                s = sum(map(mul, normal, r))
+                if s > 0:
+                    pos.append((r, z, s))
+                elif s < 0:
+                    neg.append((r, z, s))
                 else:
-                    w = primitive(
-                        tuple(sp * b - sn * a for a, b in zip(rp, rn)))
-                    combos.append((w, meet | bit))
-        rays = kept + combos
-
-    for e in equalities:
-        en = primitive(e)
-        if any(en):
-            if len(en) != dim:
-                raise ValueError("dimension mismatch")
-            cut_with(en, 0)
-    count = 0
-    for a in inequalities:
-        an = primitive(a)
-        if any(an):
-            if len(an) != dim:
-                raise ValueError("dimension mismatch")
-            cut_with(an, 1 << count)
-            count += 1
+                    kept.append((r, z | bit))
+            kept += [(r, z) for r, z, _ in pos]
+            # two adjacent rays span a face of dimension len(lin) + 2, so
+            # the rows tight on both have rank m - len(lin) - 2 (Fukuda and
+            # Prodon); a pair sharing fewer rows is not adjacent
+            need = m - len(lin) - 2
+            masks = [z for _, z in rays]
+            for rp, zp, sp in pos:
+                for rn, zn, sn in neg:
+                    meet = zp & zn
+                    if meet.bit_count() < need:
+                        continue
+                    # adjacent when no third ray is tight on all of their
+                    # common rows: only the two themselves cover the meet
+                    covers = 0
+                    for z3 in masks:
+                        if z3 & meet == meet:
+                            covers += 1
+                            if covers == 3:
+                                break
+                    else:
+                        kept.append((_reduced([sp * b - sn * a
+                                               for a, b in zip(rp, rn)]),
+                                     meet | bit))
+            rays = kept
 
     return lin, [r for r, _ in rays], [z for _, z in rays]
 

@@ -314,7 +314,13 @@ def _search_supports(q: DegreeMatrix, d, h, vertices) -> tuple[Support, ...]:
     hefts = [dot(h, col) for col in q.columns]
 
     def heft_of(mask: int) -> int:
-        return sum(x for j, x in enumerate(hefts) if mask >> j & 1)
+        # walks the set bits only, lowest first
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += hefts[low.bit_length() - 1]
+            mask ^= low
+        return total
 
     members = {sum(1 << j for j in s): s for s in vertices}
     masks = [s for s in members if heft_of(s) <= budget]

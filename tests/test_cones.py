@@ -96,7 +96,11 @@ def test_equality_cut():
     (3, [(1, 0, 0, 1)], ()),
     # no lineality and no ray is left for the short row to meet
     (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 1)]),
-], ids=["inequality", "equality", "after-the-origin"])
+    # a zero row is checked like any other
+    (3, [(0, 0)], ()),
+    (3, (), [(0, 0, 0, 0)]),
+], ids=["inequality", "equality", "after-the-origin", "zero-equality",
+        "zero-inequality"])
 def test_double_description_rejects_rows_of_wrong_length(dim, eqs, ineqs):
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         double_description(dim, eqs, ineqs)

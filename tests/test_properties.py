@@ -75,7 +75,8 @@ from test_fans import (CUBE_FACES, CUBE_RAYS, DOUBLY_WOUND_CONES,  # noqa: E402
                        lp_member, pair_lp_report, pair_lp_validate)
 from test_linprog import (fm_feasible, fraction_lp_feasible,  # noqa: E402
                           sys_of)
-from test_monomials import dp4_columns, set_search_supports  # noqa: E402
+from test_monomials import (dp3_columns, dp4_columns,  # noqa: E402
+                            set_search_supports)
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -1150,6 +1151,49 @@ def integer_systems(draw):
     return d, eqs, ineqs
 
 
+def fibre_system(columns, w):
+    """The system {(lambda, t) >= 0 : Q lambda = t w} whose rays with
+    t > 0 fibre_vertices reads: (dim, equalities, inequalities)."""
+    n = len(columns)
+    eqs = [list(row) + [-x] for row, x in zip(zip(*columns), w)]
+    units = [[int(i == j) for i in range(n + 1)] for j in range(n + 1)]
+    return n + 1, eqs, units
+
+
+_BUNDLED = delpezzo4()
+# the fibres of the bundled grading at its ample class and at -K, and of
+# the 16-line dP4 and the 27-line dP3 at -K (56 and 621 rays)
+FIBRE_SYSTEMS = (
+    fibre_system(_BUNDLED.degrees.columns, _BUNDLED.ample),
+    fibre_system(_BUNDLED.degrees.columns, _BUNDLED.anti_canonical),
+    fibre_system(dp4_columns(), (3, -1, -1, -1, -1, -1)),
+    fibre_system(dp3_columns(), (3, -1, -1, -1, -1, -1, -1)),
+)
+# repeated, scaled (also by Fractions) and dependent equalities, and
+# equalities of full rank, which leave no lineality and no ray
+EQUALITY_SYSTEMS = (
+    (4, [[1, -1, 0, 0], [1, -1, 0, 0]],
+     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, -1, 1]]),
+    (4, [[2, 0, -2, 4], [-1, 0, 1, -2],
+         [Fraction(1, 2), 0, Fraction(-1, 2), 1]],
+     [[1, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, -1]]),
+    (5, [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [1, 2, 1, 0, 0]],
+     [[1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, -1, 1], [0, 1, 0, 0, 1]]),
+    (3, [[1, 0, 1], [0, 1, -1], [1, 1, 1]], [[1, 0, 0], [0, 1, 1]]),
+    (4, [[0, 2, 0, 1], [3, 0, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]], []),
+)
+
+
+def with_examples(cases):
+    """Add each case as a hypothesis @example of the test."""
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+    return decorate
+
+
+@with_examples(FIBRE_SYSTEMS + EQUALITY_SYSTEMS)
 @settings(deadline=None, max_examples=300)
 @given(integer_systems())
 @example((1, [], []))
@@ -1167,6 +1211,7 @@ def test_double_description_matches_reference(case):
         reference_double_description(d, eqs, ineqs)
 
 
+@with_examples(FIBRE_SYSTEMS + EQUALITY_SYSTEMS)
 @settings(deadline=None, max_examples=300)
 @given(integer_systems())
 @example((3, [[0, 0, 0]], [[1, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, 0]]))
