@@ -20,20 +20,21 @@ k + 1 would do. The rays, the equalities and each facet row are replayed
 with integer dot products and ranks.
 
 Chamber equality at a fixed saturation depth is decided through the
-irrelevant radicals, whose search decides each member of S(w) by its fibre
-vertex and needs no constraint form for it (see monomials)."""
+public monomials.irrelevant_radical, once per class, whose search decides
+each member of S(w) by its fibre vertex and needs no constraint form for
+it (see monomials)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import (RationalCone, _tight_hrep, double_description, primitive,
-                    separating_functional)
+from .cones import (RationalCone, double_description, generators_to_hrep,
+                    primitive, separating_functional)
 from .exact import dot, int_rref, int_vector, rank
 from .grading import DegreeMatrix
 from .monomials import GuardExceeded  # noqa: F401  (re-exported)
-from .monomials import (_checked_heft, _radical, _subset_hrep,
-                        caratheodory_supports, fibre_vertices)
+from .monomials import (_subset_hrep, caratheodory_supports, fibre_vertices,
+                        irrelevant_radical)
 
 Vec = tuple[int, ...]
 
@@ -108,11 +109,12 @@ def chamber_of(q: DegreeMatrix, w) -> Chamber:
     equalities: set[Vec] = set()
     inequalities: set[Vec] = set()
     for subset in subsets:
-        eqs, ineqs = _subset_hrep(q, subset)
+        eqs, ineqs, _ = _subset_hrep(q, subset)
         equalities.update(map(primitive, eqs))
         inequalities.update(map(primitive, ineqs))
-    lin, rays = double_description(r, sorted(equalities), sorted(inequalities))
-    perp, _normals, masks = _tight_hrep(r, rays)
+    lin, rays, _ = double_description(r, sorted(equalities),
+                                      sorted(inequalities))
+    perp, _normals, masks = generators_to_hrep(r, rays)
     basis = [primitive(e) for e in int_rref(list(perp))[0]]
     dim = r - len(basis)
 
@@ -146,19 +148,17 @@ def same_chamber(q: DegreeMatrix, w1, w2, depth: int = 1, heft=None,
     """Whether w1 and w2 produce identical irrelevant radicals at the given
     saturation depth. With check_stable=True the depth+1 radicals are
     compared as well and instability is reported. The depth is checked
-    before any S(w) is asked for. The fibre vertices of each class, whose
-    supports are S(w), find a class outside the effective cone, and every
-    layer of the radical reads its supports and member verdicts off them."""
+    before any S(w) is asked for, and the fibre vertices of each class,
+    whose supports are S(w), find a class outside the effective cone. Each
+    class then goes to irrelevant_radical, whose layers read their
+    supports and member verdicts off the same cached vertices."""
     if depth < 1:
         raise ValueError("saturation depth must be at least 1")
-    vertices = []
     for w in (w1, w2):
-        vertices.append(fibre_vertices(q, w))
-        if not vertices[-1]:
+        if not fibre_vertices(q, w):
             raise ValueError("class outside the effective cone")
-    h = _checked_heft(q, heft)
-    rad1, rad2 = (_radical(q, int_vector(w, "class"), depth, h, check_stable,
-                           v) for w, v in zip((w1, w2), vertices))
+    rad1, rad2 = (irrelevant_radical(q, w, depth, heft, check_stable)
+                  for w in (w1, w2))
     if check_stable:
         return SameChamberResult(rad1[0] == rad2[0], rad1[1] and rad2[1])
     return SameChamberResult(rad1 == rad2, None)

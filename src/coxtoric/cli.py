@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import cache
@@ -734,10 +735,16 @@ def main(argv=None) -> int:
         # program, not a failed check
         print(f"internal error: {e}", file=sys.stderr)
         return 4
-    if args.as_json:
-        sys.stdout.write(_dumps(payload))
-    else:
-        print("\n".join(lines))
+    try:
+        if args.as_json:
+            sys.stdout.write(_dumps(payload))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; the checks' verdict stands, and
+        # fd 1 goes to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -19,8 +19,9 @@ pivoting: while some lineality vector meets the new constraint, the
 constraint cuts the lineality space instead of the ray list. Every
 lineality vector and ray is primitive, so one that already lies on the
 new hyperplane is kept as it is, with no arithmetic. The final bitmasks
-are exact, and `_tight_hrep` returns them with an H-form: per facet of
-cone(gens), the generators it vanishes on, which `fans.Cone.facets` and
+are exact: `double_description` returns them with the rays, and
+`generators_to_hrep` with the facets, as per facet of cone(gens) the
+generators it vanishes on, which `fans.Cone.facets` and
 `chambers.chamber_of` read with no dot product.
 
 Integer vectors never become Fractions: every row enters through
@@ -128,22 +129,14 @@ def _kernel_basis(dim: int, rows: list[Vec]) -> list[Vec]:
 def double_description(dim: int,
                        equalities: Sequence[Sequence[int]] = (),
                        inequalities: Sequence[Sequence[int]] = ()):
-    """Generator form (lineality basis, extreme rays) of the cone
+    """Generator form (lineality basis, extreme rays, masks) of the cone
     {x : e.x = 0 for all equalities, a.x >= 0 for all inequalities}.
 
     Rays are primitive integer vectors, minimal in the sense that each is
-    extreme modulo the lineality space. A row whose length is not dim
-    raises ValueError.
+    extreme modulo the lineality space. Per ray, the mask has bit k when
+    the k-th nonzero inequality vanishes on it. A row whose length is not
+    dim raises ValueError.
     """
-    lin, rays, _tight = _double_description(dim, equalities, inequalities)
-    return lin, rays
-
-
-def _double_description(dim: int, equalities: Sequence[Sequence[int]],
-                        inequalities: Sequence[Sequence[int]]):
-    """double_description with, per ray, the bitmask of the nonzero
-    inequalities it is tight on (bit k for the k-th nonzero inequality):
-    (lineality basis, rays, masks)."""
     if dim < 1:
         raise ValueError("ambient dimension must be positive")
     eqs = _nonzero_rows(dim, equalities)
@@ -211,19 +204,13 @@ def _double_description(dim: int, equalities: Sequence[Sequence[int]],
 
 
 def generators_to_hrep(dim: int, gens: Sequence[Sequence[int]]):
-    """Constraint form (equalities, inequalities) of cone(gens): the dual
-    cone's lineality gives the equalities, its rays give the facets. Zero
+    """Constraint form (equalities, facets, masks) of cone(gens): the dual
+    cone's lineality gives the equalities, its rays give the facets, and
+    per facet the mask has bit k when the facet vanishes on the k-th
+    nonzero generator, as the double description tracked it. Zero
     generators cut nothing: double_description skips them."""
-    lin, rays = double_description(dim, inequalities=gens)
-    return tuple(lin), tuple(rays)
-
-
-def _tight_hrep(dim: int, gens: Sequence[Sequence[int]]):
-    """generators_to_hrep with, per facet, the bitmask of the nonzero
-    generators it vanishes on (bit k for the k-th nonzero generator), as
-    the double description tracked them: (equalities, facets, masks)."""
-    lin, rays, tight = _double_description(dim, (), gens)
-    return tuple(lin), tuple(rays), tuple(tight)
+    lin, rays, masks = double_description(dim, (), gens)
+    return tuple(lin), tuple(rays), tuple(masks)
 
 
 def separating_functional(gens: Sequence[Sequence], v: Sequence,
@@ -239,7 +226,7 @@ def separating_functional(gens: Sequence[Sequence], v: Sequence,
     if len(v) != dim or any(len(g) != dim for g in gens):
         raise ValueError("target and generators must have length dim")
     target = primitive(v)
-    eqs, ineqs = generators_to_hrep(dim, gens)
+    eqs, ineqs, _ = generators_to_hrep(dim, gens)
     rows = (*eqs, *(tuple(-c for c in e) for e in eqs), *ineqs)
     x = next((a for a in rows if dot(a, target) < 0), None)
     if x is None:
@@ -263,7 +250,7 @@ def cone_member(gens: Sequence[Sequence[int]], target: Sequence, dim: int) -> bo
     k = len(gens)
     eqs = [tuple(g[i] for g in gens) + (-target[i],) for i in range(dim)]
     units = [tuple(int(i == j) for i in range(k + 1)) for j in range(k + 1)]
-    _, rays = double_description(k + 1, eqs, units)
+    _, rays, _ = double_description(k + 1, eqs, units)
     lam = next((r for r in rays if r[k] > 0), None)
     if lam is None or min(lam) < 0 or any(dot(e, lam) for e in eqs):
         raise RuntimeError("cone membership witness failed replay")
@@ -298,7 +285,7 @@ class RationalCone:
     def _hrep_with_tight(self):
         """The H-form with, per facet, the bitmask of the generators it
         vanishes on (bit k for generator k), from one double description."""
-        return _tight_hrep(self.dim, self.generators)
+        return generators_to_hrep(self.dim, self.generators)
 
     @cached_property
     def _independent(self) -> bool:

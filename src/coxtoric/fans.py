@@ -264,7 +264,7 @@ def validate_fan(fan: Fan, support_function=None) -> Verdict:
 
     def separated(common: list[Vec], sides: list[tuple[Vec, int]]) -> bool:
         rows = [tuple(s * x for x in r) for r, s in sides]
-        _lin, rays = double_description(d, common, rows)
+        _lin, rays, _ = double_description(d, common, rows)
         h = [sum(col) for col in zip(*rays)] or [0] * d
         if any(dot(h, c) for c in common) or any(dot(h, r) < 0 for r in rows):
             raise RuntimeError("pair separator failed replay")

@@ -30,13 +30,14 @@ memory; chambers.chamber_of reads its column cones from the same cache.
 No question here goes to an LP, and none to a rank: the heft is the
 primitive sum of the facet normals of the effective cone, read off its
 constraint form (cached like the enumerator's cones), and the grading is
-positive exactly when that heft is at least 1 on every column.
+positive exactly when that heft is at least 1 on every column. The heft
+is kept per grading, so a caller that passes none derives it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
 from types import MappingProxyType
 
@@ -101,6 +102,7 @@ def minimal_antichain(supports) -> tuple[Support, ...]:
                         key=lambda s: (len(s), s)))
 
 
+@cache
 def derive_heft(q: DegreeMatrix) -> tuple[int, ...]:
     """An integer functional taking value >= 1 on every generator degree.
 
@@ -109,7 +111,8 @@ def derive_heft(q: DegreeMatrix) -> tuple[int, ...]:
     facet normals of Eff, a point of the relative interior of the dual
     cone: it is positive on every column exactly when such a functional
     exists, and then at least 1 on every integer column. Otherwise
-    ValueError("grading not positive") is raised.
+    ValueError("grading not positive") is raised. The heft is cached per
+    grading for the whole process.
     """
     facets = _subset_hrep(q, tuple(range(q.num_gens)))[1]
     heft = primitive([sum(a[i] for a in facets) for i in range(q.pic_rank)])
@@ -164,7 +167,7 @@ def _exponents(q: DegreeMatrix, d, h, idx: tuple[int, ...]):
     def member(i: int, v: list[int]) -> bool:
         if hreps[i] is None:
             hreps[i] = _subset_hrep(q, idx[i:])
-        eqs, ineqs = hreps[i]
+        eqs, ineqs, _ = hreps[i]
         return all(dot(e, v) == 0 for e in eqs) and \
             all(dot(a, v) >= 0 for a in ineqs)
 
@@ -219,7 +222,7 @@ def fibre_vertices(q: DegreeMatrix, w) -> MappingProxyType:
         eqs = [row + (-x,) for row, x in zip(zip(*q.columns), key[1])]
         units = [tuple(int(i == j) for i in range(n + 1))
                  for j in range(n + 1)]
-        _, rays = double_description(n + 1, eqs, units)
+        _, rays, _ = double_description(n + 1, eqs, units)
         found = {tuple(j for j in range(n) if r[j]): r for r in rays if r[n]}
         vertices = _VERTICES[key] = MappingProxyType(
             {s: found[s] for s in sorted(found, key=lambda s: (len(s), s))})
@@ -241,7 +244,7 @@ def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Supp
     if len(d) != q.pic_rank:
         raise ValueError("degree has wrong length")
     h = _checked_heft(q, heft)
-    return _minimal_supports(q, d, h, fibre_vertices(q, d))
+    return _minimal_supports(q, d, h)
 
 
 # minimal supports per (grading, degree), kept for the whole process like
@@ -249,19 +252,20 @@ def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Supp
 _LAYERS: dict[tuple[DegreeMatrix, tuple[int, ...]], tuple[Support, ...]] = {}
 
 
-def _minimal_supports(q: DegreeMatrix, d, h, vertices) -> tuple[Support, ...]:
-    """minimal_supports_of_degree for a checked degree and heft, given
-    fibre_vertices(q, w) for any class w with d = k w, k >= 1: the fiber
-    over k w is k times the fiber over w, so S(k w) = S(w).
+def _minimal_supports(q: DegreeMatrix, d, h) -> tuple[Support, ...]:
+    """minimal_supports_of_degree for a checked degree and heft.
 
-    The result is cached per (q, d) in _LAYERS as an immutable tuple. The
+    The result is cached per (q, d) in _LAYERS as an immutable tuple; only
+    a miss reads fibre_vertices(q, d), itself cached per primitive class,
+    since the fiber over k w is k times the fiber over w. The
     heft is not part of the key: it only bounds each exponent by the heft
     budget, which no monomial of degree d exceeds under any heft positive
     on the grading, so the supports depend on q and d alone."""
     key = (q, tuple(d))
     layer = _LAYERS.get(key)
     if layer is None:
-        layer = _LAYERS[key] = _search_supports(q, key[1], h, vertices)
+        layer = _LAYERS[key] = _search_supports(q, key[1], h,
+                                                fibre_vertices(q, d))
     return layer
 
 
@@ -379,22 +383,12 @@ def irrelevant_radical(q: DegreeMatrix, degree, depth: int = 1, heft=None,
     h = _checked_heft(q, heft)
     if len(d) != q.pic_rank:
         raise ValueError("degree has wrong length")
-    return _radical(q, d, depth, h, check_stable, fibre_vertices(q, d))
-
-
-def _radical(q: DegreeMatrix, d, depth: int, h, check_stable: bool,
-             vertices):
-    """irrelevant_radical for a checked degree and heft, given
-    fibre_vertices(q, d): every layer j d has the same S and the same
-    primitive rays (see _minimal_supports)."""
     layers: list[Support] = []
     for j in range(1, depth + 1):
-        layers.extend(_minimal_supports(q, tuple(j * x for x in d), h,
-                                        vertices))
+        layers.extend(_minimal_supports(q, tuple(j * x for x in d), h))
     ideal = SquarefreeIdeal(minimal_antichain(layers))
     if not check_stable:
         return ideal
-    layers.extend(_minimal_supports(q, tuple((depth + 1) * x for x in d), h,
-                                    vertices))
+    layers.extend(_minimal_supports(q, tuple((depth + 1) * x for x in d), h))
     stable = SquarefreeIdeal(minimal_antichain(layers)) == ideal
     return ideal, stable

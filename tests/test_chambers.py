@@ -13,8 +13,7 @@ from coxtoric.exact import dot
 from coxtoric.fans import fan_from_irrelevant
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual
 from coxtoric.linprog import lp_feasible
-from coxtoric.monomials import (caratheodory_supports, fibre_vertices,
-                                irrelevant_radical)
+from coxtoric.monomials import caratheodory_supports, irrelevant_radical
 from test_monomials import dp3_columns
 
 
@@ -32,8 +31,9 @@ def chamber_oracle(q, w):
                     rows.append(e)
                     rows.append(tuple(-x for x in e))
                 rows.extend(ineqs)
-    return double_description(q.pic_rank, (),
-                              tuple(dict.fromkeys(rows)))
+    lin, rays, _ = double_description(q.pic_rank, (),
+                                      tuple(dict.fromkeys(rows)))
+    return lin, rays
 
 
 def greedy_lp_hrep(q, w):
@@ -47,8 +47,8 @@ def greedy_lp_hrep(q, w):
         subsets = [(j,) for j in range(q.num_gens)]
     rows = set()
     for subset in subsets:
-        eqs, ineqs = generators_to_hrep(q.pic_rank,
-                                        [q.columns[j] for j in subset])
+        eqs, ineqs, _ = generators_to_hrep(q.pic_rank,
+                                           [q.columns[j] for j in subset])
         rows.update(primitive(e) for e in eqs)
         rows.update(primitive(tuple(-x for x in e)) for e in eqs)
         rows.update(primitive(a) for a in ineqs)
@@ -68,7 +68,7 @@ def test_effective_cone_small():
     assert sorted(ineqs) == [(0, 1), (1, 0)]
     p2 = DegreeMatrix.make([(1,), (1,), (1,)])
     eff = effective_cone(p2)
-    assert double_description(eff.dim, *eff.hrep) == ([], [(1,)])
+    assert double_description(eff.dim, *eff.hrep) == ([], [(1,)], [0])
 
 
 def test_effective_cone_delpezzo_interior():
@@ -122,7 +122,7 @@ def test_chamber_walls_and_interiors():
     wall = chamber_of(q, (1, 1))
     assert not wall.full_dimensional
     # the wall chamber is exactly the ray through (1,1)
-    lin, rays = double_description(2, (), wall.hrep)
+    lin, rays, _ = double_description(2, (), wall.hrep)
     assert lin == [] and rays == [(1, 1)]
 
 
@@ -150,8 +150,8 @@ def test_chamber_inside_effective_cone():
 def same_cone(rows_a, rows_b, dim):
     """Whether two homogeneous inequality systems cut out the same cone:
     one double description of each gives the same generator form."""
-    lin_a, rays_a = double_description(dim, (), rows_a)
-    lin_b, rays_b = double_description(dim, (), rows_b)
+    lin_a, rays_a, _ = double_description(dim, (), rows_a)
+    lin_b, rays_b, _ = double_description(dim, (), rows_b)
     return lin_a == lin_b == [] and sorted(rays_a) == sorted(rays_b)
 
 
@@ -276,29 +276,6 @@ def test_chamber_questions_lp_budget(monkeypatch):
     assert calls == []
 
 
-def test_support_sets_computed_once_per_class(monkeypatch):
-    # S(k w) = S(w), so same_chamber reads every layer of both radicals off
-    # the two vertex maps of its effective-cone check, and
-    # irrelevant_radical off one, at every depth
-    dp = delpezzo4()
-    q = dp.degrees
-    seen = []
-
-    def counted(q, w):
-        seen.append(tuple(w))
-        return fibre_vertices(q, w)
-
-    monkeypatch.setattr(chambers, "fibre_vertices", counted)
-    monkeypatch.setattr(monomials, "fibre_vertices", counted)
-    doubled = tuple(2 * x for x in dp.ample)
-    result = same_chamber(q, dp.ample, doubled, depth=2, check_stable=True)
-    assert result.same and result.stable
-    assert seen == [dp.ample, doubled]
-    seen.clear()
-    irrelevant_radical(q, dp.anti_canonical, depth=2, check_stable=True)
-    assert seen == [dp.anti_canonical]
-
-
 def counted_support_dds(monkeypatch):
     """Empty the S(w) cache and count the double descriptions of
     fibre_vertices, the only caller of double_description in
@@ -313,6 +290,22 @@ def counted_support_dds(monkeypatch):
 
     monkeypatch.setattr(monomials, "double_description", counted)
     return calls
+
+
+def test_support_sets_computed_once_per_class(monkeypatch):
+    # S(k w) = S(w), so same_chamber reads every layer of both radicals off
+    # the one S of its effective-cone check, and irrelevant_radical off
+    # one more, at every depth, with the layer cache emptied
+    dp = delpezzo4()
+    q = dp.degrees
+    calls = counted_support_dds(monkeypatch)
+    monkeypatch.setattr(monomials, "_LAYERS", {})
+    doubled = tuple(2 * x for x in dp.ample)
+    result = same_chamber(q, dp.ample, doubled, depth=2, check_stable=True)
+    assert result.same and result.stable
+    assert len(calls) == 1
+    irrelevant_radical(q, dp.anti_canonical, depth=2, check_stable=True)
+    assert len(calls) == 2
 
 
 def test_reproduce_paper_computes_two_support_sets(monkeypatch, capsys):
@@ -352,6 +345,7 @@ def test_same_chamber_reuses_the_cone_hreps_of_chamber_of(monkeypatch):
     monkeypatch.setattr(monomials, "_VERTICES", {})
     monkeypatch.setattr(monomials, "_LAYERS", {})
     monomials._subset_hrep.cache_clear()
+    monomials.derive_heft.cache_clear()
     misses = []
     real = monomials.generators_to_hrep
 
@@ -431,7 +425,7 @@ def test_dp3_anticanonical_chamber_is_the_ray_through_minus_k(monkeypatch):
     ch = chamber_of(DegreeMatrix.make(dp3_columns()), minus_k)
     assert ch.full_dimensional is False
     assert len(ch.hrep) == 13
-    lin, rays = double_description(7, (), ch.hrep)
+    lin, rays, _ = double_description(7, (), ch.hrep)
     assert lin == [] and rays == [minus_k]
     equalities = [row for row in ch.hrep
                   if tuple(-x for x in row) in ch.hrep]
@@ -448,8 +442,8 @@ def test_separating_functional_replay_failure(monkeypatch):
     real = cones.generators_to_hrep
 
     def bogus(dim, gens):
-        eqs, ineqs = real(dim, gens)
-        return eqs, tuple(tuple(-x for x in g) for g in gens) + ineqs
+        eqs, ineqs, masks = real(dim, gens)
+        return eqs, tuple(tuple(-x for x in g) for g in gens) + ineqs, masks
 
     monkeypatch.setattr(cones, "generators_to_hrep", bogus)
     with pytest.raises(RuntimeError,
@@ -464,8 +458,8 @@ def test_chamber_replay_failure(monkeypatch, capsys):
     real = chambers.double_description
 
     def bogus(dim, equalities=(), inequalities=()):
-        lin, rays = real(dim, equalities, inequalities)
-        return lin, [tuple(-x for x in inequalities[0])] + rays
+        lin, rays, masks = real(dim, equalities, inequalities)
+        return lin, [tuple(-x for x in inequalities[0])] + rays, [0] + masks
 
     monkeypatch.setattr(chambers, "double_description", bogus)
     dp = delpezzo4()

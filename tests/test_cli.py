@@ -2,7 +2,11 @@ import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from coxtoric.exact import IntMat, dot, kernel_lattice
 from coxtoric.grading import DegreeMatrix, delpezzo4
 from coxtoric.monomials import fibre_vertices, irrelevant_radical
 from test_chambers import same_cone
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, argv):
@@ -456,6 +462,20 @@ def test_guard_exceeded_exit_code(tmp_path, capsys):
     for degree in ("-1", "0"):
         code, _, err = run(capsys, ["chamber", str(wide), "--degree", degree])
         assert code == 3 and "too large" in err, degree
+
+
+def test_closed_stdout_is_not_a_check_failure():
+    # a reader that closes the pipe before the report is written (as
+    # `| head -1` does) leaves the checks' exit code, with no traceback
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coxtoric.cli", "reproduce-paper", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize("source, degree, compare, message", [

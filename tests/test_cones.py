@@ -44,7 +44,7 @@ def test_membership_rejects_floats_and_bools(vec):
 
 
 def test_quadrant_hrep():
-    eqs, ineqs = generators_to_hrep(2, [(1, 0), (0, 1)])
+    eqs, ineqs, _ = generators_to_hrep(2, [(1, 0), (0, 1)])
     assert eqs == ()
     assert set(ineqs) == {(1, 0), (0, 1)}
 
@@ -54,7 +54,7 @@ def test_halfplane_has_lineality():
     eqs, ineqs = c.hrep
     assert eqs == ()
     assert set(ineqs) == {(0, 1)}
-    lin, rays = double_description(c.dim, *c.hrep)
+    lin, rays, _ = double_description(c.dim, *c.hrep)
     assert len(lin) == 1 and lin[0][1] == 0
     assert not c.is_pointed
 
@@ -63,7 +63,7 @@ def test_full_space_and_origin():
     full = RationalCone.from_generators(
         [(1, 0), (-1, 0), (0, 1), (0, -1)], dim=2)
     assert full.hrep == ((), ())
-    lin, rays = double_description(full.dim, *full.hrep)
+    lin, rays, _ = double_description(full.dim, *full.hrep)
     assert len(lin) == 2 and rays == []
 
     origin = RationalCone.from_generators([], dim=2)
@@ -76,7 +76,7 @@ def test_full_space_and_origin():
 def test_interior_generator_not_extreme():
     gens = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)]
     c = RationalCone.from_generators(gens, dim=3)
-    lin, rays = double_description(c.dim, *c.hrep)
+    lin, rays, _ = double_description(c.dim, *c.hrep)
     assert lin == [] and set(rays) == set(gens[:4])
     eqs, ineqs = c.hrep
     assert eqs == () and len(ineqs) == 4
@@ -84,7 +84,7 @@ def test_interior_generator_not_extreme():
 
 def test_equality_cut():
     # octant sliced by x = y
-    lin, rays = double_description(
+    lin, rays, _ = double_description(
         3, equalities=[(1, -1, 0)],
         inequalities=[(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert lin == []
@@ -154,8 +154,8 @@ def test_cone_member_replay_failure(monkeypatch, corrupt):
     real = cones.double_description
 
     def corrupted(dim, equalities=(), inequalities=()):
-        lin, rays = real(dim, equalities, inequalities)
-        return lin, [corrupt(r) for r in rays] if equalities else rays
+        lin, rays, masks = real(dim, equalities, inequalities)
+        return lin, [corrupt(r) for r in rays] if equalities else rays, masks
 
     monkeypatch.setattr(cones, "double_description", corrupted)
     with pytest.raises(RuntimeError,
@@ -221,7 +221,7 @@ def test_random_round_trip():
             assert all(dot(e, g) == 0 for e in eqs)
             assert all(dot(a, g) >= 0 for a in ineqs)
         # the recovered generator form spans the same cone
-        lin, rays = double_description(c.dim, *c.hrep)
+        lin, rays, _ = double_description(c.dim, *c.hrep)
         back = list(rays) + list(lin) + [tuple(-x for x in l) for l in lin]
         for g in c.generators:
             assert cone_member(back, g, dim=d)

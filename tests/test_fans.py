@@ -481,12 +481,10 @@ def counted_exact_calls(monkeypatch, name):
 
 
 def counted_hreps(monkeypatch):
-    """The list of H-forms built: calls of generators_to_hrep and of
-    cones._tight_hrep, which also keeps each facet's tight generators for
-    RationalCone and chamber_of. Neither calls the other."""
-    calls = counted_exact_calls(monkeypatch, "generators_to_hrep")
-    tight = counted_exact_calls(monkeypatch, "_tight_hrep")
-    return calls, tight
+    """The list of H-forms built: the calls of generators_to_hrep, the one
+    H-form function, which RationalCone, chamber_of and the column-cone
+    cache all call."""
+    return counted_exact_calls(monkeypatch, "generators_to_hrep")
 
 
 def test_reproduce_paper_radical_search_solves_nothing(monkeypatch):
@@ -524,14 +522,15 @@ def test_reproduce_paper_ranks_few_matrices(monkeypatch):
 
 def test_reproduce_paper_makes_few_hreps(monkeypatch):
     # cones of independent rays build no H-form: at most 21 double
-    # descriptions through generators_to_hrep or _tight_hrep (75 when every
-    # fan cone had one), with the S(w), layer and column-cone caches emptied
+    # descriptions through generators_to_hrep (75 when every fan cone had
+    # one), with the S(w), layer, column-cone and heft caches emptied
     monkeypatch.setattr(monomials, "_LAYERS", {})
     monkeypatch.setattr(monomials, "_VERTICES", {})
     monomials._subset_hrep.cache_clear()
-    calls, tight = counted_hreps(monkeypatch)
+    monomials.derive_heft.cache_clear()
+    calls = counted_hreps(monkeypatch)
     assert reproduce_paper_report()["overall"]
-    assert len(calls) + len(tight) <= 21
+    assert len(calls) <= 21
 
 
 @pytest.mark.parametrize("make_ideal, attr, hreps", [
@@ -546,10 +545,10 @@ def test_bundled_fans_build_an_hrep_per_dependent_cone(
     dp = delpezzo4()
     gale, ideal = gale_dual(dp.degrees), make_ideal()
     vertices = fibre_vertices(dp.degrees, getattr(dp, attr))
-    calls, tight = counted_hreps(monkeypatch)
+    calls = counted_hreps(monkeypatch)
     fan = fan_from_irrelevant(gale, ideal)
     report = fan_report(fan, fibre_support(fan, ideal, vertices))
-    assert len(calls) + len(tight) == hreps
+    assert len(calls) == hreps
     assert report["valid"] and report["complete"] and report["projective"]
     # every cone is full-dimensional, so dependent means more than d rays
     assert sum(len(c.rays) > fan.ambient_dim
@@ -655,8 +654,8 @@ def test_pair_separator_replay_failure(monkeypatch, corrupt):
     real = fans.double_description
 
     def corrupted(dim, equalities=(), inequalities=()):
-        lin, rays = real(dim, equalities, inequalities)
-        return lin, corrupt(rays, equalities)
+        lin, rays, masks = real(dim, equalities, inequalities)
+        return lin, corrupt(rays, equalities), masks
 
     monkeypatch.setattr(fans, "double_description", corrupted)
     with pytest.raises(RuntimeError, match="^pair separator failed replay$"):
