@@ -4,7 +4,10 @@ Each subcommand loads a degree matrix (a JSON file or a built-in dataset),
 runs one pipeline stage, and prints either a human summary or the exact
 JSON report (--json). reproduce-paper chains every stage over the bundled
 del Pezzo dataset and folds the per-check verdicts into a single run
-report.
+report. One table, _COMMANDS, declares each command's help, arguments and
+handler. A run that names its command builds only that command's parser;
+the full argparse tree is built only for top-level help, --version and
+usage errors, whose bytes it keeps.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or input error,
 3 computational guard exceeded, 4 internal error (a witness or certificate
@@ -620,78 +623,91 @@ def _add_io_arguments(sp, datasets=("delpezzo4", "p2", "p1xp1")) -> None:
                     help="use a built-in dataset instead of a file")
 
 
+def _add_saturate(sp, help="saturation depth (default 1)") -> None:
+    sp.add_argument("--saturate", type=integer, default=1, metavar="K",
+                    help=help)
+
+
+def _gale_arguments(sp) -> None:
+    _add_io_arguments(sp)
+    sp.add_argument("--reference",
+                    help="'paper-AT' or a JSON file of kernel rows")
+
+
+def _degree_arguments(sp) -> None:
+    _add_io_arguments(sp)
+    sp.add_argument("--degree", help="comma-separated multidegree")
+
+
+def _saturated_degree_arguments(sp) -> None:
+    _degree_arguments(sp)
+    _add_saturate(sp)
+
+
+def _chamber_arguments(sp) -> None:
+    _degree_arguments(sp)
+    sp.add_argument("--compare", metavar="CLASS",
+                    help="second class to test for chamber equality")
+    _add_saturate(sp, help="saturation depth for --compare (default 1)")
+
+
+def _embed_arguments(sp) -> None:
+    _add_io_arguments(sp, datasets=("delpezzo4",))
+
+
+def _incidence_arguments(sp) -> None:
+    sp.add_argument("mode", choices=("verify-paper", "search"))
+    sp.add_argument("--seed", type=integer, default=1,
+                    help="solver seed (default 1)")
+    sp.add_argument("--max-tries", type=integer, default=100,
+                    help="attempt budget (default 100)")
+
+
+# command -> (help, function that adds its arguments, handler)
+_COMMANDS = {
+    "gale": ("rays of the toric one-skeleton", _gale_arguments, cmd_gale),
+    "basis": ("monomials of one multidegree", _degree_arguments, cmd_basis),
+    "irrelevant": ("minimal supports of the irrelevant radical",
+                   _saturated_degree_arguments, cmd_irrelevant),
+    "fan": ("build and certify the fan of a class",
+            _saturated_degree_arguments, cmd_fan),
+    "chamber": ("GIT chamber of a class", _chamber_arguments, cmd_chamber),
+    "embed": ("Mori-embedding report", _embed_arguments, cmd_embed),
+    "incidence": ("projective incidence checks", _incidence_arguments,
+                  cmd_incidence),
+    "reproduce-paper": ("run every check over the bundled dataset",
+                        _add_saturate, cmd_reproduce),
+}
+
+
+def _add_command_arguments(sp, name: str) -> None:
+    _COMMANDS[name][1](sp)
+    sp.add_argument("--json", action="store_true", dest="as_json",
+                    help="emit the JSON report instead of text")
+
+
+@cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser, equal to its subparser in build_parser's tree,
+    built once per process: a run that names its command needs no other."""
+    parser = argparse.ArgumentParser(prog=f"coxtoric {name}")
+    _add_command_arguments(parser, name)
+    return parser
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process: parse_args does not
-    change it."""
+    """The whole argparse tree, built once per process: main needs it only
+    for top-level help, --version and usage errors."""
     parser = argparse.ArgumentParser(
         prog="coxtoric",
         description="exact toric constructions from Cox-ring gradings")
     parser.add_argument("--version", action="version",
                         version=f"coxtoric {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gale", help="rays of the toric one-skeleton")
-    _add_io_arguments(p)
-    p.add_argument("--reference",
-                   help="'paper-AT' or a JSON file of kernel rows")
-
-    p = sub.add_parser("basis", help="monomials of one multidegree")
-    _add_io_arguments(p)
-    p.add_argument("--degree", help="comma-separated multidegree")
-
-    p = sub.add_parser("irrelevant",
-                       help="minimal supports of the irrelevant radical")
-    _add_io_arguments(p)
-    p.add_argument("--degree", help="comma-separated multidegree")
-    p.add_argument("--saturate", type=integer, default=1, metavar="K",
-                   help="saturation depth (default 1)")
-
-    p = sub.add_parser("fan", help="build and certify the fan of a class")
-    _add_io_arguments(p)
-    p.add_argument("--degree", help="comma-separated multidegree")
-    p.add_argument("--saturate", type=integer, default=1, metavar="K",
-                   help="saturation depth (default 1)")
-
-    p = sub.add_parser("chamber", help="GIT chamber of a class")
-    _add_io_arguments(p)
-    p.add_argument("--degree", help="comma-separated multidegree")
-    p.add_argument("--compare", metavar="CLASS",
-                   help="second class to test for chamber equality")
-    p.add_argument("--saturate", type=integer, default=1, metavar="K",
-                   help="saturation depth for --compare (default 1)")
-
-    p = sub.add_parser("embed", help="Mori-embedding report")
-    _add_io_arguments(p, datasets=("delpezzo4",))
-
-    p = sub.add_parser("incidence", help="projective incidence checks")
-    p.add_argument("mode", choices=("verify-paper", "search"))
-    p.add_argument("--seed", type=integer, default=1,
-                   help="solver seed (default 1)")
-    p.add_argument("--max-tries", type=integer, default=100,
-                   help="attempt budget (default 100)")
-
-    p = sub.add_parser("reproduce-paper",
-                       help="run every check over the bundled dataset")
-    p.add_argument("--saturate", type=integer, default=1, metavar="K",
-                   help="saturation depth (default 1)")
-
-    for name, p in sub.choices.items():
-        p.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit the JSON report instead of text")
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command_arguments(sub.add_parser(name, help=help_text), name)
     return parser
-
-
-_HANDLERS = {
-    "gale": cmd_gale,
-    "basis": cmd_basis,
-    "irrelevant": cmd_irrelevant,
-    "fan": cmd_fan,
-    "chamber": cmd_chamber,
-    "embed": cmd_embed,
-    "incidence": cmd_incidence,
-    "reproduce-paper": cmd_reproduce,
-}
 
 
 # options whose value is a class, whose first field may carry a sign
@@ -716,11 +732,18 @@ def _join_signed_classes(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_signed_classes(
-        sys.argv[1:] if argv is None else list(argv)))
+    argv = _join_signed_classes(sys.argv[1:] if argv is None else list(argv))
+    if argv and argv[0] in _COMMANDS:
+        command = argv[0]
+        args, extra = _command_parser(command).parse_known_args(argv[1:])
+        if extra:
+            # the tree reports leftovers under its own usage
+            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = build_parser().parse_args(argv)
+        command = args.command
     try:
-        code, lines, payload = _HANDLERS[args.command](args)
+        code, lines, payload = _COMMANDS[command][2](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -42,6 +42,16 @@ class DegreeMatrix:
             raise ValueError("one label per generator required")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("generator labels must be distinct")
+        # every per-grading cache hashes the matrix on each lookup
+        object.__setattr__(self, "_hash", hash((self.columns, self.labels)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so that the hash is taken again in a
+        # process with another string-hash seed
+        return type(self), (self.columns, self.labels)
 
     @classmethod
     def make(cls, columns, labels=None) -> "DegreeMatrix":

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import io
@@ -388,6 +389,42 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, ["irrelevant", "--dataset", "p2",
                                 "--degree", "1,1"])
     assert code == 2 and "degree length" in err
+
+
+# argparse's own output (help, --version and usage errors) for each argv,
+# captured with COLUMNS=80 from the CLI that parsed every argv with the
+# whole argparse tree
+USAGE_CASES = json.loads((ROOT / "tests" / "cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE_CASES, ids=[
+    " ".join(case["argv"]) or "no arguments" for case in USAGE_CASES])
+def test_usage_bytes_are_pinned(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == \
+        (case["code"], case["stdout"], case["stderr"])
+
+
+def test_a_command_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    cli._command_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    for _ in range(2):
+        code, out, _ = run(capsys, ["basis", "--dataset", "p2", "--degree",
+                                    "1"])
+        assert code == 0 and "monomials: 3" in out
+    # neither the whole tree nor a second copy of the command's parser
+    assert built == ["coxtoric basis"]
 
 
 @pytest.mark.parametrize("degree", ["1_0", "\u0661", " 1", "1 "])

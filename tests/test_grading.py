@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from coxtoric.delpezzo import REFERENCE_RAY_ROWS
@@ -21,6 +23,13 @@ def test_degree_matrix_validation():
         DegreeMatrix.make([(1, 0), (1,)])
     with pytest.raises(ValueError):
         DegreeMatrix.make([(1,), (1,)], labels=("a", "a"))
+    # the hash is kept; equality still reads columns and labels
+    same = DegreeMatrix.make([(1,), (1,), (1,)])
+    relabelled = DegreeMatrix.make([(1,), (1,), (1,)], labels=("a", "b", "c"))
+    assert same == q and hash(same) == hash(q)
+    assert relabelled != q and len({q: 0, same: 1, relabelled: 2}) == 2
+    copied = pickle.loads(pickle.dumps(q))
+    assert copied == q and hash(copied) == hash(q)
 
 
 @pytest.mark.parametrize("labels", [(7, None), ("a", 2), (b"a", "b")])
