@@ -15,6 +15,9 @@ from .fans import (Cone, Fan, ProjectivityCertificate, Verdict,
                    fan_from_irrelevant, fan_report, is_complete,
                    is_projective, is_simplicial, validate_fan)
 from .grading import DegreeMatrix, GaleDual, delpezzo4, gale_dual
+# no package code calls linprog; it stays loaded for the tests, whose
+# oracles solve LPs, and for tracers that wrap its functions by module
+from . import linprog  # noqa: F401
 from .incidence import (LineWitness, PositionVerdict, ProjPoint, ProjSubspace,
                         SearchExhausted, TransversalPlane,
                         find_transversal_plane, general_position_on_plane,

@@ -11,7 +11,8 @@ from monomials._subset_hrep, the cache of the enumerator's column cones.
 
 The chamber needs no LP and no redundancy test per row: one double
 description of the stacked constraint forms, equalities passed as
-equalities, gives its rays, and one more gives its equalities and facets
+equalities (cones._intersection, which fans.is_projective shares), gives
+its rays, and one more gives its equalities and facets
 (Fukuda-Prodon, "Double description method revisited", 1996). It is
 reported in a canonical form: the equalities with both signs, then one
 candidate row per facet. Every row is irredundant, but a lower-dimensional
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import (RationalCone, double_description, generators_to_hrep,
+from .cones import (RationalCone, _intersection, generators_to_hrep,
                     primitive, separating_functional)
 from .exact import dot, int_rref, int_vector, rank
 from .grading import DegreeMatrix
@@ -106,14 +107,8 @@ def chamber_of(q: DegreeMatrix, w) -> Chamber:
     if not any(w):
         subsets = [(j,) for j in range(q.num_gens)]
     r = q.pic_rank
-    equalities: set[Vec] = set()
-    inequalities: set[Vec] = set()
-    for subset in subsets:
-        eqs, ineqs, _ = _subset_hrep(q, subset)
-        equalities.update(map(primitive, eqs))
-        inequalities.update(map(primitive, ineqs))
-    lin, rays, _ = double_description(r, sorted(equalities),
-                                      sorted(inequalities))
+    equalities, inequalities, lin, rays = _intersection(
+        r, (_subset_hrep(q, subset) for subset in subsets))
     perp, _normals, masks = generators_to_hrep(r, rays)
     basis = [primitive(e) for e in int_rref(list(perp))[0]]
     dim = r - len(basis)

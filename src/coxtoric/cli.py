@@ -267,7 +267,7 @@ def cmd_irrelevant(args) -> tuple[int, list[str], dict]:
 def _fan_report(q: DegreeMatrix, gale, ideal, w) -> dict:
     """fan_report of the fan of ideal, with the support function read off
     the fibre vertices of w when every generator is one of their supports
-    (the LP finds it otherwise)."""
+    (is_projective finds it from an ample class otherwise)."""
     fan = fan_from_irrelevant(gale, ideal)
     return fan_report(fan, fibre_support(fan, ideal, fibre_vertices(q, w)))
 

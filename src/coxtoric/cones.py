@@ -239,22 +239,49 @@ def separating_functional(gens: Sequence[Sequence], v: Sequence,
 def cone_member(gens: Sequence[Sequence[int]], target: Sequence, dim: int) -> bool:
     """Whether target is a nonnegative rational combination of gens. "No"
     is the replayed functional of separating_functional. "Yes" is a ray
-    (lambda, t) with t > 0 of one double description of
-    {(lambda, t) >= 0 : sum_j lambda_j gens_j = t target}, as in
-    monomials.caratheodory_supports; lambda >= 0, t > 0 and that equation
-    are replayed with exact dot products before the verdict is returned,
-    and a failed replay raises RuntimeError. The target and every
-    generator must have length dim, or ValueError is raised."""
+    (lambda, t) with t > 0 of _fibre_rays, the double description of
+    {(lambda, t) >= 0 : sum_j lambda_j gens_j = t target}; lambda >= 0,
+    t > 0 and that equation are replayed with exact sums before the
+    verdict is returned, and a failed replay raises RuntimeError. The
+    target and every generator must have length dim, or ValueError is
+    raised."""
     if separating_functional(gens, target, dim) is not None:
         return False
     k = len(gens)
-    eqs = [tuple(g[i] for g in gens) + (-target[i],) for i in range(dim)]
-    units = [tuple(int(i == j) for i in range(k + 1)) for j in range(k + 1)]
-    _, rays, _ = double_description(k + 1, eqs, units)
-    lam = next((r for r in rays if r[k] > 0), None)
-    if lam is None or min(lam) < 0 or any(dot(e, lam) for e in eqs):
+    lam = next((r for r in _fibre_rays(gens, target) if r[k] > 0), None)
+    if lam is None or min(lam) < 0 or \
+            any(sum(x * g[i] for x, g in zip(lam, gens)) != lam[k] * y
+                for i, y in enumerate(target)):
         raise RuntimeError("cone membership witness failed replay")
     return True
+
+
+def _fibre_rays(gens: Sequence[Sequence[int]], target: Sequence) -> list[Vec]:
+    """The extreme rays (lambda, t) of {(lambda, t) >= 0 :
+    sum_j lambda_j gens_j = t target}, from one double description. A ray
+    with t > 0 is a vertex lambda / t of the fibre {lambda >= 0 :
+    sum_j lambda_j gens_j = target}; cone_member,
+    monomials.fibre_vertices and fans.is_projective read theirs off it."""
+    k = len(gens)
+    eqs = [tuple(g[i] for g in gens) + (-x,) for i, x in enumerate(target)]
+    units = [tuple(int(i == j) for i in range(k + 1)) for j in range(k + 1)]
+    return double_description(k + 1, eqs, units)[1]
+
+
+def _intersection(dim: int, hreps):
+    """The intersection of the cones with the constraint forms hreps, each
+    (equalities, facets, ...): the sorted distinct primitive equality and
+    facet rows of all of them, and the lineality and rays of one double
+    description of those rows, equalities passed as equalities.
+    chambers.chamber_of and fans.is_projective read theirs off it."""
+    equalities: set[Vec] = set()
+    inequalities: set[Vec] = set()
+    for eqs, ineqs, *_ in hreps:
+        equalities.update(map(primitive, eqs))
+        inequalities.update(map(primitive, ineqs))
+    equalities, inequalities = sorted(equalities), sorted(inequalities)
+    lin, rays, _ = double_description(dim, equalities, inequalities)
+    return equalities, inequalities, lin, rays
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ only elimination loop. `rank` counts the pivots of `int_rref` with no
 Fraction at all, and `rref` is built from it and turns entries into
 Fractions only in its output; `linprog.lp_feasible` substitutes its
 equalities with it. `pivot`, one Gauss-Jordan step over Q, is the step
-of the simplex tableau of `linprog`.
+of the simplex tableau of `linprog`, which only the tests call.
+`kernel_lattice` gives the Gale dual of a grading (`grading.gale_dual`)
+and of the rays of a fan (`fans.is_projective`).
 """
 
 from __future__ import annotations

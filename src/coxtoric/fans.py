@@ -7,11 +7,15 @@ completeness, and projectivity are certified by exact integer and rational
 computation; projectivity returns a strictly convex piecewise-linear
 support function, replayed before it is reported.
 
-The fan of an irrelevant radical whose minimal supports are all vertex
-supports of the fibre {c >= 0 : Q c = w} (the radical is S(w)) gets its
-support function from those vertices, with no LP (fibre_support): each
-cone's functional m_J solves V m_J = c_J - c_J0 over the Gale rays V.
-is_projective's LP serves every other complete fan.
+A complete fan is projective exactly when it has an ample class: a point
+p shared by the relative interiors of the complement cones
+cone(q_j : v_j not in s) over the Gale dual Q of its rays (is_projective).
+Each cone s then gets a divisor c_s >= 0 of class p that vanishes exactly
+on its rays, and its functional m_s solves V m_s = c_s - c_s0 over the
+rays V (_functionals). The fan of an irrelevant radical whose minimal
+supports are all vertex supports of the fibre {c >= 0 : Q c = w} (the
+radical is S(w)) takes the vertices themselves as the c_s
+(fibre_support). No question here goes to an LP.
 
 A complete fan with such a support function, one functional m_s per
 maximal cone s, is certified valid by one global integer replay: every
@@ -37,10 +41,10 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 
-from .cones import RationalCone, cone_member, double_description, primitive
-from .exact import dot, int_rref, int_vector
+from .cones import (RationalCone, _fibre_rays, _intersection, cone_member,
+                    double_description, generators_to_hrep, primitive)
+from .exact import IntMat, dot, int_rref, int_vector, kernel_lattice
 from .grading import GaleDual
-from .linprog import lp_feasible
 from .monomials import SquarefreeIdeal
 
 Vec = tuple[int, ...]
@@ -184,34 +188,24 @@ def _vertex_replay(fan: Fan, support) -> bool:
     return True
 
 
-def fibre_support(fan: Fan, ideal: SquarefreeIdeal,
-                  vertices) -> tuple[Vec, ...] | None:
-    """The support function of the GIT fan of a class w read off the
-    vertices of its fibre, or None unless every generator of ideal is a
-    vertex support. The fan's maximal cones are the complements of the
-    generators, in order, over the Gale rays V; vertices is
-    monomials.fibre_vertices(q, w), one ray (lambda, t) per support J, and
-    c_J = lambda / t is the vertex on J of {c >= 0 : Q c = w0}, the fibre
-    over w0 = primitive(w).
+def _functionals(fan: Fan, points) -> tuple[Vec, ...]:
+    """The functionals m_s of the divisors c_s = lambda_s / t_s, given as
+    one point (lambda_s, t_s) over the n rays and t_s > 0 per maximal
+    cone, in order, all of one class: m_s solves V m_s = c_s - c_s0 over
+    the rays V, with s0 the first cone, so m_0 = 0.
 
-    With J0 the first cone's support, c_J - c_J0 lies in ker Q, the span
-    of the columns of V, so V m_J = c_J - c_J0 has one solution m_J, and
-    m_0 = 0. Then <m_J, v_i> = -c_J0_i on the rays of the cone (c_J = 0
-    off J) and > -c_J0_i on the others (c_J > 0 on J): each cone is the
-    normal cone of a vertex of the polytope of the divisor c_J0, of class
-    w0 (Cox-Little-Schenck, Toric Varieties, ch. 14-15). m_J is the inverse
-    of d independent Gale rows V_B, from one int_rref of [V_B | I], times
-    (c_J - c_J0) on B, with every c_J over one common denominator; the
-    functionals are the smallest integer multiple of the m_J, as in
-    is_projective. fan_report replays them before they are reported."""
+    c_s - c_s0 lies in ker Q, the span of the columns of V, so m_s is
+    unique. It is the inverse of d independent rays V_B, from one int_rref
+    of [V_B | I], times (c_s - c_s0) on B, with every c_s over one common
+    denominator; the functionals are the smallest integer multiple of the
+    m_s. Where c_s vanishes exactly on the rays of s, <m_s, v_i> = -c_s0_i
+    on the rays of s and > -c_s0_i on the others: each cone is the normal
+    cone of a vertex of the polytope of the divisor c_s0
+    (Cox-Little-Schenck, Toric Varieties, ch. 14-15), which _vertex_replay
+    checks."""
     n, d = len(fan.rays), fan.ambient_dim
-    supports = [tuple(i - 1 for i in s) for s in ideal.generators]
-    if len(supports) != len(fan.maximal_cones) or \
-            not all(s in vertices for s in supports):
-        return None
-    rays = [vertices[s] for s in supports]
-    den = lcm(*(r[n] for r in rays))
-    lifts = [[x * (den // r[n]) for x in r[:n]] for r in rays]
+    den = lcm(*(p[n] for p in points))
+    lifts = [[x * (den // p[n]) for x in p[:n]] for p in points]
     _red, basis = int_rref([list(col) for col in zip(*fan.rays)])
     red, _pivots = int_rref([list(fan.rays[i]) + [int(j == k)
                                                   for k in range(d)]
@@ -226,6 +220,24 @@ def fibre_support(fan: Fan, ideal: SquarefreeIdeal,
                      for row in inverse) for lift in lifts]
     g = gcd(scale * den, *(x for m in support for x in m))
     return tuple(tuple(x // g for x in m) for m in support)
+
+
+def fibre_support(fan: Fan, ideal: SquarefreeIdeal,
+                  vertices) -> tuple[Vec, ...] | None:
+    """The support function of the GIT fan of a class w read off the
+    vertices of its fibre, or None unless every generator of ideal is a
+    vertex support. The fan's maximal cones are the complements of the
+    generators, in order, over the Gale rays V; vertices is
+    monomials.fibre_vertices(q, w), one ray (lambda, t) per support J, and
+    c_J = lambda / t is the vertex on J of {c >= 0 : Q c = w0}, the fibre
+    over w0 = primitive(w). It vanishes exactly off J, on the rays of the
+    cone, so _functionals gives each cone's functional. fan_report
+    replays them before they are reported."""
+    supports = [tuple(i - 1 for i in s) for s in ideal.generators]
+    if len(supports) != len(fan.maximal_cones) or \
+            not all(s in vertices for s in supports):
+        return None
+    return _functionals(fan, [vertices[s] for s in supports])
 
 
 def validate_fan(fan: Fan, support_function=None) -> Verdict:
@@ -309,27 +321,21 @@ def _facet_pairing(fan: Fan) -> dict[tuple[int, ...], list[int]]:
     return pairing
 
 
-def _wall_tree(ncones: int, walls) -> tuple[list[int],
-                                           list[frozenset[int] | None]]:
-    """Breadth-first spanning tree from cone 0 over `walls`, pairs of cone
-    positions: the tree walls in discovery order, and per cone the set of
-    positions in that list of the tree walls on its path from cone 0, or
-    None for a cone the tree does not reach."""
-    graph: list[list[tuple[int, int]]] = [[] for _ in range(ncones)]
-    for w, (a, b) in enumerate(walls):
-        graph[a].append((b, w))
-        graph[b].append((a, w))
-    tree: list[int] = []
-    path: list[frozenset[int] | None] = [None] * ncones
-    path[0] = frozenset()
+def _wall_connected(ncones: int, walls) -> bool:
+    """Whether a breadth-first search from cone 0 across `walls`, pairs of
+    cone positions, reaches every cone."""
+    graph: list[list[int]] = [[] for _ in range(ncones)]
+    for a, b in walls:
+        graph[a].append(b)
+        graph[b].append(a)
+    seen = {0}
     queue = [0]
     for cur in queue:
-        for nxt, w in graph[cur]:
-            if path[nxt] is None:
-                path[nxt] = path[cur] | {len(tree)}
-                tree.append(w)
+        for nxt in graph[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
                 queue.append(nxt)
-    return tree, path
+    return len(seen) == ncones
 
 
 def is_complete(fan: Fan) -> Verdict:
@@ -350,113 +356,60 @@ def is_complete(fan: Fan) -> Verdict:
             return Verdict(False,
                            f"facet with rays {key} is shared by more than "
                            f"two maximal cones")
-    _tree, path = _wall_tree(len(fan.maximal_cones), pairing.values())
-    if None in path:
+    if not _wall_connected(len(fan.maximal_cones), pairing.values()):
         return Verdict(False, "maximal cones are not wall-connected")
     return Verdict(True)
 
 
-def _walls(fan: Fan) -> list[tuple[int, int, tuple[int, ...], Vec]]:
-    """(cone position a, cone position b, tight ray indices, wall normal)
-    for every shared facet of a complete fan. The normal is the primitive
-    inward facet normal of cone a, signed so that its last nonzero entry is
-    positive: that is primitive(nullspace(tau_rays)[0]) for the wall's rays
-    tau_rays, whose single free column is the last index of their column
-    dependency, so the sign does not depend on which cone holds the facet."""
-    cones = fan.maximal_cones
-    walls = []
-    for key, owners in _facet_pairing(fan).items():
-        if len(owners) != 2:
-            raise ValueError("facet pairing is not two-to-one")
-        normal = next(n for n, tight in cones[owners[0]].facets
-                      if tight == key)
-        if next(x for x in reversed(normal) if x) < 0:
-            normal = tuple(-x for x in normal)
-        walls.append((owners[0], owners[1], key, normal))
-    return walls
-
-
 def is_projective(fan: Fan) -> ProjectivityCertificate:
-    """Search for a strictly convex support function, one linear functional
-    per maximal cone, exact over Q.
+    """Decide whether a complete fan is projective by an ample class, and
+    return its strictly convex support function, exact over the integers.
 
-    Differences across a wall are multiples of the wall normal, so the
-    functionals are parametrized by one coefficient c_k per wall of a
-    breadth-first spanning tree from cone 0: crossing tree wall k away from
-    cone 0 adds c_k n_k, so m_0 = 0 and m_s is the sum of c_k n_k over the
-    tree walls on the path of s. The coefficient of c_k in <m_a - m_b, v>
-    is then <n_k, v> if k lies on the path of a only, -<n_k, v> if on the
-    path of b only, and 0 otherwise. Agreement on non-tree walls and a
-    strict jump of at least 1 across every wall become one small linear
-    program. Its columns are the tree walls in discovery order, with the
-    signs of the normals from _walls, and its rows come in wall order: the
-    vertex the simplex picks, and so the reported support function, can
-    depend on these orders and signs.
-    The wall normals are the facet normals that Cone.facets already holds
-    (see _walls); the fan is complete, so every cone is full-dimensional
-    and every facet spans a hyperplane. The rows are built as ints and go
-    straight to linprog.lp_feasible.
-    A feasible solution is scaled to integers and replayed on every wall
-    before the certificate is returned.
-    """
-    comp = is_complete(fan)
-    if not comp.ok:
+    Q is the Gale dual of the rays v_1..v_n: the rows of kernel_lattice of
+    the d x n ray matrix, with columns q_j. The fan is projective exactly
+    when the relative interiors of the complement cones
+    cone(q_j : v_j not in s), one per maximal cone s, share a point, an
+    ample class (Berchtold-Hausen, "Bunches of cones in the divisor class
+    group", IMRN 2004; Cox-Little-Schenck, Toric Varieties, ch. 14-15).
+    One double description of their stacked constraint forms
+    (cones._intersection, as in chambers.chamber_of) gives the
+    intersection C. The sum p of its rays lies in the relative interior of
+    C, so the fan is projective exactly when p lies on every equality and
+    strictly inside every facet of each complement cone.
+
+    Then the sum (lambda, t) of the rays of one double description of
+    {(lambda, t) >= 0 : sum_j lambda_j q_j = t p} over the complement of s
+    (cones._fibre_rays) gives c_s = lambda / t, a relative-interior point
+    of the fibre face {c >= 0 : c = 0 on s, Q c = p}: positive exactly off
+    the rays of s. _functionals solves V m_s = c_s - c_s0, and
+    _vertex_replay certifies the result; a failed replay raises
+    RuntimeError. An incomplete fan raises ValueError."""
+    complete = is_complete(fan)
+    if not complete.ok:
         raise ValueError(f"projectivity test requires a complete fan: "
-                         f"{comp.reason}")
-    cones = fan.maximal_cones
-    walls = _walls(fan)
-    tree, path = _wall_tree(len(cones), [(a, b) for a, b, _k, _n in walls])
-    normals = [walls[w][3] for w in tree]
-
-    def row(a: int, b: int, ray: Vec, offset: int) -> list[int]:
-        """<m_a - m_b, ray> >= offset (or = offset) as the integer row
-        [coefficients of the tree walls | offset]."""
-        coeffs = [0] * (len(tree) + 1)
-        for k in path[a] ^ path[b]:
-            x = dot(normals[k], ray)
-            coeffs[k] = x if k in path[a] else -x
-        coeffs[-1] = offset
-        return coeffs
-
-    tree_walls = set(tree)
-    equalities = []
-    inequalities = []
-    for w, (ca, cb, key, _normal) in enumerate(walls):
-        if w not in tree_walls:
-            equalities += [row(ca, cb, fan.rays[i - 1], 0) for i in key]
-        for near, far in ((ca, cb), (cb, ca)):
-            inequalities += [row(near, far, fan.rays[i - 1], 1)
-                             for i in cones[far].ray_indices if i not in key]
-
-    res = lp_feasible(len(tree), equalities, inequalities)
-    if not res.feasible:
+                         f"{complete.reason}")
+    n = len(fan.rays)
+    gale = kernel_lattice(IntMat.from_rows(zip(*fan.rays))).to_rows()
+    r, q = len(gale), list(zip(*gale))
+    # per maximal cone, the 0-based indices of the rays off it
+    outside = [[j for j in range(n) if j + 1 not in cone.ray_indices]
+               for cone in fan.maximal_cones]
+    eqs, ineqs, _lin, rays = _intersection(r, (
+        generators_to_hrep(r, [q[j] for j in js]) for js in outside))
+    p = [sum(col) for col in zip(*rays)] or [0] * r
+    if any(dot(e, p) for e in eqs) or any(dot(a, p) <= 0 for a in ineqs):
         return ProjectivityCertificate(False, None)
-
-    # the witness is c = C / den; m_s = (sum of C_k n_k over the path of
-    # s) / den, scaled by den / g to the smallest integer functionals
-    den = lcm(*(t.denominator for t in res.witness))
-    big = [t.numerator * (den // t.denominator) for t in res.witness]
-    support = [tuple(sum(big[k] * normals[k][i] for k in p)
-                     for i in range(fan.ambient_dim)) for p in path]
-    g = gcd(den, *(x for vec in support for x in vec))
-    support_int = tuple(tuple(x // g for x in vec) for vec in support)
-
-    # replay the integer certificate on every wall of the fan
-    for ca, cb, key, _normal in walls:
-        for i in key:
-            ray = fan.rays[i - 1]
-            if dot(support_int[ca], ray) != dot(support_int[cb], ray):
-                raise RuntimeError("support function fails wall agreement")
-        keyset = set(key)
-        for near, far in ((ca, cb), (cb, ca)):
-            for i in cones[far].ray_indices:
-                if i not in keyset:
-                    ray = fan.rays[i - 1]
-                    if not dot(support_int[near], ray) > \
-                            dot(support_int[far], ray):
-                        raise RuntimeError(
-                            "support function fails strict convexity")
-    return ProjectivityCertificate(True, support_int)
+    points = []
+    for js in outside:
+        total = [sum(col) for col in zip(*_fibre_rays([q[j] for j in js], p))]
+        point = [0] * (n + 1)
+        for j, x in zip([*js, n], total):
+            point[j] = x
+        points.append(point)
+    support = _functionals(fan, points)
+    if not _vertex_replay(fan, support):
+        raise RuntimeError("support function fails vertex replay")
+    return ProjectivityCertificate(True, support)
 
 
 def fan_report(fan: Fan, support=None) -> dict:
@@ -467,14 +420,15 @@ def fan_report(fan: Fan, support=None) -> dict:
     A given support (one integer functional per maximal cone, as
     fibre_support returns) is replayed once by _vertex_replay on a complete
     fan of pointed cones, and certifies both validity and projectivity; a
-    failed replay raises RuntimeError. Without one, or on any other fan,
-    is_projective's LP finds the support function."""
+    failed replay raises RuntimeError. Without one, is_projective finds
+    and replays the support function, or finds no ample class, and then
+    the pair separators decide validity."""
     complete = is_complete(fan)
     cert = None
     if complete.ok and all(c.geometry.is_pointed for c in fan.maximal_cones):
         if support is None:
             cert = is_projective(fan)
-            valid = validate_fan(fan, cert.support_function)
+            valid = Verdict(True) if cert.projective else validate_fan(fan)
         elif _vertex_replay(fan, support):
             cert = ProjectivityCertificate(True, support)
             valid = Verdict(True)

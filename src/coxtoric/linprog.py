@@ -11,14 +11,10 @@ dimension) rows no matter how many inequality rows there are; the simplex
 pivots are `exact.pivot` steps over Q. The witness is replayed on the
 integer rows, with one common denominator for its coordinates.
 
-The one caller is `fans.is_projective`, which builds its wall rows as
-ints; most of them repeat, so each distinct row is reduced once. The CLI
-asks it only about complete fans whose cones are not all complements of
-S(w): the support function of an S(w) fan is read off the vertices of the
-fibre (`fans.fibre_support`), so the bundled runs solve no LP. Its
-strict jumps across walls are homogeneous in the unknowns, so scaling a
-solution makes each of them >= 1, and it asks for that instead.
-No other question of the package takes an LP. Cone membership, the
+No package code calls it: it is the exact LP oracle of the tests, which
+check the double descriptions against it. Repeated rows are common in
+such systems, so each distinct row is reduced once. Projectivity is read
+off an ample class (`fans.is_projective`); cone membership, the
 separating functionals and the pair separators of `fans.validate_fan` are
 each read off one double description in `cones`; positivity of a grading,
 its heft and the chamber questions are read off S(w) and the constraint

@@ -41,7 +41,7 @@ from functools import cache, lru_cache
 from math import gcd
 from types import MappingProxyType
 
-from .cones import double_description, generators_to_hrep, primitive
+from .cones import _fibre_rays, generators_to_hrep, primitive
 from .exact import dot, int_vector
 from .grading import DegreeMatrix
 
@@ -219,10 +219,7 @@ def fibre_vertices(q: DegreeMatrix, w) -> MappingProxyType:
     key = (q, primitive(w))
     vertices = _VERTICES.get(key)
     if vertices is None:
-        eqs = [row + (-x,) for row, x in zip(zip(*q.columns), key[1])]
-        units = [tuple(int(i == j) for i in range(n + 1))
-                 for j in range(n + 1)]
-        _, rays, _ = double_description(n + 1, eqs, units)
+        rays = _fibre_rays(q.columns, key[1])
         found = {tuple(j for j in range(n) if r[j]): r for r in rays if r[n]}
         vertices = _VERTICES[key] = MappingProxyType(
             {s: found[s] for s in sorted(found, key=lambda s: (len(s), s))})

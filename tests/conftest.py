@@ -1,0 +1,24 @@
+import sys
+
+import pytest
+
+import coxtoric  # noqa: F401  (loads every coxtoric module, linprog too)
+
+
+@pytest.fixture
+def counted_lp_calls(monkeypatch):
+    """Route lp_feasible and simplex_nonneg through a counter in every
+    coxtoric module that binds them, linprog itself included, and return
+    the list of (name, args) of their calls."""
+    calls = []
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "coxtoric":
+            continue
+        for name in ("lp_feasible", "simplex_nonneg"):
+            real = getattr(module, name, None)
+            if real is not None:
+                def counted(*args, _real=real, _name=name):
+                    calls.append((_name, args))
+                    return _real(*args)
+                monkeypatch.setattr(module, name, counted)
+    return calls

@@ -1,4 +1,3 @@
-import sys
 from itertools import combinations
 
 import pytest
@@ -246,25 +245,10 @@ def test_same_chamber_gives_same_fan():
     assert f1 == f2
 
 
-def counted_lp_calls(monkeypatch):
-    """Route every coxtoric module's lp_feasible through a counter and
-    return the list of the systems (dim, eqs, ineqs) it is called with."""
-    calls = []
-
-    def counted(dim, eqs, ineqs):
-        calls.append((dim, eqs, ineqs))
-        return lp_feasible(dim, eqs, ineqs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("coxtoric") and hasattr(module, "lp_feasible"):
-            monkeypatch.setattr(module, "lp_feasible", counted)
-    return calls
-
-
-def test_chamber_questions_lp_budget(monkeypatch):
+def test_chamber_questions_lp_budget(counted_lp_calls):
     dp = delpezzo4()
     q = dp.degrees
-    calls = counted_lp_calls(monkeypatch)
+    calls = counted_lp_calls
     # membership in the effective cone comes from S(w), positivity and
     # the heft from the effective cone's constraint form
     assert same_chamber(q, dp.ample, tuple(2 * x for x in dp.ample)).same
@@ -278,17 +262,17 @@ def test_chamber_questions_lp_budget(monkeypatch):
 
 def counted_support_dds(monkeypatch):
     """Empty the S(w) cache and count the double descriptions of
-    fibre_vertices, the only caller of double_description in
-    monomials; returns the list of their equality systems."""
+    fibre_vertices, the only caller of cones._fibre_rays in monomials;
+    returns the list of their targets."""
     monkeypatch.setattr(monomials, "_VERTICES", {})
     calls = []
-    real = monomials.double_description
+    real = monomials._fibre_rays
 
-    def counted(dim, equalities=(), inequalities=()):
-        calls.append(equalities)
-        return real(dim, equalities, inequalities)
+    def counted(gens, target):
+        calls.append(target)
+        return real(gens, target)
 
-    monkeypatch.setattr(monomials, "double_description", counted)
+    monkeypatch.setattr(monomials, "_fibre_rays", counted)
     return calls
 
 
@@ -455,13 +439,13 @@ def test_chamber_replay_failure(monkeypatch, capsys):
     # a ray put first that is the negative of the first inequality row
     # violates that candidate row, which the replay of every ray against
     # every candidate row must catch
-    real = chambers.double_description
+    real = chambers._intersection
 
-    def bogus(dim, equalities=(), inequalities=()):
-        lin, rays, masks = real(dim, equalities, inequalities)
-        return lin, [tuple(-x for x in inequalities[0])] + rays, [0] + masks
+    def bogus(dim, hreps):
+        eqs, ineqs, lin, rays = real(dim, hreps)
+        return eqs, ineqs, lin, [tuple(-x for x in ineqs[0])] + rays
 
-    monkeypatch.setattr(chambers, "double_description", bogus)
+    monkeypatch.setattr(chambers, "_intersection", bogus)
     dp = delpezzo4()
     with pytest.raises(RuntimeError, match="^chamber failed replay$"):
         chamber_of(dp.degrees, dp.anti_canonical)

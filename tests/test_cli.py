@@ -248,8 +248,8 @@ def test_reproduce_paper_byte_stable(capsys):
     assert out1 == out2
 
 
-# sha256 of the stdout of three reports; an elimination change that moves an
-# LP vertex or a support function changes these bytes
+# sha256 of the stdout of three reports; an elimination change that moves a
+# fibre vertex or a support function changes these bytes
 FROZEN_REPORTS = [
     (["reproduce-paper", "--json"],
      "88516bdc0ff180aec89ae73013a6d2980fa0fd3a8b1ac963d35d47889e22bbbc"),
@@ -312,8 +312,8 @@ def test_repinned_chamber_reports_keep_their_cones(capsys, degree):
 def test_ample_fan_reports_the_support_function_of_its_class(capsys):
     # the fan command reads the ample fan's support function off the fibre
     # vertices of w: its heights are those of a divisor of class w itself,
-    # where the LP's are of class (10, -4, -3, -2, -1); the rest of the
-    # report is the LP path's
+    # where is_projective's are of its ample class (10, -4, -3, -2, -1);
+    # the rest of the report is that of is_projective's path
     dp = delpezzo4()
     q, w = dp.degrees, dp.ample
     code, payload, _ = run_json(capsys, ["fan", "--dataset", "delpezzo4",
@@ -321,14 +321,14 @@ def test_ample_fan_reports_the_support_function_of_its_class(capsys):
     assert code == 0
     ideal = irrelevant_radical(q, w)
     fan = fans.fan_from_irrelevant(grading.gale_dual(q), ideal)
-    lp_report = fans.fan_report(fan)
+    plain_report = fans.fan_report(fan)
     support = fans.fibre_support(fan, ideal, fibre_vertices(q, w))
     assert payload["supportFunction"] == [list(m) for m in support]
-    assert lp_report["supportFunction"] != payload["supportFunction"]
-    assert {k: v for k, v in payload.items() if k in lp_report
+    assert plain_report["supportFunction"] != payload["supportFunction"]
+    assert {k: v for k, v in payload.items() if k in plain_report
             and k != "supportFunction"} == \
-        {k: v for k, v in lp_report.items() if k != "supportFunction"}
-    for function in (support, lp_report["supportFunction"]):
+        {k: v for k, v in plain_report.items() if k != "supportFunction"}
+    for function in (support, plain_report["supportFunction"]):
         assert fans._vertex_replay(fan, function)
     # the heights h_i = <m_s, v_i> over the cones s on ray i are -a for a
     # divisor a of class w
@@ -342,8 +342,8 @@ def test_ample_fan_reports_the_support_function_of_its_class(capsys):
 
 
 # sha256 of `fan - --degree 3,-1,-1,-1,-1,-1 --saturate 2 --json` on the
-# sixteen-line dP4 grading read from stdin: 56 maximal cones, and an
-# is_projective LP with 55 tree-wall columns and 8,527 integer rows
+# sixteen-line dP4 grading read from stdin: 56 maximal cones, with the
+# support function read off the fibre vertices of -K
 DP4_SATURATED_FAN_SHA = \
     "064b75587dc215a994f96f227c0390175cfca841e19e39846c322f261b7832f2"
 

@@ -1,7 +1,7 @@
 import json
 import sys
 from collections import defaultdict
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 from unittest.mock import patch
 
@@ -11,8 +11,9 @@ from coxtoric import fans, monomials
 from coxtoric.cli import main, reproduce_paper_report
 from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
 from coxtoric.exact import dot, int_row
-from coxtoric.fans import (Cone, Fan, Verdict, _facet_pairing, _vertex_replay,
-                           _wall_tree, fan_from_irrelevant, fan_report,
+from coxtoric.fans import (Cone, Fan, ProjectivityCertificate, Verdict,
+                           _facet_pairing, _vertex_replay,
+                           _wall_connected, fan_from_irrelevant, fan_report,
                            fibre_support, is_complete, is_projective,
                            is_simplicial, validate_fan)
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual
@@ -20,7 +21,7 @@ from coxtoric.linprog import lp_feasible
 from coxtoric.monomials import (SquarefreeIdeal, fibre_vertices,
                                 irrelevant_radical)
 from test_exact import fraction_rref
-from test_monomials import dp4_columns
+from test_monomials import dp3_columns, dp4_columns
 
 CUBE_RAYS = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
              (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1))
@@ -179,8 +180,7 @@ def hrep_is_complete(fan):
             return Verdict(False,
                            f"facet with rays {key} is shared by more than "
                            f"two maximal cones")
-    _tree, path = _wall_tree(len(fan.maximal_cones), pairing.values())
-    if None in path:
+    if not _wall_connected(len(fan.maximal_cones), pairing.values()):
         return Verdict(False, "maximal cones are not wall-connected")
     return Verdict(True)
 
@@ -248,14 +248,24 @@ def test_cube_fixtures():
 
 
 def test_projectivity_against_direct_oracle():
+    # the cube fixtures, the cube's face fan (six square cones), P^3, P^2
+    # with an unused ray, and all 64 triangulations of the cube's surface,
+    # of which 46 are projective
     fans = [cube_fan(CUBE_NONPROJECTIVE), cube_fan(CUBE_PROJECTIVE),
-            projective_space_fan(3)]
-    rng = Random(7)
-    for _ in range(6):
-        fans.append(cube_triangulation([rng.randint(0, 1)
-                                        for _ in range(6)]))
+            cube_fan(CUBE_FACES), projective_space_fan(3),
+            Fan.from_index_sets(((1, 0), (0, 1), (-1, -1), (1, 1)),
+                                ((1, 2), (2, 3), (1, 3)))]
+    fans += [cube_triangulation(choices)
+             for choices in product((0, 1), repeat=6)]
+    verdicts = []
     for fan in fans:
-        assert is_projective(fan).projective == direct_projectivity_oracle(fan)
+        cert = is_projective(fan)
+        assert cert.projective == direct_projectivity_oracle(fan)
+        if cert.projective:
+            assert _vertex_replay(fan, cert.support_function)
+        verdicts.append(cert.projective)
+    assert verdicts[:5] == [False, True, True, True, True]
+    assert sum(verdicts[5:]) == 46
 
 
 @pytest.mark.parametrize("rays, cones, reason", [
@@ -384,10 +394,9 @@ def test_doubly_wound_fan_needs_the_global_replay():
     fan = Fan.from_index_sets(DOUBLY_WOUND_RAYS, DOUBLY_WOUND_CONES)
     assert is_complete(fan)
     # a support function that is strictly convex across every wall exists,
-    # but no polyhedron has these cones as its normal cones
-    cert = is_projective(fan)
-    assert cert.projective is True
-    assert not _vertex_replay(fan, cert.support_function)
+    # but no polyhedron has these cones as its normal cones: the complement
+    # cones share no relative-interior point, so there is no ample class
+    assert is_projective(fan) == ProjectivityCertificate(False, None)
     report = fan_report(fan)
     assert report["valid"] is False
     assert report["validityViolation"] == \
@@ -433,37 +442,23 @@ def test_vertex_replay_on_small_fans():
                           .support_function)
 
 
-def counted_lp_calls(monkeypatch):
-    """Route fans.lp_feasible, which is_projective calls, through a counter
-    and return the list of the dimensions it is called with."""
-    calls = []
-
-    def counted(dim, eqs, ineqs):
-        calls.append(dim)
-        return lp_feasible(dim, eqs, ineqs)
-
-    monkeypatch.setattr(fans, "lp_feasible", counted)
-    return calls
-
-
 @pytest.mark.parametrize("ideal", [ample_ideal, anticanonical_ideal],
                          ids=["ample", "anticanonical"])
-def test_fan_report_makes_one_lp_call(monkeypatch, ideal):
+def test_fan_report_makes_no_lp_call(counted_lp_calls, ideal):
+    # is_projective finds an ample class, and validity comes from the
+    # vertex replay of its support function
     fan = fan_from_irrelevant(gale_dual(delpezzo4().degrees), ideal())
-    calls = counted_lp_calls(monkeypatch)
     report = fan_report(fan)
     assert report["valid"] is True and report["projective"] is True
-    # is_projective's LP; validity comes from the vertex replay
-    assert len(calls) == 1
+    assert counted_lp_calls == []
 
 
-def test_reproduce_paper_makes_no_lp_call(monkeypatch):
+def test_reproduce_paper_makes_no_lp_call(counted_lp_calls):
     # both fans of the headline run are S(w) fans: their support functions
     # are read off the fibre vertices
-    calls = counted_lp_calls(monkeypatch)
     report = reproduce_paper_report()
     assert all(c["verdict"] for c in report["checks"])
-    assert calls == []
+    assert counted_lp_calls == []
 
 
 def counted_exact_calls(monkeypatch, name):
@@ -569,20 +564,23 @@ def test_bundled_facet_pairing_matches_the_hrep_path():
         assert is_complete(fan) == hrep_is_complete(oracle) == Verdict(True)
 
 
-def test_dp4_saturated_fan_makes_no_lp_call(monkeypatch, tmp_path, capsys):
+def test_dp4_saturated_fan_makes_no_lp_call(counted_lp_calls, tmp_path,
+                                           capsys):
     # the depth-2 radical of the sixteen-line dP4 at -K is S(-K), so its
-    # 56-cone fan needs no LP (the LP has 55 columns and 8,527 rows)
+    # 56-cone fan takes its support function from the fibre vertices, and
+    # is_projective finds the same verdict from an ample class
     path = tmp_path / "dp4.json"
     cols = dp4_columns()
     path.write_text(json.dumps({"picRank": 6, "numGens": 16,
                                 "columns": [list(c) for c in cols],
                                 "labels": [f"x{i}" for i in range(16)]}))
-    calls = counted_lp_calls(monkeypatch)
     assert main(["fan", str(path), "--degree", "3,-1,-1,-1,-1,-1",
                  "--saturate", "2", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["numMaximalCones"] == 56 and report["projective"] is True
-    assert calls == []
+    fan = Fan.from_index_sets(report["rays"], report["maximalCones"])
+    assert is_projective(fan).projective
+    assert counted_lp_calls == []
 
 
 def test_fibre_support_needs_every_generator_in_s_w():
@@ -596,6 +594,17 @@ def test_fibre_support_needs_every_generator_in_s_w():
     assert ideal.generators == ((1, 2), (2, 4), (1, 3, 4))
     fan = fan_from_irrelevant(gale_dual(q), ideal)
     assert fibre_support(fan, ideal, vertices) is None
+
+
+def test_is_projective_replays_its_support_function(monkeypatch):
+    # functionals that put no cone at a vertex fail the replay, and
+    # is_projective raises instead of answering
+    fan = projective_space_fan(2)
+    monkeypatch.setattr(fans, "_functionals",
+                        lambda fan, points: ((0, 0),) * len(points))
+    with pytest.raises(RuntimeError,
+                       match="^support function fails vertex replay$"):
+        is_projective(fan)
 
 
 def test_fan_report_replays_a_given_support_function():
@@ -620,16 +629,13 @@ def test_fan_report_replays_a_given_support_function():
     (DOUBLY_WOUND_RAYS, DOUBLY_WOUND_CONES),
     (CUBE_RAYS, CUBE_NONPROJECTIVE),
 ], ids=["doubly-wound", "cube-nonprojective"])
-def test_pair_loop_makes_no_lp_call(monkeypatch, rays, cones):
-    # neither fan is certified by the vertex replay, so validate_fan runs
-    # its pair loop on every pair of cones; the only LP is is_projective's
+def test_pair_loop_makes_no_lp_call(counted_lp_calls, rays, cones):
+    # neither fan has an ample class, so validate_fan runs its pair loop
+    # on every pair of cones; neither that nor is_projective solves an LP
     fan = Fan.from_index_sets(rays, cones)
-    calls = counted_lp_calls(monkeypatch)
-    is_projective(fan)
-    projective_calls = list(calls)
-    calls.clear()
+    assert not is_projective(fan).projective
     assert "supportFunction" not in fan_report(fan)
-    assert calls == projective_calls == [len(cones) - 1]
+    assert counted_lp_calls == []
 
 
 def test_validate_fan_does_not_exempt_rays_in_the_span_of_the_common_cone():
@@ -663,23 +669,21 @@ def test_pair_separator_replay_failure(monkeypatch, corrupt):
 
 
 # is_projective's support functions on fans outside the sha256-pinned
-# reports: the LP witness decides them, so they move if the LP's rows,
-# column order or wall-normal signs change
+# reports: the ample class (the sum of the rays of the intersection of the
+# complement cones) and the relative-interior fibre points over it decide
+# them, so they move if either choice changes
 CUBE_PROJECTIVE_SUPPORT = (
-    (0, 0, 0), (2, -2, 0), (0, 1, -1), (2, 1, -3), (3, -2, -1), (3, 0, -3),
-    (1, 0, 1), (2, -1, 1), (1, 2, -1), (2, 2, -2), (4, -1, -1), (4, 0, -2))
-DOUBLY_WOUND_SUPPORT = ((0, 0), (1345, 269), (624, 2432), (264, 2232),
-                        (504, 1912), (744, 2232), (384, 2432), (0, 1280))
-# the six triangulations drawn from Random(7) in
-# test_projectivity_against_direct_oracle; None: not projective
+    (0, 0, 0), (3, -3, 0), (0, 2, -2), (3, 2, -5), (5, -3, -2), (5, 0, -5),
+    (1, 0, 1), (3, -2, 1), (1, 3, -2), (3, 3, -4), (6, -2, -2), (6, 0, -4))
+# six triangulations drawn from Random(7); None: not projective
 RANDOM7_SUPPORT = (
     ((1, 0, 1, 0, 0, 0),
-     ((0, 0, 0), (3, -3, 0), (2, 0, -2), (3, -1, -2), (0, 1, 1), (1, 1, 2),
-      (4, -3, 1), (4, -2, 2), (1, 2, 1), (2, 2, 0), (5, -2, 1), (5, -1, 0))),
+     ((0, 0, 0), (5, -5, 0), (4, 0, -4), (5, -1, -4), (0, 2, 2), (2, 2, 4),
+      (7, -5, 2), (7, -3, 4), (2, 4, 2), (4, 4, 0), (9, -3, 2), (9, -1, 0))),
     ((1, 0, 0, 0, 0, 1), None),
     ((1, 0, 0, 0, 1, 0),
-     ((0, 0, 0), (2, -2, 0), (3, 0, -3), (3, -2, -1), (0, 1, 1), (1, 1, 2),
-      (2, 0, 2), (1, 2, 1), (4, 1, -3), (4, 2, -2), (5, 0, -1), (5, 1, -2))),
+     ((0, 0, 0), (4, -4, 0), (5, 0, -5), (5, -4, -1), (0, 2, 2), (2, 2, 4),
+      (4, 0, 4), (2, 4, 2), (7, 2, -5), (7, 4, -3), (9, 0, -1), (9, 2, -3))),
     ((0, 0, 0, 1, 0, 0),
      ((0, 0, 0), (3, -3, 0), (0, 3, -3), (1, 3, -4), (4, -3, -1), (4, 0, -4),
       (2, 0, 2), (3, -1, 2), (1, 4, -3), (2, 4, -2), (6, -1, -1),
@@ -688,8 +692,8 @@ RANDOM7_SUPPORT = (
      ((0, 0, 0), (2, -2, 0), (0, 1, -1), (1, 1, -2), (2, 0, -2), (2, 0, 2),
       (3, -2, 1), (3, -1, 2), (1, 2, -1), (2, 2, 0), (4, -1, 1), (4, 0, 0))),
     ((1, 0, 0, 0, 1, 0),
-     ((0, 0, 0), (2, -2, 0), (3, 0, -3), (3, -2, -1), (0, 1, 1), (1, 1, 2),
-      (2, 0, 2), (1, 2, 1), (4, 1, -3), (4, 2, -2), (5, 0, -1), (5, 1, -2))),
+     ((0, 0, 0), (4, -4, 0), (5, 0, -5), (5, -4, -1), (0, 2, 2), (2, 2, 4),
+      (4, 0, 4), (2, 4, 2), (7, 2, -5), (7, 4, -3), (9, 0, -1), (9, 2, -3))),
 )
 
 
@@ -702,8 +706,6 @@ def test_support_functions_are_pinned():
          ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))),
         (p1xp1, ((0, 0), (0, 1), (1, 0), (1, 1))),
         (cube_fan(CUBE_PROJECTIVE), CUBE_PROJECTIVE_SUPPORT),
-        (Fan.from_index_sets(DOUBLY_WOUND_RAYS, DOUBLY_WOUND_CONES),
-         DOUBLY_WOUND_SUPPORT),
     ]
     rng = Random(7)
     for choices, support in RANDOM7_SUPPORT:
@@ -711,3 +713,27 @@ def test_support_functions_are_pinned():
         pinned.append((cube_triangulation(choices), support))
     for fan, support in pinned:
         assert is_projective(fan).support_function == support
+        if support is not None:
+            assert _vertex_replay(fan, support)
+
+
+def test_dp3_anticanonical_fan_is_projective(monkeypatch):
+    # 27 columns pass the guard once it is raised; the S(-K) fan of the
+    # cubic surface's lines (621 cones in dimension 20) has an ample class,
+    # and its replayed support function gives fan_report the verdicts of
+    # the one read off the fibre vertices
+    monkeypatch.setattr(monomials, "MAX_SEARCH_GENS", 27)
+    monkeypatch.setattr(monomials, "_VERTICES", {})
+    q = DegreeMatrix.make(dp3_columns())
+    vertices = fibre_vertices(q, (3, -1, -1, -1, -1, -1, -1))
+    ideal = SquarefreeIdeal.from_supports([[j + 1 for j in s]
+                                           for s in vertices])
+    fan = fan_from_irrelevant(gale_dual(q), ideal)
+    cert = is_projective(fan)
+    assert cert.projective and _vertex_replay(fan, cert.support_function)
+    report = fan_report(fan, cert.support_function)
+    fibre = fan_report(fan, fibre_support(fan, ideal, vertices))
+    assert report["numMaximalCones"] == 621
+    assert report["valid"] and report["complete"] and report["projective"]
+    del report["supportFunction"], fibre["supportFunction"]
+    assert report == fibre

@@ -4,11 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from coxtoric import fans, linprog
-from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
+from coxtoric import linprog
 from coxtoric.exact import int_row, pivot
-from coxtoric.fans import fan_from_irrelevant, is_projective
-from coxtoric.grading import delpezzo4, gale_dual
 from coxtoric.linprog import LPResult, lp_feasible, simplex_nonneg
 from test_exact import fraction_rref
 
@@ -226,66 +223,6 @@ def test_random_cross_check_against_fourier_motzkin():
                 val = sum(Fraction(c) * w for c, w in zip(coeffs, got.witness))
                 assert val >= off
     assert agree == 120
-
-
-def bundled_fans():
-    """The ample and anticanonical fans of the bundled dP5 grading, the two
-    fans of the headline run."""
-    gale = gale_dual(delpezzo4().degrees)
-    return [fan_from_irrelevant(gale, ideal())
-            for ideal in (ample_ideal, anticanonical_ideal)]
-
-
-def test_projectivity_lps_of_reproduce_paper_match_fraction_reference(
-        monkeypatch):
-    # the is_projective LPs of the two bundled fans (41 and 21 variables,
-    # hundreds of rows), which the headline run reads off the fibre
-    # vertices instead: the simplex must pivot exactly as before, so the
-    # witnesses, and with them the pinned support functions, are the same
-    systems = []
-
-    def record(dim, eqs, ineqs):
-        got = lp_feasible(dim, eqs, ineqs)
-        systems.append(((dim, eqs, ineqs), got))
-        return got
-
-    monkeypatch.setattr(fans, "lp_feasible", record)
-    for fan in bundled_fans():
-        is_projective(fan)
-    assert len(systems) == 2
-    assert sorted(s[0] for s, _ in systems) == [21, 41]
-    for system, got in systems:
-        assert got.feasible
-        assert got == fraction_lp_feasible(*system)
-        assert all(type(x) is Fraction for x in got.witness)
-
-
-def test_projectivity_lps_reduce_each_distinct_row_once(monkeypatch):
-    # most wall rows of is_projective repeat: only the distinct equality
-    # rows of the two bundled fans' LPs reach int_rref, and doubling every
-    # row changes no witness
-    systems = []
-    reduced = []
-    real_rref = linprog.int_rref
-
-    def record(dim, eqs, ineqs):
-        systems.append((dim, eqs, ineqs))
-        return lp_feasible(dim, eqs, ineqs)
-
-    def rref_rows(rows):
-        reduced.append(len(rows))
-        return real_rref(rows)
-
-    monkeypatch.setattr(fans, "lp_feasible", record)
-    monkeypatch.setattr(linprog, "int_rref", rref_rows)
-    for fan in bundled_fans():
-        is_projective(fan)
-    assert len(systems) == 2
-    assert reduced == [len(set(map(tuple, eqs))) for _, eqs, _ in systems]
-    assert all(n < len(eqs) for n, (_, eqs, _) in zip(reduced, systems))
-    for dim, eqs, ineqs in systems:
-        assert lp_feasible(dim, eqs + eqs, ineqs + ineqs) == \
-            lp_feasible(dim, eqs, ineqs)
 
 
 # rows whose entries have unlike denominators, so that each row's own lcm

@@ -15,15 +15,15 @@ subspace membership, coordinates and intersections, the Fraction path for
 the integer fast paths of primitive, dot and generators_to_hrep, the
 former pair LPs for the pair separators of validate_fan and for the
 vertex replay that certifies complete projective fans, the kernel of each
-wall's rays for the wall normals read off the facets, and an uncached
+wall's rays for the facet normals of its two cones, and an uncached
 search under another heft for the cached radical layers, the enumerator's
 first solution for the vertex decision of each member of S(d), the former
 set-based union search for the bitmask one, the rank of the generators
 for the span rank and pointedness read off RationalCone's H-form, the
 same system without its repeated rows for lp_feasible, and the vertex
-replay and the projectivity LP for the support function read off the
-fibre vertices, the former H-form path (the equalities, the Fraction rank
-of the stacked normals and Cone.facets) for the independence test, the
+replay and the ample class of is_projective for the support function
+read off the fibre vertices, the former H-form path (the equalities, the
+Fraction rank of the stacked normals and Cone.facets) for the independence test, the
 pointedness witness and the "drop one ray" facets of simplicial cones,
 Fraction elimination for exact.rank, all pairs for the antichain check
 of SquarefreeIdeal, and dot products for the tight-row bitmasks of the
@@ -47,14 +47,14 @@ from coxtoric.chambers import chamber_of, effective_cone  # noqa: E402
 from coxtoric.cones import (RationalCone, cone_member,  # noqa: E402
                             double_description, generators_to_hrep,
                             primitive, separating_functional)
-from coxtoric import grading, monomials  # noqa: E402
+from coxtoric import grading, linprog, monomials  # noqa: E402
 from coxtoric.cli import reproduce_paper_report  # noqa: E402
 from coxtoric.delpezzo import ample_ideal, anticanonical_ideal  # noqa: E402
 from coxtoric.exact import (IntMat, det, dot, eliminate,  # noqa: E402
                             hermite_normal_form, int_row, kernel_lattice,
                             nullspace, rank, rational_solve, rref)
 from coxtoric.fans import (Fan, _facet_pairing,  # noqa: E402
-                           _vertex_replay, _walls, fan_from_irrelevant,
+                           _vertex_replay, fan_from_irrelevant,
                            fan_report, fibre_support, is_complete,
                            is_projective, is_simplicial, validate_fan)
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual  # noqa: E402
@@ -69,7 +69,8 @@ from coxtoric.monomials import (SquarefreeIdeal,  # noqa: E402
 from test_chambers import chamber_oracle, greedy_lp_hrep  # noqa: E402
 from test_exact import fraction_rref, maximal_minor_gcd  # noqa: E402
 from test_fans import (CUBE_FACES, CUBE_RAYS, DOUBLY_WOUND_CONES,  # noqa: E402
-                       DOUBLY_WOUND_RAYS, dot_facets, fresh_copy,
+                       DOUBLY_WOUND_RAYS, direct_projectivity_oracle,
+                       dot_facets, fresh_copy,
                        hrep_facet_pairing, hrep_is_complete,
                        hrep_is_pointed, hrep_span_rank,
                        lp_member, pair_lp_report, pair_lp_validate)
@@ -390,9 +391,21 @@ def test_lp_feasible_matches_fraction_reference(case):
 @settings(deadline=None)
 @given(linear_systems())
 def test_lp_feasible_ignores_repeated_rows(case):
+    # each distinct equality row reaches int_rref once, and doubling every
+    # row changes no witness
     dim, eqs, ineqs = sys_of(*case)
-    assert lp_feasible(dim, eqs + eqs, ineqs + ineqs) == \
-        lp_feasible(dim, eqs, ineqs)
+    reduced = []
+    real = linprog.int_rref
+
+    def rref_rows(rows):
+        reduced.append([tuple(r) for r in rows])
+        return real(rows)
+
+    with patch.object(linprog, "int_rref", rref_rows):
+        plain = lp_feasible(dim, eqs, ineqs)
+        doubled = lp_feasible(dim, eqs + eqs, ineqs + ineqs)
+    assert doubled == plain
+    assert reduced[0] == reduced[1] == list(dict.fromkeys(map(tuple, eqs)))
 
 
 @st.composite
@@ -962,12 +975,15 @@ def _check_replay_against_pair_lps(fan):
     assert validate_fan(fan, zero) == plain
     if pointed and is_complete(fan):
         cert = is_projective(fan)
+        # on a fan the wall-by-wall LP decides projectivity too; a cone
+        # set that winds twice can pass it with no ample class
+        if plain.ok:
+            assert cert.projective == direct_projectivity_oracle(fan)
         if cert.projective:
+            # the replayed support function of an ample class certifies
+            # a fan, which the pair LPs confirm
+            assert plain.ok and _vertex_replay(fan, cert.support_function)
             assert validate_fan(fan, cert.support_function) == plain
-            # local-to-global convexity: on a valid complete fan the
-            # wall-by-wall support function is globally strictly convex
-            if plain.ok:
-                assert _vertex_replay(fan, cert.support_function)
 
 
 @settings(deadline=None, max_examples=150)
@@ -1244,26 +1260,38 @@ def test_generators_to_hrep_int_matches_fraction(case):
     assert generators_to_hrep(d, gens) == generators_to_hrep(d, fracs)
 
 
-def _nullspace_normals(fan):
-    """Per wall of _walls, the reference normal from the kernel of its
-    rays: the primitive form of nullspace(tau_rays)[0]."""
+def _wall_normals(fan):
+    """Per shared facet of _facet_pairing, in order, the pair of inward
+    normals that Cone.facets gives its two cones for it, and the reference
+    normal from the kernel of its rays: the primitive form of
+    nullspace(tau_rays)[0]."""
+    cones = fan.maximal_cones
     out = []
-    for _a, _b, key, _n in _walls(fan):
+    for key, owners in _facet_pairing(fan).items():
+        normals = [next(n for n, tight in cones[pos].facets if tight == key)
+                   for pos in owners]
         tau_rays = [fan.rays[i - 1] for i in key] or \
             [[0] * fan.ambient_dim]
         basis = nullspace(tau_rays)
         assert len(basis) == 1
-        out.append(primitive(basis[0]))
+        out.append((normals, primitive(basis[0])))
     return out
+
+
+def _check_wall_normals(fan):
+    # the two cones of a wall lie on opposite sides of it: their facet
+    # normals are the kernel vector of its rays, one with each sign
+    walls = _wall_normals(fan)
+    assert len(walls) > 0
+    for normals, ref in walls:
+        assert sorted(normals) == sorted([ref, tuple(-x for x in ref)])
 
 
 @pytest.mark.parametrize("ideal", [ample_ideal, anticanonical_ideal],
                          ids=["ample", "anticanonical"])
 def test_wall_normals_of_bundled_fans_match_nullspace(ideal):
-    fan = fan_from_irrelevant(gale_dual(delpezzo4().degrees), ideal())
-    walls = _walls(fan)
-    assert len(walls) > 0
-    assert [n for _a, _b, _k, n in walls] == _nullspace_normals(fan)
+    _check_wall_normals(fan_from_irrelevant(gale_dual(delpezzo4().degrees),
+                                            ideal()))
 
 
 @st.composite
@@ -1288,17 +1316,14 @@ def complete_grading_fans(draw):
 @settings(deadline=None, max_examples=60)
 @given(complete_grading_fans())
 def test_wall_normals_from_facets_match_nullspace(fan):
-    # the facet normal, signed so that its last nonzero entry is positive,
-    # is the kernel vector of the wall's rays: both sides of the LP of
-    # is_projective see the same columns with the same signs
-    assert [n for _a, _b, _k, n in _walls(fan)] == _nullspace_normals(fan)
+    _check_wall_normals(fan)
 
 
 def _check_fibre_support(q, w, ideal):
     """Whenever fibre_support gives a function, it replays, m_0 = 0, its
     heights -a have a class Q a that is a positive multiple of w, and on a
-    complete fan fan_report accepts it and the LP also finds the fan
-    projective."""
+    complete fan fan_report accepts it and is_projective also finds the
+    fan projective."""
     try:
         fan = fan_from_irrelevant(gale_dual(q), ideal)
     except ValueError:
