@@ -27,8 +27,6 @@ it (see monomials)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cones import (RationalCone, _intersection, generators_to_hrep,
                     primitive, separating_functional)
 from .exact import dot, int_rref, int_vector, rank
@@ -36,12 +34,12 @@ from .grading import DegreeMatrix
 from .monomials import GuardExceeded  # noqa: F401  (re-exported)
 from .monomials import (_subset_hrep, caratheodory_supports, fibre_vertices,
                         irrelevant_radical)
+from .records import Record
 
 Vec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(Record):
     """GIT chamber as an irredundant homogeneous inequality system in
     canonical form: the rows of the fraction-free reduced echelon basis of
     its equalities, each with both signs, and per facet the least candidate
@@ -54,8 +52,7 @@ class Chamber:
     full_dimensional: bool
 
 
-@dataclass(frozen=True)
-class SameChamberResult:
+class SameChamberResult(Record):
     same: bool
     stable: bool | None = None
 

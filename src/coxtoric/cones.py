@@ -48,7 +48,6 @@ Sec. 1.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -56,6 +55,7 @@ from operator import mul
 from typing import Sequence
 
 from .exact import check_rational, dot, int_rref
+from .records import Record
 
 Vec = tuple[int, ...]
 
@@ -284,8 +284,7 @@ def _intersection(dim: int, hreps):
     return equalities, inequalities, lin, rays
 
 
-@dataclass(frozen=True)
-class RationalCone:
+class RationalCone(Record):
     """Rational polyhedral cone stored by primitive integer generators."""
 
     dim: int

@@ -11,17 +11,16 @@ certified at the generator level only; relation ideals are not modeled.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .chambers import spans_extremal_ray
 from .exact import IntMat, det, dot, int_vector
 from .grading import DegreeMatrix, string_label
+from .records import Record
 
 Multidegree = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CoxPresentationPair:
+class CoxPresentationPair(Record):
     """Ambient presentation, target generators, and the variable-index to
     generator-label correspondence (position k holds the label matched to
     variable k+1)."""
@@ -62,8 +61,7 @@ class CoxPresentationPair:
         return dict(self.target)
 
 
-@dataclass(frozen=True)
-class RestrictionTable:
+class RestrictionTable(Record):
     """Ambient divisor classes after restriction, keyed by divisor label."""
 
     entries: tuple[tuple[str, Multidegree], ...]
@@ -83,8 +81,7 @@ class RestrictionTable:
         return tuple(deg for _, deg in self.entries)
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(Record):
     ok: bool
     matching: tuple[tuple[int, str], ...]
     mismatch: str | None = None
@@ -93,8 +90,7 @@ class BijectionReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class PicRestrictionReport:
+class PicRestrictionReport(Record):
     ok: bool
     exact_match: bool
     detail: str | None = None
@@ -103,8 +99,7 @@ class PicRestrictionReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(Record):
     ok: bool
     matching: tuple[tuple[str, str], ...]
     mismatch: str | None = None

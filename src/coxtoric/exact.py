@@ -15,11 +15,12 @@ and of the rays of a fan (`fans.is_projective`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
+
+from .records import Record
 
 
 def int_vector(values, what: str) -> tuple[int, ...]:
@@ -45,8 +46,7 @@ def check_rational(vec: Sequence) -> None:
         raise ValueError("vector entries must be integers or Fractions")
 
 
-@dataclass(frozen=True)
-class IntMat:
+class IntMat(Record):
     """Dense integer matrix, row-major entries."""
 
     rows: int

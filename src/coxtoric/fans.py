@@ -36,7 +36,6 @@ dependent rays read Cone.facets and the H-form's pointedness witness
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
@@ -46,24 +45,29 @@ from .cones import (RationalCone, _fibre_rays, _intersection, cone_member,
 from .exact import IntMat, dot, int_rref, int_vector, kernel_lattice
 from .grading import GaleDual
 from .monomials import SquarefreeIdeal
+from .records import Record, store
 
 Vec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """Maximal cone of a fan: sorted 1-based ray indices and the rays."""
 
     ray_indices: tuple[int, ...]
     rays: tuple[Vec, ...]
 
-    def __post_init__(self) -> None:
-        if not self.ray_indices:
+    def __init__(self, ray_indices: tuple[int, ...],
+                 rays: tuple[Vec, ...]) -> None:
+        # by hand (see Record): a fan makes one per maximal cone
+        if not ray_indices:
             raise ValueError("cone needs at least one ray")
-        if tuple(sorted(set(self.ray_indices))) != self.ray_indices:
+        if tuple(sorted(set(ray_indices))) != ray_indices:
             raise ValueError("ray indices must be sorted and distinct")
-        if len(self.rays) != len(self.ray_indices):
+        if len(rays) != len(ray_indices):
             raise ValueError("one ray vector per ray index required")
+        store(self, "ray_indices", ray_indices)
+        store(self, "rays", rays)
+        store(self, "_key", (ray_indices, rays))
 
     @property
     def ambient_dim(self) -> int:
@@ -88,8 +92,7 @@ class Cone:
                      for n, z in zip(ineqs, masks))
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """A fan recorded by its rays and maximal cones."""
 
     rays: tuple[Vec, ...]
@@ -119,8 +122,7 @@ class Fan:
         return cls(rays, tuple(cones))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     ok: bool
     reason: str | None = None
 
@@ -128,8 +130,7 @@ class Verdict:
         return self.ok
 
 
-@dataclass(frozen=True)
-class ProjectivityCertificate:
+class ProjectivityCertificate(Record):
     projective: bool
     support_function: tuple[Vec, ...] | None = None
 
@@ -388,6 +389,11 @@ def is_projective(fan: Fan) -> ProjectivityCertificate:
     if not complete.ok:
         raise ValueError(f"projectivity test requires a complete fan: "
                          f"{complete.reason}")
+    return _ample_certificate(fan)
+
+
+def _ample_certificate(fan: Fan) -> ProjectivityCertificate:
+    """is_projective on a fan already known to be complete."""
     n = len(fan.rays)
     gale = kernel_lattice(IntMat.from_rows(zip(*fan.rays))).to_rows()
     r, q = len(gale), list(zip(*gale))
@@ -420,14 +426,15 @@ def fan_report(fan: Fan, support=None) -> dict:
     A given support (one integer functional per maximal cone, as
     fibre_support returns) is replayed once by _vertex_replay on a complete
     fan of pointed cones, and certifies both validity and projectivity; a
-    failed replay raises RuntimeError. Without one, is_projective finds
-    and replays the support function, or finds no ample class, and then
-    the pair separators decide validity."""
+    failed replay raises RuntimeError. Without one, is_projective's body
+    finds and replays the support function, or finds no ample class, and
+    then the pair separators decide validity; completeness is decided
+    once, here."""
     complete = is_complete(fan)
     cert = None
     if complete.ok and all(c.geometry.is_pointed for c in fan.maximal_cones):
         if support is None:
-            cert = is_projective(fan)
+            cert = _ample_certificate(fan)
             valid = Verdict(True) if cert.projective else validate_fan(fan)
         elif _vertex_replay(fan, support):
             cert = ProjectivityCertificate(True, support)

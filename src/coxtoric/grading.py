@@ -7,10 +7,9 @@ matrix, read columnwise) gives the rays of the associated toric one-skeleton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exact import (IntMat, hermite_normal_form, int_vector, kernel_lattice,
                     rank)
+from .records import Record, store
 
 Vec = tuple[int, ...]
 
@@ -23,8 +22,7 @@ def string_label(value, what: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class DegreeMatrix:
+class DegreeMatrix(Record):
     """Degree matrix of a graded polynomial ring: one column per generator."""
 
     columns: tuple[Vec, ...]
@@ -43,7 +41,7 @@ class DegreeMatrix:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("generator labels must be distinct")
         # every per-grading cache hashes the matrix on each lookup
-        object.__setattr__(self, "_hash", hash((self.columns, self.labels)))
+        store(self, "_hash", hash((self.columns, self.labels)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -75,8 +73,7 @@ class DegreeMatrix:
             [[c[i] for c in self.columns] for i in range(self.pic_rank)])
 
 
-@dataclass(frozen=True)
-class GaleDual:
+class GaleDual(Record):
     """Rays of the toric one-skeleton: one primitive ray per generator."""
 
     rays: tuple[Vec, ...]
@@ -113,8 +110,7 @@ def gale_dual(q: DegreeMatrix) -> GaleDual:
     return GaleDual(rays=tuple(k.col(j) for j in range(k.cols)))
 
 
-@dataclass(frozen=True)
-class DelPezzo4:
+class DelPezzo4(Record):
     """The degree-five del Pezzo presentation: ten generators graded by
     Pic = Z^5 in the basis (hyperplane, four exceptional classes)."""
 

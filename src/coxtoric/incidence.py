@@ -15,7 +15,6 @@ before the plane is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -23,6 +22,7 @@ from random import Random
 
 from .cones import primitive
 from .exact import IntMat, check_rational, det, int_vector, nullspace, rref
+from .records import Record, store
 
 _BOX = 10
 
@@ -35,21 +35,23 @@ class SearchExhausted(RuntimeError):
         self.attempts = attempts
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Record):
     """Projective point: nonzero primitive integer coordinates, first
     nonzero entry positive."""
 
     coords: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not any(int_vector(self.coords, "point")):
+    def __init__(self, coords: tuple[int, ...]) -> None:
+        # by hand (see Record): the plane search makes points in its loop
+        if not any(int_vector(coords, "point")):
             raise ValueError("zero vector is not a projective point")
-        if gcd(*(abs(x) for x in self.coords)) != 1:
+        if gcd(*(abs(x) for x in coords)) != 1:
             raise ValueError("coordinates not primitive")
-        lead = next(x for x in self.coords if x)
+        lead = next(x for x in coords if x)
         if lead < 0:
             raise ValueError("leading coordinate not positive")
+        store(self, "coords", coords)
+        store(self, "_key", (coords,))
 
     @classmethod
     def make(cls, coords) -> "ProjPoint":
@@ -66,15 +68,14 @@ class ProjPoint:
         return len(self.coords) - 1
 
 
-@dataclass(frozen=True)
-class ProjSubspace:
+class ProjSubspace(Record):
     """Projective linear subspace, stored as the reduced row echelon basis
     of its affine span (k rows of length m+1, int or Fraction entries).
     The constructor rejects any other basis, and keeps the pivot columns,
-    where a point's entries are its coordinates."""
+    where a point's entries are its coordinates, as `pivots`, which is no
+    field: it takes no part in equality, hash or repr."""
 
     basis: tuple[tuple[Fraction, ...], ...]
-    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.basis:
@@ -88,7 +89,7 @@ class ProjSubspace:
             raise ValueError("basis rows not independent")
         if tuple(map(tuple, red)) != self.basis:
             raise ValueError("basis not in reduced row echelon form")
-        object.__setattr__(self, "pivots", tuple(pivots))
+        store(self, "pivots", tuple(pivots))
 
     @property
     def ambient_dim(self) -> int:
@@ -174,8 +175,7 @@ def intersect(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace | None:
                         for j in range(s1.ambient_dim + 1)] for a in kernel])
 
 
-@dataclass(frozen=True)
-class PositionVerdict:
+class PositionVerdict(Record):
     """ok is True/False for an applicable check, None when the
     precondition failed (reason says which)."""
 
@@ -216,16 +216,14 @@ def general_position_on_plane(pts, plane: ProjSubspace) -> PositionVerdict:
     return PositionVerdict(True, None)
 
 
-@dataclass(frozen=True)
-class TransversalPlane:
+class TransversalPlane(Record):
     plane: ProjSubspace
     points: tuple[ProjPoint, ...]
     attempts: int
     seed: int
 
 
-@dataclass(frozen=True)
-class LineWitness:
+class LineWitness(Record):
     plane: ProjSubspace
     refinement: bool
     note: str

@@ -23,17 +23,16 @@ form of the effective cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
 from .exact import eliminate, int_rref, pivot
+from .records import Record
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(Record):
     """Feasibility verdict with an exact rational witness."""
 
     feasible: bool

@@ -36,7 +36,6 @@ is kept per grading, so a caller that passes none derives it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import gcd
 from types import MappingProxyType
@@ -44,6 +43,7 @@ from types import MappingProxyType
 from .cones import _fibre_rays, generators_to_hrep, primitive
 from .exact import dot, int_vector
 from .grading import DegreeMatrix
+from .records import Record
 
 Exponent = tuple[int, ...]
 Support = tuple[int, ...]
@@ -56,8 +56,7 @@ class GuardExceeded(ValueError):
     """A computation would exceed its configured size guard."""
 
 
-@dataclass(frozen=True)
-class SquarefreeIdeal:
+class SquarefreeIdeal(Record):
     """Radical monomial ideal, stored as the antichain of minimal supports
     (1-based generator indices, each support strictly increasing, supports
     ordered by size then lexicographically)."""

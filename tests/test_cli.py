@@ -427,6 +427,33 @@ def test_a_command_builds_its_parser_once(capsys, monkeypatch):
     assert built == ["coxtoric basis"]
 
 
+def test_cli_import_runs_no_generated_code_and_freezes_once():
+    # a fresh interpreter, as a CLI run starts: no module generates code
+    # at import (dataclasses and the modules it pulls in stay unloaded),
+    # the import-time heap is frozen, and running commands freezes no
+    # job garbage
+    script = (
+        "import gc, io, json, sys, contextlib\n"
+        "import coxtoric.cli\n"
+        "frozen = gc.get_freeze_count()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [coxtoric.cli.main(['basis', '--dataset', 'p2',\n"
+        "                                '--degree', '1']) for _ in 'ab']\n"
+        "print(json.dumps({'codes': codes, 'frozen': frozen,\n"
+        "                  'after': gc.get_freeze_count(),\n"
+        "                  'loaded': sorted(m for m in ('dataclasses',\n"
+        "                      'inspect', 'ast', 'dis', 'tokenize',\n"
+        "                      'linecache', 'copy')\n"
+        "                      if m in sys.modules)}))\n")
+    result = subprocess.run([sys.executable, "-c", script],
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["codes"] == [0, 0] and report["loaded"] == []
+    assert report["frozen"] > 0 and report["after"] == report["frozen"]
+
+
 @pytest.mark.parametrize("degree", ["1_0", "\u0661", " 1", "1 "])
 def test_degree_fields_read_strictly(capsys, degree):
     # int() accepts all of these

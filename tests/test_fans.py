@@ -453,6 +453,27 @@ def test_fan_report_makes_no_lp_call(counted_lp_calls, ideal):
     assert counted_lp_calls == []
 
 
+@pytest.mark.parametrize("build, complete", [
+    (lambda: fan_from_irrelevant(gale_dual(delpezzo4().degrees),
+                                 ample_ideal()), True),
+    (lambda: cube_fan(CUBE_PROJECTIVE), True),
+    (lambda: cube_fan(CUBE_NONPROJECTIVE), True),
+    (lambda: cube_fan(CUBE_PROJECTIVE[1:]), False),
+], ids=["dp4-ample", "cube-projective", "cube-nonprojective", "incomplete"])
+def test_fan_report_pairs_facets_once(monkeypatch, build, complete):
+    # completeness is decided once per report: is_projective's own check
+    # is not run again on a fan that fan_report has found complete
+    fan = build()
+    calls = []
+
+    def counted(fan, _real=fans._facet_pairing):
+        calls.append(fan)
+        return _real(fan)
+    monkeypatch.setattr(fans, "_facet_pairing", counted)
+    assert fan_report(fan)["complete"] is complete
+    assert len(calls) == 1
+
+
 def test_reproduce_paper_makes_no_lp_call(counted_lp_calls):
     # both fans of the headline run are S(w) fans: their support functions
     # are read off the fibre vertices
