@@ -5,9 +5,11 @@ runs one pipeline stage, and prints either a human summary or the exact
 JSON report (--json). reproduce-paper chains every stage over the bundled
 del Pezzo dataset and folds the per-check verdicts into a single run
 report. One table, _COMMANDS, declares each command's help, arguments and
-handler. A run that names its command builds only that command's parser;
-the full argparse tree is built only for top-level help, --version and
-usage errors, whose bytes it keeps. The objects made by the imports
+handler. A valid command line builds no parser at all: its argv is read
+off the command's declarations in that table, and argparse is imported
+only to render help and errors, whose bytes it keeps (one command's
+parser for that command's help and errors, the whole tree for top-level
+help, --version and leftover arguments). The objects made by the imports
 (modules, classes, functions, constants, about 13,000) are frozen once
 by gc.freeze() at import, so that no collection walks them again.
 
@@ -22,13 +24,14 @@ an input error, and the library constructors behind the stages
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import re
 import sys
 from functools import cache
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .chambers import chamber_of, same_chamber
@@ -44,6 +47,10 @@ from .incidence import (SearchExhausted, find_transversal_plane,
                         general_position_on_plane, intersect)
 from .monomials import (GuardExceeded, fibre_vertices, irrelevant_radical,
                         monomials_of_degree)
+
+if TYPE_CHECKING:
+    # imported where a parser is built: a valid command line needs none
+    import argparse
 
 # what the imports made lives as long as the process: frozen, the
 # collector's passes never walk it again
@@ -693,10 +700,91 @@ def _add_command_arguments(sp, name: str) -> None:
                     help="emit the JSON report instead of text")
 
 
+class _Declarations:
+    """Stands in for a parser while a command's argument functions run, and
+    keeps what they declare: the table _parse_command reads argv off. Takes
+    only the keywords those functions use, so a new kind of argument fails
+    here instead of being misread."""
+
+    def __init__(self) -> None:
+        self.options: dict = {}    # option -> (dest, type, choices, flag)
+        self.positionals: list = []   # (dest, choices, required)
+        self.defaults: dict = {}
+
+    def add_argument(self, name: str, *, action=None, nargs=None,
+                     choices=None, type=None, default=None, dest=None,
+                     help=None, metavar=None) -> None:
+        if action not in (None, "store_true") or nargs not in (None, "?"):
+            raise TypeError(f"{name}: no table parsing for "
+                            f"action={action!r}, nargs={nargs!r}")
+        if not name.startswith("-"):
+            self.positionals.append((name, choices, nargs is None))
+            self.defaults[name] = default
+            return
+        dest = dest or name.lstrip("-").replace("-", "_")
+        flag = action == "store_true"
+        self.options[name] = (dest, type, choices, flag)
+        self.defaults[dest] = False if flag else default
+
+
+@cache
+def _declarations(name: str) -> _Declarations:
+    table = _Declarations()
+    _add_command_arguments(table, name)
+    return table
+
+
+def _parse_command(name: str, argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a valid argv, read off the command's declarations,
+    equal to what its argparse parser returns; None, printing nothing, where
+    argparse must decide: help, '--', an abbreviated or unknown option, a
+    separate value that starts with '-' or is missing, a flag given a
+    value, too many or too few positionals, a failed type or choice check."""
+    table = _declarations(name)
+    values = dict(table.defaults)
+    positionals = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if not tok.startswith("-"):
+            positionals.append(tok)
+            continue
+        option, eq, value = tok.partition("=")
+        if option not in table.options:
+            return None
+        dest, convert, choices, flag = table.options[option]
+        if flag:
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    declared = table.positionals
+    if not sum(required for _, _, required in declared) <= len(positionals) \
+            <= len(declared):
+        return None
+    for (dest, choices, _), value in zip(declared, positionals):
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values)
+
+
 @cache
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """One command's parser, equal to its subparser in build_parser's tree,
-    built once per process: a run that names its command needs no other."""
+    built once per process, for the argvs _parse_command leaves to it."""
+    import argparse
     parser = argparse.ArgumentParser(prog=f"coxtoric {name}")
     _add_command_arguments(parser, name)
     return parser
@@ -706,6 +794,7 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     """The whole argparse tree, built once per process: main needs it only
     for top-level help, --version and usage errors."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="coxtoric",
         description="exact toric constructions from Cox-ring gradings")
@@ -742,10 +831,13 @@ def main(argv=None) -> int:
     argv = _join_signed_classes(sys.argv[1:] if argv is None else list(argv))
     if argv and argv[0] in _COMMANDS:
         command = argv[0]
-        args, extra = _command_parser(command).parse_known_args(argv[1:])
-        if extra:
-            # the tree reports leftovers under its own usage
-            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        args = _parse_command(command, argv[1:])
+        if args is None:
+            args, extra = _command_parser(command).parse_known_args(argv[1:])
+            if extra:
+                # the tree reports leftovers under its own usage
+                build_parser().error(
+                    f"unrecognized arguments: {' '.join(extra)}")
     else:
         args = build_parser().parse_args(argv)
         command = args.command

@@ -423,15 +423,77 @@ def test_a_command_builds_its_parser_once(capsys, monkeypatch):
         code, out, _ = run(capsys, ["basis", "--dataset", "p2", "--degree",
                                     "1"])
         assert code == 0 and "monomials: 3" in out
-    # neither the whole tree nor a second copy of the command's parser
+    # a valid command line is read off the command table
+    assert built == []
+    for _ in range(2):
+        # an abbreviated option is left to the command's parser, built once
+        code, out, _ = run(capsys, ["basis", "--dataset", "p2", "--deg",
+                                    "1"])
+        assert code == 0 and "monomials: 3" in out
     assert built == ["coxtoric basis"]
+
+
+# the argv shapes of the benchmark's four workloads and of README's examples
+TABLE_ARGVS = [
+    ["reproduce-paper", "--json"],
+    ["irrelevant", ".bench_work/dp4.json", "--degree", "3,-1,-1,-1,-1,-1",
+     "--json"],
+    ["chamber", "--dataset", "delpezzo4", "--degree", "1,0,0,-1,1",
+     "--compare", "2,0,0,-2,2", "--json"],
+    ["incidence", "search", "--seed", "856277114", "--json"],
+    ["gale", "--dataset", "delpezzo4", "--reference", "paper-AT"],
+    ["basis", "--dataset", "p2", "--degree", "2"],
+    ["irrelevant", "--dataset", "delpezzo4", "--degree", "3,-1,-1,-1,-1"],
+    ["fan", "--dataset", "delpezzo4", "--degree", "11,-5,-3,-2,-1"],
+    ["chamber", "--dataset", "delpezzo4", "--degree", "11,-5,-3,-2,-1",
+     "--compare", "3,-1,-1,-1,-1"],
+    ["embed", "--dataset", "delpezzo4"],
+    ["incidence", "verify-paper"],
+    ["incidence", "search", "--seed", "1", "--max-tries", "100"],
+    ["reproduce-paper"],
+    ["chamber", "signed.json", "--degree", "-1,2", "--compare", "-1,3"],
+    ["fan", "--dataset", "delpezzo4", "--degree", "3,-1,-1,-1,-1",
+     "--saturate", "2", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_ARGVS, ids=" ".join)
+def test_table_parser_reads_workload_and_readme_argvs(argv):
+    argv = cli._join_signed_classes(argv)
+    parsed = cli._parse_command(argv[0], argv[1:])
+    assert parsed is not None
+    args, extra = cli._command_parser(argv[0]).parse_known_args(argv[1:])
+    assert (vars(parsed), extra) == (vars(args), [])
+
+
+@pytest.mark.parametrize("argv, by_table", [
+    (["basis", "--dataset", "p2", "--deg", "1"], False),
+    (["incidence", "search", "--seed", "-1", "--json"], False),
+    (["irrelevant", "-", "--degree", "1"], False),
+    (["irrelevant", "--degree", "1", "--json", "p2.json"], True),
+])
+def test_argvs_left_to_argparse_run_as_before(tmp_path, monkeypatch, capsys,
+                                              argv, by_table):
+    # the second run reads every argv with argparse, as the CLI did before
+    # it had a table parser
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p2.json").write_text(json.dumps(P2_INPUT))
+    assert (cli._parse_command(argv[0], argv[1:]) is not None) == by_table
+    results = []
+    for table in (cli._parse_command, lambda name, argv: None):
+        monkeypatch.setattr(cli, "_parse_command", table)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(P2_INPUT)))
+        results.append(run(capsys, argv))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][2] == ""
 
 
 def test_cli_import_runs_no_generated_code_and_freezes_once():
     # a fresh interpreter, as a CLI run starts: no module generates code
     # at import (dataclasses and the modules it pulls in stay unloaded),
-    # the import-time heap is frozen, and running commands freezes no
-    # job garbage
+    # a valid command line loads no argparse (nor the gettext and locale
+    # it pulls in), the import-time heap is frozen, and running commands
+    # freezes no job garbage
     script = (
         "import gc, io, json, sys, contextlib\n"
         "import coxtoric.cli\n"
@@ -443,7 +505,8 @@ def test_cli_import_runs_no_generated_code_and_freezes_once():
         "                  'after': gc.get_freeze_count(),\n"
         "                  'loaded': sorted(m for m in ('dataclasses',\n"
         "                      'inspect', 'ast', 'dis', 'tokenize',\n"
-        "                      'linecache', 'copy')\n"
+        "                      'linecache', 'copy', 'argparse', 'gettext',\n"
+        "                      'locale')\n"
         "                      if m in sys.modules)}))\n")
     result = subprocess.run([sys.executable, "-c", script],
                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},

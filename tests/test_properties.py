@@ -26,9 +26,12 @@ read off the fibre vertices, the former H-form path (the equalities, the
 Fraction rank of the stacked normals and Cone.facets) for the independence test, the
 pointedness witness and the "drop one ray" facets of simplicial cones,
 Fraction elimination for exact.rank, all pairs for the antichain check
-of SquarefreeIdeal, and dot products for the tight-row bitmasks of the
-double description and the tight rays of Cone.facets."""
+of SquarefreeIdeal, dot products for the tight-row bitmasks of the
+double description and the tight rays of Cone.facets, and each command's
+argparse parser for the namespaces the CLI reads off its command table."""
 
+import contextlib
+import io
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -47,7 +50,7 @@ from coxtoric.chambers import chamber_of, effective_cone  # noqa: E402
 from coxtoric.cones import (RationalCone, cone_member,  # noqa: E402
                             double_description, generators_to_hrep,
                             primitive, separating_functional)
-from coxtoric import grading, linprog, monomials  # noqa: E402
+from coxtoric import cli, grading, linprog, monomials  # noqa: E402
 from coxtoric.cli import reproduce_paper_report  # noqa: E402
 from coxtoric.delpezzo import ample_ideal, anticanonical_ideal  # noqa: E402
 from coxtoric.exact import (IntMat, det, dot, eliminate,  # noqa: E402
@@ -1424,3 +1427,58 @@ def test_reproduce_paper_computes_five_layers(monkeypatch):
         {tuple(k * x for x in w) for w, ks in ((dp.ample, (1, 2, 4)),
                                                (dp.anti_canonical, (1, 2)))
          for k in ks})
+
+
+@st.composite
+def command_lines(draw):
+    """A command and an argv built from its options, as "--opt VALUE" or
+    "--opt=VALUE", and its positionals, placed anywhere. A value is one the
+    option takes or, one time in four, an odd token: a value argparse reads
+    in another way, an option prefix, "--", "-h" or an unknown option. One
+    argv in two gets one more odd token, anywhere."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    table = cli._declarations(name)
+    options = sorted(table.options)
+    prefixes = [o[:k] for o in options for k in range(3, len(o))]
+    odd = st.sampled_from(["1,2", "-1", "-1,2", "x", "", "-", "1_0", "--",
+                           "-h", "--help", "--json", "--json=1", "-x",
+                           *prefixes, *(f"{p}=1" for p in prefixes)])
+
+    def token(taken):
+        return draw(st.sampled_from(taken) if draw(st.integers(0, 3))
+                    else odd)
+
+    argv = []
+    for option in draw(st.lists(st.sampled_from(options), max_size=4)):
+        _, _, choices, flag = table.options[option]
+        if flag:
+            argv.append(option)
+            continue
+        value = token(choices or ("1", "12"))
+        argv += draw(st.sampled_from(([option, value], [f"{option}={value}"])))
+    for _, choices, _ in table.positionals:
+        if draw(st.integers(0, 3)):
+            argv.insert(draw(st.integers(0, len(argv))),
+                        token(choices or ("p2.json",)))
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(odd))
+    return name, argv
+
+
+@settings(deadline=None, max_examples=600)
+@example(("basis", ["--dataset", "p2", "--degree", "1"]))
+@example(("incidence", ["--seed=-1", "search", "--json"]))
+@example(("gale", ["--reference=", "x"]))
+@given(command_lines())
+def test_table_parser_agrees_with_argparse(case):
+    name, argv = case
+    parsed = cli._parse_command(name, argv)
+    if parsed is None:
+        return
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            args, extra = cli._command_parser(name).parse_known_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse rejects {argv!r}: {sink.getvalue()}")
+    assert (vars(parsed), extra) == (vars(args), [])
