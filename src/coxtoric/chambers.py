@@ -23,7 +23,14 @@ with integer dot products and ranks.
 Chamber equality at a fixed saturation depth is decided through the
 public monomials.irrelevant_radical, once per class, whose search decides
 each member of S(w) by its fibre vertex and needs no constraint form for
-it (see monomials)."""
+it (see monomials); the radicals are cached per class and depth, so a
+comparison reuses those that a run has already built.
+
+Extremality of a column is read off Eff's constraint form from the same
+cache, where derive_heft has already put it: the facets tight on the
+column, by their generator masks, give its minimal face, and a "yes" is
+replayed with one integer functional. Only a non-pointed Eff runs a
+double description per column (separating_functional)."""
 
 from __future__ import annotations
 
@@ -65,16 +72,52 @@ def effective_cone(q: DegreeMatrix) -> RationalCone:
 def spans_extremal_ray(q: DegreeMatrix, i: int) -> bool:
     """Whether generator i (1-based) spans an extremal ray of the effective
     cone: its degree is not a nonnegative combination of the non-parallel
-    remaining degrees, certified by a replayed separating functional."""
+    remaining degrees.
+
+    The verdict is read off Eff's constraint form, cached per grading
+    (_subset_hrep over all columns, as derive_heft reads it), with no
+    double description. Eff is pointed when h, the sum of its facet
+    normals, is positive on every nonzero column. Then q_i spans an
+    extremal ray exactly when every column of its minimal face, the
+    columns tight on every facet tight on q_i (read off the facets'
+    generator masks), is parallel to q_i. A "yes" is certified by
+    x = M s - h, with s the sum of the facets tight on q_i and
+    M = max ceil((h.c + 1) / (s.c)) over the nonzero columns c not
+    parallel to q_i, where s.c > 0: x.q_i < 0 and x.c > 0 are replayed,
+    and a failed replay raises RuntimeError. A non-pointed Eff asks
+    separating_functional about the non-parallel columns instead."""
     if not 1 <= i <= q.num_gens:
         raise ValueError("generator index out of range")
     col = q.columns[i - 1]
     if not any(col):
         raise ValueError("zero degree column")
     direction = primitive(col)
-    others = [c for j, c in enumerate(q.columns)
-              if j != i - 1 and primitive(c) != direction]
-    return separating_functional(others, col, q.pic_rank) is not None
+    # the nonzero columns, in the order of the facet masks' bits
+    nonzero = [c for c in q.columns if any(c)]
+    facets, masks = _subset_hrep(q, tuple(range(q.num_gens)))[1:]
+    h = [sum(a[k] for a in facets) for k in range(q.pic_rank)]
+    if any(dot(h, c) <= 0 for c in nonzero):
+        others = [c for j, c in enumerate(q.columns)
+                  if j != i - 1 and primitive(c) != direction]
+        return separating_functional(others, col, q.pic_rank) is not None
+    bit = 1 << sum(1 for c in q.columns[:i - 1] if any(c))
+    tight = [(a, z) for a, z in zip(facets, masks) if z & bit]
+    face = (1 << len(nonzero)) - 1
+    for _a, z in tight:
+        face &= z
+    others = [(k, c) for k, c in enumerate(nonzero)
+              if primitive(c) != direction]
+    if any(face >> k & 1 for k, _c in others):
+        return False
+    s = [sum(a[k] for a, _z in tight) for k in range(q.pic_rank)]
+    products = [(dot(h, c), dot(s, c)) for _k, c in others]
+    if any(sc <= 0 for _hc, sc in products):
+        raise RuntimeError("separating functional failed replay")
+    m = max((-(-(hc + 1) // sc) for hc, sc in products), default=0)
+    x = [m * sk - hk for sk, hk in zip(s, h)]
+    if dot(x, col) >= 0 or any(dot(x, c) <= 0 for _k, c in others):
+        raise RuntimeError("separating functional failed replay")
+    return True
 
 
 def chamber_of(q: DegreeMatrix, w) -> Chamber:

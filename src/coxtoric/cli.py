@@ -30,6 +30,7 @@ import os
 import re
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -78,7 +79,60 @@ _EXPECTED_PAIRING = (
 
 
 def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True) + "\\n",
+    from a direct recursive writer: with indent set, the standard library
+    runs its pure-Python encoder. Reports hold only str, int, bool, None,
+    lists, tuples and str-keyed dicts; anything else raises TypeError."""
+    out: list[str] = []
+    _write_json(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, out: list[str], newline: str) -> None:
+    # newline is the line break and indent of the enclosing level
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(item) is int for item in value):
+            # rays, supports and functionals: one join per vector
+            out.append("[" + inner + ("," + inner).join(
+                map(int.__repr__, value)) + newline + "]")
+            return
+        out.append("[")
+        for k, item in enumerate(value):
+            out.append("," + inner if k else inner)
+            _write_json(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("report keys must be str")
+        inner = newline + "  "
+        out.append("{")
+        for k, key in enumerate(sorted(value)):
+            out.append("," + inner if k else inner)
+            out.append(encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], out, inner)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
 
 
 def _is_int(x) -> bool:

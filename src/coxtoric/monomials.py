@@ -23,10 +23,13 @@ of the S(w) fan off the vertices themselves.
 S(k w) = S(w) for k >= 1, so every layer of irrelevant_radical reads off one,
 and the double description runs once per grading and primitive class in the
 process. The minimal supports of each degree are computed once per process,
-so the radicals and chamber comparisons of one run share their common
-layers. Like the constraint forms of the column cones (_subset_hrep), these
-caches keep every entry for the whole process, with no bound on their
-memory; chambers.chamber_of reads its column cones from the same cache.
+and so is the radical of each class at each depth (built from the one a
+depth below and one more layer), so the radicals and chamber comparisons
+of one run share their common layers and radicals. Like the constraint
+forms of the column cones (_subset_hrep), these caches keep every entry
+for the whole process, with no bound on their memory;
+chambers.chamber_of reads its column cones from the same cache, and
+chambers.spans_extremal_ray reads Eff's from it.
 No question here goes to an LP, and none to a rank: the heft is the
 primitive sum of the facet normals of the effective cone, read off its
 constraint form (cached like the enumerator's cones), and the grading is
@@ -244,7 +247,7 @@ def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Supp
 
 
 # minimal supports per (grading, degree), kept for the whole process like
-# _subset_hrep: reproduce-paper asks for 12 layers of which 5 are distinct
+# _subset_hrep: reproduce-paper asks for 6 layers of which 5 are distinct
 _LAYERS: dict[tuple[DegreeMatrix, tuple[int, ...]], tuple[Support, ...]] = {}
 
 
@@ -365,6 +368,13 @@ def radical_of_monomials(monomials) -> SquarefreeIdeal:
     return SquarefreeIdeal(minimal_antichain(supports))
 
 
+# the radical per (grading, degree, depth), kept for the whole process like
+# _LAYERS: reproduce-paper asks for the radicals at a and -K again in its
+# chamber comparisons, and builds depth 2 from depth 1 and one more layer
+_RADICALS: dict[tuple[DegreeMatrix, tuple[int, ...], int],
+                SquarefreeIdeal] = {}
+
+
 def irrelevant_radical(q: DegreeMatrix, degree, depth: int = 1, heft=None,
                        check_stable: bool = False):
     """Radical of the ideal generated by all monomials of degrees
@@ -372,6 +382,11 @@ def irrelevant_radical(q: DegreeMatrix, degree, depth: int = 1, heft=None,
 
     With check_stable=True, returns (ideal, stable) where stable reports
     whether going to depth + 1 leaves the radical unchanged.
+
+    The depth, the heft and the degree are checked on every call. The
+    radical at depth j is the antichain of the radical at depth j - 1 and
+    the layer j * degree, and each is cached per (q, degree, j) in
+    _RADICALS; like the layers, it does not depend on the heft.
     """
     if depth < 1:
         raise ValueError("saturation depth must be at least 1")
@@ -379,12 +394,22 @@ def irrelevant_radical(q: DegreeMatrix, degree, depth: int = 1, heft=None,
     h = _checked_heft(q, heft)
     if len(d) != q.pic_rank:
         raise ValueError("degree has wrong length")
-    layers: list[Support] = []
-    for j in range(1, depth + 1):
-        layers.extend(_minimal_supports(q, tuple(j * x for x in d), h))
-    ideal = SquarefreeIdeal(minimal_antichain(layers))
+    ideal = _radical(q, d, h, depth)
     if not check_stable:
         return ideal
-    layers.extend(_minimal_supports(q, tuple((depth + 1) * x for x in d), h))
-    stable = SquarefreeIdeal(minimal_antichain(layers)) == ideal
-    return ideal, stable
+    return ideal, _radical(q, d, h, depth + 1) == ideal
+
+
+def _radical(q: DegreeMatrix, d, h, depth: int) -> SquarefreeIdeal:
+    """irrelevant_radical at a checked degree and heft, through _RADICALS:
+    only the depths missing from the cache ask for their layer."""
+    below: tuple[Support, ...] = ()
+    for j in range(1, depth + 1):
+        key = (q, d, j)
+        ideal = _RADICALS.get(key)
+        if ideal is None:
+            layer = _minimal_supports(q, tuple(j * x for x in d), h)
+            ideal = _RADICALS[key] = SquarefreeIdeal(
+                minimal_antichain((*below, *layer)))
+        below = ideal.generators
+    return ideal

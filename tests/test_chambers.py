@@ -7,7 +7,8 @@ from coxtoric.chambers import (GuardExceeded, chamber_of, effective_cone,
                                same_chamber, spans_extremal_ray)
 from coxtoric.cli import main
 from coxtoric.cones import (RationalCone, double_description,
-                            generators_to_hrep, primitive)
+                            generators_to_hrep, primitive,
+                            separating_functional)
 from coxtoric.exact import dot
 from coxtoric.fans import fan_from_irrelevant
 from coxtoric.grading import DegreeMatrix, delpezzo4, gale_dual
@@ -284,6 +285,7 @@ def test_support_sets_computed_once_per_class(monkeypatch):
     q = dp.degrees
     calls = counted_support_dds(monkeypatch)
     monkeypatch.setattr(monomials, "_LAYERS", {})
+    monkeypatch.setattr(monomials, "_RADICALS", {})
     doubled = tuple(2 * x for x in dp.ample)
     result = same_chamber(q, dp.ample, doubled, depth=2, check_stable=True)
     assert result.same and result.stable
@@ -328,6 +330,7 @@ def test_same_chamber_reuses_the_cone_hreps_of_chamber_of(monkeypatch):
     q = dp.degrees
     monkeypatch.setattr(monomials, "_VERTICES", {})
     monkeypatch.setattr(monomials, "_LAYERS", {})
+    monkeypatch.setattr(monomials, "_RADICALS", {})
     monomials._subset_hrep.cache_clear()
     monomials.derive_heft.cache_clear()
     misses = []
@@ -405,6 +408,7 @@ def test_dp3_anticanonical_chamber_is_the_ray_through_minus_k(monkeypatch):
     monkeypatch.setattr(monomials, "MAX_SEARCH_GENS", 27)
     monkeypatch.setattr(monomials, "_VERTICES", {})
     monkeypatch.setattr(monomials, "_LAYERS", {})
+    monkeypatch.setattr(monomials, "_RADICALS", {})
     minus_k = (3, -1, -1, -1, -1, -1, -1)
     ch = chamber_of(DegreeMatrix.make(dp3_columns()), minus_k)
     assert ch.full_dimensional is False
@@ -419,7 +423,28 @@ def test_dp3_anticanonical_chamber_is_the_ray_through_minus_k(monkeypatch):
     assert dot(facet, minus_k) > 0
 
 
+def put_column_one_on_every_facet(monkeypatch):
+    """Corrupt Eff's constraint form as chambers reads it: column 1 on
+    every facet. Its minimal face is then column 1 alone, every facet
+    counts as tight on it, and the extremality witness M s - h with s = h
+    is h itself, positive on column 1."""
+    real = chambers._subset_hrep
+
+    def bogus(q, subset):
+        eqs, facets, masks = real(q, subset)
+        return eqs, facets, tuple(z | 1 for z in masks)
+
+    monkeypatch.setattr(chambers, "_subset_hrep", bogus)
+
+
 def test_separating_functional_replay_failure(monkeypatch):
+    put_column_one_on_every_facet(monkeypatch)
+    with pytest.raises(RuntimeError,
+                       match="separating functional failed replay"):
+        spans_extremal_ray(delpezzo4().degrees, 1)
+
+
+def test_separating_functional_replays_its_row(monkeypatch):
     # a generator's negative put first among the facets separates every
     # target with a positive product with some generator, but fails on
     # that generator itself
@@ -430,9 +455,16 @@ def test_separating_functional_replay_failure(monkeypatch):
         return eqs, tuple(tuple(-x for x in g) for g in gens) + ineqs, masks
 
     monkeypatch.setattr(cones, "generators_to_hrep", bogus)
+    columns = delpezzo4().degrees.columns
     with pytest.raises(RuntimeError,
                        match="separating functional failed replay"):
-        spans_extremal_ray(delpezzo4().degrees, 1)
+        separating_functional(columns[1:], columns[0], 5)
+
+
+def test_extremality_replay_failure_exits_4(monkeypatch, capsys):
+    put_column_one_on_every_facet(monkeypatch)
+    assert main(["embed", "--dataset", "delpezzo4", "--json"]) == 4
+    assert "separating functional failed replay" in capsys.readouterr().err
 
 
 def test_chamber_replay_failure(monkeypatch, capsys):

@@ -345,6 +345,7 @@ def test_dp3_anticanonical_radical_is_the_tritangent_triples(monkeypatch):
     monkeypatch.setattr(monomials, "MAX_SEARCH_GENS", 27)
     monkeypatch.setattr(monomials, "_VERTICES", {})
     monkeypatch.setattr(monomials, "_LAYERS", {})
+    monkeypatch.setattr(monomials, "_RADICALS", {})
     cols = dp3_columns()
     q = DegreeMatrix.make(cols)
     minus_k = (3, -1, -1, -1, -1, -1, -1)
@@ -391,6 +392,7 @@ def test_bitmask_search_matches_set_search_on_dp4(k):
 def counted_exponents(monkeypatch):
     """Empty the layer cache and count the calls of the enumerator."""
     monkeypatch.setattr(monomials, "_LAYERS", {})
+    monkeypatch.setattr(monomials, "_RADICALS", {})
     calls = []
     real = monomials._exponents
 

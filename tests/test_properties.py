@@ -32,6 +32,7 @@ argparse parser for the namespaces the CLI reads off its command table."""
 
 import contextlib
 import io
+import json
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -46,7 +47,8 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.matrices import normalforms  # noqa: E402
 
-from coxtoric.chambers import chamber_of, effective_cone  # noqa: E402
+from coxtoric.chambers import (chamber_of, effective_cone,  # noqa: E402
+                               spans_extremal_ray)
 from coxtoric.cones import (RationalCone, cone_member,  # noqa: E402
                             double_description, generators_to_hrep,
                             primitive, separating_functional)
@@ -681,6 +683,54 @@ def test_separating_functional_against_cone_member(case):
         assert all(type(c) is int for c in x) and primitive(x) == x
         assert dot(x, target) < 0
         assert all(dot(g, x) >= 0 for g in gens)
+
+
+@st.composite
+def extremality_cases(draw):
+    """A grading of rank 1 to 3 on 1 to 6 drawn columns with entries in
+    -2..2: pointed (first entry positive), in the hyperplane where the
+    last entry equals the first (lower-dimensional Eff for rank >= 2), or
+    free (often not pointed); then some positive multiples of drawn
+    columns and, one time in five, a zero column, shuffled."""
+    r = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["pointed", "lower", "free"]))
+    cols = []
+    for _ in range(draw(st.integers(1, 6))):
+        c = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+        if shape != "free":
+            c[0] = draw(st.integers(1, 2))
+        if shape == "lower":
+            c[-1] = c[0]
+        cols.append(tuple(c))
+    cols += [tuple(k * x for x in c) for c in cols
+             for k in draw(st.lists(st.integers(2, 3), max_size=1))]
+    if draw(st.integers(0, 4)) == 0:
+        cols.append((0,) * r)
+    cols = draw(st.permutations(cols))
+    assume(any(map(any, cols)))
+    return DegreeMatrix.make(cols)
+
+
+@settings(deadline=None, max_examples=300)
+@given(extremality_cases())
+@example(DegreeMatrix.make([(1, 0), (2, 0), (0, 1)]))
+@example(DegreeMatrix.make([(1, 0), (0, 1), (1, 1)]))
+@example(DegreeMatrix.make([(1, 0, 1), (0, 1, 0), (1, 1, 1), (2, 1, 2)]))
+@example(DegreeMatrix.make([(1, 0), (-1, 0), (0, 1)]))
+@example(DegreeMatrix.make([(1, 0), (-2, 0)]))
+@example(DegreeMatrix.make([(1, 0), (0, 0), (0, 1), (3, 0)]))
+@example(DegreeMatrix.make([(2, 2), (1, 1)]))
+@example(delpezzo4().degrees)
+def test_spans_extremal_ray_against_separating_functional(q):
+    # the former per-column check is the oracle: one separating functional
+    # of the column against the cone of the non-parallel columns
+    for i, col in enumerate(q.columns, start=1):
+        if not any(col):
+            continue
+        others = [c for c in q.columns
+                  if primitive(c) != primitive(col)]
+        assert spans_extremal_ray(q, i) == \
+            (separating_functional(others, col, q.pic_rank) is not None)
 
 
 @st.composite
@@ -1403,9 +1453,12 @@ def test_cached_layer_is_immutable(case):
 
 
 def test_reproduce_paper_computes_five_layers(monkeypatch):
-    # 12 layers are asked for: a and 2a, K and 2K by the two radicals,
-    # a, 2a, 2a, 4a and a, 2a, K, 2K by the two chamber comparisons
+    # 6 layers are asked for (12 before the radicals were cached): a and
+    # 2a, K and 2K by the two radicals, and 2a and 4a by the comparison of
+    # a with 2a, whose depth-2 radical at 2a adds the layer 4a to its
+    # depth-1 radical; the other chamber radicals are the report's own
     monkeypatch.setattr(monomials, "_LAYERS", {})
+    monkeypatch.setattr(monomials, "_RADICALS", {})
     searched = []
     asked = []
     search, layer = monomials._search_supports, monomials._minimal_supports
@@ -1422,11 +1475,42 @@ def test_reproduce_paper_computes_five_layers(monkeypatch):
     monkeypatch.setattr(monomials, "_minimal_supports", counted_layer)
     assert reproduce_paper_report()["overall"]
     dp = delpezzo4()
-    assert len(asked) == 12
+    assert len(asked) == 6
     assert sorted(searched) == sorted(
         {tuple(k * x for x in w) for w, ks in ((dp.ample, (1, 2, 4)),
                                                (dp.anti_canonical, (1, 2)))
          for k in ks})
+
+
+# strings with quotes, backslashes, control characters, DEL, non-ASCII,
+# U+2028 and a character outside the BMP, or any text
+json_text = st.text("\"\\/\x00\x08\x1f\x7f ab\u00e9\u2028\U0001f600",
+                    max_size=8) | st.text(max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text
+    | st.integers(-10 ** 40, 10 ** 40),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(deadline=None, max_examples=300)
+@given(json_values)
+@example({})
+@example({"a": [], "b": {}, "c": ()})
+@example({"\u00e9": "\"\x01", "": [True, False, None, -0, 10 ** 30]})
+def test_dumps_matches_json_dumps(value):
+    assert cli._dumps(value) == \
+        json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {"a": 0.5}, [set()], {1: "a"}, {"a": [{"b": b"x"}]},
+])
+def test_dumps_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
 
 
 @st.composite
