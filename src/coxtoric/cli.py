@@ -107,11 +107,6 @@ def _write_json(value, out: list[str], newline: str) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if all(type(item) is int for item in value):
-            # rays, supports and functionals: one join per vector
-            out.append("[" + inner + ("," + inner).join(
-                map(int.__repr__, value)) + newline + "]")
-            return
         out.append("[")
         for k, item in enumerate(value):
             out.append("," + inner if k else inner)

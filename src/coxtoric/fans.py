@@ -378,14 +378,13 @@ def is_projective(fan: Fan) -> ProjectivityCertificate:
     C, so the fan is projective exactly when p lies on every equality and
     strictly inside every facet of each complement cone.
 
-    Then a relative-interior point (lambda, t) of {(lambda, t) >= 0 :
-    sum_j lambda_j q_j = t p} over the complement of s (_fibre_point: one
-    int_rref solve when those q_j are independent, else the sum of the
-    rays of one double description) gives c_s = lambda / t, a
-    relative-interior point of the fibre face {c >= 0 : c = 0 on s,
-    Q c = p}: positive exactly off the rays of s. _functionals solves
-    V m_s = c_s - c_s0, and _vertex_replay certifies the result; a failed
-    replay raises RuntimeError. An incomplete fan raises ValueError."""
+    Then the sum (lambda, t) of the rays of one double description of
+    {(lambda, t) >= 0 : sum_j lambda_j q_j = t p} over the complement of s
+    (cones._fibre_rays) gives c_s = lambda / t, a relative-interior point
+    of the fibre face {c >= 0 : c = 0 on s, Q c = p}: positive exactly off
+    the rays of s. _functionals solves V m_s = c_s - c_s0, and
+    _vertex_replay certifies the result; a failed replay raises
+    RuntimeError. An incomplete fan raises ValueError."""
     complete = is_complete(fan)
     if not complete.ok:
         raise ValueError(f"projectivity test requires a complete fan: "
@@ -408,30 +407,15 @@ def _ample_certificate(fan: Fan) -> ProjectivityCertificate:
         return ProjectivityCertificate(False, None)
     points = []
     for js in outside:
+        total = [sum(col) for col in zip(*_fibre_rays([q[j] for j in js], p))]
         point = [0] * (n + 1)
-        for j, x in zip([*js, n], _fibre_point([q[j] for j in js], p)):
+        for j, x in zip([*js, n], total):
             point[j] = x
         points.append(point)
     support = _functionals(fan, points)
     if not _vertex_replay(fan, support):
         raise RuntimeError("support function fails vertex replay")
     return ProjectivityCertificate(True, support)
-
-
-def _fibre_point(gens: list[Vec], p: list[int]) -> list[int]:
-    """A relative-interior point (lambda, t) of {(lambda, t) >= 0 :
-    sum_j lambda_j gens_j = t p}, for p in the relative interior of
-    cone(gens). Independent gens carry one such ray, read off one int_rref
-    of [gens | p]: lambda_j = t r_j / a_j over its rows (a_j at pivot j,
-    r_j in the last column), with t the lcm of the a_j. Dependent gens
-    take the sum of the rays of one double description (_fibre_rays)."""
-    k = len(gens)
-    red, pivots = int_rref([[g[i] for g in gens] + [x]
-                            for i, x in enumerate(p)])
-    if pivots != list(range(k)):
-        return [sum(col) for col in zip(*_fibre_rays(gens, p))]
-    t = lcm(*(row[j] for j, row in enumerate(red)))
-    return [row[k] * (t // row[j]) for j, row in enumerate(red)] + [t]
 
 
 def fan_report(fan: Fan, support=None) -> dict:
