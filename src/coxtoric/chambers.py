@@ -21,10 +21,12 @@ k + 1 would do. The rays, the equalities and each facet row are replayed
 with integer dot products and ranks.
 
 Chamber equality at a fixed saturation depth is decided through the
-public monomials.irrelevant_radical, once per class, whose search decides
-each member of S(w) by its fibre vertex and needs no constraint form for
-it (see monomials); the radicals are cached per class and depth, so a
-comparison reuses those that a run has already built.
+public monomials.irrelevant_radical, once per class. It decides each
+member of S(w) by its period, read and replayed once with the fibre
+vertices, and needs no constraint form for it; a radical whose depth
+reaches every member is S(w) itself, with no layer searched (see
+monomials). The radicals are cached per class and depth, so a comparison
+reuses those that a run has already built.
 
 Extremality of a column is read off Eff's constraint form from the same
 cache, where derive_heft has already put it: the facets tight on the
@@ -185,8 +187,9 @@ def same_chamber(q: DegreeMatrix, w1, w2, depth: int = 1, heft=None,
     compared as well and instability is reported. The depth is checked
     before any S(w) is asked for, and the fibre vertices of each class,
     whose supports are S(w), find a class outside the effective cone. Each
-    class then goes to irrelevant_radical, whose layers read their
-    supports and member verdicts off the same cached vertices."""
+    class then goes to irrelevant_radical, which reads the member periods
+    cached with the same vertices: a radical that reaches every member is
+    S(w), and any other layer decides its members by those periods."""
     if depth < 1:
         raise ValueError("saturation depth must be at least 1")
     for w in (w1, w2):

@@ -8,12 +8,18 @@ arithmetic on cached constraint normals, so the hot loop never touches
 Fractions.
 
 A support u is achievable when some monomial of degree d uses exactly the
-generators in u. The search probes the members of S(d) and their unions.
-A member J has independent columns, so its one candidate is the fibre
-vertex over d on J, and integrality of that vertex decides it with no
-solve. A union of two or more members has dependent columns, and asks
-the enumerator for its first solution; a union whose columns' hefts sum
-past the heft of d is never generated.
+generators in u. Every achievable support holds a member of S(d) and is a
+union of members. A member J of S(w0), w0 = primitive(d), has independent
+columns, so its one candidate at k w0 is k times its fibre vertex
+lambda / t over w0. Its period p_J = t / gcd(t, lambda_j : j in J) is the
+least k at which that point is integral, and J is achievable at k w0
+exactly when p_J divides k. The periods are read with the vertices, once
+per grading and primitive class, and each is replayed there once. A
+layer in which every member is achievable is S(d) itself and is not
+searched; otherwise the search decides each member by its period and
+probes the unions of members. A union of two or more members has
+dependent columns, and asks the enumerator for its first solution; a
+union whose columns' hefts sum past the heft of d is never generated.
 
 fibre_vertices gives the vertices of the fibre over w by one double
 description and carries the size guard; their supports are S(w)
@@ -22,7 +28,10 @@ supports here are read, and fans.fibre_support reads the support function
 of the S(w) fan off the vertices themselves.
 S(k w) = S(w) for k >= 1, so every layer of irrelevant_radical reads off one,
 and the double description runs once per grading and primitive class in the
-process. The minimal supports of each degree are computed once per process,
+process. Member J lies in the radical of depth K at d = k w0 exactly when
+some layer j d, j <= K, achieves it, that is when p_J / gcd(p_J, k) <= K;
+when every member does, the radical is S(w0), with no layer asked for.
+The minimal supports of each degree are computed once per process,
 and so is the radical of each class at each depth (built from the one a
 depth below and one more layer), so the radicals and chamber comparisons
 of one run share their common layers and radicals. Like the constraint
@@ -195,11 +204,14 @@ def _exponents(q: DegreeMatrix, d, h, idx: tuple[int, ...]):
     yield from rec(0, list(d), total)
 
 
-# the fibre vertices per (grading, primitive class), kept for the whole
-# process like _LAYERS: S(k w) = S(w) for k >= 1, so reproduce-paper asks
-# for S six times and computes two
+# per (grading, primitive class w0), kept for the whole process like
+# _LAYERS: the fibre vertices, the period of each member of S(w0) and S(w0)
+# as an ideal, which every radical and layer equal to S(w0) shares;
+# S(k w) = S(w) for k >= 1, so reproduce-paper asks for S twelve times and
+# computes two
 _VERTICES: dict[tuple[DegreeMatrix, tuple[int, ...]],
-                MappingProxyType] = {}
+                tuple[MappingProxyType, dict[Support, int],
+                      SquarefreeIdeal]] = {}
 
 
 def fibre_vertices(q: DegreeMatrix, w) -> MappingProxyType:
@@ -211,7 +223,13 @@ def fibre_vertices(q: DegreeMatrix, w) -> MappingProxyType:
     By Caratheodory the supports are S(w), the minimal column sets J with
     w in cone(q_J); S(0) = [()]. More than MAX_SEARCH_GENS columns raise
     GuardExceeded. The double description runs once per (q, primitive(w))
-    in the process."""
+    in the process, and the period of each vertex is replayed with it
+    (see _period), so a ray that fails its replay raises RuntimeError."""
+    return _fibre(q, w)[0]
+
+
+def _fibre(q: DegreeMatrix, w):
+    """The _VERTICES entry of the class w, checked and read on a miss."""
     w = int_vector(w, "class")
     if len(w) != q.pic_rank:
         raise ValueError("class has wrong length")
@@ -219,13 +237,48 @@ def fibre_vertices(q: DegreeMatrix, w) -> MappingProxyType:
     if n > MAX_SEARCH_GENS:
         raise GuardExceeded("subset enumeration too large")
     key = (q, primitive(w))
-    vertices = _VERTICES.get(key)
-    if vertices is None:
+    entry = _VERTICES.get(key)
+    if entry is None:
         rays = _fibre_rays(q.columns, key[1])
         found = {tuple(j for j in range(n) if r[j]): r for r in rays if r[n]}
-        vertices = _VERTICES[key] = MappingProxyType(
-            {s: found[s] for s in sorted(found, key=lambda s: (len(s), s))})
-    return vertices
+        supports = sorted(found, key=lambda s: (len(s), s))
+        entry = _VERTICES[key] = (
+            MappingProxyType({s: found[s] for s in supports}),
+            {s: _period(q, key[1], s, found[s]) for s in supports},
+            SquarefreeIdeal(tuple(tuple(j + 1 for j in s)
+                                  for s in supports)))
+    return entry
+
+
+def _period(q: DegreeMatrix, w0, subset: Support, ray) -> int:
+    """The period p of the member subset of S(w0), given its primitive
+    fibre ray (lambda, t): the least p >= 1 with p lambda_j / t integral
+    on subset, p = t / gcd(t, lambda_j : j in subset). The columns of
+    subset are independent, so x = p lambda / t is the one point of the
+    fibre over p w0 on them, and subset is achievable at k w0 exactly when
+    p divides k, with witness (k / p) x, exact by linearity. x is replayed
+    once, as integral with sum(x_j q_j) == p w0, and a failed replay raises
+    RuntimeError."""
+    t = ray[-1]
+    p = t // gcd(t, *(ray[j] for j in subset))
+    xs = []
+    for j in subset:
+        x, rem = divmod(p * ray[j], t)
+        if rem:
+            raise RuntimeError("exponent vector failed replay")
+        xs.append(x)
+    if any(sum(x * q.columns[j][i] for x, j in zip(xs, subset)) != p * wi
+           for i, wi in enumerate(w0)):
+        raise RuntimeError("exponent vector failed replay")
+    return p
+
+
+def _saturation_depth(periods, d) -> int:
+    """The least depth at which the radical of d = k w0 is S(w0), given
+    the periods of S(w0): max p_J / gcd(p_J, k) over its members J, the
+    least j with p_J dividing j k for every J; 1 when S(w0) is empty."""
+    k = gcd(*d)
+    return max((p // gcd(p, k) for p in periods.values()), default=1)
 
 
 def caratheodory_supports(q: DegreeMatrix, w) -> list[tuple[int, ...]]:
@@ -255,39 +308,25 @@ def _minimal_supports(q: DegreeMatrix, d, h) -> tuple[Support, ...]:
     """minimal_supports_of_degree for a checked degree and heft.
 
     The result is cached per (q, d) in _LAYERS as an immutable tuple; only
-    a miss reads fibre_vertices(q, d), itself cached per primitive class,
-    since the fiber over k w is k times the fiber over w. The
-    heft is not part of the key: it only bounds each exponent by the heft
-    budget, which no monomial of degree d exceeds under any heft positive
-    on the grading, so the supports depend on q and d alone."""
+    a miss reads the fibre vertices and periods of d, themselves cached
+    per primitive class, since the fiber over k w is k times the fiber
+    over w. When every period divides k = gcd(d) (saturation depth 1),
+    every member of S(d) is achievable, and since every achievable support
+    holds a member, the layer is S(d): the generators of the cached S(w0)
+    ideal, with no search. The heft is not part of the key: it only bounds each exponent
+    by the heft budget, which no monomial of degree d exceeds under any
+    heft positive on the grading, so the supports depend on q and d
+    alone."""
     key = (q, tuple(d))
     layer = _LAYERS.get(key)
     if layer is None:
-        layer = _LAYERS[key] = _search_supports(q, key[1], h,
-                                                fibre_vertices(q, d))
+        vertices, periods, saturated = _fibre(q, d)
+        if _saturation_depth(periods, d) == 1:
+            layer = saturated.generators
+        else:
+            layer = _search_supports(q, key[1], h, vertices)
+        _LAYERS[key] = layer
     return layer
-
-
-def _member_achievable(q: DegreeMatrix, d, subset: tuple[int, ...],
-                       vertex) -> bool:
-    """Whether some monomial of degree d has support exactly the member
-    subset of S(d), given its fibre vertex (lambda, t) over w0 =
-    primitive(d). The columns of subset are independent, so x = k lambda / t
-    with d = k w0 is the one point of the fibre over d supported on them:
-    subset is achievable exactly when t divides every k lambda_j. A "yes"
-    is replayed as sum(x_j q_j) == d, and a failed replay raises
-    RuntimeError."""
-    k, t = gcd(*d), vertex[-1]
-    xs = []
-    for j in subset:
-        x, rem = divmod(k * vertex[j], t)
-        if rem:
-            return False
-        xs.append(x)
-    if any(sum(x * q.columns[j][i] for x, j in zip(xs, subset)) != di
-           for i, di in enumerate(d)):
-        raise RuntimeError("exponent vector failed replay")
-    return True
 
 
 def _achievable(q: DegreeMatrix, d, h, subset: tuple[int, ...]) -> bool:
@@ -305,8 +344,11 @@ def _achievable(q: DegreeMatrix, d, h, subset: tuple[int, ...]) -> bool:
 def _search_supports(q: DegreeMatrix, d, h, vertices) -> tuple[Support, ...]:
     """The uncached search of _minimal_supports: the members of S(d), the
     supports of fibre_vertices(q, d), and their unions as int bitmasks over
-    the columns, probed by size. A member is decided by its vertex
-    (_member_achievable), a union by the enumerator (_achievable). A found
+    the columns, probed by size. A member J is achievable exactly when its
+    period, read and replayed with the vertices (_period), divides
+    k = gcd(d): its witness is k / p_J times the replayed point, so no
+    probe replays it again. A union is decided by the enumerator
+    (_achievable). A found
     support is never grown, so the found supports form an antichain, and
     within a size level the order of the probes does not matter. Each
     column of an achievable support takes at least its heft out of the
@@ -325,6 +367,8 @@ def _search_supports(q: DegreeMatrix, d, h, vertices) -> tuple[Support, ...]:
             mask ^= low
         return total
 
+    k = gcd(*d)
+    periods = _fibre(q, d)[1]
     members = {sum(1 << j for j in s): s for s in vertices}
     masks = [s for s in members if heft_of(s) <= budget]
     by_size: list[set[int]] = [set() for _ in range(n + 1)]
@@ -337,7 +381,7 @@ def _search_supports(q: DegreeMatrix, d, h, vertices) -> tuple[Support, ...]:
                 continue
             member = members.get(u)
             if member is not None:
-                ok = _member_achievable(q, d, member, vertices[member])
+                ok = k % periods[member] == 0
             else:
                 ok = _achievable(q, d, h,
                                  tuple(j for j in range(n) if u >> j & 1))
@@ -370,7 +414,9 @@ def radical_of_monomials(monomials) -> SquarefreeIdeal:
 
 # the radical per (grading, degree, depth), kept for the whole process like
 # _LAYERS: reproduce-paper asks for the radicals at a and -K again in its
-# chamber comparisons, and builds depth 2 from depth 1 and one more layer
+# chamber comparisons; a radical equal to S(w0) is the one ideal of the
+# _VERTICES entry, and any other is built from the one a depth below and
+# one more layer
 _RADICALS: dict[tuple[DegreeMatrix, tuple[int, ...], int],
                 SquarefreeIdeal] = {}
 
@@ -383,10 +429,16 @@ def irrelevant_radical(q: DegreeMatrix, degree, depth: int = 1, heft=None,
     With check_stable=True, returns (ideal, stable) where stable reports
     whether going to depth + 1 leaves the radical unchanged.
 
-    The depth, the heft and the degree are checked on every call. The
-    radical at depth j is the antichain of the radical at depth j - 1 and
-    the layer j * degree, and each is cached per (q, degree, j) in
-    _RADICALS; like the layers, it does not depend on the heft.
+    The depth, the heft and the degree are checked on every call. With
+    degree = k w0, w0 primitive, a member J of S(w0) lies in the radical
+    exactly when some layer j * degree, j <= depth, achieves it, that is
+    when p_J / gcd(p_J, k) <= depth for its period p_J (see _period);
+    every achievable support holds a member. So when every member does,
+    the radical is S(w0), with no layer asked for, and stable is True.
+    Otherwise the radical at depth j is the antichain of the radical at
+    depth j - 1 and the layer j * degree. Each radical is cached per
+    (q, degree, j) in _RADICALS, every one equal to S(w0) as the one
+    ideal of the fibre's entry; like the layers, none depends on the heft.
     """
     if depth < 1:
         raise ValueError("saturation depth must be at least 1")
@@ -402,7 +454,16 @@ def irrelevant_radical(q: DegreeMatrix, degree, depth: int = 1, heft=None,
 
 def _radical(q: DegreeMatrix, d, h, depth: int) -> SquarefreeIdeal:
     """irrelevant_radical at a checked degree and heft, through _RADICALS:
+    a radical that reaches every member of S(w0) is S(w0), and otherwise
     only the depths missing from the cache ask for their layer."""
+    key = (q, d, depth)
+    ideal = _RADICALS.get(key)
+    if ideal is not None:
+        return ideal
+    periods, saturated = _fibre(q, d)[1:]
+    if _saturation_depth(periods, d) <= depth:
+        _RADICALS[key] = saturated
+        return saturated
     below: tuple[Support, ...] = ()
     for j in range(1, depth + 1):
         key = (q, d, j)

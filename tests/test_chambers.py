@@ -295,8 +295,9 @@ def test_support_sets_computed_once_per_class(monkeypatch):
 
 
 def test_reproduce_paper_computes_two_support_sets(monkeypatch, capsys):
-    # S is asked for six times (a once by the radical, a and 2a, a and -K
-    # by the two chamber comparisons, -K by the radical) and S(2a) = S(a)
+    # S is asked for twelve times (a, 2a and -K by the radicals' periods
+    # and by the chamber comparisons' effective-cone checks) and
+    # S(2a) = S(a)
     calls = counted_support_dds(monkeypatch)
     assert main(["reproduce-paper", "--json"]) == 0
     capsys.readouterr()

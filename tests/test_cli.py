@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from coxtoric import __version__, cli, fans, grading
+from coxtoric import __version__, cli, fans, grading, monomials
 from coxtoric.cli import main, reproduce_paper_report
 from coxtoric.delpezzo import ANTICANONICAL_SUPPORTS
 from coxtoric.exact import IntMat, dot, kernel_lattice
@@ -348,7 +348,8 @@ DP4_SATURATED_FAN_SHA = \
     "064b75587dc215a994f96f227c0390175cfca841e19e39846c322f261b7832f2"
 
 
-def test_dp4_saturated_fan_is_pinned(capsys, monkeypatch):
+def dp4_stdin(monkeypatch):
+    """The sixteen-line dP4 grading as a JSON file on stdin."""
     from test_monomials import dp4_columns
     cols = dp4_columns()
     labels = ([f"E{i}" for i in range(1, 6)]
@@ -358,6 +359,10 @@ def test_dp4_saturated_fan_is_pinned(capsys, monkeypatch):
                "columns": [list(c) for c in cols], "labels": labels,
                "heft": [3, 1, 1, 1, 1, 1]}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(grading)))
+
+
+def test_dp4_saturated_fan_is_pinned(capsys, monkeypatch):
+    dp4_stdin(monkeypatch)
     code, out, _ = run(capsys, ["fan", "-", "--degree", "3,-1,-1,-1,-1,-1",
                                 "--saturate", "2", "--json"])
     assert code == 0
@@ -365,6 +370,63 @@ def test_dp4_saturated_fan_is_pinned(capsys, monkeypatch):
     assert report["numMaximalCones"] == 56
     assert report["complete"] is True and report["projective"] is True
     assert hashlib.sha256(out.encode()).hexdigest() == DP4_SATURATED_FAN_SHA
+
+
+def test_dp4_irrelevant_searches_one_layer(capsys, monkeypatch):
+    # the depth-1 radical at -K searches the layer -K, since 16 members of
+    # S(-K) have period 2; its stability check reads depth 2 off the
+    # periods as S(-K), with no layer 2(-K); each of the 56 members is
+    # replayed once
+    monkeypatch.setattr(monomials, "_VERTICES", {})
+    monkeypatch.setattr(monomials, "_LAYERS", {})
+    monkeypatch.setattr(monomials, "_RADICALS", {})
+    searched, replayed = [], []
+    search, period = monomials._search_supports, monomials._period
+
+    def counted_search(q, d, h, vertices):
+        searched.append(d)
+        return search(q, d, h, vertices)
+
+    def counted_period(q, w0, subset, ray):
+        replayed.append(subset)
+        return period(q, w0, subset, ray)
+
+    monkeypatch.setattr(monomials, "_search_supports", counted_search)
+    monkeypatch.setattr(monomials, "_period", counted_period)
+    dp4_stdin(monkeypatch)
+    code, out, _ = run(capsys, ["irrelevant", "-", "--degree",
+                                "3,-1,-1,-1,-1,-1", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["count"] == 40 and report["stable"] is False
+    assert searched == [(3, -1, -1, -1, -1, -1)]
+    assert len(replayed) == len(set(replayed)) == 56
+
+
+def test_corrupted_fibre_ray_fails_the_period_replay(monkeypatch, capsys):
+    # one ray of the fibre's double description gains 1 on a column of
+    # its support: its point p lambda / t no longer lies over p w0, so
+    # reading the periods raises, and irrelevant exits 4
+    real = monomials._fibre_rays
+
+    def corrupted(gens, target):
+        rays = real(gens, target)
+        first = next(i for i, r in enumerate(rays) if r[-1] and any(r[:-1]))
+        j = next(j for j, x in enumerate(rays[first]) if x)
+        ray = list(rays[first])
+        ray[j] += 1
+        return [*rays[:first], tuple(ray), *rays[first + 1:]]
+
+    monkeypatch.setattr(monomials, "_VERTICES", {})
+    monkeypatch.setattr(monomials, "_LAYERS", {})
+    monkeypatch.setattr(monomials, "_RADICALS", {})
+    monkeypatch.setattr(monomials, "_fibre_rays", corrupted)
+    with pytest.raises(RuntimeError, match="exponent vector failed replay"):
+        irrelevant_radical(DegreeMatrix.make([(1,), (1,), (1,)]), (1,))
+    code, out, err = run(capsys, ["irrelevant", "--dataset", "p2",
+                                  "--degree", "1"])
+    assert code == 4 and out == ""
+    assert err == "internal error: exponent vector failed replay\n"
 
 
 def test_reproduce_corrupted_dataset_names_first_failure():

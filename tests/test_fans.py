@@ -504,9 +504,10 @@ def counted_hreps(monkeypatch):
 
 
 def test_reproduce_paper_radical_search_solves_nothing(monkeypatch):
-    # every member of S(d) is decided by its fibre vertex, so the five
-    # layer searches, run afresh, call int_rref nowhere (170 calls when
-    # each member was one exact solve)
+    # every member of S(a) and S(-K) has period 1, so every radical of the
+    # report is S(w) and no layer is searched (five searches calling
+    # int_rref nowhere when each layer decided each member by its fibre
+    # vertex, 170 calls when each member was one exact solve)
     monkeypatch.setattr(monomials, "_LAYERS", {})
     monkeypatch.setattr(monomials, "_RADICALS", {})
     calls = counted_exact_calls(monkeypatch, "int_rref")
@@ -521,7 +522,7 @@ def test_reproduce_paper_radical_search_solves_nothing(monkeypatch):
 
     monkeypatch.setattr(monomials, "_search_supports", counted_search)
     assert reproduce_paper_report()["overall"]
-    assert searched == [0] * 5
+    assert searched == []
 
 
 def test_reproduce_paper_ranks_few_matrices(monkeypatch):

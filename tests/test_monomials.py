@@ -379,6 +379,38 @@ def test_dp4_anticanonical_radical_saturates_at_depth_two():
     assert set(DP4_ANTICANONICAL_SUPPORTS) < set(ideal.generators)
 
 
+def test_dp4_anticanonical_periods():
+    # 40 members of S(-K) are achievable at -K and 16 only at -2K, which
+    # is why depth 2 is the first to give S(-K)
+    q = DegreeMatrix.make(dp4_columns())
+    vertices, periods, saturated = monomials._fibre(
+        q, (3, -1, -1, -1, -1, -1))
+    assert sorted(periods.values()) == [1] * 40 + [2] * 16
+    assert list(periods) == list(vertices)
+    assert saturated.generators == tuple(tuple(j + 1 for j in s)
+                                         for s in vertices)
+
+
+def test_periods_two_and_three_saturate_at_depth_three(monkeypatch):
+    # x1 of degree 2 has period 2 at the class 1 and x2 of degree 3 period
+    # 3: the depth-3 radical is S(1) = {x1, x2} and stable, read off the
+    # periods, though no layer up to 3 holds both members and the layer 3
+    # is never asked for
+    monkeypatch.setattr(monomials, "_LAYERS", {})
+    monkeypatch.setattr(monomials, "_RADICALS", {})
+    q = DegreeMatrix.make([(2,), (3,)])
+    assert monomials._fibre(q, (1,))[1] == {(0,): 2, (1,): 3}
+    assert irrelevant_radical(q, (1,), depth=2, check_stable=True) == \
+        (SquarefreeIdeal(((1,),)), False)
+    ideal, stable = irrelevant_radical(q, (1,), depth=3, check_stable=True)
+    assert ideal.generators == ((1,), (2,)) and stable
+    assert [d for _q, d in monomials._LAYERS] == [(1,), (2,)]
+    assert all(len(layer) <= 1 for layer in monomials._LAYERS.values())
+    # the one S(1) ideal of the fibre's entry, at depths 3 and 4
+    assert monomials._RADICALS[(q, (1,), 3)] is \
+        monomials._RADICALS[(q, (1,), 4)] is monomials._fibre(q, (1,))[2]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_bitmask_search_matches_set_search_on_dp4(k):
     # the layers k(-K) of the depth-1 to depth-3 radicals
@@ -414,11 +446,12 @@ def test_dependent_columns_ask_the_enumerator(monkeypatch):
 
 
 def test_reproduce_paper_radical_searches_run_no_enumerator(monkeypatch):
-    # every set probed on the bundled grading is a member of S(d), decided
-    # by its fibre vertex
+    # every member of S(w) has period 1 on the bundled grading, so every
+    # radical is S(w) and no layer is asked for (5 layers, each member
+    # decided by its fibre vertex, before periods decided the radical)
     calls = counted_exponents(monkeypatch)
     reproduce_paper_report()
-    assert len(monomials._LAYERS) == 5 and calls == []
+    assert len(monomials._LAYERS) == 0 and calls == []
 
 
 def test_dp4_radical_search_runs_no_enumerator(monkeypatch):

@@ -214,6 +214,32 @@ def test_minimal_supports_of_degree_against_enumeration(case):
             radical_of_monomials(monomials_of_degree(q, kd)).generators
 
 
+@settings(deadline=None)
+@given(positive_gradings_and_degrees())
+# 16 members of S(-K) have period 2: depth 2 is S(-K), depth 1 is not
+@example((DegreeMatrix.make(dp4_columns()), (3, -1, -1, -1, -1, -1)))
+# periods 2 and 3: depth 3 is S(1), though no layer up to 3 holds both
+@example((DegreeMatrix.make([(2,), (3,)]), (1,)))
+@example((DegreeMatrix.make([(1, 0), (1, 1)]), (0, 0)))  # the zero class
+def test_irrelevant_radical_against_enumeration(case):
+    # the depth-K radical, read off the periods where it is S(w) and built
+    # from searched layers where it is not, is the radical of every
+    # monomial of degrees d..Kd, and it is stable exactly when the same
+    # enumeration at K + 1 gives the same radical; from empty caches
+    q, d = case
+    monos = []
+    expected = []
+    for j in range(1, 5):
+        monos += monomials_of_degree(q, tuple(j * x for x in d))
+        expected.append(radical_of_monomials(monos))
+    with patch.dict(monomials._VERTICES, clear=True), \
+            patch.dict(monomials._LAYERS, clear=True), \
+            patch.dict(monomials._RADICALS, clear=True):
+        for depth in (1, 2, 3):
+            assert irrelevant_radical(q, d, depth=depth, check_stable=True) \
+                == (expected[depth - 1], expected[depth] == expected[depth - 1])
+
+
 @settings(deadline=None, max_examples=300)
 @given(positive_gradings_and_degrees())
 @example((DegreeMatrix.make([(1,)]), (1,)))  # x = 0 on the one column
@@ -224,18 +250,21 @@ def test_minimal_supports_of_degree_against_enumeration(case):
 # at d the member's two columns have more heft than d; at 2d, x = (1, 1)
 @example((DegreeMatrix.make([(1, 0), (1, 2)]), (1, 1)))
 def test_achievable_matches_the_first_monomial(case):
-    # on every member J of S(kd), the vertex decision agrees with the
-    # enumerator's first solution on J, and so does _achievable
+    # on every member J of S(kd), the period decision (p_J divides
+    # gcd(kd)) agrees with the enumerator's first solution on J, and so
+    # does _achievable
     q, d = case
     h = derive_heft(q)
     for k in (1, 2, 3):
         kd = tuple(k * x for x in d)
-        for subset, vertex in fibre_vertices(q, kd).items():
+        periods = monomials._fibre(q, kd)[1]
+        assert list(periods) == list(fibre_vertices(q, kd))
+        for subset, period in periods.items():
             residual = [x - sum(q.columns[j][i] for j in subset)
                         for i, x in enumerate(kd)]
             expected = next(monomials._exponents(q, residual, h, subset),
                             None) is not None
-            assert monomials._member_achievable(q, kd, subset, vertex) == \
+            assert (math.gcd(*kd) % period == 0) == \
                 expected == monomials._achievable(q, kd, h, subset)
 
 
@@ -1453,15 +1482,23 @@ def test_cached_layer_is_immutable(case):
 
 
 def test_reproduce_paper_computes_five_layers(monkeypatch):
-    # 6 layers are asked for (12 before the radicals were cached): a and
-    # 2a, K and 2K by the two radicals, and 2a and 4a by the comparison of
-    # a with 2a, whose depth-2 radical at 2a adds the layer 4a to its
-    # depth-1 radical; the other chamber radicals are the report's own
+    # no layer is asked for: every member of S(a) and S(-K) has period 1,
+    # so each radical is S(w) at depth 1 already (6 layers asked for and
+    # 5 searched, a, 2a, 4a, -K and -2K, before periods decided the
+    # radical; 12 asked for before the radicals were cached); the 42
+    # members of S(a) and the 22 of S(-K) are each replayed once
+    monkeypatch.setattr(monomials, "_VERTICES", {})
     monkeypatch.setattr(monomials, "_LAYERS", {})
     monkeypatch.setattr(monomials, "_RADICALS", {})
     searched = []
     asked = []
+    replayed = []
     search, layer = monomials._search_supports, monomials._minimal_supports
+    period = monomials._period
+
+    def counted_period(q, w0, subset, ray):
+        replayed.append((w0, subset))
+        return period(q, w0, subset, ray)
 
     def counted_search(q, d, h, vertices):
         searched.append(d)
@@ -1473,13 +1510,12 @@ def test_reproduce_paper_computes_five_layers(monkeypatch):
 
     monkeypatch.setattr(monomials, "_search_supports", counted_search)
     monkeypatch.setattr(monomials, "_minimal_supports", counted_layer)
+    monkeypatch.setattr(monomials, "_period", counted_period)
     assert reproduce_paper_report()["overall"]
     dp = delpezzo4()
-    assert len(asked) == 6
-    assert sorted(searched) == sorted(
-        {tuple(k * x for x in w) for w, ks in ((dp.ample, (1, 2, 4)),
-                                               (dp.anti_canonical, (1, 2)))
-         for k in ks})
+    assert asked == [] and searched == []
+    assert len(replayed) == len(set(replayed)) == 42 + 22
+    assert {w0 for w0, _subset in replayed} == {dp.ample, dp.anti_canonical}
 
 
 # strings with quotes, backslashes, control characters, DEL, non-ASCII,
