@@ -810,6 +810,9 @@ def _parse_command(name: str, argv: list[str]) -> SimpleNamespace | None:
             value = next(tokens, None)
             if value is None or value.startswith("-"):
                 return None
+        elif value == "--":
+            # argparse drops a '--' even from "--opt=--"
+            return None
         if convert is not None:
             try:
                 value = convert(value)

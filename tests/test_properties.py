@@ -1589,6 +1589,7 @@ def command_lines(draw):
 @example(("basis", ["--dataset", "p2", "--degree", "1"]))
 @example(("incidence", ["--seed=-1", "search", "--json"]))
 @example(("gale", ["--reference=", "x"]))
+@example(("basis", ["--degree=--"]))
 @given(command_lines())
 def test_table_parser_agrees_with_argparse(case):
     name, argv = case
