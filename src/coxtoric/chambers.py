@@ -189,7 +189,8 @@ def same_chamber(q: DegreeMatrix, w1, w2, depth: int = 1, heft=None,
     whose supports are S(w), find a class outside the effective cone. Each
     class then goes to irrelevant_radical, which reads the member periods
     cached with the same vertices: a radical that reaches every member is
-    S(w), and any other layer decides its members by those periods."""
+    S(w), and any other is built from layers that decide their members by
+    those periods."""
     if depth < 1:
         raise ValueError("saturation depth must be at least 1")
     for w in (w1, w2):

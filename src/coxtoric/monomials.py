@@ -14,12 +14,12 @@ columns, so its one candidate at k w0 is k times its fibre vertex
 lambda / t over w0. Its period p_J = t / gcd(t, lambda_j : j in J) is the
 least k at which that point is integral, and J is achievable at k w0
 exactly when p_J divides k. The periods are read with the vertices, once
-per grading and primitive class, and each is replayed there once. A
-layer in which every member is achievable is S(d) itself and is not
-searched; otherwise the search decides each member by its period and
-probes the unions of members. A union of two or more members has
-dependent columns, and asks the enumerator for its first solution; a
-union whose columns' hefts sum past the heft of d is never generated.
+per grading and primitive class, and each is replayed there once. The
+search decides each member by its period and probes the unions of
+members, generating unions only past a member that fails. A union of two
+or more members has dependent columns, and asks the enumerator for its
+first solution; a union whose columns' hefts sum past the heft of d is
+never generated.
 
 fibre_vertices gives the vertices of the fibre over w by one double
 description and carries the size guard; their supports are S(w)
@@ -205,13 +205,11 @@ def _exponents(q: DegreeMatrix, d, h, idx: tuple[int, ...]):
 
 
 # per (grading, primitive class w0), kept for the whole process like
-# _LAYERS: the fibre vertices, the period of each member of S(w0) and S(w0)
-# as an ideal, which every radical and layer equal to S(w0) shares;
+# _LAYERS: the fibre vertices and the period of each member of S(w0);
 # S(k w) = S(w) for k >= 1, so reproduce-paper asks for S twelve times and
 # computes two
 _VERTICES: dict[tuple[DegreeMatrix, tuple[int, ...]],
-                tuple[MappingProxyType, dict[Support, int],
-                      SquarefreeIdeal]] = {}
+                tuple[MappingProxyType, dict[Support, int]]] = {}
 
 
 def fibre_vertices(q: DegreeMatrix, w) -> MappingProxyType:
@@ -244,9 +242,7 @@ def _fibre(q: DegreeMatrix, w):
         supports = sorted(found, key=lambda s: (len(s), s))
         entry = _VERTICES[key] = (
             MappingProxyType({s: found[s] for s in supports}),
-            {s: _period(q, key[1], s, found[s]) for s in supports},
-            SquarefreeIdeal(tuple(tuple(j + 1 for j in s)
-                                  for s in supports)))
+            {s: _period(q, key[1], s, found[s]) for s in supports})
     return entry
 
 
@@ -275,8 +271,9 @@ def _period(q: DegreeMatrix, w0, subset: Support, ray) -> int:
 
 def _saturation_depth(periods, d) -> int:
     """The least depth at which the radical of d = k w0 is S(w0), given
-    the periods of S(w0): max p_J / gcd(p_J, k) over its members J, the
-    least j with p_J dividing j k for every J; 1 when S(w0) is empty."""
+    the periods of S(w0): the least K such that every member J has p_J
+    dividing j k for some j <= K, that is max p_J / gcd(p_J, k) over the
+    members; 1 when S(w0) is empty."""
     k = gcd(*d)
     return max((p // gcd(p, k) for p in periods.values()), default=1)
 
@@ -300,7 +297,7 @@ def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Supp
 
 
 # minimal supports per (grading, degree), kept for the whole process like
-# _subset_hrep: reproduce-paper asks for 6 layers of which 5 are distinct
+# _subset_hrep: the radicals and minimal_supports_of_degree share them
 _LAYERS: dict[tuple[DegreeMatrix, tuple[int, ...]], tuple[Support, ...]] = {}
 
 
@@ -308,24 +305,16 @@ def _minimal_supports(q: DegreeMatrix, d, h) -> tuple[Support, ...]:
     """minimal_supports_of_degree for a checked degree and heft.
 
     The result is cached per (q, d) in _LAYERS as an immutable tuple; only
-    a miss reads the fibre vertices and periods of d, themselves cached
-    per primitive class, since the fiber over k w is k times the fiber
-    over w. When every period divides k = gcd(d) (saturation depth 1),
-    every member of S(d) is achievable, and since every achievable support
-    holds a member, the layer is S(d): the generators of the cached S(w0)
-    ideal, with no search. The heft is not part of the key: it only bounds each exponent
-    by the heft budget, which no monomial of degree d exceeds under any
-    heft positive on the grading, so the supports depend on q and d
-    alone."""
+    a miss reads the member periods of d, themselves cached per primitive
+    class, since the fiber over k w is k times the fiber over w. The heft
+    is not part of the key: it only bounds each exponent by the heft
+    budget, which no monomial of degree d exceeds under any heft positive
+    on the grading, so the supports depend on q and d alone."""
     key = (q, tuple(d))
     layer = _LAYERS.get(key)
     if layer is None:
-        vertices, periods, saturated = _fibre(q, d)
-        if _saturation_depth(periods, d) == 1:
-            layer = saturated.generators
-        else:
-            layer = _search_supports(q, key[1], h, vertices)
-        _LAYERS[key] = layer
+        layer = _LAYERS[key] = _search_supports(q, key[1], h,
+                                                _fibre(q, d)[1])
     return layer
 
 
@@ -341,19 +330,20 @@ def _achievable(q: DegreeMatrix, d, h, subset: tuple[int, ...]) -> bool:
     return next(_exponents(q, residual, h, subset), None) is not None
 
 
-def _search_supports(q: DegreeMatrix, d, h, vertices) -> tuple[Support, ...]:
+def _search_supports(q: DegreeMatrix, d, h, periods) -> tuple[Support, ...]:
     """The uncached search of _minimal_supports: the members of S(d), the
-    supports of fibre_vertices(q, d), and their unions as int bitmasks over
-    the columns, probed by size. A member J is achievable exactly when its
-    period, read and replayed with the vertices (_period), divides
-    k = gcd(d): its witness is k / p_J times the replayed point, so no
-    probe replays it again. A union is decided by the enumerator
-    (_achievable). A found
-    support is never grown, so the found supports form an antichain, and
-    within a size level the order of the probes does not matter. Each
-    column of an achievable support takes at least its heft out of the
-    heft of d, so no union over that budget, which no superset of it meets
-    either, is generated."""
+    keys of periods (the _fibre entry's map from each member to its
+    period), and their unions as int bitmasks over the columns, probed by
+    size. A member J is achievable exactly when its period, read and
+    replayed with the vertices (_period), divides k = gcd(d): its witness
+    is k / p_J times the replayed point, so no probe replays it again. A
+    union is decided by the enumerator (_achievable), and is generated only
+    past a member or union that fails, so a layer where every period
+    divides k costs one check per member. A found support is never grown,
+    so the found supports form an antichain, and within a size level the
+    order of the probes does not matter. Each column of an achievable
+    support takes at least its heft out of the heft of d, so no union over
+    that budget, which no superset of it meets either, is generated."""
     n = q.num_gens
     budget = dot(h, d)
     hefts = [dot(h, col) for col in q.columns]
@@ -368,8 +358,7 @@ def _search_supports(q: DegreeMatrix, d, h, vertices) -> tuple[Support, ...]:
         return total
 
     k = gcd(*d)
-    periods = _fibre(q, d)[1]
-    members = {sum(1 << j for j in s): s for s in vertices}
+    members = {sum(1 << j for j in s): s for s in periods}
     masks = [s for s in members if heft_of(s) <= budget]
     by_size: list[set[int]] = [set() for _ in range(n + 1)]
     for s in masks:
@@ -414,9 +403,9 @@ def radical_of_monomials(monomials) -> SquarefreeIdeal:
 
 # the radical per (grading, degree, depth), kept for the whole process like
 # _LAYERS: reproduce-paper asks for the radicals at a and -K again in its
-# chamber comparisons; a radical equal to S(w0) is the one ideal of the
-# _VERTICES entry, and any other is built from the one a depth below and
-# one more layer
+# chamber comparisons; a radical equal to S(w0) is one ideal per class,
+# kept under (q, w0, max p_J), and any other is built from the one a depth
+# below and one more layer
 _RADICALS: dict[tuple[DegreeMatrix, tuple[int, ...], int],
                 SquarefreeIdeal] = {}
 
@@ -437,8 +426,8 @@ def irrelevant_radical(q: DegreeMatrix, degree, depth: int = 1, heft=None,
     the radical is S(w0), with no layer asked for, and stable is True.
     Otherwise the radical at depth j is the antichain of the radical at
     depth j - 1 and the layer j * degree. Each radical is cached per
-    (q, degree, j) in _RADICALS, every one equal to S(w0) as the one
-    ideal of the fibre's entry; like the layers, none depends on the heft.
+    (q, degree, j) in _RADICALS, every one equal to S(w0) as one shared
+    ideal; like the layers, none depends on the heft.
     """
     if depth < 1:
         raise ValueError("saturation depth must be at least 1")
@@ -460,10 +449,18 @@ def _radical(q: DegreeMatrix, d, h, depth: int) -> SquarefreeIdeal:
     ideal = _RADICALS.get(key)
     if ideal is not None:
         return ideal
-    periods, saturated = _fibre(q, d)[1:]
+    periods = _fibre(q, d)[1]
     if _saturation_depth(periods, d) <= depth:
-        _RADICALS[key] = saturated
-        return saturated
+        # S(w0) is built on the first hit and kept under the key of w0's
+        # own radical at its saturation depth, max p_J, which every class
+        # and depth reaching S(w0) then shares
+        root = (q, primitive(d), max(periods.values(), default=1))
+        ideal = _RADICALS.get(root)
+        if ideal is None:
+            ideal = _RADICALS[root] = SquarefreeIdeal(
+                tuple(tuple(j + 1 for j in s) for s in periods))
+        _RADICALS[key] = ideal
+        return ideal
     below: tuple[Support, ...] = ()
     for j in range(1, depth + 1):
         key = (q, d, j)

@@ -383,9 +383,9 @@ def test_dp4_irrelevant_searches_one_layer(capsys, monkeypatch):
     searched, replayed = [], []
     search, period = monomials._search_supports, monomials._period
 
-    def counted_search(q, d, h, vertices):
+    def counted_search(q, d, h, periods):
         searched.append(d)
-        return search(q, d, h, vertices)
+        return search(q, d, h, periods)
 
     def counted_period(q, w0, subset, ray):
         replayed.append(subset)

@@ -514,9 +514,9 @@ def test_reproduce_paper_radical_search_solves_nothing(monkeypatch):
     search = monomials._search_supports
     searched = []
 
-    def counted_search(q, d, h, vertices):
+    def counted_search(q, d, h, periods):
         before = len(calls)
-        layer = search(q, d, h, vertices)
+        layer = search(q, d, h, periods)
         searched.append(len(calls) - before)
         return layer
 

@@ -9,8 +9,7 @@ from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
 from coxtoric.exact import dot
 from coxtoric.grading import DegreeMatrix, delpezzo4
 from coxtoric.monomials import (SquarefreeIdeal, caratheodory_supports,
-                                derive_heft, fibre_vertices,
-                                irrelevant_radical,
+                                derive_heft, irrelevant_radical,
                                 minimal_antichain, minimal_supports_of_degree,
                                 monomials_of_degree, radical_of_monomials)
 
@@ -383,12 +382,9 @@ def test_dp4_anticanonical_periods():
     # 40 members of S(-K) are achievable at -K and 16 only at -2K, which
     # is why depth 2 is the first to give S(-K)
     q = DegreeMatrix.make(dp4_columns())
-    vertices, periods, saturated = monomials._fibre(
-        q, (3, -1, -1, -1, -1, -1))
+    vertices, periods = monomials._fibre(q, (3, -1, -1, -1, -1, -1))
     assert sorted(periods.values()) == [1] * 40 + [2] * 16
     assert list(periods) == list(vertices)
-    assert saturated.generators == tuple(tuple(j + 1 for j in s)
-                                         for s in vertices)
 
 
 def test_periods_two_and_three_saturate_at_depth_three(monkeypatch):
@@ -406,9 +402,12 @@ def test_periods_two_and_three_saturate_at_depth_three(monkeypatch):
     assert ideal.generators == ((1,), (2,)) and stable
     assert [d for _q, d in monomials._LAYERS] == [(1,), (2,)]
     assert all(len(layer) <= 1 for layer in monomials._LAYERS.values())
-    # the one S(1) ideal of the fibre's entry, at depths 3 and 4
+    # one S(1) ideal, at depths 3 and 4 and at the class 2, where the
+    # periods 2 and 3 again give depth 3, with no layer asked for
     assert monomials._RADICALS[(q, (1,), 3)] is \
-        monomials._RADICALS[(q, (1,), 4)] is monomials._fibre(q, (1,))[2]
+        monomials._RADICALS[(q, (1,), 4)] is \
+        irrelevant_radical(q, (2,), depth=3)
+    assert len(monomials._LAYERS) == 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -417,8 +416,8 @@ def test_bitmask_search_matches_set_search_on_dp4(k):
     q = DegreeMatrix.make(dp4_columns())
     h = derive_heft(q)
     d = tuple(k * x for x in (3, -1, -1, -1, -1, -1))
-    assert monomials._search_supports(q, d, h, fibre_vertices(q, d)) == \
-        set_search_supports(q, d, h, caratheodory_supports(q, d))
+    assert monomials._search_supports(q, d, h, monomials._fibre(q, d)[1]) \
+        == set_search_supports(q, d, h, caratheodory_supports(q, d))
 
 
 def counted_exponents(monkeypatch):

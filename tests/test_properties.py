@@ -281,7 +281,7 @@ def test_bitmask_search_matches_set_search(case):
     for k in (1, 2, 3):
         kd = tuple(k * x for x in d)
         assert monomials._search_supports(
-            q, kd, h, fibre_vertices(q, kd)) == \
+            q, kd, h, monomials._fibre(q, kd)[1]) == \
             set_search_supports(q, kd, h, caratheodory_supports(q, kd))
 
 
@@ -1466,7 +1466,7 @@ def test_cached_layer_is_heft_independent(case, data):
     cached = minimal_supports_of_degree(q, d)
     assert minimal_supports_of_degree(q, d, heft=h2) is cached
     assert monomials._search_supports(
-        q, d, h2, fibre_vertices(q, d)) == cached
+        q, d, h2, monomials._fibre(q, d)[1]) == cached
     assert radical_of_monomials(
         monomials_of_degree(q, d, heft=h2)).generators == cached
 
@@ -1500,9 +1500,9 @@ def test_reproduce_paper_computes_five_layers(monkeypatch):
         replayed.append((w0, subset))
         return period(q, w0, subset, ray)
 
-    def counted_search(q, d, h, vertices):
+    def counted_search(q, d, h, periods):
         searched.append(d)
-        return search(q, d, h, vertices)
+        return search(q, d, h, periods)
 
     def counted_layer(q, d, h):
         asked.append(tuple(d))
