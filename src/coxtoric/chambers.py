@@ -21,12 +21,9 @@ k + 1 would do. The rays, the equalities and each facet row are replayed
 with integer dot products and ranks.
 
 Chamber equality at a fixed saturation depth is decided through the
-public monomials.irrelevant_radical, once per class. It decides each
-member of S(w) by its period, read and replayed once with the fibre
-vertices, and needs no constraint form for it; a radical whose depth
-reaches every member is S(w) itself, with no layer searched (see
-monomials). The radicals are cached per class and depth, so a comparison
-reuses those that a run has already built.
+public monomials.irrelevant_radical, once per class, which reads the
+radical off the one monomials entry of the class: S(w), the periods of
+its members and every radical already built.
 
 Extremality of a column is read off Eff's constraint form from the same
 cache, where derive_heft has already put it: the facets tight on the
@@ -41,8 +38,8 @@ from .cones import (RationalCone, _intersection, generators_to_hrep,
 from .exact import dot, int_rref, int_vector, rank
 from .grading import DegreeMatrix
 from .monomials import GuardExceeded  # noqa: F401  (re-exported)
-from .monomials import (_subset_hrep, caratheodory_supports, fibre_vertices,
-                        irrelevant_radical)
+from .monomials import (_checked_depth, _subset_hrep, caratheodory_supports,
+                        fibre_vertices, irrelevant_radical)
 from .records import Record
 
 Vec = tuple[int, ...]
@@ -184,15 +181,12 @@ def same_chamber(q: DegreeMatrix, w1, w2, depth: int = 1, heft=None,
                  check_stable: bool = False) -> SameChamberResult:
     """Whether w1 and w2 produce identical irrelevant radicals at the given
     saturation depth. With check_stable=True the depth+1 radicals are
-    compared as well and instability is reported. The depth is checked
-    before any S(w) is asked for, and the fibre vertices of each class,
-    whose supports are S(w), find a class outside the effective cone. Each
-    class then goes to irrelevant_radical, which reads the member periods
-    cached with the same vertices: a radical that reaches every member is
-    S(w), and any other is built from layers that decide their members by
-    those periods."""
-    if depth < 1:
-        raise ValueError("saturation depth must be at least 1")
+    compared as well and instability is reported. The depth (an int, not
+    a bool) is checked before any S(w) is asked for, and the fibre
+    vertices of each class, whose supports are S(w), find a class outside
+    the effective cone. Each class then goes to irrelevant_radical, which
+    reads its radical off the same entry (see monomials)."""
+    _checked_depth(depth)
     for w in (w1, w2):
         if not fibre_vertices(q, w):
             raise ValueError("class outside the effective cone")

@@ -516,15 +516,10 @@ def _check(name: str, expected, provenance: str, computed, ok: bool) -> dict:
     }
 
 
-def reproduce_paper_report(saturate: int = 1,
-                           degrees: DegreeMatrix | None = None) -> dict:
-    """Every pipeline stage over the bundled dataset, as one run report.
-
-    degrees overrides the built-in matrix (the ample and anticanonical
-    classes stay fixed), which lets tests corrupt the dataset.
-    """
+def reproduce_paper_report(saturate: int = 1) -> dict:
+    """Every pipeline stage over the bundled dataset, as one run report."""
     dp = delpezzo4()
-    q = degrees if degrees is not None else dp.degrees
+    q = dp.degrees
     checks: list[dict] = []
     notes: list[str] = []
 

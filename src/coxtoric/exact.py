@@ -27,11 +27,14 @@ def int_vector(values, what: str) -> tuple[int, ...]:
     """The entries as a tuple, each checked to be an int and not a bool, so
     that 1.7 or True is rejected with ValueError instead of truncated."""
     vec = tuple(values)
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in vec):
+    # plain ints pass on their types alone, without a check per entry
+    if not _INT_TYPES.issuperset(map(type, vec)) and not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in vec):
         raise ValueError(f"{what} entries must be integers")
     return vec
 
 
+_INT_TYPES = frozenset((int,))
 _RATIONAL_TYPES = frozenset((int, Fraction))
 
 

@@ -172,7 +172,11 @@ def _vertex_replay(fan: Fan, support) -> bool:
     """Whether the functionals `support`, one per maximal cone, put every
     cone at a vertex of P = {m : <m, v_i> >= h_i} tight on exactly its own
     rays: one height h_i = <m_s, v_i> per used ray over the cones s that
-    contain it, and <m_t, v_i> > h_i for every cone t that does not."""
+    contain it, and <m_t, v_i> > h_i for every cone t that does not. Then
+    every cone is the normal cone of a face of P, and such cones form a
+    fan (Cox-Little-Schenck, ch. 2 on normal fans and Sec. 6.1 on support
+    functions). The replay is global: a support function checked only
+    wall by wall can exist on a fan that winds twice around the origin."""
     if len(support) != len(fan.maximal_cones):
         raise ValueError("one support functional per maximal cone required")
     height: dict[int, int] = {}
@@ -241,21 +245,11 @@ def fibre_support(fan: Fan, ideal: SquarefreeIdeal,
     return _functionals(fan, [vertices[s] for s in supports])
 
 
-def validate_fan(fan: Fan, support_function=None) -> Verdict:
+def validate_fan(fan: Fan) -> Verdict:
     """Certify that every maximal cone is strongly convex and that any two
     meet in the cone on their common rays, which is a face of both.
 
-    Given a support function (one integer functional per maximal cone, as
-    is_projective returns), the fan is first replayed against it by
-    _vertex_replay: if each functional m_s lies in P = {m : <m, v_i> >= h_i}
-    tight on exactly the rays of s, every cone is the normal cone of a face
-    of one polyhedron; such cones form a fan (Cox-Little-Schenck, ch. 2 on
-    normal fans and Sec. 6.1 on support functions), so any two meet in the
-    cone on their common rays. The replay is global: a support function
-    checked only wall by wall can exist on a fan that winds twice around
-    the origin.
-
-    Otherwise each pair (A, B) is certified by one separating functional h
+    Each pair (A, B) is certified by one separating functional h
     (Cox-Little-Schenck, Lemma 1.2.13): h = 0 on the common rays, h > 0 on
     the rays of A \\ B and h < 0 on the rays of B \\ A. One double
     description gives the cone H of the h that vanish on the common rays,
@@ -265,15 +259,13 @@ def validate_fan(fan: Fan, support_function=None) -> Verdict:
     and a failed replay raises RuntimeError.
     A ray inside the cone on the common rays is exempt from its side row;
     exempt rays are looked up only when the full system fails.
-    Every invalid fan gets its reason from this pair loop.
+    Every invalid fan gets its reason from this pair loop; fan_report
+    certifies a fan with a support function by _vertex_replay instead.
     """
     d = fan.ambient_dim
     for pos, cone in enumerate(fan.maximal_cones, start=1):
         if not cone.geometry.is_pointed:
             return Verdict(False, f"cone {pos} is not strongly convex")
-    if support_function is not None and \
-            _vertex_replay(fan, support_function):
-        return Verdict(True)
 
     def separated(common: list[Vec], sides: list[tuple[Vec, int]]) -> bool:
         rows = [tuple(s * x for x in r) for r, s in sides]

@@ -7,38 +7,26 @@ spanned by the remaining generator degrees. Both tests are integer
 arithmetic on cached constraint normals, so the hot loop never touches
 Fractions.
 
-A support u is achievable when some monomial of degree d uses exactly the
-generators in u. Every achievable support holds a member of S(d) and is a
-union of members. A member J of S(w0), w0 = primitive(d), has independent
-columns, so its one candidate at k w0 is k times its fibre vertex
-lambda / t over w0. Its period p_J = t / gcd(t, lambda_j : j in J) is the
-least k at which that point is integral, and J is achievable at k w0
-exactly when p_J divides k. The periods are read with the vertices, once
-per grading and primitive class, and each is replayed there once. The
-search decides each member by its period and probes the unions of
-members, generating unions only past a member that fails. A union of two
-or more members has dependent columns, and asks the enumerator for its
-first solution; a union whose columns' hefts sum past the heft of d is
-never generated.
-
-fibre_vertices gives the vertices of the fibre over w by one double
-description and carries the size guard; their supports are S(w)
-(caratheodory_supports), off which the GIT chambers and the minimal
-supports here are read, and fans.fibre_support reads the support function
-of the S(w) fan off the vertices themselves.
-S(k w) = S(w) for k >= 1, so every layer of irrelevant_radical reads off one,
-and the double description runs once per grading and primitive class in the
-process. Member J lies in the radical of depth K at d = k w0 exactly when
-some layer j d, j <= K, achieves it, that is when p_J / gcd(p_J, k) <= K;
-when every member does, the radical is S(w0), with no layer asked for.
-The minimal supports of each degree are computed once per process,
-and so is the radical of each class at each depth (built from the one a
-depth below and one more layer), so the radicals and chamber comparisons
-of one run share their common layers and radicals. Like the constraint
-forms of the column cones (_subset_hrep), these caches keep every entry
-for the whole process, with no bound on their memory;
-chambers.chamber_of reads its column cones from the same cache, and
-chambers.spans_extremal_ray reads Eff's from it.
+Everything else here is read off one entry per grading and primitive
+class w0, kept in _CLASSES for the whole process, with no bound:
+- the vertices of the fibre over w0, from one double description
+  (fibre_vertices); their supports are S(w0) = S(k w0), off which the GIT
+  chambers are read, and fans.fibre_support reads the vertices;
+- the period of each member J of S(w0): J has independent columns, so its
+  one candidate at k w0 is k lambda / t for its fibre ray (lambda, t), and
+  it is achievable there exactly when p_J = t / gcd(t, lambda_j : j in J)
+  divides k; each period is replayed once, as the entry is built;
+- the radical of each class k w0 at each depth, keyed (k, depth). A layer,
+  the minimal supports of one degree, is the radical of depth 1. The
+  depth-K radical is S(w0) exactly when every p_J / gcd(p_J, k) <= K, and
+  every such radical is one ideal; any other is built from the one a
+  depth below and one more layer.
+A layer search decides each member by its period and probes unions of
+members, generated only past a member that fails. A union has dependent
+columns and asks the enumerator for its first solution, and no union
+whose columns' hefts sum past the heft of d is generated. The column
+cones' constraint forms are cached too (_subset_hrep), and
+chambers.chamber_of and chambers.spans_extremal_ray read them.
 No question here goes to an LP, and none to a rank: the heft is the
 primitive sum of the facet normals of the effective cone, read off its
 constraint form (cached like the enumerator's cones), and the grading is
@@ -49,7 +37,7 @@ is kept per grading, so a caller that passes none derives it once.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .cones import _fibre_rays, generators_to_hrep, primitive
@@ -204,12 +192,14 @@ def _exponents(q: DegreeMatrix, d, h, idx: tuple[int, ...]):
     yield from rec(0, list(d), total)
 
 
-# per (grading, primitive class w0), kept for the whole process like
-# _LAYERS: the fibre vertices and the period of each member of S(w0);
+# per (grading, primitive class w0), kept for the whole process: the fibre
+# vertices, the period of each member of S(w0), and the radicals of the
+# classes k w0 keyed (k, depth), a layer being the radical of depth 1;
 # S(k w) = S(w) for k >= 1, so reproduce-paper asks for S twelve times and
 # computes two
-_VERTICES: dict[tuple[DegreeMatrix, tuple[int, ...]],
-                tuple[MappingProxyType, dict[Support, int]]] = {}
+_CLASSES: dict[tuple[DegreeMatrix, tuple[int, ...]],
+               tuple[MappingProxyType, dict[Support, int],
+                     dict[tuple[int, int], SquarefreeIdeal]]] = {}
 
 
 def fibre_vertices(q: DegreeMatrix, w) -> MappingProxyType:
@@ -227,22 +217,29 @@ def fibre_vertices(q: DegreeMatrix, w) -> MappingProxyType:
 
 
 def _fibre(q: DegreeMatrix, w):
-    """The _VERTICES entry of the class w, checked and read on a miss."""
+    """The _CLASSES entry of the class w, checked."""
     w = int_vector(w, "class")
     if len(w) != q.pic_rank:
         raise ValueError("class has wrong length")
-    n = q.num_gens
-    if n > MAX_SEARCH_GENS:
-        raise GuardExceeded("subset enumeration too large")
-    key = (q, primitive(w))
-    entry = _VERTICES.get(key)
+    return _class(q, w, gcd(*w))
+
+
+def _class(q: DegreeMatrix, d: tuple[int, ...], k: int):
+    """The _CLASSES entry of the checked class d, with k = gcd(d), read
+    on a miss; only a miss, which runs the double description, meets the
+    size guard."""
+    key = (q, tuple(x // k for x in d) if k > 1 else d)
+    entry = _CLASSES.get(key)
     if entry is None:
+        n = q.num_gens
+        if n > MAX_SEARCH_GENS:
+            raise GuardExceeded("subset enumeration too large")
         rays = _fibre_rays(q.columns, key[1])
         found = {tuple(j for j in range(n) if r[j]): r for r in rays if r[n]}
         supports = sorted(found, key=lambda s: (len(s), s))
-        entry = _VERTICES[key] = (
+        entry = _CLASSES[key] = (
             MappingProxyType({s: found[s] for s in supports}),
-            {s: _period(q, key[1], s, found[s]) for s in supports})
+            {s: _period(q, key[1], s, found[s]) for s in supports}, {})
     return entry
 
 
@@ -269,12 +266,11 @@ def _period(q: DegreeMatrix, w0, subset: Support, ray) -> int:
     return p
 
 
-def _saturation_depth(periods, d) -> int:
-    """The least depth at which the radical of d = k w0 is S(w0), given
-    the periods of S(w0): the least K such that every member J has p_J
+def _saturation_depth(periods, k: int) -> int:
+    """The least depth at which the radical of k w0 is S(w0), given the
+    periods of S(w0): the least K such that every member J has p_J
     dividing j k for some j <= K, that is max p_J / gcd(p_J, k) over the
     members; 1 when S(w0) is empty."""
-    k = gcd(*d)
     return max((p // gcd(p, k) for p in periods.values()), default=1)
 
 
@@ -287,35 +283,16 @@ def caratheodory_supports(q: DegreeMatrix, w) -> list[tuple[int, ...]]:
 
 def minimal_supports_of_degree(q: DegreeMatrix, degree, heft=None) -> tuple[Support, ...]:
     """Inclusion-minimal supports among all monomials of the given degree
-    (1-based, canonical order). A support is a union of vertex supports of
-    the bounded fiber over d, so only unions of members of S(d) are probed."""
+    (1-based, canonical order): the generators of the depth-1 radical,
+    kept in the entry of the degree's class. A support is a union of
+    vertex supports of the bounded fiber over d, so only unions of members
+    of S(d) are probed."""
     d = int_vector(degree, "degree")
     if len(d) != q.pic_rank:
         raise ValueError("degree has wrong length")
     h = _checked_heft(q, heft)
-    return _minimal_supports(q, d, h)
-
-
-# minimal supports per (grading, degree), kept for the whole process like
-# _subset_hrep: the radicals and minimal_supports_of_degree share them
-_LAYERS: dict[tuple[DegreeMatrix, tuple[int, ...]], tuple[Support, ...]] = {}
-
-
-def _minimal_supports(q: DegreeMatrix, d, h) -> tuple[Support, ...]:
-    """minimal_supports_of_degree for a checked degree and heft.
-
-    The result is cached per (q, d) in _LAYERS as an immutable tuple; only
-    a miss reads the member periods of d, themselves cached per primitive
-    class, since the fiber over k w is k times the fiber over w. The heft
-    is not part of the key: it only bounds each exponent by the heft
-    budget, which no monomial of degree d exceeds under any heft positive
-    on the grading, so the supports depend on q and d alone."""
-    key = (q, tuple(d))
-    layer = _LAYERS.get(key)
-    if layer is None:
-        layer = _LAYERS[key] = _search_supports(q, key[1], h,
-                                                _fibre(q, d)[1])
-    return layer
+    k = gcd(*d)
+    return _radical(q, d, k, h, 1, _class(q, d, k)).generators
 
 
 def _achievable(q: DegreeMatrix, d, h, subset: tuple[int, ...]) -> bool:
@@ -331,11 +308,11 @@ def _achievable(q: DegreeMatrix, d, h, subset: tuple[int, ...]) -> bool:
 
 
 def _search_supports(q: DegreeMatrix, d, h, periods) -> tuple[Support, ...]:
-    """The uncached search of _minimal_supports: the members of S(d), the
-    keys of periods (the _fibre entry's map from each member to its
-    period), and their unions as int bitmasks over the columns, probed by
-    size. A member J is achievable exactly when its period, read and
-    replayed with the vertices (_period), divides k = gcd(d): its witness
+    """The search of one layer, the minimal supports at degree d: the
+    members of S(d), the keys of periods (the entry's map from each member
+    to its period), and their unions as int bitmasks over the columns,
+    probed by size. A member J is achievable exactly when its period, read
+    and replayed with the vertices (_period), divides k = gcd(d): its witness
     is k / p_J times the replayed point, so no probe replays it again. A
     union is decided by the enumerator (_achievable), and is generated only
     past a member or union that fails, so a layer where every period
@@ -401,13 +378,11 @@ def radical_of_monomials(monomials) -> SquarefreeIdeal:
     return SquarefreeIdeal(minimal_antichain(supports))
 
 
-# the radical per (grading, degree, depth), kept for the whole process like
-# _LAYERS: reproduce-paper asks for the radicals at a and -K again in its
-# chamber comparisons; a radical equal to S(w0) is one ideal per class,
-# kept under (q, w0, max p_J), and any other is built from the one a depth
-# below and one more layer
-_RADICALS: dict[tuple[DegreeMatrix, tuple[int, ...], int],
-                SquarefreeIdeal] = {}
+def _checked_depth(depth) -> None:
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise ValueError("saturation depth must be an integer")
+    if depth < 1:
+        raise ValueError("saturation depth must be at least 1")
 
 
 def irrelevant_radical(q: DegreeMatrix, degree, depth: int = 1, heft=None,
@@ -418,56 +393,63 @@ def irrelevant_radical(q: DegreeMatrix, degree, depth: int = 1, heft=None,
     With check_stable=True, returns (ideal, stable) where stable reports
     whether going to depth + 1 leaves the radical unchanged.
 
-    The depth, the heft and the degree are checked on every call. With
-    degree = k w0, w0 primitive, a member J of S(w0) lies in the radical
-    exactly when some layer j * degree, j <= depth, achieves it, that is
-    when p_J / gcd(p_J, k) <= depth for its period p_J (see _period);
-    every achievable support holds a member. So when every member does,
-    the radical is S(w0), with no layer asked for, and stable is True.
-    Otherwise the radical at depth j is the antichain of the radical at
-    depth j - 1 and the layer j * degree. Each radical is cached per
-    (q, degree, j) in _RADICALS, every one equal to S(w0) as one shared
-    ideal; like the layers, none depends on the heft.
+    The depth (an int, not a bool), the heft and the degree are checked on
+    every call, the depth first. With degree = k w0, w0 primitive, a member
+    J of S(w0) lies in the radical exactly when some layer j * degree,
+    j <= depth, achieves it, that is when p_J / gcd(p_J, k) <= depth for
+    its period p_J (see _period); every achievable support holds a member.
+    So when every member does, the radical is S(w0), with no layer asked
+    for, and stable is True. Otherwise the radical at depth j is the
+    antichain of the radical at depth j - 1 and the layer j * degree. The
+    entry of w0 is read once per call, and keeps every radical.
     """
-    if depth < 1:
-        raise ValueError("saturation depth must be at least 1")
+    _checked_depth(depth)
     d = int_vector(degree, "degree")
     h = _checked_heft(q, heft)
     if len(d) != q.pic_rank:
         raise ValueError("degree has wrong length")
-    ideal = _radical(q, d, h, depth)
+    k = gcd(*d)
+    entry = _class(q, d, k)
+    ideal = _radical(q, d, k, h, depth, entry)
     if not check_stable:
         return ideal
-    return ideal, _radical(q, d, h, depth + 1) == ideal
+    return ideal, _radical(q, d, k, h, depth + 1, entry) == ideal
 
 
-def _radical(q: DegreeMatrix, d, h, depth: int) -> SquarefreeIdeal:
-    """irrelevant_radical at a checked degree and heft, through _RADICALS:
-    a radical that reaches every member of S(w0) is S(w0), and otherwise
-    only the depths missing from the cache ask for their layer."""
-    key = (q, d, depth)
-    ideal = _RADICALS.get(key)
+def _radical(q: DegreeMatrix, d, k: int, h, depth: int,
+             entry) -> SquarefreeIdeal:
+    """irrelevant_radical at a checked degree d = k w0, k = gcd(d), and
+    heft, through the radicals of the entry of w0, keyed (k, depth): a
+    radical that reaches every member of S(w0) is S(w0), and otherwise
+    only the depths missing from the entry are built, each from the one a
+    depth below and the layer (j k, 1), which the search fills on a miss. The heft is in
+    no key: it only bounds each exponent, which no monomial of degree d
+    exceeds under any heft positive on the grading, so no radical depends
+    on it."""
+    _vertices, periods, radicals = entry
+    ideal = radicals.get((k, depth))
     if ideal is not None:
         return ideal
-    periods = _fibre(q, d)[1]
-    if _saturation_depth(periods, d) <= depth:
-        # S(w0) is built on the first hit and kept under the key of w0's
-        # own radical at its saturation depth, max p_J, which every class
-        # and depth reaching S(w0) then shares
-        root = (q, primitive(d), max(periods.values(), default=1))
-        ideal = _RADICALS.get(root)
+    if _saturation_depth(periods, k) <= depth:
+        # S(w0) is the layer at lcm(p_J) w0, built on the first radical
+        # that reaches it and shared by every class and depth that do
+        top = (lcm(*periods.values()), 1)
+        ideal = radicals.get(top)
         if ideal is None:
-            ideal = _RADICALS[root] = SquarefreeIdeal(
+            ideal = radicals[top] = SquarefreeIdeal(
                 tuple(tuple(j + 1 for j in s) for s in periods))
-        _RADICALS[key] = ideal
+        radicals[k, depth] = ideal
         return ideal
-    below: tuple[Support, ...] = ()
+    # below the saturation depth of k, no layer j k, j <= depth, is S(w0)
+    ideal = None
     for j in range(1, depth + 1):
-        key = (q, d, j)
-        ideal = _RADICALS.get(key)
+        below, ideal = ideal, radicals.get((k, j))
         if ideal is None:
-            layer = _minimal_supports(q, tuple(j * x for x in d), h)
-            ideal = _RADICALS[key] = SquarefreeIdeal(
-                minimal_antichain((*below, *layer)))
-        below = ideal.generators
+            layer = radicals.get((j * k, 1))
+            if layer is None:
+                layer = radicals[j * k, 1] = SquarefreeIdeal(_search_supports(
+                    q, tuple(j * x for x in d), h, periods))
+            ideal = radicals[k, j] = layer if below is None else \
+                SquarefreeIdeal(minimal_antichain(
+                    (*below.generators, *layer.generators)))
     return ideal

@@ -1,8 +1,27 @@
 import sys
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import pytest
 
 import coxtoric  # noqa: F401  (loads every coxtoric module, linprog too)
+from coxtoric import monomials
+
+
+@contextmanager
+def fresh_class_cache():
+    """monomials' per-class cache (S(w), the member periods and every
+    radical of each class), emptied as in a fresh process and restored on
+    exit; a hypothesis test enters it once per example."""
+    with patch.dict(monomials._CLASSES, clear=True):
+        yield monomials._CLASSES
+
+
+@pytest.fixture
+def class_cache():
+    """The per-class cache of fresh_class_cache, empty for one test."""
+    with fresh_class_cache() as cache:
+        yield cache
 
 
 @pytest.fixture

@@ -262,10 +262,8 @@ def test_chamber_questions_lp_budget(counted_lp_calls):
 
 
 def counted_support_dds(monkeypatch):
-    """Empty the S(w) cache and count the double descriptions of
-    fibre_vertices, the only caller of cones._fibre_rays in monomials;
-    returns the list of their targets."""
-    monkeypatch.setattr(monomials, "_VERTICES", {})
+    """Count the double descriptions of fibre_vertices, the only caller of
+    cones._fibre_rays in monomials; returns the list of their targets."""
     calls = []
     real = monomials._fibre_rays
 
@@ -277,15 +275,13 @@ def counted_support_dds(monkeypatch):
     return calls
 
 
-def test_support_sets_computed_once_per_class(monkeypatch):
+def test_support_sets_computed_once_per_class(monkeypatch, class_cache):
     # S(k w) = S(w), so same_chamber reads every layer of both radicals off
     # the one S of its effective-cone check, and irrelevant_radical off
-    # one more, at every depth, with the layer cache emptied
+    # one more, at every depth
     dp = delpezzo4()
     q = dp.degrees
     calls = counted_support_dds(monkeypatch)
-    monkeypatch.setattr(monomials, "_LAYERS", {})
-    monkeypatch.setattr(monomials, "_RADICALS", {})
     doubled = tuple(2 * x for x in dp.ample)
     result = same_chamber(q, dp.ample, doubled, depth=2, check_stable=True)
     assert result.same and result.stable
@@ -294,7 +290,8 @@ def test_support_sets_computed_once_per_class(monkeypatch):
     assert len(calls) == 2
 
 
-def test_reproduce_paper_computes_two_support_sets(monkeypatch, capsys):
+def test_reproduce_paper_computes_two_support_sets(monkeypatch, capsys,
+                                                   class_cache):
     # S is asked for twelve times (a, 2a and -K by the radicals' periods
     # and by the chamber comparisons' effective-cone checks) and
     # S(2a) = S(a)
@@ -304,7 +301,8 @@ def test_reproduce_paper_computes_two_support_sets(monkeypatch, capsys):
     assert len(calls) == 2
 
 
-def test_chamber_compare_job_computes_one_support_set(monkeypatch, capsys):
+def test_chamber_compare_job_computes_one_support_set(monkeypatch, capsys,
+                                                      class_cache):
     # chamber_of(w) and same_chamber(w, 2w) ask for S three times
     calls = counted_support_dds(monkeypatch)
     assert main(["chamber", "--dataset", "delpezzo4", "--degree",
@@ -314,7 +312,8 @@ def test_chamber_compare_job_computes_one_support_set(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_caratheodory_supports_returns_a_fresh_list(monkeypatch):
+def test_caratheodory_supports_returns_a_fresh_list(monkeypatch,
+                                                     class_cache):
     calls = counted_support_dds(monkeypatch)
     q = delpezzo4().degrees
     first = caratheodory_supports(q, (3, -1, -1, -1, -1))
@@ -324,14 +323,12 @@ def test_caratheodory_supports_returns_a_fresh_list(monkeypatch):
     assert len(calls) == 1
 
 
-def test_same_chamber_reuses_the_cone_hreps_of_chamber_of(monkeypatch):
+def test_same_chamber_reuses_the_cone_hreps_of_chamber_of(monkeypatch,
+                                                          class_cache):
     # chamber_of builds the constraint form of every cone(q_J), J in S(w),
     # through the monomials cache, and same_chamber builds none of them again
     dp = delpezzo4()
     q = dp.degrees
-    monkeypatch.setattr(monomials, "_VERTICES", {})
-    monkeypatch.setattr(monomials, "_LAYERS", {})
-    monkeypatch.setattr(monomials, "_RADICALS", {})
     monomials._subset_hrep.cache_clear()
     monomials.derive_heft.cache_clear()
     misses = []
@@ -351,14 +348,22 @@ def test_same_chamber_reuses_the_cone_hreps_of_chamber_of(monkeypatch):
     assert misses and not cones_of & set(misses)
 
 
-def test_same_chamber_checks_depth_before_any_support_set(monkeypatch):
+def test_same_chamber_checks_depth_before_any_support_set(monkeypatch,
+                                                         class_cache):
     calls = counted_support_dds(monkeypatch)
     q = delpezzo4().degrees
     outside = (-1, 0, 0, 0, 0)
     with pytest.raises(ValueError,
                        match="^saturation depth must be at least 1$"):
         same_chamber(q, outside, (3, -1, -1, -1, -1), depth=0)
-    assert calls == []
+    # a depth that is not an int, or is a bool, is no depth at all
+    for depth in (1.5, 2.0, True):
+        for check_stable in (False, True):
+            with pytest.raises(ValueError,
+                               match="^saturation depth must be an integer$"):
+                same_chamber(q, (3, -1, -1, -1, -1), (6, -2, -2, -2, -2),
+                             depth=depth, check_stable=check_stable)
+    assert calls == [] and class_cache == {}
     with pytest.raises(ValueError, match="^class outside the effective cone$"):
         same_chamber(q, outside, (3, -1, -1, -1, -1))
 
@@ -402,14 +407,12 @@ def test_dp4_chamber_is_pinned(w):
     assert same_cone(ch.hrep, DP4_ANTICANONICAL_CHAMBER_GREEDY, 6)
 
 
-def test_dp3_anticanonical_chamber_is_the_ray_through_minus_k(monkeypatch):
+def test_dp3_anticanonical_chamber_is_the_ray_through_minus_k(monkeypatch,
+                                                             class_cache):
     # 27 columns pass the guard once it is raised; the chamber of -K on the
     # cubic surface's lines is the ray through -K: six equalities with both
     # signs and one facet row, positive on -K
     monkeypatch.setattr(monomials, "MAX_SEARCH_GENS", 27)
-    monkeypatch.setattr(monomials, "_VERTICES", {})
-    monkeypatch.setattr(monomials, "_LAYERS", {})
-    monkeypatch.setattr(monomials, "_RADICALS", {})
     minus_k = (3, -1, -1, -1, -1, -1, -1)
     ch = chamber_of(DegreeMatrix.make(dp3_columns()), minus_k)
     assert ch.full_dimensional is False

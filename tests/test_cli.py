@@ -15,7 +15,7 @@ from coxtoric import __version__, cli, fans, grading, monomials
 from coxtoric.cli import main, reproduce_paper_report
 from coxtoric.delpezzo import ANTICANONICAL_SUPPORTS
 from coxtoric.exact import IntMat, dot, kernel_lattice
-from coxtoric.grading import DegreeMatrix, delpezzo4
+from coxtoric.grading import DegreeMatrix, DelPezzo4, delpezzo4
 from coxtoric.monomials import fibre_vertices, irrelevant_radical
 from test_chambers import same_cone
 
@@ -372,14 +372,12 @@ def test_dp4_saturated_fan_is_pinned(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == DP4_SATURATED_FAN_SHA
 
 
-def test_dp4_irrelevant_searches_one_layer(capsys, monkeypatch):
+def test_dp4_irrelevant_searches_one_layer(capsys, monkeypatch,
+                                           class_cache):
     # the depth-1 radical at -K searches the layer -K, since 16 members of
     # S(-K) have period 2; its stability check reads depth 2 off the
     # periods as S(-K), with no layer 2(-K); each of the 56 members is
     # replayed once
-    monkeypatch.setattr(monomials, "_VERTICES", {})
-    monkeypatch.setattr(monomials, "_LAYERS", {})
-    monkeypatch.setattr(monomials, "_RADICALS", {})
     searched, replayed = [], []
     search, period = monomials._search_supports, monomials._period
 
@@ -403,7 +401,8 @@ def test_dp4_irrelevant_searches_one_layer(capsys, monkeypatch):
     assert len(replayed) == len(set(replayed)) == 56
 
 
-def test_corrupted_fibre_ray_fails_the_period_replay(monkeypatch, capsys):
+def test_corrupted_fibre_ray_fails_the_period_replay(monkeypatch, capsys,
+                                                      class_cache):
     # one ray of the fibre's double description gains 1 on a column of
     # its support: its point p lambda / t no longer lies over p w0, so
     # reading the periods raises, and irrelevant exits 4
@@ -417,9 +416,6 @@ def test_corrupted_fibre_ray_fails_the_period_replay(monkeypatch, capsys):
         ray[j] += 1
         return [*rays[:first], tuple(ray), *rays[first + 1:]]
 
-    monkeypatch.setattr(monomials, "_VERTICES", {})
-    monkeypatch.setattr(monomials, "_LAYERS", {})
-    monkeypatch.setattr(monomials, "_RADICALS", {})
     monkeypatch.setattr(monomials, "_fibre_rays", corrupted)
     with pytest.raises(RuntimeError, match="exponent vector failed replay"):
         irrelevant_radical(DegreeMatrix.make([(1,), (1,), (1,)]), (1,))
@@ -429,11 +425,14 @@ def test_corrupted_fibre_ray_fails_the_period_replay(monkeypatch, capsys):
     assert err == "internal error: exponent vector failed replay\n"
 
 
-def test_reproduce_corrupted_dataset_names_first_failure():
+def test_reproduce_corrupted_dataset_names_first_failure(monkeypatch):
+    # the bundled matrix with two columns swapped, the classes kept
     dp = delpezzo4()
     cols = list(dp.degrees.columns)
     cols[0], cols[1] = cols[1], cols[0]
-    report = reproduce_paper_report(degrees=DegreeMatrix.make(cols))
+    monkeypatch.setattr(cli, "delpezzo4", lambda: DelPezzo4(
+        DegreeMatrix.make(cols), dp.ample, dp.anti_canonical, dp.heft))
+    report = reproduce_paper_report()
     assert report["overall"] is False
     assert report["firstFailed"] == "gale-hermite"
     failed = [c for c in report["checks"] if not c["verdict"]]

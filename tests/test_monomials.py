@@ -292,6 +292,22 @@ def test_stabilization_flag():
         irrelevant_radical(q, (1,), depth=0)
 
 
+@pytest.mark.parametrize("depth", [1.5, 2.0, True, "2", None])
+def test_a_depth_that_is_not_an_int_is_rejected(class_cache, depth):
+    # before any cache lookup, on the bundled ample class (where 1.5 and
+    # True used to give the 42 supports) and at periods 2 and 3 (where 1.5
+    # and 2.0 met range)
+    dp = delpezzo4()
+    for q, w in ((dp.degrees, dp.ample), (DegreeMatrix.make([(2,), (3,)]),
+                                          (1,))):
+        for check_stable in (False, True):
+            with pytest.raises(ValueError,
+                               match="^saturation depth must be an integer$"):
+                irrelevant_radical(q, w, depth=depth,
+                                   check_stable=check_stable)
+    assert class_cache == {}
+
+
 def test_bundled_degrees_stable_at_depth_one():
     dp = delpezzo4()
     for d in (dp.ample, dp.anti_canonical):
@@ -337,14 +353,12 @@ def dp3_columns():
                for i in range(1, 7)])
 
 
-def test_dp3_anticanonical_radical_is_the_tritangent_triples(monkeypatch):
+def test_dp3_anticanonical_radical_is_the_tritangent_triples(
+        monkeypatch, class_cache):
     # 27 columns pass the guard once it is raised; the depth-1 radical at
     # -K is the 45 triples of lines that sum to -K, the tritangent planes,
     # and no union of two members of S(-K) fits the heft budget of -K
     monkeypatch.setattr(monomials, "MAX_SEARCH_GENS", 27)
-    monkeypatch.setattr(monomials, "_VERTICES", {})
-    monkeypatch.setattr(monomials, "_LAYERS", {})
-    monkeypatch.setattr(monomials, "_RADICALS", {})
     cols = dp3_columns()
     q = DegreeMatrix.make(cols)
     minus_k = (3, -1, -1, -1, -1, -1, -1)
@@ -382,32 +396,62 @@ def test_dp4_anticanonical_periods():
     # 40 members of S(-K) are achievable at -K and 16 only at -2K, which
     # is why depth 2 is the first to give S(-K)
     q = DegreeMatrix.make(dp4_columns())
-    vertices, periods = monomials._fibre(q, (3, -1, -1, -1, -1, -1))
+    vertices, periods, _ = monomials._fibre(q, (3, -1, -1, -1, -1, -1))
     assert sorted(periods.values()) == [1] * 40 + [2] * 16
     assert list(periods) == list(vertices)
 
 
-def test_periods_two_and_three_saturate_at_depth_three(monkeypatch):
+def test_periods_two_and_three_saturate_at_depth_three(class_cache):
     # x1 of degree 2 has period 2 at the class 1 and x2 of degree 3 period
     # 3: the depth-3 radical is S(1) = {x1, x2} and stable, read off the
     # periods, though no layer up to 3 holds both members and the layer 3
     # is never asked for
-    monkeypatch.setattr(monomials, "_LAYERS", {})
-    monkeypatch.setattr(monomials, "_RADICALS", {})
     q = DegreeMatrix.make([(2,), (3,)])
     assert monomials._fibre(q, (1,))[1] == {(0,): 2, (1,): 3}
     assert irrelevant_radical(q, (1,), depth=2, check_stable=True) == \
         (SquarefreeIdeal(((1,),)), False)
     ideal, stable = irrelevant_radical(q, (1,), depth=3, check_stable=True)
     assert ideal.generators == ((1,), (2,)) and stable
-    assert [d for _q, d in monomials._LAYERS] == [(1,), (2,)]
-    assert all(len(layer) <= 1 for layer in monomials._LAYERS.values())
     # one S(1) ideal, at depths 3 and 4 and at the class 2, where the
-    # periods 2 and 3 again give depth 3, with no layer asked for
-    assert monomials._RADICALS[(q, (1,), 3)] is \
-        monomials._RADICALS[(q, (1,), 4)] is \
+    # periods 2 and 3 again give depth 3, with no layer asked for; it is
+    # kept as the layer at lcm(2, 3) = 6
+    radicals = class_cache[q, (1,)][2]
+    assert radicals[1, 3] is radicals[1, 4] is radicals[6, 1] is \
         irrelevant_radical(q, (2,), depth=3)
-    assert len(monomials._LAYERS) == 2
+    # the layers 1 and 2, each of at most one support, are the only ones
+    # searched
+    assert set(radicals) == {(1, 1), (2, 1), (1, 2), (1, 3), (1, 4),
+                             (6, 1), (2, 3)}
+    assert radicals[1, 1].generators == () and \
+        radicals[2, 1].generators == radicals[1, 2].generators == ((1,),)
+
+
+def test_a_layer_is_searched_once_for_both_radicals_that_hold_it(
+        monkeypatch, class_cache):
+    # the layer 2w is the depth-1 radical at 2w: radical(w, 2), radical(2w,
+    # 1) and the minimal supports of 2w share one search at 2w
+    q = DegreeMatrix.make([(2,), (3,)])
+    searched = []
+    search = monomials._search_supports
+
+    def counted_search(q, d, h, periods):
+        searched.append(d)
+        return search(q, d, h, periods)
+
+    monkeypatch.setattr(monomials, "_search_supports", counted_search)
+    assert irrelevant_radical(q, (1,), 2).generators == ((1,),)
+    assert irrelevant_radical(q, (2,), 1).generators == ((1,),)
+    assert minimal_supports_of_degree(q, (2,)) == ((1,),)
+    assert searched == [(1,), (2,)]
+
+
+def test_a_thousand_layers_below_the_saturation_depth():
+    # periods 1000 and 1001: the layers 1..999 are empty, the layer 1000
+    # holds x1, and depth 1001 is S(1); the depths are built in a loop, not
+    # by recursion
+    q = DegreeMatrix.make([(1000,), (1001,)])
+    assert irrelevant_radical(q, (1,), depth=1000, check_stable=True) == \
+        (SquarefreeIdeal(((1,),)), False)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -421,9 +465,7 @@ def test_bitmask_search_matches_set_search_on_dp4(k):
 
 
 def counted_exponents(monkeypatch):
-    """Empty the layer cache and count the calls of the enumerator."""
-    monkeypatch.setattr(monomials, "_LAYERS", {})
-    monkeypatch.setattr(monomials, "_RADICALS", {})
+    """Count the calls of the enumerator."""
     calls = []
     real = monomials._exponents
 
@@ -435,7 +477,7 @@ def counted_exponents(monkeypatch):
     return calls
 
 
-def test_dependent_columns_ask_the_enumerator(monkeypatch):
+def test_dependent_columns_ask_the_enumerator(monkeypatch, class_cache):
     # the union of the members (0,) and (1,) of S(3): x_1 + x_2 = 1 has two
     # solutions in nonnegative integers, and the enumerator finds the first
     calls = counted_exponents(monkeypatch)
@@ -444,18 +486,23 @@ def test_dependent_columns_ask_the_enumerator(monkeypatch):
     assert calls == [(0, 1)]
 
 
-def test_reproduce_paper_radical_searches_run_no_enumerator(monkeypatch):
+def test_reproduce_paper_radical_searches_run_no_enumerator(monkeypatch,
+                                                           class_cache):
     # every member of S(w) has period 1 on the bundled grading, so every
-    # radical is S(w) and no layer is asked for (5 layers, each member
-    # decided by its fibre vertex, before periods decided the radical)
+    # radical is S(w), one ideal per class, and no layer is asked for (5
+    # layers, each member decided by its fibre vertex, before periods
+    # decided the radical)
     calls = counted_exponents(monkeypatch)
     reproduce_paper_report()
-    assert len(monomials._LAYERS) == 0 and calls == []
+    assert all(len({id(r) for r in radicals.values()}) == 1
+               for _v, _p, radicals in class_cache.values())
+    assert calls == []
 
 
-def test_dp4_radical_search_runs_no_enumerator(monkeypatch):
+def test_dp4_radical_search_runs_no_enumerator(monkeypatch, class_cache):
     calls = counted_exponents(monkeypatch)
-    ideal = irrelevant_radical(DegreeMatrix.make(dp4_columns()),
-                               (3, -1, -1, -1, -1, -1), depth=1)
+    q = DegreeMatrix.make(dp4_columns())
+    minus_k = (3, -1, -1, -1, -1, -1)
+    ideal = irrelevant_radical(q, minus_k, depth=1)
     assert ideal.generators == DP4_ANTICANONICAL_SUPPORTS
-    assert len(monomials._LAYERS) == 1 and calls == []
+    assert list(class_cache[q, minus_k][2]) == [(1, 1)] and calls == []
