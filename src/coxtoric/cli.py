@@ -27,7 +27,6 @@ from __future__ import annotations
 import gc
 import json
 import os
-import re
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -140,7 +139,8 @@ def integer(text: str) -> int:
     also accepts '1_0', surrounding spaces and non-ASCII digits such as
     '\u0661'; those raise ValueError here. As an argparse type its name
     appears in the message: "invalid integer value"."""
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
@@ -866,7 +866,8 @@ def _join_signed_classes(argv: list[str]) -> list[str]:
     out: list[str] = []
     for tok in argv:
         prev = out[-1] if out else ""
-        if "--" not in out and len(prev) > 2 and re.match(r"-[0-9]", tok) \
+        if "--" not in out and len(prev) > 2 and tok[:1] == "-" \
+                and "0" <= tok[1:2] <= "9" \
                 and any(opt.startswith(prev) for opt in _CLASS_OPTIONS):
             out[-1] = f"{prev}={tok}"
         else:

@@ -28,7 +28,13 @@ Integer vectors never become Fractions: every row enters through
 `primitive`, which checks its entries and divides an all-int vector by its
 gcd directly, so only rational input pays for `fractions.Fraction`. Inside
 the double description every vector is an int tuple, and projections and
-combined rays are normalised by their gcd alone.
+combined rays are normalised by their gcd alone. Each row's products with
+the lineality vectors and rays are taken once per step (`_products`), and
+a primitive coordinate row +-e_j reads them off entry j with no sum: when
+it picks a lineality pivot, projects, and splits the rays by sign. Every
+inequality of the fibre double description (`_fibre_rays`, which
+`cone_member`, `fans.is_projective` and the fibre vertices read) is such
+a row.
 
 Membership is certified with no LP. `separating_functional` reads a
 functional that separates a vector from cone(gens) off one double
@@ -63,7 +69,7 @@ Vec = tuple[int, ...]
 def _reduced(w: Sequence[int]) -> Vec:
     # an int vector divided by the gcd of its entries
     g = gcd(*w)
-    return tuple(x // g for x in w) if g > 1 else tuple(w)
+    return tuple([x // g for x in w]) if g > 1 else tuple(w)
 
 
 def primitive(vec: Sequence) -> Vec:
@@ -86,14 +92,26 @@ def primitive(vec: Sequence) -> Vec:
     return tuple(ints)
 
 
-def _project_off(v: Vec, normal: Vec, pivot: Vec, dp: int) -> Vec:
-    # v * dp - pivot * (normal . v), with dp = normal . pivot > 0 so the
-    # direction of v is preserved; v is primitive, so a v already on the
-    # hyperplane is its own result
-    dv = sum(map(mul, normal, v))
+def _project_off(v: Vec, dv: int, pivot: Vec, dp: int) -> Vec:
+    # v * dp - pivot * dv, with dv = normal . v and dp = normal . pivot > 0
+    # so the direction of v is preserved; v is primitive, so a v already on
+    # the hyperplane is its own result
     if not dv:
         return v
     return _reduced([x * dp - p * dv for x, p in zip(v, pivot)])
+
+
+def _products(normal: Vec, vecs: list[Vec]) -> list[int]:
+    """The products of the primitive row normal with vecs. A coordinate
+    row +-e_j reads each product off entry j; any other row sums its
+    entrywise products."""
+    if normal.count(0) == len(normal) - 1:
+        if 1 in normal:
+            j = normal.index(1)
+            return [v[j] for v in vecs]
+        j = normal.index(-1)
+        return [-v[j] for v in vecs]
+    return [sum(map(mul, normal, v)) for v in vecs]
 
 
 def _nonzero_rows(dim: int, rows: Sequence[Sequence]) -> list[Vec]:
@@ -144,43 +162,53 @@ def double_description(dim: int,
     lin = _kernel_basis(dim, eqs)
     # the dimension of the space the equalities cut out
     m = len(lin)
-    # each ray with the bitmask of the processed inequalities it is tight on
-    rays: list[tuple[Vec, int]] = []
+    # the rays, and per ray the bitmask of the processed inequalities it
+    # is tight on
+    rays: list[Vec] = []
+    masks: list[int] = []
 
     for k, normal in enumerate(ineqs):
         bit = 1 << k
-        for i, porig in enumerate(lin):
-            ps = sum(map(mul, normal, porig))
+        # an empty list takes no call: the lineality is spent once enough
+        # rows have cut it, and there is no ray before the first cut
+        lin_dots = _products(normal, lin) if lin else []
+        for i, ps in enumerate(lin_dots):
             if ps:
                 # the constraint cuts the lineality space
-                del lin[i]
+                porig = lin.pop(i)
+                del lin_dots[i]
                 if ps > 0:
                     pivot = porig
                 else:
                     pivot, ps = tuple(-x for x in porig), -ps
-                lin = [_project_off(l, normal, pivot, ps) for l in lin]
-                rays = [(_project_off(r, normal, pivot, ps), z | bit)
-                        for r, z in rays]
+                lin = [_project_off(l, dv, pivot, ps)
+                       for l, dv in zip(lin, lin_dots)]
+                if rays:
+                    rays = [_project_off(r, dv, pivot, ps)
+                            for r, dv in zip(rays, _products(normal, rays))]
+                    masks = [z | bit for z in masks]
                 # the pivot itself survives on the positive side; as former
                 # lineality it is tight on every previously processed row
-                rays.append((pivot, bit - 1))
+                rays.append(pivot)
+                masks.append(bit - 1)
                 break
         else:
-            pos, neg, kept = [], [], []
-            for r, z in rays:
-                s = sum(map(mul, normal, r))
+            pos, neg, kept, kept_masks = [], [], [], []
+            for r, z, s in zip(rays, masks, _products(normal, rays)):
                 if s > 0:
                     pos.append((r, z, s))
                 elif s < 0:
                     neg.append((r, z, s))
                 else:
-                    kept.append((r, z | bit))
-            kept += [(r, z) for r, z, _ in pos]
+                    kept.append(r)
+                    kept_masks.append(z | bit)
+            for r, z, _ in pos:
+                kept.append(r)
+                kept_masks.append(z)
             # two adjacent rays span a face of dimension len(lin) + 2, so
             # the rows tight on both have rank m - len(lin) - 2 (Fukuda and
             # Prodon); a pair sharing fewer rows is not adjacent
             need = m - len(lin) - 2
-            masks = [z for _, z in rays]
             for rp, zp, sp in pos:
                 for rn, zn, sn in neg:
                     meet = zp & zn
@@ -195,12 +223,12 @@ def double_description(dim: int,
                             if covers == 3:
                                 break
                     else:
-                        kept.append((_reduced([sp * b - sn * a
-                                               for a, b in zip(rp, rn)]),
-                                     meet | bit))
-            rays = kept
+                        kept.append(_reduced([sp * b - sn * a
+                                              for a, b in zip(rp, rn)]))
+                        kept_masks.append(meet | bit)
+            rays, masks = kept, kept_masks
 
-    return lin, [r for r, _ in rays], [z for _, z in rays]
+    return lin, rays, masks
 
 
 def generators_to_hrep(dim: int, gens: Sequence[Sequence[int]]):

@@ -15,7 +15,8 @@ class w0, kept in _CLASSES for the whole process, with no bound:
 - the period of each member J of S(w0): J has independent columns, so its
   one candidate at k w0 is k lambda / t for its fibre ray (lambda, t), and
   it is achievable there exactly when p_J = t / gcd(t, lambda_j : j in J)
-  divides k; each period is replayed once, as the entry is built;
+  divides k; each period is replayed once, as the entry is built, in one
+  integer pass over the nonzero entries of J's columns;
 - the radical of each class k w0 at each depth, keyed (k, depth). A layer,
   the minimal supports of one degree, is the radical of depth 1. The
   depth-K radical is S(w0) exactly when every p_J / gcd(p_J, k) <= K, and
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from math import gcd, lcm
+from operator import lt
 from types import MappingProxyType
 
 from .cones import _fibre_rays, generators_to_hrep, primitive
@@ -59,25 +61,35 @@ class GuardExceeded(ValueError):
 class SquarefreeIdeal(Record):
     """Radical monomial ideal, stored as the antichain of minimal supports
     (1-based generator indices, each support strictly increasing, supports
-    ordered by size then lexicographically)."""
+    ordered by size then lexicographically). The constructor checks each
+    support, then their order, then the antichain. The last check runs on
+    int bitmasks of the supports, each compared only with the later,
+    larger ones."""
 
     generators: tuple[Support, ...]
 
     def __post_init__(self) -> None:
-        for s in self.generators:
+        gens = self.generators
+        # per support, the int bitmask of its indices
+        masks = []
+        for s in gens:
             int_vector(s, "support")
             if s and s[0] < 1:
                 raise ValueError("support indices must be at least 1")
-            if any(a >= b for a, b in zip(s, s[1:])):
+            if not all(map(lt, s, s[1:])):
                 raise ValueError("support not strictly increasing")
-        for s, t in zip(self.generators, self.generators[1:]):
+            masks.append(sum(map((1).__lshift__, s)))
+        for s, t in zip(gens, gens[1:]):
             if not (len(s), s) < (len(t), t):
                 raise ValueError("supports not in canonical order")
-        # in canonical order a support can lie only in a later, larger one
-        sets = [frozenset(s) for s in self.generators]
-        for i, a in enumerate(sets):
-            for b in sets[i + 1:]:
-                if a < b:
+        # in canonical order a support can lie only in a later, larger one;
+        # larger is the first support past the size level of s
+        larger = 0
+        for s, a in zip(gens, masks):
+            while larger < len(gens) and len(gens[larger]) <= len(s):
+                larger += 1
+            for b in masks[larger:]:
+                if a & b == a:
                     raise ValueError("supports do not form an antichain")
 
     @classmethod
@@ -250,18 +262,21 @@ def _period(q: DegreeMatrix, w0, subset: Support, ray) -> int:
     subset are independent, so x = p lambda / t is the one point of the
     fibre over p w0 on them, and subset is achievable at k w0 exactly when
     p divides k, with witness (k / p) x, exact by linearity. x is replayed
-    once, as integral with sum(x_j q_j) == p w0, and a failed replay raises
-    RuntimeError."""
+    once, as integral with sum(x_j q_j) == p w0 in every row, and a failed
+    replay raises RuntimeError."""
     t = ray[-1]
-    p = t // gcd(t, *(ray[j] for j in subset))
-    xs = []
+    p = t // gcd(t, *[ray[j] for j in subset])
+    # sum(x_j q_j) - p w0, accumulated in one pass over the nonzero
+    # entries of the columns of subset
+    residual = [-p * y for y in w0]
     for j in subset:
         x, rem = divmod(p * ray[j], t)
         if rem:
             raise RuntimeError("exponent vector failed replay")
-        xs.append(x)
-    if any(sum(x * q.columns[j][i] for x, j in zip(xs, subset)) != p * wi
-           for i, wi in enumerate(w0)):
+        for i, c in enumerate(q.columns[j]):
+            if c:
+                residual[i] += x * c
+    if any(residual):
         raise RuntimeError("exponent vector failed replay")
     return p
 

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations, product
 from random import Random
 
@@ -177,6 +178,14 @@ def test_antichain_and_canonical_order():
     (((2,), (1,)), "canonical order"),
     (((1, 3), (1, 2)), "canonical order"),
     (((1,), (1,)), "canonical order"),
+    # a duplicate that a larger support also holds reports the order
+    (((1, 2), (1, 2), (1, 2, 3)), "canonical order"),
+    # a level of equal-size supports, none inside another, below a
+    # support that holds one of them
+    (((1, 2), (1, 3), (2, 3), (1, 2, 4)), "antichain"),
+    # a support inside one two size levels up, past a level it meets
+    # but does not lie in
+    (((1,), (2, 3), (1, 4, 5, 6)), "antichain"),
 ])
 def test_squarefree_ideal_checks_order_then_antichain(generators, message):
     with pytest.raises(ValueError, match=message):
@@ -399,6 +408,30 @@ def test_dp4_anticanonical_periods():
     vertices, periods, _ = monomials._fibre(q, (3, -1, -1, -1, -1, -1))
     assert sorted(periods.values()) == [1] * 40 + [2] * 16
     assert list(periods) == list(vertices)
+
+
+@pytest.mark.parametrize("columns, w0, subset, ray", [
+    # x = (1, 1) gives (1, 1): right in the first row, wrong in the last
+    ([(1, 0), (0, 1)], (1, 2), (0, 1), (1, 1, 1)),
+    # no column of the subset reaches the last row, which is still checked
+    ([(1, 0, 0), (0, 1, 1), (1, 1, 0)], (2, 1, 1), (0, 2), (1, 0, 1, 1)),
+    # integral only at the period: p = 2 and x = (1, 1) give (2, 2, 2)
+    # against 2 w0 = (2, 2, 4)
+    ([(2, 0, 0), (0, 2, 2), (1, 1, 0)], (1, 1, 2), (0, 1), (1, 1, 0, 2)),
+])
+def test_period_replay_fails_in_the_last_row(columns, w0, subset, ray):
+    # each ray is integral at its period, and its point lies over p w0 in
+    # every row but the last: the replay still raises
+    q = DegreeMatrix.make(columns)
+    with pytest.raises(RuntimeError, match="exponent vector failed replay"):
+        monomials._period(q, w0, subset, ray)
+    # the same ray passes against the class its point does lie over
+    t = ray[-1]
+    p = t // math.gcd(t, *(ray[j] for j in subset))
+    point = [sum(p * ray[j] // t * columns[j][i] for j in subset)
+             for i in range(len(w0))]
+    assert monomials._period(q, tuple(x // p for x in point), subset,
+                             ray) == p
 
 
 def test_periods_two_and_three_saturate_at_depth_three(class_cache):

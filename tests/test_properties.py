@@ -27,13 +27,17 @@ Fraction rank of the stacked normals and Cone.facets) for the independence test,
 pointedness witness and the "drop one ray" facets of simplicial cones,
 Fraction elimination for exact.rank, all pairs for the antichain check
 of SquarefreeIdeal, dot products for the tight-row bitmasks of the
-double description and the tight rays of Cone.facets, and each command's
-argparse parser for the namespaces the CLI reads off its command table."""
+double description and the tight rays of Cone.facets, each command's
+argparse parser for the namespaces the CLI reads off its command table,
+the former regular expressions for cli.integer and the signed classes
+joined to their options, and the former row-by-row replay for the
+one-pass period replay of monomials._period."""
 
 import contextlib
 import io
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 from unittest.mock import patch
@@ -668,6 +672,15 @@ def test_cone_rank_and_pointedness_against_the_hrep_path(case):
 
 @settings(deadline=None, max_examples=300)
 @given(st.lists(st.sets(st.integers(1, 6), max_size=4), max_size=8))
+# equal-size supports alone, and below a support that holds one of them
+@example([{1, 2}, {1, 3}, {2, 3}, {4, 5}])
+@example([{1, 2}, {1, 3}, {2, 3}, {1, 2, 4}])
+# a duplicate support, once with a larger support that holds it
+@example([{1, 2}, {1, 2}, {3}])
+@example([{1, 2}, {1, 2}, {1, 2, 3}])
+# nested across sizes: two levels apart, and from the empty support
+@example([{1}, {2, 3}, {1, 4, 5, 6}])
+@example([set(), {1}])
 def test_squarefree_ideal_antichain_check_against_all_pairs(family):
     # the constructor compares each support with later, larger ones only;
     # on supports in canonical order that finds every nested pair
@@ -1277,6 +1290,20 @@ EQUALITY_SYSTEMS = (
 )
 
 
+# coordinate rows +-e_j, read off entry j: of both signs, scaled, zero
+# rows beside them, rows that cut the lineality, and a mix with dense rows
+COORDINATE_SYSTEMS = (
+    (3, [], [[1, 0, 0], [0, -1, 0], [0, 0, 1], [-1, 1, 1]]),
+    (3, [], [[2, 0, 0], [0, -3, 0], [0, 0, 5], [1, 1, 1]]),
+    (4, [[0, 0, 0, 0]], [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0],
+                         [0, 0, -1, 0], [1, 0, 0, 1]]),
+    (3, [[1, 1, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]),
+    (4, [[1, -1, 0, 0]], [[1, 0, 0, 0], [0, 0, -1, 0], [1, 1, 1, 1],
+                          [0, 0, 0, 2], [1, -2, 0, 1], [0, -4, 0, 0]]),
+    (1, [], [[-2], [3]]),
+)
+
+
 def with_examples(cases):
     """Add each case as a hypothesis @example of the test."""
     def decorate(test):
@@ -1286,7 +1313,7 @@ def with_examples(cases):
     return decorate
 
 
-@with_examples(FIBRE_SYSTEMS + EQUALITY_SYSTEMS)
+@with_examples(FIBRE_SYSTEMS + EQUALITY_SYSTEMS + COORDINATE_SYSTEMS)
 @settings(deadline=None, max_examples=300)
 @given(integer_systems())
 @example((1, [], []))
@@ -1304,7 +1331,7 @@ def test_double_description_matches_reference(case):
         reference_double_description(d, eqs, ineqs)
 
 
-@with_examples(FIBRE_SYSTEMS + EQUALITY_SYSTEMS)
+@with_examples(FIBRE_SYSTEMS + EQUALITY_SYSTEMS + COORDINATE_SYSTEMS)
 @settings(deadline=None, max_examples=300)
 @given(integer_systems())
 @example((3, [[0, 0, 0]], [[1, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, 0]]))
@@ -1594,3 +1621,108 @@ def test_table_parser_agrees_with_argparse(case):
     except SystemExit:
         pytest.fail(f"argparse rejects {argv!r}: {sink.getvalue()}")
     assert (vars(parsed), extra) == (vars(args), [])
+
+
+# tokens near the edges of an integer: signs alone and doubled, '_',
+# spaces, a newline, non-ASCII digits ('١', '²', fullwidth '１'), or any
+# text
+integer_texts = st.one_of(
+    st.text(st.sampled_from("+-0123456789_ \n١²１x"), max_size=5),
+    st.text(max_size=4))
+
+
+@settings(deadline=None, max_examples=500)
+@given(integer_texts)
+@example("١")
+@example("1_0")
+@example("-")
+@example("+")
+@example("")
+@example("-07")
+@example("1\n")
+def test_integer_matches_the_former_regex(text):
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        assert cli.integer(text) == int(text)
+    else:
+        with pytest.raises(ValueError, match="not an integer"):
+            cli.integer(text)
+
+
+def joined_with_regex(argv):
+    """The former _join_signed_classes, which matched "-[0-9]" with re."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if "--" not in out and len(prev) > 2 and re.match(r"-[0-9]", tok) \
+                and any(opt.startswith(prev) for opt in cli._CLASS_OPTIONS):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(st.one_of(
+    st.sampled_from(["--degree", "--deg", "--compare", "--co", "--", "-",
+                     "--seed", "chamber", "-1,2", "-h", "-١", "-x"]),
+    integer_texts.map(lambda t: "-" + t), integer_texts), max_size=6))
+@example(["--degree", "-١"])
+@example(["--degree", "-"])
+@example(["--compare", "-1_0"])
+def test_join_signed_classes_matches_the_former_regex(argv):
+    assert cli._join_signed_classes(argv) == joined_with_regex(argv)
+
+
+def period_by_rows(q, w0, subset, ray):
+    """The former replay of _period: the integrality of x = p lambda / t,
+    then sum(x_j q_j) == p w0 row by row."""
+    t = ray[-1]
+    p = t // math.gcd(t, *(ray[j] for j in subset))
+    xs = []
+    for j in subset:
+        x, rem = divmod(p * ray[j], t)
+        if rem:
+            raise RuntimeError("exponent vector failed replay")
+        xs.append(x)
+    if any(sum(x * q.columns[j][i] for x, j in zip(xs, subset)) != p * wi
+           for i, wi in enumerate(w0)):
+        raise RuntimeError("exponent vector failed replay")
+    return p
+
+
+@st.composite
+def period_cases(draw):
+    """A grading of 1 to 4 sparse columns, a subset of them, a ray
+    (lambda, t) with t > 0 and a class that is, one time in two, the one
+    the ray's point lies over and otherwise that class moved in one row."""
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    columns = draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                            min_size=n, max_size=n))
+    assume(all(any(c) for c in columns))
+    subset = tuple(sorted(draw(st.sets(st.integers(0, n - 1),
+                                       min_size=1))))
+    ray = [draw(st.integers(1, 4)) if j in subset else 0 for j in range(n)]
+    ray.append(draw(st.integers(1, 4)))
+    t = ray[-1]
+    p = t // math.gcd(t, *(ray[j] for j in subset))
+    point = [sum(p * ray[j] * columns[j][i] for j in subset) // t
+             for i in range(r)]
+    w0 = [x // p for x in point]
+    if draw(st.booleans()):
+        w0[draw(st.integers(0, r - 1))] += draw(st.sampled_from([-1, 1]))
+    return DegreeMatrix.make(columns), tuple(w0), subset, tuple(ray)
+
+
+@settings(deadline=None, max_examples=300)
+@given(period_cases())
+def test_period_matches_the_row_by_row_replay(case):
+    try:
+        expected = period_by_rows(*case)
+    except RuntimeError:
+        with pytest.raises(RuntimeError,
+                           match="exponent vector failed replay"):
+            monomials._period(*case)
+    else:
+        assert monomials._period(*case) == expected
