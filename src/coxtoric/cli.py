@@ -2,11 +2,13 @@
 
 Each subcommand loads a degree matrix (a JSON file or a built-in dataset),
 runs one pipeline stage, and prints either a human summary or the exact
-JSON report (--json). reproduce-paper chains every stage over the bundled
-del Pezzo dataset and folds the per-check verdicts into a single run
-report. One table, _COMMANDS, declares each command's help, arguments and
-handler. A valid command line builds no parser at all: its argv is read
-off the command's declarations in that table, and argparse is imported
+JSON report (--json). This module only parses, dispatches and prints: the
+paper's checks (reproduce-paper's run report, the claims verify-paper
+shows) are decided in delpezzo, beside the data they compare against.
+One table, _COMMANDS, declares each command's help, arguments and
+handler, each argument as data: its name and its add_argument keywords.
+A valid command line builds no parser at all: its argv is read off that
+data (_declarations), and argparse, given the same data, is imported
 only to render help and errors, whose bytes it keeps (one command's
 parser for that command's help and errors, the whole tree for top-level
 help, --version and leftover arguments). The objects made by the imports
@@ -35,16 +37,14 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .chambers import chamber_of, same_chamber
-from .delpezzo import (AMPLE_SUPPORTS, REFERENCE_RAY_ROWS, ample_ideal,
-                       anticanonical_ideal, claimed_transversal,
-                       presentation_pair, printed_points, restriction_table,
-                       target_planes)
-from .embedding import mori_embedding_report, verify_restriction_table
-from .exact import IntMat, hermite_normal_form, kernel_lattice
-from .fans import fan_from_irrelevant, fan_report, fibre_support
+from .delpezzo import (REFERENCE_RAY_ROWS, claimed_transversal,
+                       embedding_report, incidence_checks, incidence_targets,
+                       printed_points, reproduce_paper_report, solution_json,
+                       solve_transversal)
+from .exact import IntMat, hermite_normal_form
+from .fans import class_fan_report
 from .grading import DegreeMatrix, delpezzo4, gale_dual
-from .incidence import (SearchExhausted, find_transversal_plane,
-                        general_position_on_plane, intersect)
+from .incidence import general_position_on_plane
 from .monomials import (GuardExceeded, fibre_vertices, irrelevant_radical,
                         monomials_of_degree)
 
@@ -68,13 +68,6 @@ _DATASETS = {
 }
 
 _REFERENCE_TOKENS = {"paper-AT": REFERENCE_RAY_ROWS}
-
-# the divisor-to-generator pairing read off the restriction table
-_EXPECTED_PAIRING = (
-    ("D0", "g3"), ("D1", "g1"), ("D2", "g2"), ("D3", "g5"),
-    ("D4", "g4"), ("D5", "g6"), ("E1", "g7"), ("E2", "g8"),
-    ("E3", "g9"), ("E4", "g10"),
-)
 
 
 def _dumps(payload: dict) -> str:
@@ -257,7 +250,8 @@ def _load_reference(args, width: int):
 def cmd_gale(args) -> tuple[int, list[str], dict]:
     q, dataset, _ = _load_input(args)
     gale = gale_dual(q)
-    kernel = kernel_lattice(q.as_intmat())
+    # the saturated kernel basis: its columns are the rays
+    kernel = IntMat.from_rows(gale.rays).transpose()
     hermite = hermite_normal_form(kernel)[0]
     payload = {
         "dataset": dataset,
@@ -273,7 +267,7 @@ def cmd_gale(args) -> tuple[int, list[str], dict]:
     lines += [f"  {label}: {tuple(ray)}"
               for label, ray in zip(q.labels, gale.rays)]
     code = 0
-    ref, provenance = _load_reference(args, kernel.cols)
+    ref, provenance = _load_reference(args, gale.num_rays)
     if ref is not None:
         ref_hermite = hermite_normal_form(ref)[0]
         match = hermite.to_rows() == ref_hermite.to_rows()
@@ -327,19 +321,11 @@ def cmd_irrelevant(args) -> tuple[int, list[str], dict]:
     return 0, lines, payload
 
 
-def _fan_report(q: DegreeMatrix, gale, ideal, w) -> dict:
-    """fan_report of the fan of ideal, with the support function read off
-    the fibre vertices of w when every generator is one of their supports
-    (is_projective finds it from an ample class otherwise)."""
-    fan = fan_from_irrelevant(gale, ideal)
-    return fan_report(fan, fibre_support(fan, ideal, fibre_vertices(q, w)))
-
-
 def cmd_fan(args) -> tuple[int, list[str], dict]:
     q, dataset, heft = _load_input(args)
     degree = _parse_degree(args, q)
     ideal = irrelevant_radical(q, degree, depth=args.saturate, heft=heft)
-    report = _fan_report(q, gale_dual(q), ideal, degree)
+    report = class_fan_report(gale_dual(q), ideal, fibre_vertices(q, degree))
     payload = {"dataset": dataset, "degree": list(degree),
                "saturationDepth": args.saturate, **report}
     flags = "  ".join(
@@ -391,8 +377,7 @@ def cmd_embed(args) -> tuple[int, list[str], dict]:
         raise UsageError(
             "the embedding check runs on the bundled dataset; use "
             "--dataset delpezzo4")
-    report = mori_embedding_report(presentation_pair(), IntMat.identity(5),
-                                   restriction_table())
+    report = embedding_report()
     payload = {"dataset": "delpezzo4", **report}
     lines = [
         "dataset: delpezzo4",
@@ -407,254 +392,69 @@ def cmd_embed(args) -> tuple[int, list[str], dict]:
     return (0 if report["overall"] else 1), lines, payload
 
 
-def _plane_json(subspace) -> dict:
-    return {"equations": [list(f) for f in subspace.equations()]}
-
-
-def _incidence_targets() -> list[dict]:
-    sigma = claimed_transversal()
-    printed = printed_points()
-    records = []
-    for i, target in enumerate(target_planes()):
-        meet = intersect(sigma, target)
-        if meet is not None and meet.projective_dim == 0:
-            computed = list(meet.as_point().coords)
-        else:
-            computed = None
-        records.append({
-            "computedIntersection": computed,
-            "printedPoint": list(printed[i].coords),
-            "match": computed == list(printed[i].coords),
-        })
-    return records
+def _verify_paper(solved, attempts: int) -> tuple[int, list[str], dict]:
+    records = incidence_targets()
+    position = general_position_on_plane(printed_points(),
+                                         claimed_transversal())
+    if solved is None:
+        solver = {"found": False, "attempts": attempts}
+        solver_line = f"solver: no plane found in {attempts} attempts"
+    else:
+        solver = {**solution_json(solved), "seed": solved.seed}
+        solver_line = (f"solver: plane found on attempt "
+                       f"{attempts} (seed {solved.seed})")
+    payload = {
+        "targets": records,
+        "generalPosition": {"ok": position.ok, "reason": position.reason},
+        "solver": solver,
+        "notes": [
+            "paper-data inconsistency: the printed point for target 3 "
+            "is not on the printed plane and exact elimination gives "
+            "an empty intersection there"
+            + ("" if solved is None else
+               "; the solver plane above meets all four targets"),
+        ],
+    }
+    lines = []
+    for i, rec in enumerate(records, start=1):
+        computed = rec["computedIntersection"]
+        shown = tuple(computed) if computed else "empty"
+        verdict = "match" if rec["match"] else "MISMATCH"
+        lines.append(f"target {i}: computed {shown}, printed "
+                     f"{tuple(rec['printedPoint'])} -> {verdict}")
+    lines.append(f"general position of printed points: "
+                 f"inapplicable ({position.reason})"
+                 if position.ok is None else
+                 f"general position of printed points: {position.ok}")
+    lines.append(solver_line)
+    lines.append("note: " + payload["notes"][0])
+    ok = solved is not None and all(
+        check["verdict"] for check in incidence_checks(records))
+    return (0 if ok else 1), lines, payload
 
 
 def cmd_incidence(args) -> tuple[int, list[str], dict]:
-    targets = target_planes()
+    solved, attempts = solve_transversal(args.seed, args.max_tries)
     if args.mode == "verify-paper":
-        records = _incidence_targets()
-        position = general_position_on_plane(printed_points(),
-                                             claimed_transversal())
-        try:
-            solved = find_transversal_plane(targets, seed=args.seed,
-                                            max_tries=args.max_tries)
-        except SearchExhausted as e:
-            solved = None
-            solver = {"found": False, "attempts": e.attempts}
-            solver_line = f"solver: no plane found in {e.attempts} attempts"
-        else:
-            solver = {
-                "plane": _plane_json(solved.plane),
-                "points": [list(p.coords) for p in solved.points],
-                "seed": solved.seed,
-                "attempts": solved.attempts,
-            }
-            solver_line = (f"solver: plane found on attempt "
-                           f"{solved.attempts} (seed {solved.seed})")
-        payload = {
-            "targets": records,
-            "generalPosition": {"ok": position.ok,
-                                "reason": position.reason},
-            "solver": solver,
-            "notes": [
-                "paper-data inconsistency: the printed point for target 3 "
-                "is not on the printed plane and exact elimination gives "
-                "an empty intersection there"
-                + ("" if solved is None else
-                   "; the solver plane above meets all four targets"),
-            ],
-        }
-        lines = []
-        for i, rec in enumerate(records, start=1):
-            computed = rec["computedIntersection"]
-            shown = tuple(computed) if computed else "empty"
-            verdict = "match" if rec["match"] else "MISMATCH"
-            lines.append(f"target {i}: computed {shown}, printed "
-                         f"{tuple(rec['printedPoint'])} -> {verdict}")
-        lines.append(f"general position of printed points: "
-                     f"inapplicable ({position.reason})"
-                     if position.ok is None else
-                     f"general position of printed points: {position.ok}")
-        lines.append(solver_line)
-        lines.append("note: " + payload["notes"][0])
-        hard_ok = (all(records[i]["match"] for i in (0, 1, 3))
-                   and records[2]["computedIntersection"] is None
-                   and solved is not None)
-        return (0 if hard_ok else 1), lines, payload
-    try:
-        solved = find_transversal_plane(targets, seed=args.seed,
-                                        max_tries=args.max_tries)
-    except SearchExhausted as e:
-        payload = {"found": False, "seed": args.seed,
-                   "attempts": e.attempts}
-        return 1, [f"no plane found in {e.attempts} attempts"], payload
+        return _verify_paper(solved, attempts)
+    if solved is None:
+        payload = {"found": False, "seed": args.seed, "attempts": attempts}
+        return 1, [f"no plane found in {attempts} attempts"], payload
     position = general_position_on_plane(solved.points, solved.plane)
     payload = {
         "found": True,
-        "plane": _plane_json(solved.plane),
-        "points": [list(p.coords) for p in solved.points],
+        **solution_json(solved),
         "seed": solved.seed,
-        "attempts": solved.attempts,
         "generalPosition": {"ok": position.ok, "reason": position.reason},
     }
     lines = [
-        f"plane found on attempt {solved.attempts} (seed {solved.seed})",
+        f"plane found on attempt {attempts} (seed {solved.seed})",
         "equations:",
     ]
     lines += [f"  {f} . x = 0" for f in solved.plane.equations()]
     lines += [f"meets target {i} in {tuple(p.coords)}"
               for i, p in enumerate(solved.points, start=1)]
     return 0, lines, payload
-
-
-def _check(name: str, expected, provenance: str, computed, ok: bool) -> dict:
-    return {
-        "name": name,
-        "expected": {"value": expected, "provenance": provenance},
-        "computed": computed,
-        "verdict": bool(ok),
-    }
-
-
-def reproduce_paper_report(saturate: int = 1) -> dict:
-    """Every pipeline stage over the bundled dataset, as one run report."""
-    dp = delpezzo4()
-    q = dp.degrees
-    checks: list[dict] = []
-    notes: list[str] = []
-
-    kernel = kernel_lattice(q.as_intmat())
-    hermite = hermite_normal_form(kernel)[0].to_rows()
-    reference = hermite_normal_form(
-        IntMat.from_rows(REFERENCE_RAY_ROWS))[0].to_rows()
-    checks.append(_check(
-        "gale-hermite", [list(r) for r in reference], "PAPER",
-        [list(r) for r in hermite], hermite == reference))
-
-    ample_radical, ample_stable = irrelevant_radical(
-        q, dp.ample, depth=saturate, check_stable=True)
-    checks.append(_check(
-        "ample-support-count", 42, "PAPER",
-        len(ample_radical.generators), len(ample_radical.generators) == 42))
-    checks.append(_check(
-        "ample-supports", [list(s) for s in AMPLE_SUPPORTS], "DERIVED",
-        [list(s) for s in ample_radical.generators],
-        ample_radical == ample_ideal()))
-
-    gale = gale_dual(q)
-    ample_fan = _fan_report(q, gale, ample_radical, dp.ample)
-    expected_ample = {"numMaximalCones": 42, "valid": True,
-                      "simplicial": True, "complete": True,
-                      "projective": True}
-    computed_ample = {k: ample_fan[k] for k in expected_ample}
-    checks.append(_check("ample-fan", expected_ample, "PAPER",
-                         computed_ample, computed_ample == expected_ample))
-
-    anti_radical, anti_stable = irrelevant_radical(
-        q, dp.anti_canonical, depth=saturate, check_stable=True)
-    anti = anticanonical_ideal()
-    checks.append(_check(
-        "anticanonical-supports", [list(s) for s in anti.generators],
-        "PAPER", [list(s) for s in anti_radical.generators],
-        anti_radical == anti))
-
-    anti_fan = _fan_report(q, gale, anti_radical, dp.anti_canonical)
-    expected_anti = {"numMaximalCones": 22, "valid": True,
-                     "simplicial": False, "complete": True,
-                     "projective": True}
-    computed_anti = {k: anti_fan[k] for k in expected_anti}
-    checks.append(_check("anticanonical-fan", expected_anti, "PAPER",
-                         computed_anti, computed_anti == expected_anti))
-
-    doubled = tuple(2 * x for x in dp.ample)
-    vs_double = same_chamber(q, dp.ample, doubled, depth=saturate,
-                             check_stable=True)
-    checks.append(_check(
-        "chamber-ample-vs-double", True, "DERIVED",
-        {"same": vs_double.same, "stable": vs_double.stable},
-        vs_double.same))
-    vs_anti = same_chamber(q, dp.ample, dp.anti_canonical, depth=saturate,
-                           check_stable=True)
-    checks.append(_check(
-        "chamber-ample-vs-anticanonical", False, "DERIVED",
-        {"same": vs_anti.same, "stable": vs_anti.stable},
-        not vs_anti.same))
-    for label, stable in (("ample", ample_stable),
-                          ("anticanonical", anti_stable),
-                          ("chamber comparison", vs_double.stable
-                           and vs_anti.stable)):
-        if not stable:
-            notes.append(f"{label} radical not stable at depth {saturate}; "
-                         "rerun with --saturate "
-                         f"{saturate + 1}")
-
-    pair = presentation_pair()
-    table = verify_restriction_table(restriction_table(), pair)
-    expected_pairing = [list(p) for p in _EXPECTED_PAIRING]
-    computed_pairing = [list(p) for p in table.matching]
-    checks.append(_check(
-        "restriction-table", expected_pairing, "PAPER", computed_pairing,
-        table.ok and computed_pairing == expected_pairing))
-
-    embed = mori_embedding_report(pair, IntMat.identity(5),
-                                  restriction_table())
-    computed_embed = {
-        "degreeBijection": embed["degreeBijection"]["ok"],
-        "picRestriction": embed["picRestriction"]["ok"],
-        "restrictionTable": embed["restrictionTable"]["ok"],
-        "allExtremal": embed["extremality"]["allExtremal"],
-        "overall": embed["overall"],
-    }
-    checks.append(_check("embedding-report", {"overall": True}, "PAPER",
-                         computed_embed, embed["overall"]))
-
-    records = _incidence_targets()
-    for i, name in ((0, "incidence-sigma1"), (1, "incidence-sigma2")):
-        checks.append(_check(
-            name, records[i]["printedPoint"], "PAPER",
-            records[i]["computedIntersection"], records[i]["match"]))
-    checks.append(_check(
-        "incidence-sigma3-empty", None, "DERIVED",
-        records[2]["computedIntersection"],
-        records[2]["computedIntersection"] is None))
-    checks.append(_check(
-        "incidence-sigma4", records[3]["printedPoint"], "PAPER",
-        records[3]["computedIntersection"], records[3]["match"]))
-    notes.append(
-        "paper-data inconsistency: the printed point for target 3 is not "
-        "on the printed plane and the exact intersection there is empty; "
-        "reported as informational, a corrected plane comes from the "
-        "transversal solver")
-
-    try:
-        solved = find_transversal_plane(target_planes(), seed=1,
-                                        max_tries=100)
-        computed_solved = {
-            "found": True,
-            "attempts": solved.attempts,
-            "plane": _plane_json(solved.plane),
-            "points": [list(p.coords) for p in solved.points],
-        }
-        solved_ok = True
-    except SearchExhausted as e:
-        computed_solved = {"found": False, "attempts": e.attempts}
-        solved_ok = False
-    checks.append(_check(
-        "transversal-plane", {"found": True, "maxAttempts": 100}, "PAPER",
-        computed_solved, solved_ok))
-
-    overall = all(c["verdict"] for c in checks)
-    first_failed = next((c["name"] for c in checks if not c["verdict"]),
-                        None)
-    return {
-        "toolVersion": __version__,
-        "dataset": "delpezzo4",
-        "saturationDepth": saturate,
-        "checks": checks,
-        "overall": overall,
-        "firstFailed": first_failed,
-        "notes": notes,
-    }
 
 
 def cmd_reproduce(args) -> tuple[int, list[str], dict]:
@@ -674,108 +474,89 @@ def cmd_reproduce(args) -> tuple[int, list[str], dict]:
     return (0 if report["overall"] else 1), lines, report
 
 
-def _add_io_arguments(sp, datasets=("delpezzo4", "p2", "p1xp1")) -> None:
-    sp.add_argument("input", nargs="?",
-                    help="degree-matrix JSON file ('-' for stdin)")
-    sp.add_argument("--dataset", choices=datasets,
-                    help="use a built-in dataset instead of a file")
+# arguments as (name, add_argument keywords), shared between commands
+_INPUT = ("input", {"nargs": "?",
+                    "help": "degree-matrix JSON file ('-' for stdin)"})
+_DATASET = ("--dataset", {"choices": ("delpezzo4", "p2", "p1xp1"),
+                          "help": "use a built-in dataset instead of a file"})
+_DEGREE = ("--degree", {"help": "comma-separated multidegree"})
+_SATURATE = ("--saturate", {"type": integer, "default": 1, "metavar": "K",
+                            "help": "saturation depth (default 1)"})
+_JSON = ("--json", {"action": "store_true", "dest": "as_json",
+                    "help": "emit the JSON report instead of text"})
 
-
-def _add_saturate(sp, help="saturation depth (default 1)") -> None:
-    sp.add_argument("--saturate", type=integer, default=1, metavar="K",
-                    help=help)
-
-
-def _gale_arguments(sp) -> None:
-    _add_io_arguments(sp)
-    sp.add_argument("--reference",
-                    help="'paper-AT' or a JSON file of kernel rows")
-
-
-def _degree_arguments(sp) -> None:
-    _add_io_arguments(sp)
-    sp.add_argument("--degree", help="comma-separated multidegree")
-
-
-def _saturated_degree_arguments(sp) -> None:
-    _degree_arguments(sp)
-    _add_saturate(sp)
-
-
-def _chamber_arguments(sp) -> None:
-    _degree_arguments(sp)
-    sp.add_argument("--compare", metavar="CLASS",
-                    help="second class to test for chamber equality")
-    _add_saturate(sp, help="saturation depth for --compare (default 1)")
-
-
-def _embed_arguments(sp) -> None:
-    _add_io_arguments(sp, datasets=("delpezzo4",))
-
-
-def _incidence_arguments(sp) -> None:
-    sp.add_argument("mode", choices=("verify-paper", "search"))
-    sp.add_argument("--seed", type=integer, default=1,
-                    help="solver seed (default 1)")
-    sp.add_argument("--max-tries", type=integer, default=100,
-                    help="attempt budget (default 100)")
-
-
-# command -> (help, function that adds its arguments, handler)
+# command -> (help, its arguments before --json, handler)
 _COMMANDS = {
-    "gale": ("rays of the toric one-skeleton", _gale_arguments, cmd_gale),
-    "basis": ("monomials of one multidegree", _degree_arguments, cmd_basis),
+    "gale": ("rays of the toric one-skeleton", (
+        _INPUT, _DATASET,
+        ("--reference",
+         {"help": "'paper-AT' or a JSON file of kernel rows"}),
+    ), cmd_gale),
+    "basis": ("monomials of one multidegree",
+              (_INPUT, _DATASET, _DEGREE), cmd_basis),
     "irrelevant": ("minimal supports of the irrelevant radical",
-                   _saturated_degree_arguments, cmd_irrelevant),
+                   (_INPUT, _DATASET, _DEGREE, _SATURATE), cmd_irrelevant),
     "fan": ("build and certify the fan of a class",
-            _saturated_degree_arguments, cmd_fan),
-    "chamber": ("GIT chamber of a class", _chamber_arguments, cmd_chamber),
-    "embed": ("Mori-embedding report", _embed_arguments, cmd_embed),
-    "incidence": ("projective incidence checks", _incidence_arguments,
-                  cmd_incidence),
+            (_INPUT, _DATASET, _DEGREE, _SATURATE), cmd_fan),
+    "chamber": ("GIT chamber of a class", (
+        _INPUT, _DATASET, _DEGREE,
+        ("--compare", {"metavar": "CLASS",
+                       "help": "second class to test for chamber equality"}),
+        ("--saturate", {**_SATURATE[1],
+                        "help": "saturation depth for --compare (default 1)"}),
+    ), cmd_chamber),
+    "embed": ("Mori-embedding report", (
+        _INPUT, ("--dataset", {**_DATASET[1], "choices": ("delpezzo4",)}),
+    ), cmd_embed),
+    "incidence": ("projective incidence checks", (
+        ("mode", {"choices": ("verify-paper", "search")}),
+        ("--seed", {"type": integer, "default": 1,
+                    "help": "solver seed (default 1)"}),
+        ("--max-tries", {"type": integer, "default": 100,
+                         "help": "attempt budget (default 100)"}),
+    ), cmd_incidence),
     "reproduce-paper": ("run every check over the bundled dataset",
-                        _add_saturate, cmd_reproduce),
+                        (_SATURATE,), cmd_reproduce),
 }
 
-
-def _add_command_arguments(sp, name: str) -> None:
-    _COMMANDS[name][1](sp)
-    sp.add_argument("--json", action="store_true", dest="as_json",
-                    help="emit the JSON report instead of text")
+# the add_argument keywords the table parser accepts
+_KEYWORDS = {"action", "nargs", "choices", "type", "default", "dest", "help",
+             "metavar"}
 
 
-class _Declarations:
-    """Stands in for a parser while a command's argument functions run, and
-    keeps what they declare: the table _parse_command reads argv off. Takes
-    only the keywords those functions use, so a new kind of argument fails
-    here instead of being misread."""
+def _argument_list(name: str) -> tuple:
+    # every command takes --json last
+    return (*_COMMANDS[name][1], _JSON)
 
-    def __init__(self) -> None:
-        self.options: dict = {}    # option -> (dest, type, choices, flag)
-        self.positionals: list = []   # (dest, choices, required)
-        self.defaults: dict = {}
 
-    def add_argument(self, name: str, *, action=None, nargs=None,
-                     choices=None, type=None, default=None, dest=None,
-                     help=None, metavar=None) -> None:
-        if action not in (None, "store_true") or nargs not in (None, "?"):
-            raise TypeError(f"{name}: no table parsing for "
-                            f"action={action!r}, nargs={nargs!r}")
-        if not name.startswith("-"):
-            self.positionals.append((name, choices, nargs is None))
-            self.defaults[name] = default
-            return
-        dest = dest or name.lstrip("-").replace("-", "_")
-        flag = action == "store_true"
-        self.options[name] = (dest, type, choices, flag)
-        self.defaults[dest] = False if flag else default
+def _declare(parser, name: str) -> None:
+    for arg, keywords in _argument_list(name):
+        parser.add_argument(arg, **keywords)
 
 
 @cache
-def _declarations(name: str) -> _Declarations:
-    table = _Declarations()
-    _add_command_arguments(table, name)
-    return table
+def _declarations(name: str) -> SimpleNamespace:
+    """What _parse_command reads argv off: options (option -> (dest, type,
+    choices, flag)), positionals ((dest, choices, required)) and defaults
+    (dest -> value). An argument of a kind it cannot read raises
+    TypeError, so that it is not misread."""
+    options, positionals, defaults = {}, [], {}
+    for arg, keywords in _argument_list(name):
+        action, nargs = keywords.get("action"), keywords.get("nargs")
+        if action not in (None, "store_true") or nargs not in (None, "?") \
+                or not keywords.keys() <= _KEYWORDS:
+            raise TypeError(f"{arg}: no table parsing for {keywords!r}")
+        if not arg.startswith("-"):
+            positionals.append((arg, keywords.get("choices"), nargs is None))
+            defaults[arg] = keywords.get("default")
+            continue
+        dest = keywords.get("dest") or arg.lstrip("-").replace("-", "_")
+        flag = action == "store_true"
+        options[arg] = (dest, keywords.get("type"), keywords.get("choices"),
+                        flag)
+        defaults[dest] = False if flag else keywords.get("default")
+    return SimpleNamespace(options=options, positionals=positionals,
+                           defaults=defaults)
 
 
 def _parse_command(name: str, argv: list[str]) -> SimpleNamespace | None:
@@ -833,7 +614,7 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     built once per process, for the argvs _parse_command leaves to it."""
     import argparse
     parser = argparse.ArgumentParser(prog=f"coxtoric {name}")
-    _add_command_arguments(parser, name)
+    _declare(parser, name)
     return parser
 
 
@@ -849,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"coxtoric {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in _COMMANDS.items():
-        _add_command_arguments(sub.add_parser(name, help=help_text), name)
+        _declare(sub.add_parser(name, help=help_text), name)
     return parser
 
 

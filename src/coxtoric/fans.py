@@ -458,3 +458,13 @@ def fan_report(fan: Fan, support=None) -> dict:
     else:
         report["projective"] = None
     return report
+
+
+def class_fan_report(gale: GaleDual, ideal: SquarefreeIdeal,
+                     vertices) -> dict:
+    """fan_report of the fan of ideal, the irrelevant radical of a class w,
+    with the support function read off vertices, the fibre vertices of w
+    (monomials.fibre_vertices), when every generator is one of their
+    supports; is_projective finds it from an ample class otherwise."""
+    fan = fan_from_irrelevant(gale, ideal)
+    return fan_report(fan, fibre_support(fan, ideal, vertices))

@@ -8,11 +8,11 @@ from itertools import product
 from random import Random
 
 from coxtoric.chambers import same_chamber
-from coxtoric.cli import main, reproduce_paper_report
+from coxtoric.cli import main
 from coxtoric.delpezzo import (ANTICANONICAL_SUPPORTS, REFERENCE_RAY_ROWS,
                                ample_ideal, anticanonical_ideal,
-                               presentation_pair, restriction_table,
-                               target_planes)
+                               presentation_pair, reproduce_paper_report,
+                               restriction_table, target_planes)
 from coxtoric.embedding import (check_degree_bijection, check_pic_restriction,
                                 mori_embedding_report,
                                 verify_restriction_table)

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from coxtoric import __version__, cli, fans, grading, monomials
-from coxtoric.cli import main, reproduce_paper_report
-from coxtoric.delpezzo import ANTICANONICAL_SUPPORTS
+from coxtoric import __version__, cli, delpezzo, fans, grading, monomials
+from coxtoric.cli import main
+from coxtoric.delpezzo import ANTICANONICAL_SUPPORTS, reproduce_paper_report
 from coxtoric.exact import IntMat, dot, kernel_lattice
 from coxtoric.grading import DegreeMatrix, DelPezzo4, delpezzo4
 from coxtoric.monomials import fibre_vertices, irrelevant_radical
@@ -179,6 +179,26 @@ def test_incidence_verify_paper_exhausted(capsys):
     assert code == 1
     assert "solver: no plane found in 0 attempts" in out
     assert "solver plane" not in out
+
+
+def test_a_corrupted_target_claim_fails_both_reports(monkeypatch, capsys):
+    # target 2's printed point moved off the claimed transversal: the one
+    # verdict on the four target claims fails verify-paper and the run
+    # report alike, and names target 2
+    points = list(delpezzo.PRINTED_POINTS)
+    points[1] = (0, 1, 0, -1, 0, 2)
+    monkeypatch.setattr(delpezzo, "PRINTED_POINTS", tuple(points))
+    code, out, err = run(capsys, ["incidence", "verify-paper"])
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[1] == ("target 2: computed (0, 1, 0, -1, 0, 1), printed "
+                        "(0, 1, 0, -1, 0, 2) -> MISMATCH")
+    assert lines[0].endswith("-> match") and lines[3].endswith("-> match")
+    report = reproduce_paper_report()
+    assert report["overall"] is False
+    assert report["firstFailed"] == "incidence-sigma2"
+    assert [c["name"] for c in report["checks"] if not c["verdict"]] == \
+        ["incidence-sigma2"]
 
 
 @pytest.mark.parametrize("mode", ["search", "verify-paper"])
@@ -430,7 +450,7 @@ def test_reproduce_corrupted_dataset_names_first_failure(monkeypatch):
     dp = delpezzo4()
     cols = list(dp.degrees.columns)
     cols[0], cols[1] = cols[1], cols[0]
-    monkeypatch.setattr(cli, "delpezzo4", lambda: DelPezzo4(
+    monkeypatch.setattr(delpezzo, "delpezzo4", lambda: DelPezzo4(
         DegreeMatrix.make(cols), dp.ample, dp.anti_canonical, dp.heft))
     report = reproduce_paper_report()
     assert report["overall"] is False
@@ -516,6 +536,25 @@ TABLE_ARGVS = [
     ["fan", "--dataset", "delpezzo4", "--degree", "3,-1,-1,-1,-1",
      "--saturate", "2", "--json"],
 ]
+
+
+@pytest.mark.parametrize("argument", [
+    ("--classes", {"nargs": "+"}),
+    ("--extra", {"action": "append"}),
+    ("--reference", {"required": True}),
+], ids=["nargs", "action", "keyword"])
+def test_table_refuses_an_argument_it_cannot_read(monkeypatch, argument):
+    # a kind of argument the table parser does not read raises, naming
+    # it, instead of being misread
+    help_text, arguments, handler = cli._COMMANDS["basis"]
+    monkeypatch.setitem(cli._COMMANDS, "basis",
+                        (help_text, (*arguments, argument), handler))
+    cli._declarations.cache_clear()
+    try:
+        with pytest.raises(TypeError, match=f"^{argument[0]}: "):
+            cli._declarations("basis")
+    finally:
+        cli._declarations.cache_clear()
 
 
 @pytest.mark.parametrize("argv", TABLE_ARGVS, ids=" ".join)
@@ -770,23 +809,23 @@ def _raise_replay_failure(message):
     return stage
 
 
-def _negated_support(fan, ideal, vertices):
-    return tuple(tuple(-x for x in m)
-                 for m in fans.fibre_support(fan, ideal, vertices))
+def _negated_support(fan, ideal, vertices, real=fans.fibre_support):
+    # real is the unpatched fibre_support, bound before the test patches it
+    return tuple(tuple(-x for x in m) for m in real(fan, ideal, vertices))
 
 
-@pytest.mark.parametrize("name, stage, argv, message", [
-    ("gale_dual", _raise_replay_failure("kernel verification failed"),
+@pytest.mark.parametrize("module, name, stage, argv, message", [
+    (cli, "gale_dual", _raise_replay_failure("kernel verification failed"),
      ["gale", "--dataset", "p2"], "kernel verification failed"),
     # the fan command reads its support function off the fibre vertices;
     # a corrupted one fails fan_report's vertex replay
-    ("fibre_support", _negated_support,
+    (fans, "fibre_support", _negated_support,
      ["fan", "--dataset", "p2", "--degree", "1"],
      "support function fails vertex replay"),
 ], ids=["gale", "fan"])
-def test_internal_error_exit_code(monkeypatch, capsys, name, stage, argv,
-                                  message):
-    monkeypatch.setattr(cli, name, stage)
+def test_internal_error_exit_code(monkeypatch, capsys, module, name, stage,
+                                  argv, message):
+    monkeypatch.setattr(module, name, stage)
     code, out, err = run(capsys, argv)
     assert code == 4
     assert out == ""

@@ -7,8 +7,9 @@ from random import Random
 import pytest
 
 from coxtoric import fans, monomials
-from coxtoric.cli import main, reproduce_paper_report
-from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
+from coxtoric.cli import main
+from coxtoric.delpezzo import (ample_ideal, anticanonical_ideal,
+                               reproduce_paper_report)
 from coxtoric.exact import dot, int_row
 from coxtoric.fans import (Cone, Fan, ProjectivityCertificate, Verdict,
                            _facet_pairing, _vertex_replay,

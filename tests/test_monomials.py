@@ -5,8 +5,8 @@ from random import Random
 import pytest
 
 from coxtoric import monomials
-from coxtoric.cli import reproduce_paper_report
-from coxtoric.delpezzo import ample_ideal, anticanonical_ideal
+from coxtoric.delpezzo import (ample_ideal, anticanonical_ideal,
+                               reproduce_paper_report)
 from coxtoric.exact import dot
 from coxtoric.grading import DegreeMatrix, delpezzo4
 from coxtoric.monomials import (SquarefreeIdeal, caratheodory_supports,

@@ -57,8 +57,8 @@ from coxtoric.cones import (RationalCone, cone_member,  # noqa: E402
                             double_description, generators_to_hrep,
                             primitive, separating_functional)
 from coxtoric import cli, grading, linprog, monomials  # noqa: E402
-from coxtoric.cli import reproduce_paper_report  # noqa: E402
-from coxtoric.delpezzo import ample_ideal, anticanonical_ideal  # noqa: E402
+from coxtoric.delpezzo import (ample_ideal,  # noqa: E402
+                               anticanonical_ideal, reproduce_paper_report)
 from coxtoric.exact import (IntMat, det, dot, eliminate,  # noqa: E402
                             hermite_normal_form, int_row, kernel_lattice,
                             nullspace, rank, rational_solve, rref)

@@ -8,6 +8,7 @@ loaded from its file path and only read.
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -53,3 +54,39 @@ def test_tracer_installs_after_the_imports_of_a_traced_run():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"{len(TRACED_NAMES)}\n"
+
+
+# calls of one traced `reproduce-paper --json` run in a fresh interpreter
+REPRODUCE_CALLS = {
+    "cones.double_description": 13,
+    "cones.generators_to_hrep": 11,
+    "exact.rank": 1,
+    "exact.hermite_normal_form": 4,
+    "fans.fan_from_irrelevant": 2,
+    "chambers.same_chamber": 2,
+    "grading.gale_dual": 1,
+    "embedding.mori_embedding_report": 1,
+    "incidence.find_transversal_plane": 1,
+}
+
+
+def test_traced_reproduce_counts_every_stage():
+    # a stage called through a reference that tracer.install does not
+    # rebind (a name bound in a module loaded after it, a default
+    # argument, a table entry) keeps the unwrapped function and reads
+    # fewer calls here; a stage the report runs twice reads more
+    script = ("import contextlib, io, json, coxtoric.cli, tracer\n"
+              "t = tracer.Tracer()\n"
+              "tracer.install(t)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = coxtoric.cli.main(['reproduce-paper', '--json'])\n"
+              "calls = {k: v['calls'] for k, v in t.summary().items()}\n"
+              "print(json.dumps([code, calls]))\n")
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    result = subprocess.run([sys.executable, "-c", script],
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    code, calls = json.loads(result.stdout)
+    assert code == 0
+    assert {k: calls[k] for k in REPRODUCE_CALLS} == REPRODUCE_CALLS
