@@ -43,7 +43,8 @@ answers "no" with that functional and "yes" with nonnegative coefficients
 read off a second double description, also replayed.
 
 `RationalCone` builds its H-form only when a question needs it. At most
-dim generators are tested for independence by one `int_rref`; independent
+dim generators are tested for independence by one fraction-free forward
+elimination (`exact.bareiss`), which forms no reduced rows; independent
 generators span a simplicial cone, of span rank their count, and pointed.
 Dependent generators read the span rank off the H-form's equalities, and
 pointedness off a witness: the sum of the facet normals lies in the
@@ -60,7 +61,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .exact import check_rational, dot, int_rref
+from .exact import bareiss, check_rational, dot, int_rref
 from .records import Record
 
 Vec = tuple[int, ...]
@@ -320,10 +321,15 @@ class RationalCone(Record):
 
     @classmethod
     def from_generators(cls, gens: Sequence[Sequence], dim: int) -> "RationalCone":
+        """The cone of the primitive forms of gens, zero and repeated
+        directions dropped. A generator whose length is not dim raises
+        ValueError, as in cone_member."""
         cleaned = []
         seen = set()
         for g in gens:
             p = primitive(g)
+            if len(p) != dim:
+                raise ValueError("generators must have length dim")
             if any(p) and p not in seen:
                 seen.add(p)
                 cleaned.append(p)
@@ -344,10 +350,10 @@ class RationalCone(Record):
     @cached_property
     def _independent(self) -> bool:
         """Whether the generators are linearly independent: at most dim of
-        them, with one pivot each in one int_rref. Builds no H-form."""
+        them, of rank their count in one bareiss elimination. Builds no
+        H-form."""
         gens = self.generators
-        return len(gens) <= self.dim and \
-            len(int_rref(list(gens))[1]) == len(gens)
+        return len(gens) <= self.dim and bareiss(gens)[0] == len(gens)
 
     @cached_property
     def span_rank(self) -> int:

@@ -4,10 +4,13 @@ All arithmetic is arbitrary precision and there is no floating point
 anywhere in this package. Row elimination runs on Python ints: a row of
 ints and Fractions is scaled by the lcm of its denominators, and
 `eliminate`, one fraction-free step that keeps rows primitive, is the
-only elimination loop. `rank` counts the pivots of `int_rref` with no
-Fraction at all, and `rref` is built from it and turns entries into
-Fractions only in its output; `linprog.lp_feasible` substitutes its
-equalities with it. `pivot`, one Gauss-Jordan step over Q, is the step
+step of `int_rref`, which reduced forms and kernels read: `rref` is built
+from it and turns entries into Fractions only in its output;
+`linprog.lp_feasible` substitutes its equalities with it. A question
+that needs no reduced form goes to `bareiss`, one fraction-free forward
+elimination with no Fraction at all: `rank` counts its pivots, `det` is
+its signed last pivot, and `cones.RationalCone` tests independence by
+it. `pivot`, one Gauss-Jordan step over Q, is the step
 of the simplex tableau of `linprog`, which only the tests call.
 `kernel_lattice` gives the Gale dual of a grading (`grading.gale_dual`)
 and of the rays of a fan (`fans.is_projective`).
@@ -186,37 +189,60 @@ def kernel_lattice(m: IntMat) -> IntMat:
     return IntMat.from_rows([u.row(i) for i in range(rk, u.rows)], cols=m.cols)
 
 
+def bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """The rank of integer rows and the signed last pivot of one
+    fraction-free (Bareiss) forward elimination: each step takes the next
+    column with a nonzero entry at or below the pivot row, swaps its first
+    such row up, and sets every row below to (p * row - a * pivot row) / p',
+    with p the pivot, a the row's entry in its column and p' the pivot
+    before. By Sylvester's identity every entry stays an integer minor, so
+    the division is exact. For a square matrix of full rank the signed last
+    pivot is its determinant; with no pivot it is 1. Only the columns right
+    of each pivot are updated, and the input rows are not modified."""
+    a = [list(r) for r in rows]
+    n, m = len(a), len(a[0]) if a else 0
+    rk, sign, last = 0, 1, 1
+    for c in range(m):
+        if rk == n:
+            break
+        for i in range(rk, n):
+            if a[i][c]:
+                break
+        else:
+            continue
+        if i != rk:
+            a[rk], a[i] = a[i], a[rk]
+            sign = -sign
+        top = a[rk]
+        p = top[c]
+        cols = range(c + 1, m)
+        for row in a[rk + 1:]:
+            f = row[c]
+            if f:
+                for j in cols:
+                    row[j] = (row[j] * p - f * top[j]) // last
+            elif p != last:
+                # a row that is zero in the pivot column is only rescaled
+                for j in cols:
+                    row[j] = row[j] * p // last
+        last = p
+        rk += 1
+    return rk, sign * last
+
+
 def det(m: IntMat) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
+    """Exact determinant: the signed last pivot of bareiss, or 0 when the
+    rank falls short."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.to_rows()]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rk, last = bareiss(m.to_rows())
+    return last if rk == m.rows else 0
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals of a matrix given as rows (ints or
-    Fractions): the pivot count of one int_rref of the integer rows."""
-    return len(int_rref([int_row(row) for row in rows])[1])
+    Fractions): the pivot count of bareiss on the integer rows."""
+    return bareiss([int_row(row) for row in rows])[0]
 
 
 def pivot(mat: list[list[Fraction]], r: int, c: int) -> None:

@@ -27,11 +27,15 @@ normal cones of the faces of a polyhedron form a fan (Cox-Little-Schenck,
 Toric Varieties, ch. 2 on normal fans and Sec. 6.1 on support functions).
 Every other fan is certified pair by pair with separating functionals.
 
+A cone of at most d rays is tested for independence by one
+fraction-free forward elimination (exact.bareiss), with no reduced form.
 No cone of independent rays builds a constraint form here: it is
 pointed, and its facets are its "drop one ray" subsets, facet k omitting
 ray k as in its double description (_facet_pairing). Only cones with
 dependent rays read Cone.facets and the H-form's pointedness witness
-(RationalCone.is_pointed).
+(RationalCone.is_pointed). fan_from_irrelevant checks each Gale ray and
+takes its primitive form once, and gives every cone its RationalCone
+from those forms, with no second check or normalisation per cone.
 """
 
 from __future__ import annotations
@@ -115,7 +119,10 @@ class Fan(Record):
         rays = tuple(int_vector(r, "ray") for r in rays)
         cones = []
         for s in index_sets:
-            idx = tuple(sorted(set(int_vector(s, "cone index"))))
+            s = int_vector(s, "cone index")
+            idx = tuple(sorted(set(s)))
+            if len(idx) != len(s):
+                raise ValueError("repeated ray index in a cone")
             if not all(1 <= i <= len(rays) for i in idx):
                 raise ValueError("ray index out of range")
             cones.append(Cone(idx, tuple(rays[i - 1] for i in idx)))
@@ -141,10 +148,11 @@ def fan_from_irrelevant(gale: GaleDual, ideal: SquarefreeIdeal) -> Fan:
     n = gale.num_rays
     if not ideal.generators:
         raise ValueError("irrelevant ideal has no generators")
-    for ray in gale.rays:
+    rays = tuple(int_vector(r, "ray") for r in gale.rays)
+    for ray in rays:
         if not any(ray):
             raise ValueError("zero ray in Gale dual")
-    prims = [primitive(r) for r in gale.rays]
+    prims = [primitive(r) for r in rays]
     if len(set(prims)) != n:
         raise ValueError("repeated ray direction in Gale dual")
     index_sets = []
@@ -160,8 +168,14 @@ def fan_from_irrelevant(gale: GaleDual, ideal: SquarefreeIdeal) -> Fan:
         used.update(s)
     if used != set(range(1, n + 1)):
         raise ValueError("some ray appears in no maximal cone")
-    fan = Fan.from_index_sets(gale.rays, index_sets)
+    fan = Fan(rays, tuple(Cone(comp, tuple(rays[i - 1] for i in comp))
+                          for comp in index_sets))
+    d = fan.ambient_dim
     for cone, support in zip(fan.maximal_cones, ideal.generators):
+        # the rays are checked, nonzero, distinct and primitive in prims,
+        # so each cone takes them as its generators with no second pass
+        store(cone, "geometry", RationalCone(
+            d, tuple(prims[i - 1] for i in cone.ray_indices)))
         if not cone.geometry.is_pointed:
             raise ValueError(
                 f"complement of support {support} is not strongly convex")

@@ -208,6 +208,18 @@ def test_pointedness():
     assert RationalCone.from_generators([], dim=2).is_pointed
 
 
+@pytest.mark.parametrize("gens", [
+    [(1, 0, 0), (0, 1, 0)],
+    [(1, 0), (0,)],
+    [(0, 0, 0)],
+])
+def test_from_generators_rejects_wrong_lengths(gens):
+    # a third coordinate must not be ranked as if the cone lived in it,
+    # and a zero generator is checked before it is dropped
+    with pytest.raises(ValueError, match="length dim"):
+        RationalCone.from_generators(gens, dim=2)
+
+
 def test_random_round_trip():
     rng = random.Random(55221)
     for _ in range(40):

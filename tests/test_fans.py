@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from coxtoric import fans, monomials
+from coxtoric import delpezzo, fans, monomials
 from coxtoric.cli import main
 from coxtoric.delpezzo import (ample_ideal, anticanonical_ideal,
                                reproduce_paper_report)
@@ -354,6 +354,17 @@ def test_from_index_sets_rejects_non_integer_entries(rays, index_sets):
         Fan.from_index_sets(rays, index_sets)
 
 
+@pytest.mark.parametrize("index_sets", [
+    ((1, 1, 2), (2, 3), (3, 1)),
+    ((1, 2), (3, 3)),
+])
+def test_from_index_sets_rejects_a_repeated_ray_index(index_sets):
+    # (1, 1, 2) must not be read as the cone (1, 2)
+    rays = ((1, 0), (0, 1), (-1, -1))
+    with pytest.raises(ValueError, match="repeated ray index"):
+        Fan.from_index_sets(rays, index_sets)
+
+
 @pytest.mark.parametrize("rays", [((1, 0), (0, 1)), ()])
 def test_fan_needs_rays_and_cones(rays):
     # a fan with no maximal cones used to reach is_complete, which then
@@ -559,6 +570,19 @@ def test_reproduce_paper_runs_thirteen_double_descriptions(monkeypatch,
     calls = counted_exact_calls(monkeypatch, "double_description")
     assert reproduce_paper_report()["overall"]
     assert len(calls) == 13
+
+
+def test_reproduce_paper_reduces_few_matrices(monkeypatch, class_cache):
+    # a yes/no independence question goes to exact.bareiss, and int_rref
+    # runs only where a reduced form or a kernel is read: 77 calls with
+    # every cache emptied (132 when each cone of at most d rays was tested
+    # by a full int_rref)
+    monomials._subset_hrep.cache_clear()
+    monomials.derive_heft.cache_clear()
+    delpezzo.target_planes.cache_clear()
+    calls = counted_exact_calls(monkeypatch, "int_rref")
+    assert reproduce_paper_report()["overall"]
+    assert len(calls) == 77
 
 
 @pytest.mark.parametrize("make_ideal, attr, hreps", [

@@ -300,9 +300,13 @@ def test_rank_against_sympy(rows):
                  square_matrices(st.integers(-4, 4))))
 @example([[0, 0], [0, 0]])
 @example([[Fraction(1, 2), Fraction(1, 3)], [3, 2]])
+# a zero column between pivots, and a zero leading column with a row swap
+@example([[1, 0, 2], [2, 0, 5]])
+@example([[0, 0, 1], [0, 2, 3], [0, 4, 7]])
 def test_rank_against_fraction_elimination(rows):
-    # rank counts int_rref's pivots; Gauss-Jordan steps over Fractions,
-    # the elimination it replaced, give the same count
+    # rank counts the pivots of one fraction-free (Bareiss) forward
+    # elimination; Gauss-Jordan steps over Fractions, the elimination it
+    # replaced, give the same count
     assert rank(rows) == len(fraction_rref(rows)[1])
 
 
@@ -484,6 +488,8 @@ def test_offset_one_decides_homogeneous_strict_systems(case):
 
 @settings(deadline=None)
 @given(square_matrices(st.integers(-5, 5)))
+# a zero leading entry: the first pivot comes from a row swap
+@example([[0, 2, 1], [3, 1, 0], [1, 0, 4]])
 def test_det_against_sympy(rows):
     assert det(IntMat.from_rows(rows)) == to_sympy(rows).det()
 
@@ -659,6 +665,10 @@ def cone_generator_cases(draw):
 @example((3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]))
 @example((3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)]))
 @example((1, [(2,), (-3,)]))
+# square and singular: three coplanar rays in dimension 3
+@example((3, [(1, 0, 1), (0, 1, 1), (1, 1, 2)]))
+# square, with a first generator that starts with 0
+@example((3, [(0, 1, 2), (1, 0, 1), (1, 1, 0)]))
 def test_cone_rank_and_pointedness_against_the_hrep_path(case):
     # independent generators skip the H-form, and dependent ones read
     # pointedness off the witness: both agree with the former path, the

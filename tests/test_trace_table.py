@@ -61,6 +61,7 @@ REPRODUCE_CALLS = {
     "cones.double_description": 13,
     "cones.generators_to_hrep": 11,
     "exact.rank": 1,
+    "exact.det": 7,
     "exact.hermite_normal_form": 4,
     "fans.fan_from_irrelevant": 2,
     "chambers.same_chamber": 2,
