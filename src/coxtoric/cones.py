@@ -14,7 +14,8 @@ no third ray is tight on all of their common rows (`z & meet == meet`
 holds for the two alone). Their rank bound comes first: with m the
 dimension the equalities leave and l the current lineality dimension, two
 adjacent rays span a face of dimension l + 2, so a pair with fewer than
-m - l - 2 common rows is skipped with no scan. Lineality is handled by
+m - l - 2 common rows is skipped with no scan. That step (sign split,
+adjacency, combination) is one function, `_cut`. Lineality is handled by
 pivoting: while some lineality vector meets the new constraint, the
 constraint cuts the lineality space instead of the ray list. Every
 lineality vector and ray is primitive, so one that already lies on the
@@ -31,10 +32,21 @@ the double description every vector is an int tuple, and projections and
 combined rays are normalised by their gcd alone. Each row's products with
 the lineality vectors and rays are taken once per step (`_products`), and
 a primitive coordinate row +-e_j reads them off entry j with no sum: when
-it picks a lineality pivot, projects, and splits the rays by sign. Every
-inequality of the fibre double description (`_fibre_rays`, which
-`cone_member`, `fans.is_projective` and the fibre vertices read) is such
-a row.
+it picks a lineality pivot, projects, and splits the rays by sign.
+
+The fibre double description (`_fibre_rays`, which `cone_member`,
+`fans.is_projective` and the fibre vertices read) cuts only by unit rows
+e_j, and in its own order, as the insertion order decides how many pairs
+are tested (Fukuda and Prodon). One `int_rref` of its equalities gives
+the kernel basis and the free columns. The units of the free columns come
+first and cost no arithmetic: they cut the kernel to the simplicial cone
+of the basis vectors, each tight on every free unit but its own. Each
+pivot-column unit then cuts through `_cut`, reading the products off
+entry j: at every step the one whose sign split has the fewest positive
+by negative pairs, ties to the lowest column. The lineality is spent by
+then, so adjacent rays share at least m - 2 rows. The cone lies in the
+nonnegative orthant, so it is pointed, and its primitive extreme rays are
+the same set in any order.
 
 Membership is certified with no LP. `separating_functional` reads a
 functional that separates a vector from cone(gens) off one double
@@ -128,13 +140,15 @@ def _nonzero_rows(dim: int, rows: Sequence[Sequence]) -> list[Vec]:
     return out
 
 
-def _kernel_basis(dim: int, rows: list[Vec]) -> list[Vec]:
-    """The canonical basis of {x : r.x = 0 for all rows} from one int_rref:
-    per free column f, in increasing order, the primitive kernel vector
-    that is positive at f and zero at the other free columns."""
+def _kernel_basis(dim: int, rows: list[Vec]) -> tuple[list[Vec], list[int]]:
+    """The canonical basis of {x : r.x = 0 for all rows} from one int_rref,
+    with the free columns: per free column f, in increasing order, the
+    primitive kernel vector that is positive at f and zero at the other
+    free columns."""
     red, pivots = int_rref(rows)
     basis = []
-    for f in (c for c in range(dim) if c not in pivots):
+    free = [c for c in range(dim) if c not in pivots]
+    for f in free:
         used = [(row, p) for row, p in zip(red, pivots) if row[f]]
         scale = lcm(*[row[p] for row, p in used])
         v = [0] * dim
@@ -142,7 +156,48 @@ def _kernel_basis(dim: int, rows: list[Vec]) -> list[Vec]:
         for row, p in used:
             v[p] = -row[f] * scale // row[p]
         basis.append(_reduced(v))
-    return basis
+    return basis, free
+
+
+def _cut(rays: list[Vec], masks: list[int], products: Sequence[int],
+         bit: int, need: int) -> tuple[list[Vec], list[int]]:
+    """One double description step by a row that meets no lineality
+    vector: the rays and masks after the cut by the row with these
+    products and this mask bit. Rays on the row gain the bit, positive
+    ones are kept, and each adjacent positive and negative pair is
+    combined into a ray on the row. Two rays are adjacent when no third
+    ray is tight on all of their common rows (Fukuda and Prodon). Adjacent
+    rays share at least need rows, the dimension the rays span modulo the
+    lineality less 2, so a pair sharing fewer is skipped with no scan."""
+    pos, neg, kept, kept_masks = [], [], [], []
+    for r, z, s in zip(rays, masks, products):
+        if s > 0:
+            pos.append((r, z, s))
+        elif s < 0:
+            neg.append((r, z, s))
+        else:
+            kept.append(r)
+            kept_masks.append(z | bit)
+    for r, z, _ in pos:
+        kept.append(r)
+        kept_masks.append(z)
+    for rp, zp, sp in pos:
+        for rn, zn, sn in neg:
+            meet = zp & zn
+            if meet.bit_count() < need:
+                continue
+            # adjacent when only the two themselves cover the meet
+            covers = 0
+            for z3 in masks:
+                if z3 & meet == meet:
+                    covers += 1
+                    if covers == 3:
+                        break
+            else:
+                kept.append(_reduced([sp * b - sn * a
+                                      for a, b in zip(rp, rn)]))
+                kept_masks.append(meet | bit)
+    return kept, kept_masks
 
 
 def double_description(dim: int,
@@ -160,7 +215,7 @@ def double_description(dim: int,
         raise ValueError("ambient dimension must be positive")
     eqs = _nonzero_rows(dim, equalities)
     ineqs = _nonzero_rows(dim, inequalities)
-    lin = _kernel_basis(dim, eqs)
+    lin = _kernel_basis(dim, eqs)[0]
     # the dimension of the space the equalities cut out
     m = len(lin)
     # the rays, and per ray the bitmask of the processed inequalities it
@@ -194,40 +249,9 @@ def double_description(dim: int,
                 masks.append(bit - 1)
                 break
         else:
-            pos, neg, kept, kept_masks = [], [], [], []
-            for r, z, s in zip(rays, masks, _products(normal, rays)):
-                if s > 0:
-                    pos.append((r, z, s))
-                elif s < 0:
-                    neg.append((r, z, s))
-                else:
-                    kept.append(r)
-                    kept_masks.append(z | bit)
-            for r, z, _ in pos:
-                kept.append(r)
-                kept_masks.append(z)
-            # two adjacent rays span a face of dimension len(lin) + 2, so
-            # the rows tight on both have rank m - len(lin) - 2 (Fukuda and
-            # Prodon); a pair sharing fewer rows is not adjacent
-            need = m - len(lin) - 2
-            for rp, zp, sp in pos:
-                for rn, zn, sn in neg:
-                    meet = zp & zn
-                    if meet.bit_count() < need:
-                        continue
-                    # adjacent when no third ray is tight on all of their
-                    # common rows: only the two themselves cover the meet
-                    covers = 0
-                    for z3 in masks:
-                        if z3 & meet == meet:
-                            covers += 1
-                            if covers == 3:
-                                break
-                    else:
-                        kept.append(_reduced([sp * b - sn * a
-                                              for a, b in zip(rp, rn)]))
-                        kept_masks.append(meet | bit)
-            rays, masks = kept, kept_masks
+            # modulo the lineality, the rays span m - len(lin) dimensions
+            rays, masks = _cut(rays, masks, _products(normal, rays), bit,
+                               m - len(lin) - 2)
 
     return lin, rays, masks
 
@@ -287,14 +311,41 @@ def cone_member(gens: Sequence[Sequence[int]], target: Sequence, dim: int) -> bo
 
 def _fibre_rays(gens: Sequence[Sequence[int]], target: Sequence) -> list[Vec]:
     """The extreme rays (lambda, t) of {(lambda, t) >= 0 :
-    sum_j lambda_j gens_j = t target}, from one double description. A ray
-    with t > 0 is a vertex lambda / t of the fibre {lambda >= 0 :
-    sum_j lambda_j gens_j = target}; cone_member,
-    monomials.fibre_vertices and fans.is_projective read theirs off it."""
+    sum_j lambda_j gens_j = t target}. A ray with t > 0 is a vertex
+    lambda / t of the fibre {lambda >= 0 : sum_j lambda_j gens_j =
+    target}; cone_member, monomials.fibre_vertices and fans.is_projective
+    read theirs off it, in no particular order.
+
+    The double description cuts by the unit rows in its own order. One
+    int_rref of the equalities gives the kernel basis and its free
+    columns: the units of the free columns cut the kernel to the simplicial
+    cone of the basis vectors, with no arithmetic, as basis vector i is
+    tight on every free unit but its own. Each pivot-column unit then
+    follows (_cut), the one whose sign split has the fewest positive by
+    negative pairs first, ties to the lowest column. The cone is pointed,
+    so its primitive extreme rays are the same set in any order. Bit j of
+    a mask stands for unit row j."""
     k = len(gens)
-    eqs = [tuple(g[i] for g in gens) + (-x,) for i, x in enumerate(target)]
-    units = [tuple(int(i == j) for i in range(k + 1)) for j in range(k + 1)]
-    return double_description(k + 1, eqs, units)[1]
+    eqs = _nonzero_rows(k + 1, [tuple(g[i] for g in gens) + (-x,)
+                                for i, x in enumerate(target)])
+    rays, free = _kernel_basis(k + 1, eqs)
+    tight = sum(1 << f for f in free)
+    masks = [tight ^ (1 << f) for f in free]
+    rest = [j for j in range(k + 1) if j not in free]
+    # the rays span the whole kernel, so adjacent ones share m - 2 rows
+    need = len(rays) - 2
+    while rest and rays:
+        cols = list(zip(*rays))
+
+        def pairs(j):
+            col = cols[j]
+            return sum(x > 0 for x in col) * sum(x < 0 for x in col)
+
+        # min keeps the first of equal costs, and rest stays increasing
+        j = min(rest, key=pairs)
+        rest.remove(j)
+        rays, masks = _cut(rays, masks, cols[j], 1 << j, need)
+    return rays
 
 
 def _intersection(dim: int, hreps):

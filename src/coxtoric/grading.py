@@ -74,7 +74,13 @@ class DegreeMatrix(Record):
 
 
 class GaleDual(Record):
-    """Rays of the toric one-skeleton: one primitive ray per generator."""
+    """Rays of the toric one-skeleton: one ray per generator, the columns
+    of a saturated kernel basis of the degree matrix. A ray need not be
+    primitive: when the columns of the grading generate its lattice, the
+    content of ray i is the index of the sublattice that the other
+    columns generate, so the grading (2, 2, 1) gives the third generator
+    the ray (-2, -2). gale_dual neither checks nor normalises this; the
+    cones of fans.fan_from_irrelevant work on the primitive forms."""
 
     rays: tuple[Vec, ...]
 

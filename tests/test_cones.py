@@ -13,6 +13,7 @@ from coxtoric.cones import (
     separating_functional,
 )
 from coxtoric.exact import dot, rank
+from test_monomials import dp4_columns
 
 
 def test_primitive():
@@ -148,21 +149,40 @@ def test_cone_member_rejects_wrong_lengths(gens, target):
 ], ids=["equation", "sign", "no-positive-t"])
 def test_cone_member_replay_failure(monkeypatch, corrupt):
     # (2, 1) = (1, 0) + (1, 1): the coefficients are the ray (1, 1, 1) of
-    # the one double description called with equalities. Made to break
-    # sum_j lambda_j gens_j = t target, lambda >= 0 or t > 0, it must
-    # raise instead of giving a "yes"
-    real = cones.double_description
+    # the fibre's double description. Made to break sum_j lambda_j gens_j
+    # = t target, lambda >= 0 or t > 0, it must raise instead of giving a
+    # "yes"
+    real = cones._fibre_rays
 
-    def corrupted(dim, equalities=(), inequalities=()):
-        lin, rays, masks = real(dim, equalities, inequalities)
-        return lin, [corrupt(r) for r in rays] if equalities else rays, masks
+    def corrupted(gens, target):
+        return [corrupt(r) for r in real(gens, target)]
 
-    monkeypatch.setattr(cones, "double_description", corrupted)
+    monkeypatch.setattr(cones, "_fibre_rays", corrupted)
     with pytest.raises(RuntimeError,
                        match="^cone membership witness failed replay$"):
         cone_member([(1, 0), (1, 1)], (2, 1), dim=2)
     # a "no" is the separating functional's, which this does not touch
     assert not cone_member([(1, 0), (1, 1)], (0, 1), dim=2)
+
+
+def test_dp4_fibre_forms_few_rays_by_combining(monkeypatch):
+    # every primitive vector of the fibre's double description goes
+    # through cones._reduced: its 6 equality rows, its 11 kernel vectors,
+    # and each ray formed by combining an adjacent pair, 91 on the dP4
+    # fibre at -K in the fibre's own cut order (120 when the unit rows
+    # were cut in input order, 229 calls in all with the lineality
+    # projections)
+    calls = []
+    real = cones._reduced
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(cones, "_reduced", counted)
+    rays = cones._fibre_rays(dp4_columns(), (3, -1, -1, -1, -1, -1))
+    assert len(rays) == 56
+    assert len(calls) == 6 + 11 + 91
 
 
 def test_separating_functional():

@@ -564,19 +564,23 @@ def test_reproduce_paper_runs_thirteen_double_descriptions(monkeypatch,
     # with every cache emptied, as in a fresh process: extremality is read
     # off Eff's constraint form, which derive_heft has already built, and
     # each radical is built once per class and depth (23 double
-    # descriptions when each column's extremality ran one)
+    # descriptions when each column's extremality ran one). The two fibres,
+    # of the ample class and of -K, run their own cut order and not the
+    # generic double description: 11 + 2
     monomials._subset_hrep.cache_clear()
     monomials.derive_heft.cache_clear()
-    calls = counted_exact_calls(monkeypatch, "double_description")
+    generic = counted_exact_calls(monkeypatch, "double_description")
+    fibres = counted_exact_calls(monkeypatch, "_fibre_rays")
     assert reproduce_paper_report()["overall"]
-    assert len(calls) == 13
+    assert (len(generic), len(fibres)) == (11, 2)
 
 
 def test_reproduce_paper_reduces_few_matrices(monkeypatch, class_cache):
     # a yes/no independence question goes to exact.bareiss, and int_rref
     # runs only where a reduced form or a kernel is read: 77 calls with
     # every cache emptied (132 when each cone of at most d rays was tested
-    # by a full int_rref)
+    # by a full int_rref). Each fibre reads its kernel basis and its free
+    # columns off one int_rref
     monomials._subset_hrep.cache_clear()
     monomials.derive_heft.cache_clear()
     delpezzo.target_planes.cache_clear()

@@ -53,9 +53,10 @@ from sympy.matrices import normalforms  # noqa: E402
 
 from coxtoric.chambers import (chamber_of, effective_cone,  # noqa: E402
                                spans_extremal_ray)
-from coxtoric.cones import (RationalCone, cone_member,  # noqa: E402
-                            double_description, generators_to_hrep,
-                            primitive, separating_functional)
+from coxtoric.cones import (RationalCone, _fibre_rays,  # noqa: E402
+                            cone_member, double_description,
+                            generators_to_hrep, primitive,
+                            separating_functional)
 from coxtoric import cli, grading, linprog, monomials  # noqa: E402
 from coxtoric.delpezzo import (ample_ideal,  # noqa: E402
                                anticanonical_ideal, reproduce_paper_report)
@@ -1356,6 +1357,30 @@ def test_double_description_masks_are_the_tight_rows(case):
     rows = [a for a in ineqs if any(a)]
     assert masks == [sum(1 << k for k, a in enumerate(rows)
                          if dot(a, ray) == 0) for ray in rays]
+
+
+@settings(deadline=None, max_examples=300)
+@given(gradings_and_classes())
+# the zero class: t meets no equality, and (0, 0, 0, 1) is the one ray
+@example((DegreeMatrix.make([(1, 0), (0, 1), (1, 1)]), (0, 0)))
+# a class outside Eff: the one ray (1, 1, 0) has t = 0
+@example((DegreeMatrix.make([(1, 0), (-1, 0)]), (0, 1)))
+# equalities of full rank: no kernel and no ray
+@example((DegreeMatrix.make([(1, 0, 0)]), (0, 1, 0)))
+# repeated columns
+@example((DegreeMatrix.make([(1, 1), (1, 1), (0, 1), (1, 0), (0, 1)]),
+          (2, 3)))
+# a rational class, as cone_member passes its target
+@example((DegreeMatrix.make([(1, 0), (1, 2)]), (Fraction(1, 2), 1)))
+# the 27-line dP3 at -K: 621 vertices
+@example((DegreeMatrix.make(dp3_columns()), (3, -1, -1, -1, -1, -1, -1)))
+def test_fibre_rays_against_the_input_order(case):
+    # the fibre's own cut order (free columns, then the pivot column with
+    # the fewest pairs) finds the rays of the generic double description
+    # that cuts by the unit rows in input order
+    q, w = case
+    assert sorted(_fibre_rays(q.columns, w)) == \
+        sorted(double_description(*fibre_system(q.columns, w))[1])
 
 
 @settings(deadline=None)

@@ -56,9 +56,11 @@ def test_tracer_installs_after_the_imports_of_a_traced_run():
     assert result.stdout == f"{len(TRACED_NAMES)}\n"
 
 
-# calls of one traced `reproduce-paper --json` run in a fresh interpreter
+# calls of one traced `reproduce-paper --json` run in a fresh interpreter;
+# the two fibre double descriptions go through cones._fibre_rays, which the
+# tracer does not wrap, and not through cones.double_description
 REPRODUCE_CALLS = {
-    "cones.double_description": 13,
+    "cones.double_description": 11,
     "cones.generators_to_hrep": 11,
     "exact.rank": 1,
     "exact.det": 7,
