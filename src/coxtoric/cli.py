@@ -45,8 +45,8 @@ from .exact import IntMat, hermite_normal_form
 from .fans import class_fan_report
 from .grading import DegreeMatrix, delpezzo4, gale_dual
 from .incidence import general_position_on_plane
-from .monomials import (GuardExceeded, fibre_vertices, irrelevant_radical,
-                        monomials_of_degree)
+from .monomials import (GuardExceeded, _checked_depth, fibre_vertices,
+                        irrelevant_radical, monomials_of_degree)
 
 if TYPE_CHECKING:
     # imported where a parser is built: a valid command line needs none
@@ -345,6 +345,8 @@ def cmd_chamber(args) -> tuple[int, list[str], dict]:
     degree = _parse_degree(args, q)
     other = (None if args.compare is None else
              _parse_class(args.compare, q, "--compare", "compare class"))
+    # checked with or without --compare, as every command checks its depth
+    _checked_depth(args.saturate)
     chamber = chamber_of(q, degree)
     payload = {
         "dataset": dataset,

@@ -2,10 +2,13 @@
 
 Cones are rational; generators (V-form) and constraint normals (H-form) are
 kept as primitive integer vectors, and conversion between the two forms is
-one dual computation. The equalities are solved once by `exact.int_rref`,
-and the double description starts from its canonical kernel basis: per
-free column, the primitive kernel vector positive there and zero at the
-other free columns. The inequalities are then inserted one at a time.
+one dual computation. The double description starts from the canonical
+kernel basis of the equalities: per free column, the primitive kernel
+vector positive there and zero at the other free columns. Equalities are
+solved once by `exact.int_rref`; with none, as in every
+`generators_to_hrep`, every column is free and the basis is the unit
+basis, with no elimination. The inequalities are then inserted one at a
+time.
 Every ray carries the set of already-processed inequality indices it
 satisfies with equality, kept as an int bitmask, which powers the
 combinatorial adjacency test of Fukuda and Prodon ("Double description
@@ -34,19 +37,31 @@ the lineality vectors and rays are taken once per step (`_products`), and
 a primitive coordinate row +-e_j reads them off entry j with no sum: when
 it picks a lineality pivot, projects, and splits the rays by sign.
 
-The fibre double description (`_fibre_rays`, which `cone_member`,
-`fans.is_projective` and the fibre vertices read) cuts only by unit rows
-e_j, and in its own order, as the insertion order decides how many pairs
-are tested (Fukuda and Prodon). One `int_rref` of its equalities gives
-the kernel basis and the free columns. The units of the free columns come
-first and cost no arithmetic: they cut the kernel to the simplicial cone
-of the basis vectors, each tight on every free unit but its own. Each
-pivot-column unit then cuts through `_cut`, reading the products off
-entry j: at every step the one whose sign split has the fewest positive
-by negative pairs, ties to the lowest column. The lineality is spent by
-then, so adjacent rays share at least m - 2 rows. The cone lies in the
-nonnegative orthant, so it is pointed, and its primitive extreme rays are
-the same set in any order.
+The fibre double description of {(lambda, t) >= 0 : G lambda = t w}
+(`_fibre_rays`, which `cone_member`, `fans.is_projective` and the fibre
+vertices read) comes in two halves. The half that depends on the columns
+G alone (`_fibre_kernel`) is one fraction-free Gauss-Jordan elimination
+(`exact.montante`) of [G | I], which leaves one pivot value d on every
+pivot column: it gives the pivot and free columns of G, the kernel
+vectors of the free columns with t = 0, the transform U with R = U G on
+the pivot rows, and the left kernel of G. `monomials` keeps it per
+grading, so every class of a grading after the first runs no
+elimination; `cone_member` and `fans.is_projective` run both halves per
+call. The half per target w reads the t column off them with no
+division: t is free exactly when every left-kernel row vanishes on w, and
+then its kernel vector is U_i.w at each pivot column and d at t. The
+result is the canonical kernel basis of the equalities, the same as one
+`int_rref` of [G | -w] gives. The double description then cuts only by
+unit rows e_j, and in its own order, as the insertion order decides how
+many pairs are tested (Fukuda and Prodon). The units of the free columns
+come first and cost no arithmetic: they cut the kernel to the simplicial
+cone of the basis vectors, each tight on every free unit but its own.
+Each pivot-column unit then cuts through `_cut`, reading the products
+off entry j: at every step the one whose sign split has the fewest
+positive by negative pairs, ties to the lowest column. The lineality is
+spent by then, so adjacent rays share at least m - 2 rows. The cone lies
+in the nonnegative orthant, so it is pointed, and its primitive extreme
+rays are the same set in any order.
 
 Membership is certified with no LP. `separating_functional` reads a
 functional that separates a vector from cone(gens) off one double
@@ -73,7 +88,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .exact import bareiss, check_rational, dot, int_rref
+from .exact import bareiss, check_rational, dot, int_rref, montante
 from .records import Record
 
 Vec = tuple[int, ...]
@@ -141,10 +156,14 @@ def _nonzero_rows(dim: int, rows: Sequence[Sequence]) -> list[Vec]:
 
 
 def _kernel_basis(dim: int, rows: list[Vec]) -> tuple[list[Vec], list[int]]:
-    """The canonical basis of {x : r.x = 0 for all rows} from one int_rref,
-    with the free columns: per free column f, in increasing order, the
-    primitive kernel vector that is positive at f and zero at the other
-    free columns."""
+    """The canonical basis of {x : r.x = 0 for all rows} with the free
+    columns: per free column f, in increasing order, the primitive kernel
+    vector that is positive at f and zero at the other free columns. No
+    rows leave every column free and give the unit basis with no
+    elimination; otherwise the basis is read off one int_rref."""
+    if not rows:
+        return ([tuple(int(i == f) for i in range(dim)) for f in range(dim)],
+                list(range(dim)))
     red, pivots = int_rref(rows)
     basis = []
     free = [c for c in range(dim) if c not in pivots]
@@ -301,7 +320,8 @@ def cone_member(gens: Sequence[Sequence[int]], target: Sequence, dim: int) -> bo
     if separating_functional(gens, target, dim) is not None:
         return False
     k = len(gens)
-    lam = next((r for r in _fibre_rays(gens, target) if r[k] > 0), None)
+    lam = next((r for r in _fibre_rays(_fibre_kernel(gens, dim), target)
+                if r[k] > 0), None)
     if lam is None or min(lam) < 0 or \
             any(sum(x * g[i] for x, g in zip(lam, gens)) != lam[k] * y
                 for i, y in enumerate(target)):
@@ -309,26 +329,77 @@ def cone_member(gens: Sequence[Sequence[int]], target: Sequence, dim: int) -> bo
     return True
 
 
-def _fibre_rays(gens: Sequence[Sequence[int]], target: Sequence) -> list[Vec]:
-    """The extreme rays (lambda, t) of {(lambda, t) >= 0 :
-    sum_j lambda_j gens_j = t target}. A ray with t > 0 is a vertex
-    lambda / t of the fibre {lambda >= 0 : sum_j lambda_j gens_j =
-    target}; cone_member, monomials.fibre_vertices and fans.is_projective
-    read theirs off it, in no particular order.
-
-    The double description cuts by the unit rows in its own order. One
-    int_rref of the equalities gives the kernel basis and its free
-    columns: the units of the free columns cut the kernel to the simplicial
-    cone of the basis vectors, with no arithmetic, as basis vector i is
-    tight on every free unit but its own. Each pivot-column unit then
-    follows (_cut), the one whose sign split has the fewest positive by
-    negative pairs first, ties to the lowest column. The cone is pointed,
-    so its primitive extreme rays are the same set in any order. Bit j of
-    a mask stands for unit row j."""
+def _fibre_kernel(gens: Sequence[Sequence], dim: int):
+    """The half of the fibre double description of _fibre_rays that
+    depends on the generators alone, the columns of the dim x k matrix G
+    (ints or Fractions): one fraction-free Gauss-Jordan elimination
+    (exact.montante) of the dim rows of [G | I], each entering through
+    primitive, which scales a Fraction row to integers. [G | I] has full
+    row rank, so every row is a pivot row, and montante leaves one pivot
+    value d on every pivot column, made positive here by a sign flip of
+    every row. The rows with a pivot in G are [R_i | U_i] with
+    R_i = U_i G; those with a pivot in I are [0 | L_i], a basis of the
+    left kernel of G. So the canonical kernel vector of a free column f
+    of G is d at f and -R_i[f] at pivot column p_i. Returned as (k, free,
+    basis, d, solve, left): the free columns of G, their kernel vectors
+    with t = 0 appended, d, (p_i, U_i) per pivot column of G, and the
+    rows L_i."""
     k = len(gens)
-    eqs = _nonzero_rows(k + 1, [tuple(g[i] for g in gens) + (-x,)
-                                for i, x in enumerate(target)])
-    rays, free = _kernel_basis(k + 1, eqs)
+    units = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
+    red, pivots = montante([primitive(row + unit) for row, unit in
+                            zip(list(zip(*gens)) or [()] * dim, units)])
+    d = red[-1][pivots[-1]] if red else 1
+    if d < 0:
+        red, d = [[-x for x in row] for row in red], -d
+    # the pivots in G come first, as the pivot columns increase
+    rank = sum(p < k for p in pivots)
+    on_g = list(zip(red, pivots[:rank]))
+    free = [c for c in range(k) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [0] * (k + 1)
+        v[f] = d
+        for row, p in on_g:
+            v[p] = -row[f]
+        basis.append(_reduced(v))
+    solve = [(p, row[k:]) for row, p in on_g]
+    return k, free, basis, d, solve, [row[k:] for row in red[rank:]]
+
+
+def _fibre_rays(kernel, target: Sequence) -> list[Vec]:
+    """The extreme rays (lambda, t) of {(lambda, t) >= 0 :
+    sum_j lambda_j gens_j = t target}, given kernel = _fibre_kernel(gens,
+    len(target)). A ray with t > 0 is a vertex lambda / t of the fibre
+    {lambda >= 0 : sum_j lambda_j gens_j = target}; cone_member,
+    monomials.fibre_vertices and fans.is_projective read theirs off it, in
+    no particular order.
+
+    The kernel basis of the equalities is the kernel's, with t = 0, and
+    one more vector when the target, an int or Fraction vector w / den
+    with w integral and den > 0, lies in span(gens), that is when L.w = 0
+    for every left kernel row L: column t is then free, and its canonical
+    vector is the primitive form of U_i.w at each pivot column p_i and
+    d den at t, as R_i lambda = d lambda_p_i = (t / den) U_i.w. The
+    double description cuts by the unit rows in its own order: the units
+    of the free columns cut the kernel to the simplicial cone of the
+    basis vectors, with no arithmetic, as basis vector i is tight on
+    every free unit but its own. Each pivot-column unit then follows
+    (_cut), the one whose sign split has the fewest positive by negative
+    pairs first, ties to the lowest column. The cone is pointed, so its
+    primitive extreme rays are the same set in any order. Bit j of a mask
+    stands for unit row j."""
+    k, free, basis, d, solve, left = kernel
+    rays, free = list(basis), list(free)
+    check_rational(target)
+    den = lcm(*[x.denominator for x in target])
+    w = [x.numerator * (den // x.denominator) for x in target]
+    if not any(dot(u, w) for u in left):
+        v = [0] * (k + 1)
+        v[k] = d * den
+        for p, u in solve:
+            v[p] = dot(u, w)
+        rays.append(_reduced(v))
+        free.append(k)
     tight = sum(1 << f for f in free)
     masks = [tight ^ (1 << f) for f in free]
     rest = [j for j in range(k + 1) if j not in free]

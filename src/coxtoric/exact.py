@@ -10,7 +10,10 @@ from it and turns entries into Fractions only in its output;
 that needs no reduced form goes to `bareiss`, one fraction-free forward
 elimination with no Fraction at all: `rank` counts its pivots, `det` is
 its signed last pivot, and `cones.RationalCone` tests independence by
-it. `pivot`, one Gauss-Jordan step over Q, is the step
+it. `montante` is its Gauss-Jordan form, rows equal to those of
+`int_rref` up to a factor each, found with no gcd; the fibre double
+description (`cones._fibre_kernel`) eliminates its columns with it.
+`pivot`, one Gauss-Jordan step over Q, is the step
 of the simplex tableau of `linprog`, which only the tests call.
 `kernel_lattice` gives the Gale dual of a grading (`grading.gale_dual`)
 and of the rays of a fan (`fans.is_projective`).
@@ -228,6 +231,47 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
         last = p
         rk += 1
     return rk, sign * last
+
+
+def montante(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]],
+                                                     list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss's
+    method of Montante): the pivot rows of a reduced row echelon form, in
+    pivot order, and the pivot columns. Each step takes the next column
+    with a nonzero entry at or below the pivot row, swaps its first such
+    row up, and sets every other row, above the pivot row as well as
+    below, to (p * row - a * pivot row) / p', with p the pivot, a the
+    row's entry in its column and p' the pivot before. Every entry stays
+    an integer minor, so the division is exact, and every pivot row ends
+    with the last pivot at its pivot column and zero at the others. The
+    rows are those of int_rref up to a nonzero factor each, found with no
+    gcd; the input rows are not modified."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    pivots: list[int] = []
+    last = 1
+    for c in range(len(a[0]) if a else 0):
+        rk = len(pivots)
+        if rk == n:
+            break
+        for i in range(rk, n):
+            if a[i][c]:
+                break
+        else:
+            continue
+        a[rk], a[i] = a[i], a[rk]
+        top = a[rk]
+        p = top[c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if f and i != rk:
+                a[i] = [(x * p - f * y) // last for x, y in zip(row, top)]
+            elif not f and p != last:
+                # a row that is zero in the pivot column is only rescaled
+                a[i] = [x * p // last for x in row]
+        last = p
+        pivots.append(c)
+    return a[:len(pivots)], pivots
 
 
 def det(m: IntMat) -> int:

@@ -44,8 +44,9 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 
-from .cones import (RationalCone, _fibre_rays, _intersection, cone_member,
-                    double_description, generators_to_hrep, primitive)
+from .cones import (RationalCone, _fibre_kernel, _fibre_rays, _intersection,
+                    cone_member, double_description, generators_to_hrep,
+                    primitive)
 from .exact import IntMat, dot, int_rref, int_vector, kernel_lattice
 from .grading import GaleDual
 from .monomials import SquarefreeIdeal
@@ -413,7 +414,8 @@ def _ample_certificate(fan: Fan) -> ProjectivityCertificate:
         return ProjectivityCertificate(False, None)
     points = []
     for js in outside:
-        total = [sum(col) for col in zip(*_fibre_rays([q[j] for j in js], p))]
+        total = [sum(col) for col in zip(*_fibre_rays(
+            _fibre_kernel([q[j] for j in js], r), p))]
         point = [0] * (n + 1)
         for j, x in zip([*js, n], total):
             point[j] = x

@@ -7,6 +7,8 @@ matrix, read columnwise) gives the rays of the associated toric one-skeleton.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .exact import (IntMat, hermite_normal_form, int_vector, kernel_lattice,
                     rank)
 from .records import Record, store
@@ -126,7 +128,11 @@ class DelPezzo4(Record):
     heft: Vec
 
 
+@cache
 def delpezzo4() -> DelPezzo4:
+    """The bundled dataset, built once per process: every caller shares
+    one immutable record, so a per-grading cache finds its degree matrix
+    by identity instead of comparing a rebuilt one."""
     columns = (
         (1, -1, -1, 0, 0),
         (1, -1, 0, -1, 0),

@@ -11,7 +11,10 @@ Everything else here is read off one entry per grading and primitive
 class w0, kept in _CLASSES for the whole process, with no bound:
 - the vertices of the fibre over w0, from one double description
   (fibre_vertices); their supports are S(w0) = S(k w0), off which the GIT
-  chambers are read, and fans.fibre_support reads the vertices;
+  chambers are read, and fans.fibre_support reads the vertices. The half
+  of that double description that depends on the columns alone, one
+  elimination, is kept per grading (_grading_kernel), so each class
+  after the first runs none;
 - the period of each member J of S(w0): J has independent columns, so its
   one candidate at k w0 is k lambda / t for its fibre ray (lambda, t), and
   it is achievable there exactly when p_J = t / gcd(t, lambda_j : j in J)
@@ -42,7 +45,7 @@ from math import gcd, lcm
 from operator import lt
 from types import MappingProxyType
 
-from .cones import _fibre_rays, generators_to_hrep, primitive
+from .cones import _fibre_kernel, _fibre_rays, generators_to_hrep, primitive
 from .exact import dot, int_vector
 from .grading import DegreeMatrix
 from .records import Record
@@ -130,6 +133,14 @@ def derive_heft(q: DegreeMatrix) -> tuple[int, ...]:
     if any(dot(heft, col) < 1 for col in q.columns):
         raise ValueError("grading not positive")
     return heft
+
+
+@cache
+def _grading_kernel(q: DegreeMatrix):
+    """The half of every fibre double description of the grading that
+    depends on its columns alone (cones._fibre_kernel): one elimination,
+    cached per grading for the whole process, as the heft is."""
+    return _fibre_kernel(q.columns, q.pic_rank)
 
 
 def _checked_heft(q: DegreeMatrix, heft) -> tuple[int, ...]:
@@ -246,7 +257,7 @@ def _class(q: DegreeMatrix, d: tuple[int, ...], k: int):
         n = q.num_gens
         if n > MAX_SEARCH_GENS:
             raise GuardExceeded("subset enumeration too large")
-        rays = _fibre_rays(q.columns, key[1])
+        rays = _fibre_rays(_grading_kernel(q), key[1])
         found = {tuple(j for j in range(n) if r[j]): r for r in rays if r[n]}
         supports = sorted(found, key=lambda s: (len(s), s))
         entry = _CLASSES[key] = (

@@ -267,9 +267,9 @@ def counted_support_dds(monkeypatch):
     calls = []
     real = monomials._fibre_rays
 
-    def counted(gens, target):
+    def counted(kernel, target):
         calls.append(target)
-        return real(gens, target)
+        return real(kernel, target)
 
     monkeypatch.setattr(monomials, "_fibre_rays", counted)
     return calls

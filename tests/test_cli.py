@@ -428,8 +428,8 @@ def test_corrupted_fibre_ray_fails_the_period_replay(monkeypatch, capsys,
     # reading the periods raises, and irrelevant exits 4
     real = monomials._fibre_rays
 
-    def corrupted(gens, target):
-        rays = real(gens, target)
+    def corrupted(kernel, target):
+        rays = real(kernel, target)
         first = next(i for i, r in enumerate(rays) if r[-1] and any(r[:-1]))
         j = next(j for j, x in enumerate(rays[first]) if x)
         ray = list(rays[first])
@@ -766,6 +766,20 @@ def test_signed_class_outside_the_effective_cone(capsys, flags):
                                   *flags])
     assert (code, out) == (2, "")
     assert err == "error: class outside the effective cone\n"
+
+
+@pytest.mark.parametrize("compare", [[], ["--compare", "3,-1,-1,-1,-1"]],
+                         ids=["alone", "compare"])
+@pytest.mark.parametrize("depth", [["--saturate", "0"], ["--saturate=-3"],
+                                   ["--saturate", "-3"]])
+def test_chamber_rejects_a_depth_below_one(capsys, compare, depth):
+    # chamber checks --saturate whether or not --compare reads it, as
+    # every other command that takes a depth does
+    code, out, err = run(capsys, ["chamber", "--dataset", "delpezzo4",
+                                  "--degree", "11,-5,-3,-2,-1", *compare,
+                                  *depth])
+    assert (code, out) == (2, "")
+    assert err == "error: saturation depth must be at least 1\n"
 
 
 def test_signed_values_are_joined_only_to_class_options():

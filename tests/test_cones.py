@@ -154,8 +154,8 @@ def test_cone_member_replay_failure(monkeypatch, corrupt):
     # "yes"
     real = cones._fibre_rays
 
-    def corrupted(gens, target):
-        return [corrupt(r) for r in real(gens, target)]
+    def corrupted(kernel, target):
+        return [corrupt(r) for r in real(kernel, target)]
 
     monkeypatch.setattr(cones, "_fibre_rays", corrupted)
     with pytest.raises(RuntimeError,
@@ -166,12 +166,13 @@ def test_cone_member_replay_failure(monkeypatch, corrupt):
 
 
 def test_dp4_fibre_forms_few_rays_by_combining(monkeypatch):
-    # every primitive vector of the fibre's double description goes
-    # through cones._reduced: its 6 equality rows, its 11 kernel vectors,
-    # and each ray formed by combining an adjacent pair, 91 on the dP4
-    # fibre at -K in the fibre's own cut order (120 when the unit rows
-    # were cut in input order, 229 calls in all with the lineality
-    # projections)
+    # every primitive vector of the fibre's double description on a fresh
+    # grading goes through cones._reduced: the 6 rows [Q | I] of its
+    # grading's elimination, its 11 kernel vectors (10 from the grading,
+    # and t's from the target) and each ray formed by combining an
+    # adjacent pair, 91 on the dP4 fibre at -K in the fibre's own cut
+    # order (120 when the unit rows were cut in input order, 229 calls in
+    # all with the lineality projections)
     calls = []
     real = cones._reduced
 
@@ -180,9 +181,24 @@ def test_dp4_fibre_forms_few_rays_by_combining(monkeypatch):
         return real(w)
 
     monkeypatch.setattr(cones, "_reduced", counted)
-    rays = cones._fibre_rays(dp4_columns(), (3, -1, -1, -1, -1, -1))
+    rays = cones._fibre_rays(cones._fibre_kernel(dp4_columns(), 6),
+                             (3, -1, -1, -1, -1, -1))
     assert len(rays) == 56
     assert len(calls) == 6 + 11 + 91
+
+
+def test_kernel_basis_of_no_rows_is_the_unit_basis(monkeypatch):
+    # with no equalities every column is free, and the canonical basis is
+    # the unit basis, built with no elimination
+    def no_rref(rows):
+        raise AssertionError("int_rref called")
+
+    monkeypatch.setattr(cones, "int_rref", no_rref)
+    for dim in range(1, 5):
+        units = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+        assert cones._kernel_basis(dim, []) == (units, list(range(dim)))
+    assert cones.generators_to_hrep(2, [(1, 0), (1, 1)]) == \
+        ((), ((1, -1), (0, 1)), (0b10, 0b01))
 
 
 def test_separating_functional():

@@ -569,6 +569,7 @@ def test_reproduce_paper_runs_thirteen_double_descriptions(monkeypatch,
     # generic double description: 11 + 2
     monomials._subset_hrep.cache_clear()
     monomials.derive_heft.cache_clear()
+    monomials._grading_kernel.cache_clear()
     generic = counted_exact_calls(monkeypatch, "double_description")
     fibres = counted_exact_calls(monkeypatch, "_fibre_rays")
     assert reproduce_paper_report()["overall"]
@@ -577,16 +578,37 @@ def test_reproduce_paper_runs_thirteen_double_descriptions(monkeypatch,
 
 def test_reproduce_paper_reduces_few_matrices(monkeypatch, class_cache):
     # a yes/no independence question goes to exact.bareiss, and int_rref
-    # runs only where a reduced form or a kernel is read: 77 calls with
+    # runs only where a reduced form or a kernel is read: 64 calls with
     # every cache emptied (132 when each cone of at most d rays was tested
-    # by a full int_rref). Each fibre reads its kernel basis and its free
-    # columns off one int_rref
+    # by a full int_rref, 77 when each of the 11 double descriptions with
+    # no equalities ran one on an empty list and each of the 2 fibres one
+    # of its own). The two fibres share the grading's one elimination,
+    # exact.montante of [Q | I]
     monomials._subset_hrep.cache_clear()
     monomials.derive_heft.cache_clear()
+    monomials._grading_kernel.cache_clear()
     delpezzo.target_planes.cache_clear()
     calls = counted_exact_calls(monkeypatch, "int_rref")
+    fibres = counted_exact_calls(monkeypatch, "montante")
     assert reproduce_paper_report()["overall"]
-    assert len(calls) == 77
+    assert (len(calls), len(fibres)) == (64, 1)
+
+
+def test_bundled_fibres_share_one_elimination(monkeypatch, class_cache):
+    # the fibres of ten classes of the bundled grading, inside Eff and
+    # outside it, read the grading's one elimination, which
+    # monomials._grading_kernel keeps: one exact.montante and no int_rref
+    # in all (ten int_rref calls when each fibre eliminated [Q | -w])
+    dp = delpezzo4()
+    q = dp.degrees
+    monomials._grading_kernel.cache_clear()
+    fibres = counted_exact_calls(monkeypatch, "_fibre_rays")
+    eliminations = counted_exact_calls(monkeypatch, "montante")
+    rrefs = counted_exact_calls(monkeypatch, "int_rref")
+    outside = tuple(-x for x in dp.anti_canonical)
+    for w in (dp.ample, dp.anti_canonical, (0,) * 5, outside, *q.columns[:6]):
+        fibre_vertices(q, w)
+    assert (len(fibres), len(eliminations), len(rrefs)) == (10, 1, 0)
 
 
 @pytest.mark.parametrize("make_ideal, attr, hreps", [

@@ -53,8 +53,8 @@ from sympy.matrices import normalforms  # noqa: E402
 
 from coxtoric.chambers import (chamber_of, effective_cone,  # noqa: E402
                                spans_extremal_ray)
-from coxtoric.cones import (RationalCone, _fibre_rays,  # noqa: E402
-                            cone_member, double_description,
+from coxtoric.cones import (RationalCone, _fibre_kernel,  # noqa: E402
+                            _fibre_rays, cone_member, double_description,
                             generators_to_hrep, primitive,
                             separating_functional)
 from coxtoric import cli, grading, linprog, monomials  # noqa: E402
@@ -62,7 +62,8 @@ from coxtoric.delpezzo import (ample_ideal,  # noqa: E402
                                anticanonical_ideal, reproduce_paper_report)
 from coxtoric.exact import (IntMat, det, dot, eliminate,  # noqa: E402
                             hermite_normal_form, int_row, kernel_lattice,
-                            nullspace, rank, rational_solve, rref)
+                            montante, nullspace, rank, rational_solve,
+                            rref)
 from coxtoric.fans import (Fan, _facet_pairing,  # noqa: E402
                            _vertex_replay, fan_from_irrelevant,
                            fan_report, fibre_support, is_complete,
@@ -309,6 +310,28 @@ def test_rank_against_fraction_elimination(rows):
     # elimination; Gauss-Jordan steps over Fractions, the elimination it
     # replaced, give the same count
     assert rank(rows) == len(fraction_rref(rows)[1])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(matrices(st.integers(-5, 5), max_rows=6, max_cols=8),
+                 square_matrices(st.integers(-4, 4))))
+@example([[0, 0], [0, 0]])
+@example([[1, 0, 2], [2, 0, 5]])
+@example([[0, 0, 1], [0, 2, 3], [0, 4, 7]])
+# dependent rows, and a negative last pivot
+@example([[1, 2, 0, 1], [2, 4, 0, 2], [0, 1, -3, 0], [1, 3, -3, 1]])
+@example([[97, 89, 83, 79], [71, 67, 61, 59], [53, 47, 43, 41],
+          [37, 31, 29, 23]])
+def test_montante_against_fraction_elimination(rows):
+    # fraction-free Gauss-Jordan finds the pivots of Gauss-Jordan steps
+    # over Fractions, and each of its rows is a multiple of the reduced
+    # row, with the last pivot on every pivot column
+    red, pivots = montante(rows)
+    expected, expected_pivots = fraction_rref(rows)
+    assert pivots == expected_pivots
+    for row, ref, p in zip(red, expected, pivots):
+        assert row[p] == red[-1][pivots[-1]]
+        assert [Fraction(x, row[p]) for x in row] == ref
 
 
 @st.composite
@@ -1379,8 +1402,56 @@ def test_fibre_rays_against_the_input_order(case):
     # the fewest pairs) finds the rays of the generic double description
     # that cuts by the unit rows in input order
     q, w = case
-    assert sorted(_fibre_rays(q.columns, w)) == \
+    assert sorted(_fibre_rays(_fibre_kernel(q.columns, q.pic_rank), w)) == \
         sorted(double_description(*fibre_system(q.columns, w))[1])
+
+
+@st.composite
+def gradings_and_class_lists(draw):
+    """A grading as gradings_and_classes draws it, and its class with one
+    to three more: zero, a sum of columns, random, or one of these divided
+    by 2 or 3 as a Fraction class."""
+    q, w = draw(gradings_and_classes())
+    r = q.pic_rank
+    klass = st.one_of(
+        st.just((0,) * r),
+        st.lists(st.sampled_from(q.columns), min_size=1,
+                 max_size=4).map(lambda picks: tuple(map(sum, zip(*picks)))),
+        st.lists(st.integers(-4, 4), min_size=r, max_size=r).map(tuple))
+    fraction = st.builds(lambda c, k: tuple(Fraction(x, k) for x in c),
+                         klass, st.integers(2, 3))
+    more = draw(st.lists(st.one_of(klass, fraction), min_size=1, max_size=3))
+    return q, [w, *more]
+
+
+@settings(deadline=None, max_examples=300)
+@given(gradings_and_class_lists())
+# the zero class and a rational class after an integer one
+@example((DegreeMatrix.make([(1, 0), (0, 1), (1, 1)]),
+          [(1, 1), (0, 0), (Fraction(1, 2), 1),
+           (Fraction(2), Fraction(2))]))
+# classes outside Eff, before and after one inside it
+@example((DegreeMatrix.make([(1, 0), (-1, 0)]), [(0, 1), (1, 0), (0, -2)]))
+# repeated columns
+@example((DegreeMatrix.make([(1, 1), (1, 1), (0, 1), (1, 0), (0, 1)]),
+          [(2, 3), (1, 1), (Fraction(3, 2), 0)]))
+# rank-deficient gradings: the left kernel decides whether t is free
+@example((DegreeMatrix.make([(1, 0, 0)]),
+          [(0, 1, 0), (2, 0, 0), (Fraction(-1, 3), 0, 0)]))
+@example((DegreeMatrix.make([(1, 2), (2, 4), (-1, -2), (0, 0)]),
+          [(1, 2), (0, 1), (3, 6), (0, 0)]))
+# the 27-line dP3 at -K, 621 vertices, and at a class of one line
+@example((DegreeMatrix.make(dp3_columns()),
+          [(1, -1, 0, 0, 0, 0, 0), (3, -1, -1, -1, -1, -1, -1)]))
+def test_fibres_of_one_grading_share_its_elimination(case):
+    # one _fibre_kernel per grading, as monomials keeps it, and one
+    # _fibre_rays per class on it: the rays of the generic double
+    # description that cuts by the unit rows in input order
+    q, classes = case
+    kernel = _fibre_kernel(q.columns, q.pic_rank)
+    for w in classes:
+        assert sorted(_fibre_rays(kernel, w)) == \
+            sorted(double_description(*fibre_system(q.columns, w))[1])
 
 
 @settings(deadline=None)
